@@ -279,5 +279,3 @@ def verify(lf: LogicForm | str, table: Table) -> bool:
         return result.kind == K_BOOL and result.value is True
     except LoftError:
         return False
-    except Exception:  # malformed hand-built trees stay non-fatal
-        return False

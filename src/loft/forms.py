@@ -4,22 +4,26 @@ Concrete syntax: ``name { arg ; arg }`` with the terminal ``all_rows``.
 Bare tokens are literals; ``{`` ``}`` ``;`` and ``\\`` inside them are
 escaped with a backslash.  Whether a bare token is a column reference or
 an object literal is decided by its position in the enclosing function's
-signature, so parsing needs the catalog but no table.
+signature, so parsing needs the catalog but no table.  Templates are
+spelled in the same grammar, with groups for functions and placeholders
+for bare tokens; ``parse_tree`` parses both.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
-from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
+from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
 from .tables import NUMERIC, Table, normalize_header
 
-_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 _ORDINAL_RE = re.compile(r"^\d+$")
-_ESCAPABLE = "{};\\"
+_SPACE_RE = re.compile(r"\s*")
+# a bare token runs up to the first delimiter or bad escape
+_TOKEN_RE = re.compile(r"(?:[^{};\\]|\\[{};\\])*")
+_UNESCAPE_RE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -66,105 +70,70 @@ def escape_token(text: str) -> str:
     return re.sub(r"([{};\\])", r"\\\1", text)
 
 
-class Scanner:
-    """Character scanner shared by the form and template parsers."""
+def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
+    """Parse the ``name { arg ; arg }`` grammar shared by forms and templates.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    ``signatures`` maps every function name to its signature; any other
+    name raises UnknownFunctionError, a wrong argument count ArityError and
+    any other syntax problem ParseError, all with an offset.  A function is
+    built by ``node(name, args)`` and a bare token by ``leaf(token, offset,
+    expected)``, where ``expected`` is the argument type of its position
+    (None at the root).
+    """
+    pos = 0
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    def next_char() -> str:
+        """Skip whitespace; return the next character ('' at the end)."""
+        nonlocal pos
+        pos = _SPACE_RE.match(text, pos).end()
+        return text[pos : pos + 1]
 
-    def skip_ws(self) -> None:
-        while not self.at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return "" if self.at_end() else self.text[self.pos]
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def read_token(self) -> tuple[str, int]:
-        """Read a bare token up to an unescaped delimiter.
-
-        Returns (unescaped trimmed token, offset of its first character).
-        """
-        self.skip_ws()
-        start = self.pos
-        out: list[str] = []
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise ParseError("dangling escape", self.pos)
-                nxt = self.text[self.pos + 1]
-                if nxt not in _ESCAPABLE:
-                    raise ParseError(f"unknown escape \\{nxt}", self.pos)
-                out.append(nxt)
-                self.pos += 2
-                continue
-            if ch in "{};":
-                break
-            out.append(ch)
-            self.pos += 1
-        return "".join(out).strip(), start
-
-
-class _FormParser:
-    def __init__(self, text: str):
-        self.scan = Scanner(text)
-
-    def parse(self) -> LogicForm:
-        form = self.parse_form(expected=None)
-        self.scan.skip_ws()
-        if not self.scan.at_end():
-            raise ParseError("trailing input after form", self.scan.pos)
-        return form
-
-    def parse_form(self, expected: str | None) -> LogicForm:
-        token, offset = self.scan.read_token()
-        self.scan.skip_ws()
-        if self.scan.peek() == "{":
-            return self.parse_apply(token, offset)
-        if not token:
-            raise ParseError("expected a form", offset)
-        return self.leaf(token, expected)
-
-    def parse_apply(self, name: str, offset: int) -> Apply:
-        if not _NAME_RE.match(name):
-            raise ParseError(f"bad function name {name!r}", offset)
-        sig = CATALOG.get(name)
+    def parse(expected: str | None):
+        nonlocal pos
+        next_char()
+        offset = pos
+        raw = _TOKEN_RE.match(text, pos).group()
+        pos += len(raw)
+        if text.startswith("\\", pos):
+            if pos + 1 == len(text):
+                raise ParseError("dangling escape", pos)
+            raise ParseError(f"unknown escape \\{text[pos + 1]}", pos)
+        token = (_UNESCAPE_RE.sub(r"\1", raw) if "\\" in raw else raw).strip()
+        if next_char() != "{":
+            if not token:
+                raise ParseError("expected a form", offset)
+            return leaf(token, offset, expected)
+        sig = signatures.get(token)
         if sig is None:
-            raise UnknownFunctionError(f"unknown function {name!r}", offset)
-        self.scan.expect("{")
-        args: list[LogicForm] = []
-        for i, arg_type in enumerate(sig.arg_types):
-            args.append(self.parse_form(arg_type))
-            self.scan.skip_ws()
-            if i < len(sig.arg_types) - 1:
-                if self.scan.peek() != ";":
-                    raise ArityError(
-                        f"{name} takes {len(sig.arg_types)} arguments", self.scan.pos
-                    )
-                self.scan.pos += 1
-        self.scan.skip_ws()
-        if self.scan.peek() == ";":
-            raise ArityError(f"{name} takes {len(sig.arg_types)} arguments", self.scan.pos)
-        self.scan.expect("}")
-        return Apply(name, tuple(args))
+            raise UnknownFunctionError(f"unknown function {token!r}", offset)
+        arity = f"{token} takes {len(sig.arg_types)} arguments"
+        pos += 1
+        args = [parse(sig.arg_types[0])]
+        for arg_type in sig.arg_types[1:]:
+            if next_char() != ";":
+                raise ArityError(arity, pos)
+            pos += 1
+            args.append(parse(arg_type))
+        close = next_char()
+        if close == ";":
+            raise ArityError(arity, pos)
+        if close != "}":
+            raise ParseError("expected '}'", pos)
+        pos += 1
+        return node(token, tuple(args))
 
-    @staticmethod
-    def leaf(token: str, expected: str | None) -> LogicForm:
-        if expected == HEADER:
-            return ColumnRef(token)
-        if expected in (VIEW, None) and token == "all_rows":
-            return AllRows()
-        return Literal(token)
+    tree = parse(None)
+    if next_char():
+        raise ParseError("trailing input after form", pos)
+    return tree
+
+
+def _form_leaf(token: str, offset: int, expected: str | None) -> LogicForm:
+    if expected == HEADER:
+        return ColumnRef(token)
+    if expected in (VIEW, None) and token == "all_rows":
+        return AllRows()
+    return Literal(token)
 
 
 def parse_logic_form(text: str) -> LogicForm:
@@ -173,7 +142,7 @@ def parse_logic_form(text: str) -> LogicForm:
     Raises ParseError (with offset) on syntax problems, UnknownFunctionError
     on names missing from the catalog, ArityError on argument count.
     """
-    return _FormParser(text).parse()
+    return parse_tree(text, CATALOG, Apply, _form_leaf)
 
 
 def print_logic_form(lf: LogicForm) -> str:
@@ -211,6 +180,8 @@ def _check(node: LogicForm, table: Table, strict: bool) -> str:
         return OBJECT
     if isinstance(node, ColumnRef):
         raise TypeCheckError("column reference outside a header position")
+    if not isinstance(node, Apply):
+        raise TypeCheckError(f"not a logic form node: {node!r}")
     sig = CATALOG[node.name]
     if strict and node.name == "hop" and isinstance(node.args[0], AllRows):
         raise TypeCheckError("hop requires a single-row view, not all_rows")
@@ -257,12 +228,12 @@ def _check(node: LogicForm, table: Table, strict: bool) -> str:
     return sig.return_type
 
 
-def walk(lf: LogicForm):
-    """Yield every node in printing order (pre-order, args left to right)."""
-    yield lf
-    if isinstance(lf, Apply):
-        for arg in lf.args:
-            yield from walk(arg)
+def walk(node):
+    """Yield every node of a form or template in printing order (pre-order,
+    args left to right)."""
+    yield node
+    for arg in getattr(node, "args", ()):
+        yield from walk(arg)
 
 
 def referenced_columns(lf: LogicForm) -> list[str]:

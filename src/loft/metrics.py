@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import CATEGORIES
@@ -133,18 +133,7 @@ class MetricsReport:
     execution_faithfulness: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "tables": self.tables,
-            "statements": self.statements,
-            "bleu_1": self.bleu_1,
-            "bleu_2": self.bleu_2,
-            "bleu_3": self.bleu_3,
-            "distinct_2": self.distinct_2,
-            "self_bleu_4": self.self_bleu_4,
-            "category_coverage": self.category_coverage,
-            "column_coverage": self.column_coverage,
-            "execution_faithfulness": self.execution_faithfulness,
-        }
+        return asdict(self)
 
 
 def score_output(

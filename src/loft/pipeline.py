@@ -23,7 +23,7 @@ import subprocess
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from queue import Empty, Queue
 
@@ -284,20 +284,11 @@ class PipelineReport:
     execution_faithfulness: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "tables": self.tables,
-            "candidates": self.candidates,
-            "generated": self.generated,
-            "verified": self.verified,
-            "sampled": self.sampled,
-            "seed": self.seed,
-            "k": self.k,
-            "strategy": self.strategy,
-            "category_histogram": dict(sorted(self.category_histogram.items())),
-            "synthesis_failures": sorted(self.synthesis_failures),
-            "shortfalls": dict(sorted(self.shortfalls.items())),
-            "execution_faithfulness": self.execution_faithfulness,
-        }
+        out = asdict(self)
+        out["category_histogram"] = dict(sorted(self.category_histogram.items()))
+        out["synthesis_failures"] = sorted(self.synthesis_failures)
+        out["shortfalls"] = dict(sorted(self.shortfalls.items()))
+        return out
 
 
 def run_pipeline(

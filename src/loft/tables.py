@@ -85,6 +85,8 @@ class Table:
     column_types: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.headers:
+            raise ValueError("table has no columns")
         seen = set()
         for h in self.headers:
             if h in seen:
@@ -218,14 +220,15 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     first row is the header, title and id come from the file name.
 
     Malformed JSON is fatal and names the line; a structurally bad entry
-    (ragged rows, duplicate headers, bad column indices) is skipped with a
-    warning.
+    (no columns, ragged rows, duplicate headers, bad column indices, a
+    table_id already used on an earlier line) is skipped with a warning.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"corpus file not found: {path}")
     entries: list[CorpusEntry] = []
     if format == "json":
+        first_line: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -238,7 +241,15 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
                 if not isinstance(record, dict):
                     raise IngestError(f"{path}:{lineno}: record is not an object")
                 try:
-                    entries.append(_entry_from_record(record, f"{path}:{lineno}"))
+                    entry = _entry_from_record(record, f"{path}:{lineno}")
+                    table_id = entry.table.table_id
+                    if table_id in first_line:
+                        raise IngestError(
+                            f"{path}:{lineno}: duplicate table_id {table_id!r},"
+                            f" first used at line {first_line[table_id]}"
+                        )
+                    first_line[table_id] = lineno
+                    entries.append(entry)
                 except (ValueError, IngestError) as exc:
                     log.warning("skipping entry at %s:%d: %s", path, lineno, exc)
     elif format == "csv":

@@ -28,10 +28,9 @@ from .catalog import (
     group_signature,
 )
 from .errors import DistributionError, ParseError
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, Scanner
+from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, walk
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
-_GROUP_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -119,85 +118,35 @@ def abstract(lf: LogicForm) -> Template:
     return Template(skeleton=skeleton, category=CATALOG[lf.name].category)
 
 
-class _TemplateParser:
-    """Parses skeleton strings; shares the scanner with the form parser."""
-
-    def __init__(self, text: str):
-        self.scan = Scanner(text)
-
-    def parse(self) -> TApply:
-        node = self.parse_node(expected=None)
-        self.scan.skip_ws()
-        if not self.scan.at_end():
-            raise ParseError("trailing input after template", self.scan.pos)
-        if not isinstance(node, TApply):
-            raise ParseError("template root must be a function group", 0)
-        return node
-
-    def parse_node(self, expected: str | None) -> TemplateNode:
-        token, offset = self.scan.read_token()
-        self.scan.skip_ws()
-        if self.scan.peek() == "{":
-            return self.parse_apply(token, offset)
-        if not token:
-            raise ParseError("expected a template node", offset)
-        return self.leaf(token, offset, expected)
-
-    def parse_apply(self, group: str, offset: int) -> TApply:
-        if not _GROUP_NAME_RE.match(group):
-            raise ParseError(f"bad group name {group!r}", offset)
-        if group not in GROUPS:
-            raise ParseError(f"unknown function group {group!r}", offset)
-        sig = group_signature(group)
-        self.scan.expect("{")
-        args: list[TemplateNode] = []
-        for i, arg_type in enumerate(sig.arg_types):
-            args.append(self.parse_node(arg_type))
-            self.scan.skip_ws()
-            if i < len(sig.arg_types) - 1:
-                if self.scan.peek() != ";":
-                    raise ParseError(f"{group} takes {len(sig.arg_types)} arguments", self.scan.pos)
-                self.scan.pos += 1
-        self.scan.skip_ws()
-        if self.scan.peek() == ";":
-            raise ParseError(f"{group} takes {len(sig.arg_types)} arguments", self.scan.pos)
-        self.scan.expect("}")
-        return TApply(group, tuple(args))
-
-    @staticmethod
-    def leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
-        if token == "all_rows":
-            if expected not in (VIEW, None):
-                raise ParseError("all_rows outside a view position", offset)
-            return TAllRows()
-        m = _PLACEHOLDER_RE.match(token)
-        if not m:
-            raise ParseError(f"expected a placeholder, got {token!r}", offset)
-        kind, index = m.group(1), int(m.group(2))
-        if kind == "COL":
-            if expected != HEADER:
-                raise ParseError("COL placeholder outside a header position", offset)
-            return TCol(index)
-        if kind == "ORD":
-            if expected != ORD:
-                raise ParseError("ORD placeholder outside an ordinal position", offset)
-            return TOrd(index)
-        if expected not in (OBJECT,):
-            raise ParseError("OBJ placeholder outside an object position", offset)
-        return TObj(index)
+_GROUP_SIGNATURES = {group: group_signature(group) for group in GROUPS}
 
 
-def _walk_template(node: TemplateNode):
-    yield node
-    if isinstance(node, TApply):
-        for arg in node.args:
-            yield from _walk_template(arg)
+def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
+    if token == "all_rows":
+        if expected not in (VIEW, None):
+            raise ParseError("all_rows outside a view position", offset)
+        return TAllRows()
+    m = _PLACEHOLDER_RE.match(token)
+    if not m:
+        raise ParseError(f"expected a placeholder, got {token!r}", offset)
+    kind, index = m.group(1), int(m.group(2))
+    if kind == "COL":
+        if expected != HEADER:
+            raise ParseError("COL placeholder outside a header position", offset)
+        return TCol(index)
+    if kind == "ORD":
+        if expected != ORD:
+            raise ParseError("ORD placeholder outside an ordinal position", offset)
+        return TOrd(index)
+    if expected not in (OBJECT,):
+        raise ParseError("OBJ placeholder outside an object position", offset)
+    return TObj(index)
 
 
 def _check_numbering(skeleton: TApply) -> None:
     """Placeholders must be numbered 1..n by first appearance."""
     seen: dict[str, list[int]] = {"COL": [], "OBJ": [], "ORD": []}
-    for node in _walk_template(skeleton):
+    for node in walk(skeleton):
         for kind, cls in (("COL", TCol), ("OBJ", TObj), ("ORD", TOrd)):
             if isinstance(node, cls) and node.index not in seen[kind]:
                 if node.index != len(seen[kind]) + 1:
@@ -208,8 +157,14 @@ def _check_numbering(skeleton: TApply) -> None:
 
 
 def parse_template(text: str) -> Template:
-    """Parse and validate one skeleton string."""
-    skeleton = _TemplateParser(text).parse()
+    """Parse and validate one skeleton string.
+
+    Raises the form parser's errors: UnknownFunctionError for a name that
+    is not a group, ArityError on argument count, ParseError otherwise.
+    """
+    skeleton = parse_tree(text, _GROUP_SIGNATURES, TApply, _template_leaf)
+    if not isinstance(skeleton, TApply):
+        raise ParseError("template root must be a function group", 0)
     _check_numbering(skeleton)
     return Template(skeleton=skeleton, category=group_category(skeleton.group))
 
@@ -217,7 +172,7 @@ def parse_template(text: str) -> Template:
 def template_placeholders(template: Template) -> tuple[int, int, int]:
     """Count of distinct (COL, OBJ, ORD) placeholders."""
     cols, objs, ords = set(), set(), set()
-    for node in _walk_template(template.skeleton):
+    for node in walk(template.skeleton):
         if isinstance(node, TCol):
             cols.add(node.index)
         elif isinstance(node, TObj):

@@ -131,6 +131,21 @@ class TestIngest:
         record = json.loads(out.read_text().strip())
         assert record["header"] == ["team", "points"]
 
+    def test_zero_column_table_is_skipped_by_pipeline(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"table_id":"a","title":"t","header":[],"rows":[]}\n'
+            + json.dumps(MT_RECORD) + "\n",
+            encoding="utf-8",
+        )
+        result = loft(
+            "pipeline", "--corpus", str(corpus), "--output", str(tmp_path / "out.jsonl"),
+            "--k", "2", "--candidates", "3",
+        )
+        assert payload_of(result)["tables"] == 1
+        assert "no columns" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestToolChain:
     """mine-templates -> synthesize -> pipeline -> score in one temp dir."""

@@ -1,0 +1,31 @@
+"""Every form and template shown in the README parses."""
+
+import re
+from pathlib import Path
+
+from loft import parse_logic_form, parse_template, print_logic_form
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+# a whole line, or a double-quoted string, spelled name { ... }
+EXAMPLE_RE = re.compile(r'^\s*([A-Za-z_]+ \{.*\})\s*$|"([A-Za-z_]+ \{[^"]*\})"', re.M)
+PLACEHOLDER_RE = re.compile(r"\b(COL|OBJ|ORD)_\d+\b")
+
+
+def readme_examples():
+    examples = []
+    for block in FENCE_RE.findall(README.read_text(encoding="utf-8")):
+        for line, quoted in EXAMPLE_RE.findall(block):
+            examples.append(line or quoted)
+    return examples
+
+
+def test_readme_examples_parse():
+    examples = readme_examples()
+    templates = [text for text in examples if PLACEHOLDER_RE.search(text)]
+    forms = [text for text in examples if text not in templates]
+    assert len(forms) >= 4 and len(templates) >= 1
+    for text in forms:
+        assert print_logic_form(parse_logic_form(text)) == text
+    for text in templates:
+        assert parse_template(text).canonical() == text

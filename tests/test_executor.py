@@ -8,13 +8,16 @@ import random
 import pytest
 
 from loft import (
+    Apply,
     EmptyViewError,
     NonNumericError,
     RankRangeError,
     Table,
+    TypeCheckError,
     ViewSizeError,
     execute,
     parse_logic_form,
+    type_check,
     verify,
 )
 from loft.executor import ExecValue, K_BOOL, K_NUMBER, number_text
@@ -180,6 +183,14 @@ class TestVerify:
 
     def test_strict_typing_applies(self, mt):
         assert verify("eq { hop { all_rows ; team } ; a }", mt) is False
+
+    def test_malformed_hand_built_tree_is_a_type_error(self, mt):
+        # a bare string where a node belongs is rejected by the type check,
+        # not by a crash that verify would have to swallow
+        lf = Apply("count", ("all_rows",))
+        with pytest.raises(TypeCheckError):
+            type_check(lf, mt)
+        assert verify(lf, mt) is False
 
 
 class TestExecValue:

@@ -10,8 +10,8 @@ import sys
 
 import pytest
 
-from loft import HookError, default_distribution
-from loft.forms import print_logic_form
+from loft import HookError, default_distribution, load_corpus, verify
+from loft.forms import parse_logic_form, print_logic_form, referenced_columns
 from loft.pipeline import (
     HookConfig,
     Statement,
@@ -277,6 +277,30 @@ class TestRunPipeline:
         for rec in records:
             forms = [st["logic_form"] for st in rec["statements"]]
             assert len(forms) == len(set(forms))
+
+    def test_duplicate_table_id_keeps_the_first_table(self, tmp_path):
+        first = {"table_id": "x", "title": "first", "header": ["team", "points"],
+                 "rows": [["a", "3"], ["b", "5"], ["c", "2"]]}
+        second = {"table_id": "x", "title": "second", "header": ["city", "year"],
+                  "rows": [["rome", "1990"], ["oslo", "2001"]]}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n",
+                          encoding="utf-8")
+        entries = load_corpus(corpus)
+        assert [e.table.title for e in entries] == ["first"]
+
+        out = tmp_path / "out.jsonl"
+        report = run_pipeline(entries, out, default_distribution(), k=40, seed=13,
+                              synthesis=SynthesisConfig(candidates_per_column_set=20, seed=13))
+        assert report.tables == 1
+        assert report.verified == report.candidates > 0
+        statements = [st for line in out.read_text().splitlines()
+                      for st in json.loads(line)["statements"]]
+        assert statements
+        for st in statements:
+            assert verify(st["logic_form"], entries[0].table)
+            assert set(referenced_columns(
+                parse_logic_form(st["logic_form"]))) <= {"team", "points"}
 
     def test_reruns_are_byte_identical(self, tmp_path, bundled_corpus):
         config = SynthesisConfig(candidates_per_column_set=4, seed=13)

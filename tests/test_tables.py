@@ -154,6 +154,39 @@ class TestCorpusIO:
         assert [e.table.table_id for e in entries] == ["a"]
         assert "skipping entry" in caplog.text
 
+    def test_zero_column_table_is_skipped(self, tmp_path, caplog):
+        path = self._write(
+            tmp_path,
+            ['{"table_id":"a","title":"t","header":[],"rows":[]}',
+             '{"table_id": "b", "title": "b", "header": ["h"], "rows": [["1"]]}'],
+        )
+        with caplog.at_level("WARNING"):
+            entries = load_corpus(path)
+        assert [e.table.table_id for e in entries] == ["b"]
+        assert "no columns" in caplog.text
+
+    def test_empty_csv_header_is_skipped(self, tmp_path, caplog):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert load_corpus(path, format="csv") == []
+        assert "no columns" in caplog.text
+
+    def test_duplicate_table_id_keeps_the_first(self, tmp_path, caplog):
+        path = self._write(
+            tmp_path,
+            ['{"table_id": "x", "title": "first", "header": ["h"], "rows": [["1"]]}',
+             '{"table_id": "y", "title": "y", "header": ["h"], "rows": [["2"]]}',
+             '{"table_id": "x", "title": "second", "header": ["h"], "rows": [["3"]]}'],
+        )
+        with caplog.at_level("WARNING"):
+            entries = load_corpus(path)
+        assert [(e.table.table_id, e.table.title) for e in entries] == [
+            ("x", "first"), ("y", "y")
+        ]
+        assert "duplicate table_id 'x'" in caplog.text
+        assert ":3:" in caplog.text and "line 1" in caplog.text
+
     def test_missing_field_is_skipped(self, tmp_path, caplog):
         path = self._write(tmp_path, ['{"table_id": "a"}'])
         with caplog.at_level("WARNING"):

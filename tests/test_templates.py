@@ -1,12 +1,16 @@
 """Abstraction into templates and weighted distribution handling."""
 
 import json
+import random
 
 import pytest
 
 from loft import (
+    Apply,
+    ArityError,
     DistributionError,
     ParseError,
+    UnknownFunctionError,
     abstract,
     build_distribution,
     default_distribution,
@@ -20,6 +24,8 @@ from loft.templates import (
     WeightedTemplate,
     template_placeholders,
 )
+
+from .generators import random_form, random_table
 
 
 def abstracted(text):
@@ -113,6 +119,31 @@ class TestTemplateParsing:
         with pytest.raises(ParseError):
             parse_template("OBJ_1")
 
+    def test_errors_share_the_form_classes(self):
+        with pytest.raises(ArityError):
+            parse_template("count { all_rows ; all_rows }")
+        with pytest.raises(ArityError):
+            parse_template("FILTER_EQ { all_rows ; COL_1 }")
+        with pytest.raises(UnknownFunctionError):
+            parse_template("SHINY { all_rows }")
+
+    def test_unterminated_brace_is_a_plain_parse_error(self):
+        with pytest.raises(ParseError, match="expected '}'") as exc_info:
+            parse_template("count { all_rows ")
+        assert type(exc_info.value) is ParseError
+        assert exc_info.value.offset is not None
+
+    def test_abstraction_round_trips_on_random_forms(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(300):
+            form = random_form(rng, random_table(rng))
+            if isinstance(form, Apply):
+                template = abstract(form)
+                assert parse_template(template.canonical()) == template
+                checked += 1
+        assert checked > 200
+
     def test_singleton_groups_keep_function_names(self):
         template = parse_template("only { filter_all { all_rows ; COL_1 } }")
         assert template.category == "unique"
@@ -201,14 +232,15 @@ class TestDistributions:
 
     def test_default_distribution_covers_every_category(self):
         from loft.catalog import CATEGORIES, group_category
-        from loft.templates import TApply, _walk_template
+        from loft.forms import walk
+        from loft.templates import TApply
 
         dist = default_distribution()
         assert len(dist.entries) == 8
         exercised = {
             group_category(node.group)
             for e in dist.entries
-            for node in _walk_template(e.template.skeleton)
+            for node in walk(e.template.skeleton)
             if isinstance(node, TApply)
         }
         assert exercised == set(CATEGORIES)
