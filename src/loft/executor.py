@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import BOOL as T_BOOL
+from .catalog import BOOL, CATALOG, HEADER, OBJECT, ORD, VIEW
 from .errors import (
     EmptyViewError,
     LoftError,
@@ -24,7 +24,7 @@ from .errors import (
     TypeCheckError,
     ViewSizeError,
 )
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
+from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
 from .tables import EMPTY, CellValue, Table, View, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
@@ -75,14 +75,6 @@ def obj_pair(v: ExecValue) -> tuple[float | None, str]:
     return cell.number, cell.text
 
 
-def _values_equal(a: ExecValue, b: ExecValue) -> bool:
-    na, ta = obj_pair(a)
-    nb, tb = obj_pair(b)
-    if na is not None and nb is not None:
-        return na == nb
-    return _norm_text(ta) == _norm_text(tb)
-
-
 def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_text: str) -> bool:
     """Row predicate for filter/majority functions. Empty cells fail."""
     if cell.kind == EMPTY:
@@ -122,147 +114,114 @@ def predicate_op(name: str) -> str:
     raise ValueError(f"{name} carries no predicate")
 
 
-class _Evaluator:
-    def __init__(self, table: Table, round_abs: float, round_rel: float):
-        self.table = table
-        self.round_abs = round_abs
-        self.round_rel = round_rel
+_MAJORITY = ("all_", "most_")
 
-    def eval(self, node: LogicForm) -> ExecValue:
-        if isinstance(node, AllRows):
-            return ExecValue(K_VIEW, View(self.table, tuple(range(self.table.n_rows))))
-        if isinstance(node, Literal):
-            return ExecValue(K_OBJECT, normalize_cell(node.text))
-        if isinstance(node, ColumnRef):
-            raise TypeCheckError("column reference is not executable on its own")
-        return self.apply(node)
 
-    def view_rows(self, node: LogicForm) -> tuple[int, ...]:
-        return self.eval(node).value.row_indices
+def apply(name: str, args: tuple, table: Table) -> ExecValue:
+    """One function applied to its evaluated arguments.
 
-    def column(self, node: LogicForm) -> int:
-        idx = self.table.column_index(node.name)
-        if idx is None:
-            raise TypeCheckError(f"unknown column {node.name!r}", kind="unknown_column")
-        return idx
-
-    def cells(self, rows: tuple[int, ...], col: int) -> list[CellValue]:
-        return [self.table.rows[i][col] for i in rows]
-
-    def numeric_cells(self, rows: tuple[int, ...], col: int) -> list[tuple[float, int]]:
-        out = []
-        for i in rows:
-            cell = self.table.rows[i][col]
-            if cell.number is not None:
-                out.append((cell.number, i))
-        return out
-
-    def apply(self, node: Apply) -> ExecValue:
-        name = node.name
-        args = node.args
-
-        if name == "count":
-            return ExecValue(K_NUMBER, float(len(self.view_rows(args[0]))))
-        if name == "only":
-            return ExecValue(K_BOOL, len(self.view_rows(args[0])) == 1)
-        if name in ("avg", "sum"):
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            nums = [v for v, _ in self.numeric_cells(rows, col)]
-            if not nums:
-                raise EmptyViewError(f"{name}: no numeric values in view")
-            total = sum(nums)
-            return ExecValue(K_NUMBER, total / len(nums) if name == "avg" else total)
-        if name in ("argmax", "argmin"):
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            cands = self.numeric_cells(rows, col)
-            if not cands:
-                raise EmptyViewError(f"{name}: no numeric values in view")
-            if name == "argmax":
-                best = max(cands, key=lambda t: (t[0], -t[1]))
-            else:
-                best = min(cands, key=lambda t: (t[0], t[1]))
-            return ExecValue(K_VIEW, View(self.table, (best[1],)))
-        if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            n = int(args[2].text)
-            cands = self.numeric_cells(rows, col)
-            if not cands:
-                raise EmptyViewError(f"{name}: no numeric values in view")
-            if n < 1 or n > len(cands):
-                raise RankRangeError(f"{name}: rank {n} outside 1..{len(cands)}")
-            descending = name.endswith("max")
-            ranked = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))
-            value, row = ranked[n - 1]
-            if name.startswith("nth_arg"):
-                return ExecValue(K_VIEW, View(self.table, (row,)))
-            return ExecValue(K_NUMBER, value)
-        if name.startswith("filter_") and name != "filter_all":
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            op = predicate_op(name)
-            obj_num, obj_text = obj_pair(self.eval(args[2]))
-            kept = tuple(
-                i for i in rows
-                if cell_predicate(op, self.table.rows[i][col], obj_num, obj_text)
-            )
-            return ExecValue(K_VIEW, View(self.table, kept))
-        if name == "filter_all":
-            rows = self.view_rows(args[0])
-            self.column(args[1])
-            return ExecValue(K_VIEW, View(self.table, rows))
-        if name.startswith(("all_", "most_")):
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            if not rows:
-                raise EmptyViewError(f"{name}: empty view")
-            op = predicate_op(name)
-            obj_num, obj_text = obj_pair(self.eval(args[2]))
-            hits = sum(
-                1 for i in rows
-                if cell_predicate(op, self.table.rows[i][col], obj_num, obj_text)
-            )
-            if name.startswith("all_"):
-                return ExecValue(K_BOOL, hits == len(rows))
-            return ExecValue(K_BOOL, hits * 2 > len(rows))
-        if name == "hop":
-            rows, col = self.view_rows(args[0]), self.column(args[1])
-            if len(rows) != 1:
-                raise ViewSizeError(f"hop over a view of {len(rows)} rows")
-            return ExecValue(K_OBJECT, self.table.rows[rows[0]][col])
-        if name in ("eq", "not_eq"):
-            equal = _values_equal(self.eval(args[0]), self.eval(args[1]))
-            return ExecValue(K_BOOL, not equal if name == "not_eq" else equal)
+    Arguments arrive as ``_eval`` produces them: a view as its row
+    indices, a header as its column index, an ordinal as its rank, an object
+    as its ``obj_pair`` reading and a bool as a bool.  Nothing is evaluated
+    here, so callers that already hold child values can step one node.
+    """
+    if name == "count":
+        return ExecValue(K_NUMBER, float(len(args[0])))
+    if name == "only":
+        return ExecValue(K_BOOL, len(args[0]) == 1)
+    if name == "and":
+        return ExecValue(K_BOOL, args[0] and args[1])
+    if name in ("eq", "not_eq"):
+        (na, ta), (nb, tb) = args
+        if na is not None and nb is not None:
+            equal = na == nb
+        else:
+            equal = _norm_text(ta) == _norm_text(tb)
+        return ExecValue(K_BOOL, not equal if name == "not_eq" else equal)
+    if name in ("round_eq", "greater", "less", "diff"):
+        (na, _), (nb, _) = args
+        if na is None or nb is None:
+            raise NonNumericError(f"{name} needs numeric operands")
         if name == "round_eq":
-            na, _ = obj_pair(self.eval(args[0]))
-            nb, _ = obj_pair(self.eval(args[1]))
-            if na is None or nb is None:
-                raise NonNumericError("round_eq needs numeric operands")
-            tol = max(self.round_abs, self.round_rel * abs(nb))
-            return ExecValue(K_BOOL, abs(na - nb) <= tol)
-        if name in ("greater", "less", "diff"):
-            na, _ = obj_pair(self.eval(args[0]))
-            nb, _ = obj_pair(self.eval(args[1]))
-            if na is None or nb is None:
-                raise NonNumericError(f"{name} needs numeric operands")
-            if name == "greater":
-                return ExecValue(K_BOOL, na > nb)
-            if name == "less":
-                return ExecValue(K_BOOL, na < nb)
-            return ExecValue(K_NUMBER, na - nb)
-        if name == "and":
-            a = self.eval(args[0])
-            b = self.eval(args[1])
-            return ExecValue(K_BOOL, bool(a.value) and bool(b.value))
-        raise TypeCheckError(f"unknown function {name!r}")  # pragma: no cover
+            return ExecValue(K_BOOL, abs(na - nb) <= max(ROUND_EQ_ABS, ROUND_EQ_REL * abs(nb)))
+        if name == "greater":
+            return ExecValue(K_BOOL, na > nb)
+        if name == "less":
+            return ExecValue(K_BOOL, na < nb)
+        return ExecValue(K_NUMBER, na - nb)
+    rows, col = args[0], args[1]
+    if name == "hop":
+        if len(rows) != 1:
+            raise ViewSizeError(f"hop over a view of {len(rows)} rows")
+        return ExecValue(K_OBJECT, table.rows[rows[0]][col])
+    if name == "filter_all":
+        return ExecValue(K_VIEW, View(table, rows))
+    if name.startswith(("filter_",) + _MAJORITY):
+        op = predicate_op(name)
+        obj_num, obj_text = args[2]
+        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, obj_text))
+        if name.startswith("filter_"):
+            return ExecValue(K_VIEW, View(table, kept))
+        if not rows:
+            raise EmptyViewError(f"{name}: empty view")
+        if name.startswith("all_"):
+            return ExecValue(K_BOOL, len(kept) == len(rows))
+        return ExecValue(K_BOOL, len(kept) * 2 > len(rows))
+    # the rest read the view's numeric cells: avg, sum, argmax, argmin, nth_*
+    cands = [(table.rows[i][col].number, i) for i in rows if table.rows[i][col].number is not None]
+    if not cands:
+        raise EmptyViewError(f"{name}: no numeric values in view")
+    if name in ("avg", "sum"):
+        total = sum(v for v, _ in cands)
+        return ExecValue(K_NUMBER, total / len(cands) if name == "avg" else total)
+    if name == "argmax":
+        return ExecValue(K_VIEW, View(table, (max(cands, key=lambda t: (t[0], -t[1]))[1],)))
+    if name == "argmin":
+        return ExecValue(K_VIEW, View(table, (min(cands)[1],)))
+    n = args[2]
+    if n < 1 or n > len(cands):
+        raise RankRangeError(f"{name}: rank {n} outside 1..{len(cands)}")
+    descending = name.endswith("max")
+    value, row = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))[n - 1]
+    if name.startswith("nth_arg"):
+        return ExecValue(K_VIEW, View(table, (row,)))
+    return ExecValue(K_NUMBER, value)
 
 
-def execute(
-    lf: LogicForm,
-    table: Table,
-    *,
-    round_abs: float = ROUND_EQ_ABS,
-    round_rel: float = ROUND_EQ_REL,
-) -> ExecValue:
+def _eval(node: LogicForm, table: Table) -> ExecValue:
+    """Evaluate the arguments left to right, each by its signature type,
+    then step the node."""
+    if isinstance(node, AllRows):
+        return ExecValue(K_VIEW, View(table, tuple(range(table.n_rows))))
+    if isinstance(node, Literal):
+        return ExecValue(K_OBJECT, normalize_cell(node.text))
+    if isinstance(node, ColumnRef):
+        raise TypeCheckError("column reference is not executable on its own")
+    name = node.name
+    args: list = []
+    for arg, arg_type in zip(node.args, CATALOG[name].arg_types):
+        if arg_type == VIEW:
+            args.append(_eval(arg, table).value.row_indices)
+        elif arg_type == HEADER:
+            idx = table.column_index(arg.name)
+            if idx is None:
+                raise TypeCheckError(f"unknown column {arg.name!r}", kind="unknown_column")
+            args.append(idx)
+        elif arg_type == ORD:
+            args.append(int(arg.text))
+        elif arg_type == OBJECT:
+            if name.startswith(_MAJORITY) and not args[0]:
+                # an empty view fails before the object is evaluated
+                raise EmptyViewError(f"{name}: empty view")
+            args.append(obj_pair(_eval(arg, table)))
+        else:  # BOOL
+            args.append(bool(_eval(arg, table).value))
+    return apply(name, tuple(args), table)
+
+
+def execute(lf: LogicForm, table: Table) -> ExecValue:
     """Evaluate a type-checked form. Deterministic; never mutates the table."""
-    return _Evaluator(table, round_abs, round_rel).eval(lf)
+    return _eval(lf, table)
 
 
 def verify(lf: LogicForm | str, table: Table) -> bool:
@@ -273,7 +232,7 @@ def verify(lf: LogicForm | str, table: Table) -> bool:
     try:
         if isinstance(lf, str):
             lf = parse_logic_form(lf)
-        if type_check(lf, table).result_type != T_BOOL:
+        if type_check(lf, table).result_type != BOOL:
             return False
         result = execute(lf, table)
         return result.kind == K_BOOL and result.value is True

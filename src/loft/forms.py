@@ -163,17 +163,17 @@ class TypedForm:
     result_type: str
 
 
-def type_check(lf: LogicForm, table: Table, strict: bool = True) -> TypedForm:
+def type_check(lf: LogicForm, table: Table) -> TypedForm:
     """Check lf against the table schema; returns the form with its result type.
 
-    Depends only on headers and column types, never on row contents.  In
-    strict mode, hop directly over all_rows is rejected since it can only
-    succeed on single-row tables.
+    Depends only on headers and column types, never on row contents.  Hop
+    directly over all_rows is rejected since it can only succeed on
+    single-row tables.
     """
-    return TypedForm(lf, _check(lf, table, strict))
+    return TypedForm(lf, _check(lf, table))
 
 
-def _check(node: LogicForm, table: Table, strict: bool) -> str:
+def _check(node: LogicForm, table: Table) -> str:
     if isinstance(node, AllRows):
         return VIEW
     if isinstance(node, Literal):
@@ -183,13 +183,13 @@ def _check(node: LogicForm, table: Table, strict: bool) -> str:
     if not isinstance(node, Apply):
         raise TypeCheckError(f"not a logic form node: {node!r}")
     sig = CATALOG[node.name]
-    if strict and node.name == "hop" and isinstance(node.args[0], AllRows):
+    if node.name == "hop" and isinstance(node.args[0], AllRows):
         raise TypeCheckError("hop requires a single-row view, not all_rows")
     for arg, arg_type in zip(node.args, sig.arg_types):
         if arg_type == VIEW:
             if isinstance(arg, (Literal, ColumnRef)):
                 raise TypeCheckError(f"{node.name}: view argument expected")
-            if _check(arg, table, strict) != VIEW:
+            if _check(arg, table) != VIEW:
                 raise TypeCheckError(f"{node.name}: view argument expected")
         elif arg_type == HEADER:
             if not isinstance(arg, ColumnRef):
@@ -208,7 +208,7 @@ def _check(node: LogicForm, table: Table, strict: bool) -> str:
                 continue
             if isinstance(arg, (AllRows, ColumnRef)):
                 raise TypeCheckError(f"{node.name}: object argument expected")
-            if _check(arg, table, strict) not in (NUM, OBJECT):
+            if _check(arg, table) not in (NUM, OBJECT):
                 raise TypeCheckError(f"{node.name}: object argument expected")
         elif arg_type == ORD:
             if not isinstance(arg, Literal):
@@ -221,7 +221,7 @@ def _check(node: LogicForm, table: Table, strict: bool) -> str:
                     kind="bad_ordinal",
                 )
         elif arg_type == BOOL:
-            if not isinstance(arg, Apply) or _check(arg, table, strict) != BOOL:
+            if not isinstance(arg, Apply) or _check(arg, table) != BOOL:
                 raise TypeCheckError(f"{node.name}: boolean argument expected")
         else:  # pragma: no cover - catalog uses no other tags
             raise TypeCheckError(f"unhandled argument type {arg_type!r}")

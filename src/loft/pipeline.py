@@ -67,7 +67,6 @@ class Statement:
     text: str
     logic_form: str
     category: str
-    column_set: tuple[int, ...] = ()
 
 
 class _HookProcess:
@@ -167,7 +166,6 @@ def generate_statements(
                     text=realize_logic_form(cand.form),
                     logic_form=print_logic_form(cand.form),
                     category=cand.category,
-                    column_set=cand.column_set,
                 )
             )
         return out
@@ -193,7 +191,6 @@ def generate_statements(
                     text=statement.strip(),
                     logic_form=form_text,
                     category=cand.category,
-                    column_set=cand.column_set,
                 )
             )
     return out
@@ -315,6 +312,10 @@ def run_pipeline(
     candidates: list[SynthesizedCandidate] = []
     for entry in entries:
         table = entry.table
+        if table.table_id in tables:
+            # as load_corpus does: a repeated id would mix two tables' rows
+            log.warning("skipping repeated table_id %r; the first table is kept", table.table_id)
+            continue
         tables[table.table_id] = table
         try:
             result = synthesize_candidates(

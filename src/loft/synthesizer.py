@@ -5,7 +5,9 @@ objects come from cell values of the current view (so the subview is never
 empty), comparison thresholds sit inside the view's value range, ordinal
 ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
-computed result instead of being guessed.  Every filled form still goes
+computed result instead of being guessed.  A node's value comes from the
+executor's per-node step applied to the values its children already
+produced, so no subtree is executed twice.  Every filled form still goes
 through verification before it is returned, so these strategies only buy
 speed, never soundness.
 
@@ -20,19 +22,20 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .catalog import BOOL, HEADER, NUMERIC_PREDICATE_GROUPS, group_signature
+from .catalog import BOOL, CATALOG, GROUPS, HEADER, NUMERIC_PREDICATE_GROUPS, group_signature
 from .errors import LoftError
 from .executor import (
-    K_BOOL,
+    K_OBJECT,
+    ExecValue,
+    apply,
     cell_predicate,
-    execute,
     number_text,
     obj_pair,
     predicate_op,
     verify,
 )
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table
+from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
     TAllRows,
     TApply,
@@ -42,7 +45,6 @@ from .templates import (
     Template,
     TemplateDistribution,
     TemplateNode,
-    template_placeholders,
 )
 
 log = logging.getLogger(__name__)
@@ -62,13 +64,12 @@ _FILTER_GROUPS = ("FILTER_EQ", "FILTER_GT", "FILTER_GE")
 @dataclass(frozen=True)
 class SynthesisConfig:
     candidates_per_column_set: int = 20
-    retries_per_template: int = 50
     seed: int = 13
     max_column_sets: int = 4
 
     def __post_init__(self):
-        if self.candidates_per_column_set < 1 or self.retries_per_template < 1:
-            raise ValueError("config counts must be positive")
+        if self.candidates_per_column_set < 1:
+            raise ValueError("candidates_per_column_set must be positive")
 
 
 def table_rng(seed: int, table_id: str, salt: str = "") -> random.Random:
@@ -148,17 +149,18 @@ def _column_needs(skeleton: TApply) -> dict[int, bool]:
 class _Attempt:
     """One grounding attempt; owns the placeholder assignments."""
 
-    def __init__(self, table: Table, columns: list[int], rng: random.Random, skeleton: TApply):
+    def __init__(
+        self, table: Table, columns: list[int], rng: random.Random, needs: dict[int, bool]
+    ):
         self.table = table
         self.rng = rng
         self.objs: dict[int, str] = {}
         self.ords: dict[int, int] = {}
-        self.cols = self._assign_columns(skeleton, columns)
+        self.cols = self._assign_columns(needs, columns)
 
     # -- assignment helpers ----------------------------------------------
 
-    def _assign_columns(self, skeleton: TApply, columns: list[int]) -> dict[int, int]:
-        needs = _column_needs(skeleton)
+    def _assign_columns(self, needs: dict[int, bool], columns: list[int]) -> dict[int, int]:
         assign: dict[int, int] = {}
         used: set[int] = set()
         for idx in sorted(needs):
@@ -199,16 +201,25 @@ class _Attempt:
         self.ords[node.index] = value
         return value
 
+    def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, tuple[float | None, str]]:
+        """Form and value of a filter or majority object: a computed subform,
+        the literal already bound to the placeholder, or a draw from pool()."""
+        if not isinstance(node, TObj):
+            return self.fill_value(node)
+        if node.index in self.objs:
+            text = self.objs[node.index]
+        else:
+            text = self.new_obj(node.index, pool())
+        return Literal(text), _literal_value(text)
+
     # -- execution helpers -----------------------------------------------
 
-    def run(self, form: LogicForm):
+    def step(self, name: str, *args) -> ExecValue:
+        """The value of one node, from the child values already computed."""
         try:
-            return execute(form, self.table)
+            return apply(name, args, self.table)
         except LoftError:
             raise _Fail() from None
-
-    def rows_of(self, form: LogicForm) -> tuple[int, ...]:
-        return self.run(form).value.row_indices
 
     def col_ref(self, node: TCol) -> tuple[ColumnRef, int]:
         col = self.cols[node.index]
@@ -216,6 +227,13 @@ class _Attempt:
 
     def view_cells(self, rows: tuple[int, ...], col: int) -> list[CellValue]:
         return [self.table.rows[i][col] for i in rows]
+
+    def numeric_count(self, rows: tuple[int, ...], col: int) -> int:
+        """Numeric cells of the column within the view; none fails the draw."""
+        usable = sum(1 for c in self.view_cells(rows, col) if c.number is not None)
+        if usable == 0:
+            raise _Fail()
+        return usable
 
     # -- candidate pools ---------------------------------------------------
 
@@ -281,19 +299,12 @@ class _Attempt:
         if group in _FILTER_GROUPS:
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
-            member = self.choice(list(_members(group)))
-            obj_node = node.args[2]
-            if isinstance(obj_node, TObj):
-                if obj_node.index in self.objs:
-                    text = self.objs[obj_node.index]
-                else:
-                    pool = self.filter_obj_candidates(member, col, inner_rows, unique)
-                    text = self.new_obj(obj_node.index, pool)
-                obj_form: LogicForm = Literal(text)
-            else:
-                obj_form, _ = self.fill_value(obj_node)
-            form = Apply(member, (inner_form, ref, obj_form))
-            return form, self.rows_of(form)
+            member = self.choice(list(GROUPS[group]))
+            obj_form, obj = self.bind_obj(
+                node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
+            )
+            rows = self.step(member, inner_rows, col, obj).value.row_indices
+            return Apply(member, (inner_form, ref, obj_form)), rows
         if group == "filter_all":
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, _ = self.col_ref(node.args[1])
@@ -301,56 +312,50 @@ class _Attempt:
         if group in ("SUPER_ARG", "ORD_ARG"):
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
-            usable = sum(1 for c in self.view_cells(inner_rows, col) if c.number is not None)
-            if usable == 0:
-                raise _Fail()
-            member = self.choice(list(_members(group)))
+            usable = self.numeric_count(inner_rows, col)
+            member = self.choice(list(GROUPS[group]))
+            args, values = (inner_form, ref), (inner_rows, col)
             if group == "ORD_ARG":
                 rank = self.bind_ord(node.args[2], usable)
-                form = Apply(member, (inner_form, ref, Literal(str(rank))))
-            else:
-                form = Apply(member, (inner_form, ref))
-            return form, self.rows_of(form)
+                args, values = args + (Literal(str(rank)),), values + (rank,)
+            return Apply(member, args), self.step(member, *values).value.row_indices
         raise _Fail()
 
-    def fill_value(self, node: TemplateNode) -> tuple[Apply, object]:
+    def fill_value(self, node: TemplateNode) -> tuple[Apply, tuple[float | None, str]]:
         if not isinstance(node, TApply):
             raise _Fail()
         group = node.group
         if group == "count":
-            inner_form, _ = self.fill_view(node.args[0])
-            form = Apply("count", (inner_form,))
+            inner_form, inner_rows = self.fill_view(node.args[0])
+            form, value = Apply("count", (inner_form,)), self.step("count", inner_rows)
         elif group == "AGGREGATION":
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
-            if not any(c.number is not None for c in self.view_cells(inner_rows, col)):
-                raise _Fail()
-            form = Apply(self.choice(list(_members(group))), (inner_form, ref))
+            self.numeric_count(inner_rows, col)
+            member = self.choice(list(GROUPS[group]))
+            form, value = Apply(member, (inner_form, ref)), self.step(member, inner_rows, col)
         elif group == "ORDINAL":
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
-            usable = sum(1 for c in self.view_cells(inner_rows, col) if c.number is not None)
-            if usable == 0:
-                raise _Fail()
-            rank = self.bind_ord(node.args[2], usable)
-            form = Apply(self.choice(list(_members(group))), (inner_form, ref, Literal(str(rank))))
+            rank = self.bind_ord(node.args[2], self.numeric_count(inner_rows, col))
+            member = self.choice(list(GROUPS[group]))
+            form = Apply(member, (inner_form, ref, Literal(str(rank))))
+            value = self.step(member, inner_rows, col, rank)
         elif group == "hop":
             inner_form, inner_rows = self.fill_view(node.args[0], unique=True)
-            if len(inner_rows) != 1:
-                raise _Fail()
-            ref, _ = self.col_ref(node.args[1])
-            form = Apply("hop", (inner_form, ref))
+            ref, col = self.col_ref(node.args[1])
+            form, value = Apply("hop", (inner_form, ref)), self.step("hop", inner_rows, col)
         elif group == "diff":
             parts = []
             for arg in node.args:
                 if isinstance(arg, (TObj, TOrd, TCol, TAllRows)):
                     raise _Fail()
-                sub, _ = self.fill_value(arg)
-                parts.append(sub)
-            form = Apply("diff", tuple(parts))
+                parts.append(self.fill_value(arg))
+            forms, values = zip(*parts)
+            form, value = Apply("diff", forms), self.step("diff", *values)
         else:
             raise _Fail()
-        return form, self.run(form)
+        return form, obj_pair(value)
 
     def fill_bool(self, node: TApply) -> Apply:
         group = node.group
@@ -366,17 +371,10 @@ class _Attempt:
             if not inner_rows:
                 raise _Fail()
             ref, col = self.col_ref(node.args[1])
-            member = self.choice(list(_members(group)))
-            obj_node = node.args[2]
-            if isinstance(obj_node, TObj):
-                if obj_node.index in self.objs:
-                    text = self.objs[obj_node.index]
-                else:
-                    pool = self.majority_obj_candidates(member, col, inner_rows)
-                    text = self.new_obj(obj_node.index, pool)
-                obj_form: LogicForm = Literal(text)
-            else:
-                obj_form, _ = self.fill_value(obj_node)
+            member = self.choice(list(GROUPS[group]))
+            obj_form, _ = self.bind_obj(
+                node.args[2], lambda: self.majority_obj_candidates(member, col, inner_rows)
+            )
             return Apply(member, (inner_form, ref, obj_form))
         if group in _COMPARE_GROUPS:
             return self.fill_compare(group, node.args)
@@ -389,35 +387,27 @@ class _Attempt:
         if left_obj and right_obj:
             raise _Fail()  # nothing to ground a free comparison against
         if not left_obj and not right_obj:
-            left_form, _ = self.fill_value(left)
-            right_form, _ = self.fill_value(right)
-            for member in _shuffled(self.rng, _members(group)):
-                candidate = Apply(member, (left_form, right_form))
-                result = self.run(candidate)
-                if result.kind == K_BOOL and result.value is True:
-                    return candidate
-            raise _Fail()
+            return self.holding_member(group, self.fill_value(left), self.fill_value(right))
         obj_node = left if left_obj else right
-        sub_form, value = self.fill_value(right if left_obj else left)
+        sub = self.fill_value(right if left_obj else left)
         if obj_node.index in self.objs:
             # a shared placeholder fixed earlier: pick any member that holds
             text = self.objs[obj_node.index]
-            for member in _shuffled(self.rng, _members(group)):
-                candidate = self._compare_form(member, sub_form, Literal(text), left_obj)
-                result = self.run(candidate)
-                if result.kind == K_BOOL and result.value is True:
-                    return candidate
-            raise _Fail()
-        num, text = obj_pair(value)
+            lit = (Literal(text), _literal_value(text))
+            return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
+        sub_form, (num, text) = sub
         member, target = self._compare_target(group, num, text, left_obj, sub_form)
-        bound = self.new_obj(obj_node.index, [target])
-        return self._compare_form(member, sub_form, Literal(bound), left_obj)
+        lit = Literal(self.new_obj(obj_node.index, [target]))
+        return Apply(member, (lit, sub_form) if left_obj else (sub_form, lit))
 
-    @staticmethod
-    def _compare_form(member: str, sub_form: Apply, lit: Literal, obj_first: bool) -> Apply:
-        if obj_first:
-            return Apply(member, (lit, sub_form))
-        return Apply(member, (sub_form, lit))
+    def holding_member(self, group: str, left: tuple, right: tuple) -> Apply:
+        """The first member, in shuffled order, that holds between two
+        (form, value) operands."""
+        (left_form, left_value), (right_form, right_value) = left, right
+        for member in _shuffled(self.rng, GROUPS[group]):
+            if self.step(member, left_value, right_value).value:
+                return Apply(member, (left_form, right_form))
+        raise _Fail()
 
     def _compare_target(
         self, group: str, num: float | None, text: str, obj_first: bool, sub_form: Apply
@@ -460,10 +450,9 @@ class _Attempt:
         return self.choice(pool)
 
 
-def _members(group: str) -> tuple[str, ...]:
-    from .catalog import GROUPS
-
-    return GROUPS[group]
+def _literal_value(text: str) -> tuple[float | None, str]:
+    """The executor's reading of a literal in an object position."""
+    return obj_pair(ExecValue(K_OBJECT, normalize_cell(text)))
 
 
 def _shuffled(rng: random.Random, items: tuple[str, ...]) -> list[str]:
@@ -477,7 +466,6 @@ def instantiate(
     table: Table,
     columns: list[int],
     rng: random.Random,
-    retries_per_template: int = 50,
 ) -> Apply | None:
     """Ground one template against the table, or None after all retries.
 
@@ -486,13 +474,12 @@ def instantiate(
     if group_signature(template.skeleton.group).return_type != BOOL:
         return None
     columns = [c for c in columns if 0 <= c < len(table.headers)]
-    n_cols, _, _ = template_placeholders(template)
-    if n_cols > len(columns):
+    needs = _column_needs(template.skeleton)
+    if len(needs) > len(columns):
         return None
-    for _ in range(retries_per_template):
+    for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            attempt = _Attempt(table, columns, rng, template.skeleton)
-            form = attempt.fill_bool(template.skeleton)
+            form = _Attempt(table, columns, rng, needs).fill_bool(template.skeleton)
         except _Fail:
             continue
         if verify(form, table):
@@ -527,8 +514,6 @@ class SynthesisResult:
 
     @property
     def candidates(self) -> list[SynthesizedCandidate]:
-        from .catalog import CATALOG
-
         out = []
         for res in self.per_set:
             for form in res.forms:
@@ -549,6 +534,8 @@ class SynthesisResult:
 
 # Attempt budget per column set, as a multiple of the candidate target.
 ATTEMPT_BUDGET_FACTOR = 20
+# Grounding draws per sampled template before it counts as a failed attempt.
+RETRIES_PER_TEMPLATE = 50
 
 
 def synthesize_candidates(
@@ -571,9 +558,7 @@ def synthesize_candidates(
         while len(res.forms) < target and res.attempts < budget:
             res.attempts += 1
             template = sample_template(dist, rng)
-            form = instantiate(
-                template, table, list(column_set), rng, config.retries_per_template
-            )
+            form = instantiate(template, table, list(column_set), rng)
             if form is None:
                 continue
             key = print_logic_form(form)

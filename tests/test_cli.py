@@ -1,5 +1,6 @@
 """Command line behavior, exercised through real subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -243,3 +244,19 @@ class TestDemo:
         assert (tmp_path / "demo" / "templates.json").exists()
         assert (tmp_path / "demo" / "output_random.jsonl").exists()
         assert (tmp_path / "demo" / "output_stratified.jsonl").exists()
+
+    # `loft demo` output with the default --k and LOFT_SEED unset.  These pin
+    # the synthesizer's random draw order; a deliberate output change must
+    # re-record them and explain the change in CHANGES.md.
+    DEMO_SHA256 = {
+        "output_random.jsonl": "baad8dd4c8cb0caabc828f9cd7d53a4771a8371d62a27e397dbbae66a40c9955",
+        "output_stratified.jsonl": "34a1cda620b3b84a8669644c01ae906f9887b928d9eadf66013db506dfd338d2",
+        "templates.json": "fac7d4c745a9a01c3a594db9b7ddf4747e7b62d9ee4adfe0cc12317d5507f4e9",
+    }
+
+    def test_demo_output_is_byte_stable(self, tmp_path):
+        out = tmp_path / "demo"
+        payload_of(loft("demo", "--out-dir", str(out)))
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.DEMO_SHA256}
+        assert got == self.DEMO_SHA256

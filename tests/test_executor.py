@@ -20,7 +20,7 @@ from loft import (
     type_check,
     verify,
 )
-from loft.executor import ExecValue, K_BOOL, K_NUMBER, number_text
+from loft.executor import ExecValue, K_BOOL, K_NUMBER, apply, number_text
 
 from .generators import outcome, random_form, random_table
 
@@ -212,6 +212,20 @@ class TestExecValue:
         assert number_text(3.0) == "3"
         assert number_text(3.25) == "3.25"
         assert number_text(-2.0) == "-2"
+
+
+class TestApplyStep:
+    """The per-node step takes evaluated arguments and evaluates nothing."""
+
+    def test_step_on_child_values(self, mt):
+        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt).value.row_indices == (0, 1)
+        assert apply("hop", ((1,), 0), mt).value.text == "b"
+        assert apply("nth_max", ((0, 1, 2), 1, 2), mt).value == 3.0
+        assert apply("eq", ((3.0, "3"), (None, "3 ")), mt).value is True
+
+    def test_majority_step_rejects_an_empty_view(self, mt):
+        with pytest.raises(EmptyViewError):
+            apply("all_eq", ((), 0, (None, "a")), mt)
 
 
 class TestPropertyIdentities:

@@ -41,6 +41,11 @@ HAND_CASES = [
     ("all_greater { all_rows ; points ; 2 }", ("bool", False)),
     ("all_greater_eq { all_rows ; points ; 2 }", ("bool", True)),
     ("most_eq { filter_eq { all_rows ; team ; zzz } ; points ; 1 }", ("error", "empty_view")),
+    # error precedence: an empty view fails before a failing object subform,
+    # and an unknown column before the object is evaluated
+    ("most_eq { filter_eq { all_rows ; team ; zzz } ; points ; "
+     "hop { filter_eq { all_rows ; team ; zzz } ; points } }", ("error", "empty_view")),
+    ("filter_eq { all_rows ; nosuch ; hop { all_rows ; team } }", ("error", "unknown_column")),
     ("only { filter_eq { all_rows ; team ; a } }", ("bool", True)),
     ("only { all_rows }", ("bool", False)),
     ("filter_not_eq { all_rows ; team ; a }", ("view", (1, 2))),

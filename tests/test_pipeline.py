@@ -7,6 +7,7 @@ the tests do not depend on a shell or on PATH.
 import json
 import shlex
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -277,6 +278,21 @@ class TestRunPipeline:
         for rec in records:
             forms = [st["logic_form"] for st in rec["statements"]]
             assert len(forms) == len(set(forms))
+
+    def test_run_pipeline_skips_a_repeated_table_id(self, bundled_corpus, tmp_path, caplog):
+        # entries built in code bypass load_corpus, so run_pipeline applies
+        # the same first-one-wins rule itself
+        first, second = bundled_corpus[0], bundled_corpus[1]
+        same_id = replace(second, table=replace(second.table, table_id=first.table.table_id))
+        config = SynthesisConfig(candidates_per_column_set=5, seed=13)
+        alone, both = tmp_path / "alone.jsonl", tmp_path / "both.jsonl"
+        want = run_pipeline([first], alone, default_distribution(), seed=13, synthesis=config)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            got = run_pipeline([first, same_id], both, default_distribution(), seed=13,
+                               synthesis=config)
+        assert got.to_json() == want.to_json()
+        assert both.read_text() == alone.read_text()
+        assert repr(first.table.table_id) in caplog.text
 
     def test_duplicate_table_id_keeps_the_first_table(self, tmp_path):
         first = {"table_id": "x", "title": "first", "header": ["team", "points"],

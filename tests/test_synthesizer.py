@@ -226,8 +226,6 @@ class TestShortfalls:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthesisConfig(candidates_per_column_set=0)
-        with pytest.raises(ValueError):
-            SynthesisConfig(retries_per_template=-1)
 
 
 def test_sample_template_follows_weights():
