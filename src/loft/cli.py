@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IngestError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HookError as exc:

@@ -169,19 +169,6 @@ def parse_template(text: str) -> Template:
     return Template(skeleton=skeleton, category=group_category(skeleton.group))
 
 
-def template_placeholders(template: Template) -> tuple[int, int, int]:
-    """Count of distinct (COL, OBJ, ORD) placeholders."""
-    cols, objs, ords = set(), set(), set()
-    for node in walk(template.skeleton):
-        if isinstance(node, TCol):
-            cols.add(node.index)
-        elif isinstance(node, TObj):
-            objs.add(node.index)
-        elif isinstance(node, TOrd):
-            ords.add(node.index)
-    return len(cols), len(objs), len(ords)
-
-
 @dataclass(frozen=True)
 class WeightedTemplate:
     template: Template

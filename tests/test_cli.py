@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from loft.cli import main
+
 MT_RECORD = {
     "table_id": "mt",
     "title": "mt",
@@ -254,9 +256,82 @@ class TestDemo:
         "templates.json": "fac7d4c745a9a01c3a594db9b7ddf4747e7b62d9ee4adfe0cc12317d5507f4e9",
     }
 
-    def test_demo_output_is_byte_stable(self, tmp_path):
-        out = tmp_path / "demo"
+    # `loft score` of those two outputs against the demo corpus, as printed
+    # (sorted keys); pins every float of the scorer bit for bit.
+    DEMO_SCORES = {
+        "output_random.jsonl": '{"bleu_1": 13.481716419957584, "bleu_2": 2.4134313564732133, "bleu_3": 0.6571123600253861, "category_coverage": 0.5, "column_coverage": 0.6833333333333333, "distinct_2": 0.38922155688622756, "execution_faithfulness": 1.0, "self_bleu_4": 46.965675601696006, "statements": 50, "tables": 10}',
+        "output_stratified.jsonl": '{"bleu_1": 11.985680028783479, "bleu_2": 2.375851680060616, "bleu_3": 0.91447501921459, "category_coverage": 0.5, "column_coverage": 0.8083333333333333, "distinct_2": 0.3649932157394844, "execution_faithfulness": 1.0, "self_bleu_4": 47.52232759791147, "statements": 50, "tables": 10}',
+    }
+
+    @pytest.fixture(scope="class")
+    def default_demo(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("demo")
         payload_of(loft("demo", "--out-dir", str(out)))
-        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        return out
+
+    def test_demo_output_is_byte_stable(self, default_demo):
+        got = {name: hashlib.sha256((default_demo / name).read_bytes()).hexdigest()
                for name in self.DEMO_SHA256}
         assert got == self.DEMO_SHA256
+
+    def test_demo_scores_are_stable(self, default_demo):
+        corpus = str(default_demo / "corpus.jsonl")
+        got = {}
+        for name in self.DEMO_SCORES:
+            result = loft("score", "--corpus", corpus, "--output", str(default_demo / name))
+            assert result.returncode == 0, result.stderr
+            got[name] = result.stdout.strip()
+        assert got == self.DEMO_SCORES
+
+
+class TestScoreInput:
+    """`loft score` on hand-written output files, through cli.main."""
+
+    GOOD = {"table_id": "mt", "statements": [
+        {"text": "b has the most points", "logic_form": "only { filter_eq { all_rows ; team ; b } }",
+         "category": "unique"},
+    ]}
+
+    def score(self, corpus, tmp_path, capsys, *records):
+        out = tmp_path / "out.jsonl"
+        out.write_text("".join(
+            r if isinstance(r, str) else json.dumps(r) for r in records
+        ), encoding="utf-8")
+        code = main(["score", "--corpus", corpus, "--output", str(out)])
+        return code, capsys.readouterr(), str(out)
+
+    @pytest.mark.parametrize("bad", [
+        "{not json\n",
+        "[1, 2]\n",
+        '{"table_id": "mt"}\n',
+        '{"table_id": "mt", "statements": [{"logic_form": "only { all_rows }"}]}\n',
+        '{"table_id": "mt", "statements": [{"text": "t"}]}\n',
+        '{"statements": []}\n',
+    ], ids=["not-json", "not-object", "no-statements", "no-text", "no-logic-form",
+            "no-table-id"])
+    def test_malformed_line_is_exit_2_naming_the_line(self, corpus, tmp_path, capsys, bad):
+        code, captured, out = self.score(corpus, tmp_path, capsys,
+                                         json.dumps(self.GOOD) + "\n", bad)
+        assert code == 2
+        assert f"{out}:2:" in captured.err
+        assert captured.out == ""
+
+    def test_undecodable_file_is_exit_2(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"table_id": "mt", "statements": []}\n\xff\n')
+        assert main(["score", "--corpus", corpus, "--output", str(out)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_unparseable_form_is_unfaithful_and_covers_nothing(self, corpus, tmp_path, capsys):
+        broken = {"table_id": "mt", "statements": [
+            *self.GOOD["statements"],
+            {"text": "points", "logic_form": "eq { hop { all_rows ; points }", "category": "x"},
+            {"text": "what", "logic_form": "frobnicate { all_rows }"},
+        ]}
+        code, captured, _ = self.score(corpus, tmp_path, capsys, json.dumps(broken) + "\n")
+        assert code == 0, captured.err
+        got = json.loads(captured.out)
+        assert got["statements"] == 3
+        assert got["execution_faithfulness"] == pytest.approx(1 / 3)
+        # only the parseable form's `team` counts; `points` sits in a broken form
+        assert got["column_coverage"] == 0.5

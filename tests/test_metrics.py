@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loft import default_distribution
 from loft.metrics import (
@@ -15,6 +17,20 @@ from loft.metrics import (
     sentence_bleu,
     tokenize,
 )
+
+from . import bleu_reference as reference
+
+# Short texts over a small vocabulary, so n-grams repeat within and across
+# texts; whitespace-only texts tokenize to nothing, punctuation-only ones do not.
+TEXT = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c", "the", "!", ",", "'s", "a b"]), max_size=9)
+    .map(" ".join),
+    st.sampled_from(["", "   ", "\t\n", "!", ", . ;", "?!"]),
+)
+TEXT_SETS = st.lists(TEXT, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.one_of(st.sampled_from(pool), TEXT), max_size=12)
+)
+MAX_ORDER = st.integers(min_value=1, max_value=5)
 
 
 class TestTokenize:
@@ -81,6 +97,34 @@ class TestSentenceBleu:
     def test_reference_order_does_not_matter(self):
         refs = ["a b c", "c b a", "b b b"]
         assert sentence_bleu("a b", refs) == sentence_bleu("a b", list(reversed(refs)))
+
+
+class TestAgainstReference:
+    """The one-pass scores equal the quadratic reference exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(TEXT_SETS, MAX_ORDER)
+    def test_self_bleu(self, texts, max_order):
+        assert self_bleu(texts, max_order) == reference.self_bleu(texts, max_order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(TEXT, st.lists(TEXT, max_size=4)), max_size=8)
+        .flatmap(lambda pairs: st.lists(st.sampled_from(pairs), max_size=12) if pairs
+                 else st.just([])),
+        MAX_ORDER,
+    )
+    def test_corpus_bleu(self, pairs, max_order):
+        # drawing pairs from a pool repeats reference lists, as a table's
+        # statements do
+        assert corpus_bleu(pairs, max_order) == reference.corpus_bleu(pairs, max_order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT, st.lists(TEXT, max_size=5), MAX_ORDER)
+    def test_sentence_bleu(self, candidate, references, max_order):
+        assert sentence_bleu(candidate, references, max_order) == (
+            reference.sentence_bleu(candidate, references, max_order)
+        )
 
 
 class TestCorpusBleu:

@@ -19,11 +19,8 @@ from loft import (
     parse_template,
     save_distribution,
 )
-from loft.templates import (
-    TemplateDistribution,
-    WeightedTemplate,
-    template_placeholders,
-)
+from loft.synthesizer import _column_needs
+from loft.templates import TemplateDistribution, WeightedTemplate
 
 from .generators import random_form, random_table
 
@@ -88,7 +85,8 @@ class TestTemplateParsing:
             "COMPARE_GT { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ;"
             " hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } ; COL_2 } }"
         )
-        assert template_placeholders(template) == (2, 2, 0)
+        # two distinct columns; only the one the comparison reads is numeric
+        assert _column_needs(template.skeleton) == {1: False, 2: True}
 
     def test_numbering_must_follow_first_appearance(self):
         with pytest.raises(ParseError):
