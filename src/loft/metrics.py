@@ -9,7 +9,6 @@ are on a 0..100 scale.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -21,7 +20,7 @@ from .catalog import CATEGORIES
 from .errors import IngestError, ParseError
 from .executor import verify
 from .forms import parse_logic_form, referenced_columns
-from .tables import CorpusEntry
+from .tables import CorpusEntry, json_records
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -215,32 +214,22 @@ class MetricsReport:
 def _read_output(path: str | Path) -> list[dict]:
     """The records of a pipeline output file; IngestError names a bad line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise IngestError(f"{path}:{lineno}: record is not an object")
-            statements = row.get("statements")
-            if not isinstance(row.get("table_id"), str) or not isinstance(statements, list):
-                raise IngestError(f"{path}:{lineno}: record needs a table_id and a statements list")
-            for st in statements:
-                if not (
-                    isinstance(st, dict)
-                    and isinstance(st.get("text"), str)
-                    and isinstance(st.get("logic_form"), str)
-                    and isinstance(st.get("category", ""), str)
-                ):
-                    raise IngestError(
-                        f"{path}:{lineno}: each statement needs text and logic_form"
-                        " strings, and a category, if any, must be a string"
-                    )
-            rows.append(row)
+    for lineno, row in json_records(path):
+        statements = row.get("statements")
+        if not isinstance(row.get("table_id"), str) or not isinstance(statements, list):
+            raise IngestError(f"{path}:{lineno}: record needs a table_id and a statements list")
+        for st in statements:
+            if not (
+                isinstance(st, dict)
+                and isinstance(st.get("text"), str)
+                and isinstance(st.get("logic_form"), str)
+                and isinstance(st.get("category", ""), str)
+            ):
+                raise IngestError(
+                    f"{path}:{lineno}: each statement needs text and logic_form"
+                    " strings, and a category, if any, must be a string"
+                )
+        rows.append(row)
     return rows
 
 

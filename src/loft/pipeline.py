@@ -4,14 +4,18 @@ External hooks are line-delimited JSON subprocesses.  A generator hook
 receives {"id", "table_text", "logic_form", "readable"} per line and must
 answer {"id", "statement"}; a verifier hook receives {"id", "table_text",
 "statement"} and must answer {"id", "entailed"}.  A hook that cannot be
-launched aborts the run; a hook that answers late, with broken JSON, or
-with the wrong shape only costs the affected item, which is dropped with
-a warning.  The command string "builtin" selects the in-process realizer
-(generator role) or the logic-form checker (verifier role).
+launched, or that exits while items are in flight, aborts the run; a hook
+that answers late, with broken JSON, or with the wrong shape only costs
+the affected item, which is dropped with a warning.  The command string
+"builtin" selects the in-process realizer (generator role) or the
+logic-form checker (verifier role).
 
-A single worker drives each hook process sequentially.  Requests carry
-unique ids anyway, so a late answer to a timed-out item is recognized and
-discarded instead of corrupting the next item.
+Each stage keeps up to HOOK_WINDOW requests written ahead of the item it
+is collecting, so a hook can answer a batch in one step.  Answers may come
+in any order: they are matched by id, and items are collected in request
+order, so output does not depend on the order the hook answers in.  An
+answer to an id that is not in flight (already answered, or timed out) is
+discarded.  Hook stderr is logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import subprocess
 import threading
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from queue import Empty, Queue
@@ -48,6 +53,9 @@ RANDOM = "random"
 STRATIFIED = "stratified"
 STRATEGIES = (RANDOM, STRATIFIED)
 
+# requests written to a hook ahead of the item being collected
+HOOK_WINDOW = 32
+
 
 @dataclass(frozen=True)
 class HookConfig:
@@ -70,7 +78,8 @@ class Statement:
 
 
 class _HookProcess:
-    """One live hook subprocess plus a reader thread for its stdout."""
+    """One live hook subprocess, reader threads for its stdout and stderr,
+    and the requests it has not answered yet."""
 
     def __init__(self, command: str, timeout: float, role: str):
         self.role = role
@@ -80,20 +89,37 @@ class _HookProcess:
                 shlex.split(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
                 text=True,
             )
         except (OSError, ValueError) as exc:
             raise HookError(f"cannot launch {role} hook {command!r}: {exc}") from exc
         self.lines: Queue = Queue()
-        self.reader = threading.Thread(target=self._pump, daemon=True)
-        self.reader.start()
+        # id -> monotonic send time of each request sent and not yet answered
+        self.in_flight: dict[str, float] = {}
+        # answers that arrived while another item was being awaited
+        self.answers: dict[str, dict] = {}
+        self.last_line = 0.0
+        self.readers = [
+            (threading.Thread(target=self._pump, daemon=True), self.proc.stdout),
+            (threading.Thread(target=self._log_stderr, daemon=True), self.proc.stderr),
+        ]
+        for reader, _ in self.readers:
+            reader.start()
 
     def _pump(self) -> None:
         assert self.proc.stdout is not None
         for line in self.proc.stdout:
-            self.lines.put(line)
-        self.lines.put(None)
+            self.lines.put((time.monotonic(), line))
+        self.lines.put((time.monotonic(), None))
+
+    def _log_stderr(self) -> None:
+        # read bytes: a line that is not valid text must not stop the drain,
+        # or a chatty hook would block on a full pipe
+        assert self.proc.stderr is not None
+        for raw in self.proc.stderr.buffer:
+            log.debug("%s hook stderr: %s", self.role,
+                      raw.decode("utf-8", "replace").rstrip("\r\n"))
 
     def __enter__(self) -> "_HookProcess":
         return self
@@ -112,9 +138,27 @@ class _HookProcess:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        for reader, stream in self.readers:
+            # the hook has exited, so its pipes end unless a child of it
+            # holds them open; the stderr drain logs its last lines here
+            reader.join(timeout=2)
+            if not reader.is_alive():
+                stream.close()
 
-    def request(self, payload: dict) -> dict | None:
-        """Send one request and wait for its answer; None means dropped."""
+    def exchange(self, payloads: list[dict]) -> Iterator[dict | None]:
+        """Each payload's answer, in payload order; None means dropped.
+
+        Up to HOOK_WINDOW requests are written ahead of the item being
+        collected, so the hook can work on them while it is awaited.
+        """
+        sent = 0
+        for i, payload in enumerate(payloads):
+            while sent < min(i + HOOK_WINDOW, len(payloads)):
+                self._send(payloads[sent])
+                sent += 1
+            yield self.request(payload)
+
+    def _send(self, payload: dict) -> None:
         line = json.dumps(payload, ensure_ascii=False, sort_keys=True)
         try:
             assert self.proc.stdin is not None
@@ -122,35 +166,46 @@ class _HookProcess:
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise HookError(f"{self.role} hook stopped accepting input: {exc}") from exc
-        deadline = self.timeout
-        start = time.monotonic()
-        while True:
-            remaining = deadline - (time.monotonic() - start)
-            if remaining <= 0:
-                log.warning("%s hook timed out on item %s", self.role, payload["id"])
-                return None
+        self.in_flight[payload["id"]] = time.monotonic()
+
+    def request(self, payload: dict) -> dict | None:
+        """Send one request unless it is in flight, and wait for its answer.
+
+        None means the item was dropped: the hook printed nothing for
+        `timeout` seconds since the item was sent or since its last line,
+        whichever is later, or it printed a malformed line while this item
+        was awaited.
+        """
+        item_id = payload["id"]
+        if item_id not in self.in_flight and item_id not in self.answers:
+            self._send(payload)
+        while item_id not in self.answers:
+            since = max(self.in_flight[item_id], self.last_line)
+            remaining = since + self.timeout - time.monotonic()
             try:
-                raw = self.lines.get(timeout=remaining)
+                self.last_line, raw = self.lines.get(timeout=max(remaining, 0.0))
             except Empty:
-                log.warning("%s hook timed out on item %s", self.role, payload["id"])
-                return None
+                return self._drop(item_id, "%s hook timed out on item %s")
             if raw is None:
                 raise HookError(f"{self.role} hook exited mid-run")
             try:
                 data = json.loads(raw)
             except json.JSONDecodeError:
-                log.warning("%s hook sent unparseable line, item %s dropped",
-                            self.role, payload["id"])
-                return None
+                return self._drop(item_id, "%s hook sent unparseable line, item %s dropped")
             if not isinstance(data, dict):
-                log.warning("%s hook sent a non-object line, item %s dropped",
-                            self.role, payload["id"])
-                return None
-            if data.get("id") != payload["id"]:
+                return self._drop(item_id, "%s hook sent a non-object line, item %s dropped")
+            answered = data.get("id")
+            if not isinstance(answered, str) or answered not in self.in_flight:
                 log.warning("%s hook answered stale id %r, discarded",
-                            self.role, data.get("id"))
+                            self.role, answered)
                 continue
-            return data
+            del self.in_flight[answered]
+            self.answers[answered] = data
+        return self.answers.pop(item_id)
+
+    def _drop(self, item_id: str, message: str) -> None:
+        del self.in_flight[item_id]
+        log.warning(message, self.role, item_id)
 
 
 def generate_statements(
@@ -170,15 +225,19 @@ def generate_statements(
             )
         return out
     with _HookProcess(hook.command, hook.timeout, "generator") as proc:
+        # keyed by object: the candidates keep every table alive
+        table_texts: dict[int, str] = {}
+        payloads = []
         for i, cand in enumerate(candidates):
-            form_text = print_logic_form(cand.form)
-            payload = {
+            if id(cand.table) not in table_texts:
+                table_texts[id(cand.table)] = serialize_table(cand.table)
+            payloads.append({
                 "id": f"{cand.table.table_id}#{i}",
-                "table_text": serialize_table(cand.table),
-                "logic_form": form_text,
+                "table_text": table_texts[id(cand.table)],
+                "logic_form": print_logic_form(cand.form),
                 "readable": realize_logic_form(cand.form),
-            }
-            resp = proc.request(payload)
+            })
+        for cand, payload, resp in zip(candidates, payloads, proc.exchange(payloads)):
             if resp is None:
                 continue
             statement = resp.get("statement")
@@ -189,7 +248,7 @@ def generate_statements(
                 Statement(
                     table_id=cand.table.table_id,
                     text=statement.strip(),
-                    logic_form=form_text,
+                    logic_form=payload["logic_form"],
                     category=cand.category,
                 )
             )
@@ -206,13 +265,16 @@ def verify_statements(
         ]
     kept: list[Statement] = []
     with _HookProcess(hook.command, hook.timeout, "verifier") as proc:
-        for i, st in enumerate(statements):
-            payload = {
-                "id": f"{st.table_id}#{i}",
-                "table_text": serialize_table(tables[st.table_id]),
-                "statement": st.text,
-            }
-            resp = proc.request(payload)
+        table_texts = {
+            table_id: serialize_table(tables[table_id])
+            for table_id in dict.fromkeys(st.table_id for st in statements)
+        }
+        payloads = [
+            {"id": f"{st.table_id}#{i}", "table_text": table_texts[st.table_id],
+             "statement": st.text}
+            for i, st in enumerate(statements)
+        ]
+        for st, payload, resp in zip(statements, payloads, proc.exchange(payloads)):
             if resp is None:
                 continue
             entailed = resp.get("entailed")

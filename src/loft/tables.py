@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -212,6 +213,41 @@ def _entry_from_record(record: dict, where: str) -> CorpusEntry:
     return CorpusEntry(table=table, selected_column_sets=sets, references=refs)
 
 
+def _not_utf8(path: Path) -> IngestError:
+    """An IngestError naming the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        # no UTF-8 sequence holds a newline byte, so lines decode on their own
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"{path}:{lineno}: not valid UTF-8: {exc}")
+    return IngestError(f"{path}: not valid UTF-8")
+
+
+def json_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+
+    A line that is not UTF-8, not JSON or not an object raises IngestError
+    naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise IngestError(f"{path}:{lineno}: record is not an object")
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(Path(path)) from exc
+
+
 def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     """Load a corpus file.
 
@@ -229,32 +265,25 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     if format == "json":
         first_line: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise IngestError(f"{path}:{lineno}: record is not an object")
-                try:
-                    entry = _entry_from_record(record, f"{path}:{lineno}")
-                    table_id = entry.table.table_id
-                    if table_id in first_line:
-                        raise IngestError(
-                            f"{path}:{lineno}: duplicate table_id {table_id!r},"
-                            f" first used at line {first_line[table_id]}"
-                        )
-                    first_line[table_id] = lineno
-                    entries.append(entry)
-                except (ValueError, IngestError) as exc:
-                    log.warning("skipping entry at %s:%d: %s", path, lineno, exc)
+        for lineno, record in json_records(path):
+            try:
+                entry = _entry_from_record(record, f"{path}:{lineno}")
+                table_id = entry.table.table_id
+                if table_id in first_line:
+                    raise IngestError(
+                        f"{path}:{lineno}: duplicate table_id {table_id!r},"
+                        f" first used at line {first_line[table_id]}"
+                    )
+                first_line[table_id] = lineno
+                entries.append(entry)
+            except (ValueError, IngestError) as exc:
+                log.warning("skipping entry at %s:%d: %s", path, lineno, exc)
     elif format == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = list(csv.reader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
         if not reader:
             return []
         headers, rows = reader[0], reader[1:]

@@ -322,6 +322,21 @@ class TestScoreInput:
         assert main(["score", "--corpus", corpus, "--output", str(out)]) == 2
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("pipeline", "--corpus"), ("score", "--corpus"), ("score", "--output"),
+    ])
+    def test_undecodable_input_names_the_file_and_line(self, corpus, tmp_path, capsys,
+                                                       command, bad):
+        undecodable = tmp_path / "undecodable.jsonl"
+        undecodable.write_bytes(
+            (json.dumps(self.GOOD) + "\n").encode("utf-8") + b"\xff\n")
+        output = tmp_path / "out.jsonl"
+        output.write_text(json.dumps(self.GOOD) + "\n", encoding="utf-8")
+        paths = {"--corpus": corpus, "--output": str(output), bad: str(undecodable)}
+        code = main([command, *(arg for pair in paths.items() for arg in pair)])
+        assert code == 2
+        assert f"{undecodable}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_unparseable_form_is_unfaithful_and_covers_nothing(self, corpus, tmp_path, capsys):
         broken = {"table_id": "mt", "statements": [
             *self.GOOD["statements"],

@@ -14,6 +14,7 @@ import pytest
 from loft import HookError, default_distribution, load_corpus, verify
 from loft.forms import parse_logic_form, print_logic_form, referenced_columns
 from loft.pipeline import (
+    HOOK_WINDOW,
     HookConfig,
     Statement,
     generate_statements,
@@ -79,6 +80,76 @@ line = sys.stdin.readline()
 sys.exit(0)
 """
 
+ACCEPT_ALL_VERIFIER = """\
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "entailed": True}), flush=True)
+"""
+
+# A hook that reads its input in batches: everything that arrives before
+# stdin has been quiet for `quiet` seconds.
+BATCH_READER = """\
+import json, os, select, sys
+
+def batches(quiet):
+    pending = b""
+    while True:
+        chunk = os.read(0, 1 << 16)
+        if not chunk:
+            return
+        pending += chunk
+        while select.select([0], [], [], quiet)[0]:
+            chunk = os.read(0, 1 << 16)
+            if not chunk:
+                break
+            pending += chunk
+        *lines, pending = pending.split(b"\\n")
+        yield [json.loads(line) for line in lines if line.strip()]
+
+def answer(replies):
+    sys.stdout.write("".join(json.dumps(r) + "\\n" for r in replies))
+    sys.stdout.flush()
+"""
+
+REVERSE_BATCH_GENERATOR = BATCH_READER + """
+for batch in batches(0.02):
+    answer({"id": r["id"], "statement": r["readable"]} for r in reversed(batch))
+"""
+
+HOLD_UNTIL_QUIET_GENERATOR = BATCH_READER + """
+for batch in batches(0.2):
+    answer({"id": r["id"], "statement": f"batch of {len(batch)}"} for r in batch)
+"""
+
+SLOW_GENERATOR = """\
+import json, sys, time
+for line in sys.stdin:
+    time.sleep(0.1)
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
+"""
+
+DIE_AFTER_FIVE_GENERATOR = """\
+import json, sys
+for n, line in enumerate(sys.stdin):
+    if n == 5:
+        sys.exit(0)
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
+"""
+
+# ~200 KB on stderr before the first answer: more than a pipe holds
+CHATTY_GENERATOR = """\
+import json, sys
+for n in range(2000):
+    print(f"hook warming up, step {n} " + "." * 80, file=sys.stderr, flush=True)
+for line in sys.stdin:
+    req = json.loads(line)
+    print("hook says hello to " + req["id"], file=sys.stderr, flush=True)
+    print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
+"""
+
 
 def hook_command(tmp_path, name, body):
     script = tmp_path / name
@@ -93,6 +164,18 @@ def candidates(bundled_corpus):
     result = synthesize_candidates(entry.table, None, config, default_distribution())
     assert result.candidates
     return result.candidates
+
+
+@pytest.fixture(scope="module")
+def many_candidates(bundled_corpus):
+    """More candidates than HOOK_WINDOW, from three tables."""
+    config = SynthesisConfig(candidates_per_column_set=4, seed=13)
+    out = []
+    for entry in bundled_corpus[:3]:
+        out.extend(synthesize_candidates(entry.table, None, config,
+                                         default_distribution()).candidates)
+    assert len(out) > HOOK_WINDOW
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +229,59 @@ class TestGeneratorHooks:
         command = hook_command(tmp_path, "quitter.py", QUITTER_HOOK)
         with pytest.raises(HookError, match="mid-run"):
             generate_statements(candidates[:3], HookConfig(command, timeout=30.0))
+
+
+class TestPipelinedHooks:
+    def test_answers_in_reverse_order_match_builtin(self, tmp_path, many_candidates):
+        command = hook_command(tmp_path, "reverse.py", REVERSE_BATCH_GENERATOR)
+        via_hook = generate_statements(many_candidates, HookConfig(command, timeout=30.0))
+        builtin = generate_statements(many_candidates, HookConfig())
+        assert via_hook == builtin
+
+    def test_window_fills_and_never_overflows(self, tmp_path, many_candidates):
+        command = hook_command(tmp_path, "hold.py", HOLD_UNTIL_QUIET_GENERATOR)
+        out = generate_statements(many_candidates, HookConfig(command, timeout=30.0))
+        assert len(out) == len(many_candidates)
+        sizes = [int(st.text.split()[-1]) for st in out]
+        assert max(sizes) == HOOK_WINDOW
+
+    def test_slow_hook_that_keeps_answering_loses_nothing(self, tmp_path, candidates, caplog):
+        # the last of 8 answers comes ~0.8 s after all were sent: an item
+        # times out only when the hook has been silent for the timeout
+        command = hook_command(tmp_path, "slow.py", SLOW_GENERATOR)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(candidates[:8], HookConfig(command, timeout=0.5))
+        assert len(out) == 8
+        assert "timed out" not in caplog.text
+
+    def test_hook_dying_with_items_in_flight_is_fatal(self, tmp_path, many_candidates):
+        command = hook_command(tmp_path, "die.py", DIE_AFTER_FIVE_GENERATOR)
+        with pytest.raises(HookError):
+            generate_statements(many_candidates, HookConfig(command, timeout=30.0))
+
+    def test_stderr_is_logged_at_debug_and_never_blocks(self, tmp_path, candidates, caplog):
+        command = hook_command(tmp_path, "chatty.py", CHATTY_GENERATOR)
+        with caplog.at_level("DEBUG", logger="loft.pipeline"):
+            out = generate_statements(candidates[:3], HookConfig(command, timeout=5.0))
+        assert len(out) == 3
+        said = [r for r in caplog.records if "hook says hello to" in r.getMessage()]
+        assert len(said) == 3
+        assert {r.levelname for r in said} == {"DEBUG"}
+
+    def test_hooked_run_over_the_bundled_corpus_matches_builtin(self, tmp_path,
+                                                                bundled_corpus):
+        config = SynthesisConfig(candidates_per_column_set=5, seed=13)
+        builtin_out, hooked_out = tmp_path / "builtin.jsonl", tmp_path / "hooked.jsonl"
+        builtin = run_pipeline(bundled_corpus, builtin_out, default_distribution(),
+                               seed=13, synthesis=config)
+        hooked = run_pipeline(
+            bundled_corpus, hooked_out, default_distribution(), seed=13, synthesis=config,
+            generator=HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0),
+            verifier=HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0),
+        )
+        assert hooked.candidates > HOOK_WINDOW
+        assert hooked.to_json() == builtin.to_json()
+        assert hooked_out.read_bytes() == builtin_out.read_bytes()
 
 
 class TestVerifierHooks:

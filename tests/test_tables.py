@@ -201,6 +201,18 @@ class TestCorpusIO:
         with caplog.at_level("WARNING"):
             assert load_corpus(path) == []
 
+    @pytest.mark.parametrize("name, fmt, body", [
+        ("corpus.jsonl", "json",
+         b'{"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]]}\n'
+         b'{"table_id": "b", "title": "\xff", "header": ["h"], "rows": [["1"]]}\n'),
+        ("table.csv", "csv", b"team,points\n\xff,3\n"),
+    ], ids=["json", "csv"])
+    def test_undecodable_line_is_fatal_and_named(self, tmp_path, name, fmt, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(IngestError, match=rf"{name}:2: not valid UTF-8"):
+            load_corpus(path, format=fmt)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_corpus(tmp_path / "absent.jsonl")
