@@ -27,7 +27,7 @@ from .errors import (
     TypeCheckError,
 )
 from .executor import execute, verify
-from .forms import Apply, parse_logic_form, print_logic_form, type_check
+from .forms import Apply, parse_logic_form, type_check
 from .metrics import TOKENS, score_output
 from .pipeline import BUILTIN, STRATEGIES, HookConfig, run_pipeline
 from .realizer import realize_logic_form
@@ -155,7 +155,7 @@ def _cmd_synthesize(args) -> int:
                     {
                         "table_id": cand.table.table_id,
                         "column_set": list(cand.column_set),
-                        "logic_form": print_logic_form(cand.form),
+                        "logic_form": cand.logic_form,
                         "category": cand.category,
                     },
                     ensure_ascii=False,

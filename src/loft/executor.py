@@ -25,7 +25,7 @@ from .errors import (
     ViewSizeError,
 )
 from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
-from .tables import EMPTY, CellValue, Table, View, normalize_cell
+from .tables import EMPTY, CellValue, Table, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
@@ -38,8 +38,10 @@ K_VIEW = "view"
 
 @dataclass(frozen=True)
 class ExecValue:
+    """One evaluated value; a view is the tuple of its row indices."""
+
     kind: str
-    value: bool | float | CellValue | View
+    value: bool | float | CellValue | tuple[int, ...]
 
     def to_json(self):
         """JSON-friendly rendering used by the CLI."""
@@ -49,7 +51,7 @@ class ExecValue:
         if self.kind == K_OBJECT:
             return self.value.text
         if self.kind == K_VIEW:
-            return list(self.value.row_indices)
+            return list(self.value)
         return self.value
 
 
@@ -155,13 +157,13 @@ def apply(name: str, args: tuple, table: Table) -> ExecValue:
             raise ViewSizeError(f"hop over a view of {len(rows)} rows")
         return ExecValue(K_OBJECT, table.rows[rows[0]][col])
     if name == "filter_all":
-        return ExecValue(K_VIEW, View(table, rows))
+        return ExecValue(K_VIEW, rows)
     if name.startswith(("filter_",) + _MAJORITY):
         op = predicate_op(name)
         obj_num, obj_text = args[2]
         kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, obj_text))
         if name.startswith("filter_"):
-            return ExecValue(K_VIEW, View(table, kept))
+            return ExecValue(K_VIEW, kept)
         if not rows:
             raise EmptyViewError(f"{name}: empty view")
         if name.startswith("all_"):
@@ -175,16 +177,16 @@ def apply(name: str, args: tuple, table: Table) -> ExecValue:
         total = sum(v for v, _ in cands)
         return ExecValue(K_NUMBER, total / len(cands) if name == "avg" else total)
     if name == "argmax":
-        return ExecValue(K_VIEW, View(table, (max(cands, key=lambda t: (t[0], -t[1]))[1],)))
+        return ExecValue(K_VIEW, (max(cands, key=lambda t: (t[0], -t[1]))[1],))
     if name == "argmin":
-        return ExecValue(K_VIEW, View(table, (min(cands)[1],)))
+        return ExecValue(K_VIEW, (min(cands)[1],))
     n = args[2]
     if n < 1 or n > len(cands):
         raise RankRangeError(f"{name}: rank {n} outside 1..{len(cands)}")
     descending = name.endswith("max")
     value, row = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))[n - 1]
     if name.startswith("nth_arg"):
-        return ExecValue(K_VIEW, View(table, (row,)))
+        return ExecValue(K_VIEW, (row,))
     return ExecValue(K_NUMBER, value)
 
 
@@ -192,7 +194,7 @@ def _eval(node: LogicForm, table: Table) -> ExecValue:
     """Evaluate the arguments left to right, each by its signature type,
     then step the node."""
     if isinstance(node, AllRows):
-        return ExecValue(K_VIEW, View(table, tuple(range(table.n_rows))))
+        return ExecValue(K_VIEW, tuple(range(table.n_rows)))
     if isinstance(node, Literal):
         return ExecValue(K_OBJECT, normalize_cell(node.text))
     if isinstance(node, ColumnRef):
@@ -201,7 +203,7 @@ def _eval(node: LogicForm, table: Table) -> ExecValue:
     args: list = []
     for arg, arg_type in zip(node.args, CATALOG[name].arg_types):
         if arg_type == VIEW:
-            args.append(_eval(arg, table).value.row_indices)
+            args.append(_eval(arg, table).value)
         elif arg_type == HEADER:
             idx = table.column_index(arg.name)
             if idx is None:

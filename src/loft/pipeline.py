@@ -1,4 +1,4 @@
-"""End-to-end run: synthesize, realize or delegate, check, sample, write.
+"""End-to-end run: synthesize, realize or delegate, verify, sample, write.
 
 External hooks are line-delimited JSON subprocesses.  A generator hook
 receives {"id", "table_text", "logic_form", "readable"} per line and must
@@ -7,8 +7,9 @@ answer {"id", "statement"}; a verifier hook receives {"id", "table_text",
 launched, or that exits while items are in flight, aborts the run; a hook
 that answers late, with broken JSON, or with the wrong shape only costs
 the affected item, which is dropped with a warning.  The command string
-"builtin" selects the in-process realizer (generator role) or the
-logic-form checker (verifier role).
+"builtin" selects the in-process realizer (generator role), or keeps every
+statement (verifier role): synthesis has already verified each logic form,
+and no generator can change it.
 
 Each stage keeps up to HOOK_WINDOW requests written ahead of the item it
 is collecting, so a hook can answer a batch in one step.  Answers may come
@@ -34,7 +35,6 @@ from queue import Empty, Queue
 
 from .errors import HookError, LoftError
 from .executor import verify
-from .forms import print_logic_form
 from .realizer import realize_logic_form, serialize_table
 from .synthesizer import (
     SynthesisConfig,
@@ -108,9 +108,11 @@ class _HookProcess:
             reader.start()
 
     def _pump(self) -> None:
+        # read bytes: request() decodes each line, so a line that is not
+        # valid text costs one item instead of stopping this reader
         assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.lines.put((time.monotonic(), line))
+        for raw in self.proc.stdout.buffer:
+            self.lines.put((time.monotonic(), raw))
         self.lines.put((time.monotonic(), None))
 
     def _log_stderr(self) -> None:
@@ -189,8 +191,8 @@ class _HookProcess:
             if raw is None:
                 raise HookError(f"{self.role} hook exited mid-run")
             try:
-                data = json.loads(raw)
-            except json.JSONDecodeError:
+                data = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 return self._drop(item_id, "%s hook sent unparseable line, item %s dropped")
             if not isinstance(data, dict):
                 return self._drop(item_id, "%s hook sent a non-object line, item %s dropped")
@@ -219,7 +221,7 @@ def generate_statements(
                 Statement(
                     table_id=cand.table.table_id,
                     text=realize_logic_form(cand.form),
-                    logic_form=print_logic_form(cand.form),
+                    logic_form=cand.logic_form,
                     category=cand.category,
                 )
             )
@@ -234,7 +236,7 @@ def generate_statements(
             payloads.append({
                 "id": f"{cand.table.table_id}#{i}",
                 "table_text": table_texts[id(cand.table)],
-                "logic_form": print_logic_form(cand.form),
+                "logic_form": cand.logic_form,
                 "readable": realize_logic_form(cand.form),
             })
         for cand, payload, resp in zip(candidates, payloads, proc.exchange(payloads)):
@@ -258,11 +260,16 @@ def generate_statements(
 def verify_statements(
     statements: list[Statement], hook: HookConfig, tables: dict[str, Table]
 ) -> list[Statement]:
-    """Keep only statements the verifier marks as entailed."""
+    """Keep only statements the verifier marks as entailed.
+
+    The builtin verifier keeps every statement and executes nothing: each
+    logic form passed the one full verify of synthesis (``instantiate``),
+    and no generator can change it.  The sampled statements are checked
+    again, from their written forms, when ``run_pipeline`` measures
+    execution faithfulness.
+    """
     if hook.is_builtin:
-        return [
-            st for st in statements if verify(st.logic_form, tables[st.table_id])
-        ]
+        return list(statements)
     kept: list[Statement] = []
     with _HookProcess(hook.command, hook.timeout, "verifier") as proc:
         table_texts = {
@@ -397,7 +404,7 @@ def run_pipeline(
     seen_forms: set[tuple[str, str]] = set()
     unique: list[SynthesizedCandidate] = []
     for cand in candidates:
-        key = (cand.table.table_id, print_logic_form(cand.form))
+        key = (cand.table.table_id, cand.logic_form)
         if key not in seen_forms:
             seen_forms.add(key)
             unique.append(cand)

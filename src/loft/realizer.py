@@ -1,7 +1,7 @@
 """Rule-based surface realization of logic forms, plus table flattening.
 
 Every catalog function has a phrase pattern in data/phrase_table.json.
-View-producing functions carry two variants: a plural one used where the
+Functions returning views carry two variants: a plural one used where the
 text talks about a set of rows ("rows whose team is a") and a unit one
 used where it talks about a single row ("row with the highest points").
 Patterns reference arguments by position: {0} renders an argument in its

@@ -303,7 +303,7 @@ class _Attempt:
             obj_form, obj = self.bind_obj(
                 node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
             )
-            rows = self.step(member, inner_rows, col, obj).value.row_indices
+            rows = self.step(member, inner_rows, col, obj).value
             return Apply(member, (inner_form, ref, obj_form)), rows
         if group == "filter_all":
             inner_form, inner_rows = self.fill_view(node.args[0])
@@ -318,7 +318,7 @@ class _Attempt:
             if group == "ORD_ARG":
                 rank = self.bind_ord(node.args[2], usable)
                 args, values = args + (Literal(str(rank)),), values + (rank,)
-            return Apply(member, args), self.step(member, *values).value.row_indices
+            return Apply(member, args), self.step(member, *values).value
         raise _Fail()
 
     def fill_value(self, node: TemplateNode) -> tuple[Apply, tuple[float | None, str]]:
@@ -488,9 +488,18 @@ def instantiate(
 
 
 @dataclass
+class SynthesizedCandidate:
+    table: Table
+    column_set: tuple[int, ...]
+    form: Apply
+    logic_form: str  # print_logic_form(form), printed once at synthesis
+    category: str
+
+
+@dataclass
 class ColumnSetResult:
     column_set: tuple[int, ...]
-    forms: list[Apply] = field(default_factory=list)
+    forms: list[SynthesizedCandidate] = field(default_factory=list)
     requested: int = 0
     attempts: int = 0
 
@@ -500,32 +509,13 @@ class ColumnSetResult:
 
 
 @dataclass
-class SynthesizedCandidate:
-    table: Table
-    column_set: tuple[int, ...]
-    form: Apply
-    category: str
-
-
-@dataclass
 class SynthesisResult:
     table: Table
     per_set: list[ColumnSetResult] = field(default_factory=list)
 
     @property
     def candidates(self) -> list[SynthesizedCandidate]:
-        out = []
-        for res in self.per_set:
-            for form in res.forms:
-                out.append(
-                    SynthesizedCandidate(
-                        table=self.table,
-                        column_set=res.column_set,
-                        form=form,
-                        category=CATALOG[form.name].category,
-                    )
-                )
-        return out
+        return [cand for res in self.per_set for cand in res.forms]
 
     @property
     def shortfalls(self) -> list[ColumnSetResult]:
@@ -561,11 +551,14 @@ def synthesize_candidates(
             form = instantiate(template, table, list(column_set), rng)
             if form is None:
                 continue
-            key = print_logic_form(form)
-            if key in seen:
+            text = print_logic_form(form)
+            if text in seen:
                 continue
-            seen.add(key)
-            res.forms.append(form)
+            seen.add(text)
+            res.forms.append(SynthesizedCandidate(
+                table=table, column_set=res.column_set, form=form, logic_form=text,
+                category=CATALOG[form.name].category,
+            ))
         if res.shortfall:
             log.warning(
                 "table %s columns %s: %d/%d candidates after %d attempts",

@@ -56,9 +56,6 @@ class CellValue:
     text: str
     number: float | None = None
 
-    def is_number(self) -> bool:
-        return self.kind == NUMBER
-
 
 def normalize_cell(raw: str) -> CellValue:
     """Normalize one raw cell string. Total; idempotent on its own text."""
@@ -150,26 +147,6 @@ def infer_column_types(table: Table) -> Table:
         else:
             types.append(TEXTUAL)
     return replace(table, column_types=tuple(types))
-
-
-@dataclass(frozen=True)
-class View:
-    """An ordered subset of a table's rows, by original row index."""
-
-    table: Table
-    row_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = -1
-        for i in self.row_indices:
-            if i <= prev:
-                raise ValueError("view rows must be strictly increasing")
-            if not 0 <= i < self.table.n_rows:
-                raise ValueError(f"row index {i} out of range")
-            prev = i
-
-    def __len__(self) -> int:
-        return len(self.row_indices)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from loft import Table
 from loft.errors import LoftError
 from loft.executor import execute
 from loft.forms import AllRows, Apply, ColumnRef, Literal
-from loft.oracle import oracle_execute
 from loft.tables import NUMERIC
+
+from .oracle import oracle_execute
 
 WORDS = ["alpha", "bravo", "carol", "delta", "echo", "fox", "golf", "hotel",
          "india", "jazz", "kilo", "lima"]
@@ -176,7 +177,7 @@ def outcome(run, lf, table):
     except LoftError as exc:
         return ("error", getattr(exc, "kind", "parse"))
     if value.kind == "view":
-        return ("view", tuple(value.value.row_indices))
+        return ("view", value.value)
     if value.kind == "object":
         cell = value.value
         return ("object", cell.kind, cell.text, cell.number)

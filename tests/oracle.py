@@ -1,4 +1,4 @@
-"""Naive cross-check evaluator, used only by tests.
+"""Naive cross-check evaluator for the tests.
 
 Re-derives every function's meaning with plain row scans: selection by
 repeated extraction instead of sorting, its own literal parsing and its
@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import re
 
-from .errors import (
+from loft.errors import (
     EmptyViewError,
     NonNumericError,
     RankRangeError,
     TypeCheckError,
     ViewSizeError,
 )
-from .executor import ExecValue, K_BOOL, K_NUMBER, K_OBJECT, K_VIEW
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm
-from .tables import CellValue, Table, View
+from loft.executor import ExecValue, K_BOOL, K_NUMBER, K_OBJECT, K_VIEW
+from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
+from loft.tables import CellValue, Table
 
 MAX_ROWS = 12
 MAX_COLS = 6
+
+# round_eq tolerates |a - b| <= max(ROUND_ABS, ROUND_REL * |b|)
+ROUND_ABS = 1e-6
+ROUND_REL = 1e-2
 
 _NUM_PREFIX = re.compile(r"^[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
@@ -70,10 +74,10 @@ def _pair_of(value: ExecValue) -> tuple[float | None, str]:
     return cell.number, cell.text
 
 
-def oracle_execute(lf: LogicForm, table: Table, *, round_abs=1e-6, round_rel=1e-2) -> ExecValue:
+def oracle_execute(lf: LogicForm, table: Table) -> ExecValue:
     if table.n_rows > MAX_ROWS or len(table.headers) > MAX_COLS:
         raise ValueError("oracle only handles small tables")
-    result = _Oracle(table, round_abs, round_rel).run(lf)
+    result = _Oracle(table).run(lf)
     if result.kind == "__lit__":
         num, text = result.value
         text = text.strip()
@@ -88,17 +92,15 @@ def oracle_execute(lf: LogicForm, table: Table, *, round_abs=1e-6, round_rel=1e-
 
 
 class _Oracle:
-    def __init__(self, table: Table, round_abs: float, round_rel: float):
+    def __init__(self, table: Table):
         self.table = table
-        self.round_abs = round_abs
-        self.round_rel = round_rel
 
     def run(self, node: LogicForm) -> ExecValue:
         if isinstance(node, AllRows):
             every = []
             for i in range(len(self.table.rows)):
                 every.append(i)
-            return ExecValue(K_VIEW, View(self.table, tuple(every)))
+            return ExecValue(K_VIEW, tuple(every))
         if isinstance(node, Literal):
             num = _literal_number(node.text)
             return ExecValue("__lit__", (num, node.text))
@@ -115,7 +117,7 @@ class _Oracle:
         raise TypeCheckError(f"unknown column {ref.name!r}", kind="unknown_column")
 
     def rows_of(self, node: LogicForm) -> list[int]:
-        return list(self.run(node).value.row_indices)
+        return list(self.run(node).value)
 
     def operand(self, node: LogicForm) -> tuple[float | None, str]:
         value = self.run(node)
@@ -208,7 +210,7 @@ class _Oracle:
             if len(nums) == 0:
                 raise EmptyViewError(name)
             _, row = self.take_extreme(nums, name == "argmax")
-            return ExecValue(K_VIEW, View(self.table, (row,)))
+            return ExecValue(K_VIEW, (row,))
         if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             n = int(a[2].text)
@@ -219,12 +221,12 @@ class _Oracle:
                 raise RankRangeError(name)
             value, row = self.take_ranked(nums, n, "max" in name)
             if name in ("nth_argmax", "nth_argmin"):
-                return ExecValue(K_VIEW, View(self.table, (row,)))
+                return ExecValue(K_VIEW, (row,))
             return ExecValue(K_NUMBER, value)
         if name == "filter_all":
             rows = self.rows_of(a[0])
             self.col(a[1])
-            return ExecValue(K_VIEW, View(self.table, tuple(rows)))
+            return ExecValue(K_VIEW, tuple(rows))
         if name.startswith("filter_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             obj = self.operand(a[2])
@@ -233,7 +235,7 @@ class _Oracle:
             for i in rows:
                 if self.holds(op, i, col, obj):
                     kept.append(i)
-            return ExecValue(K_VIEW, View(self.table, tuple(kept)))
+            return ExecValue(K_VIEW, tuple(kept))
         if name.startswith("all_") or name.startswith("most_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) == 0:
@@ -265,9 +267,9 @@ class _Oracle:
             rn, _ = self.operand(a[1])
             if ln is None or rn is None:
                 raise NonNumericError(name)
-            bound = self.round_abs
-            if self.round_rel * abs(rn) > bound:
-                bound = self.round_rel * abs(rn)
+            bound = ROUND_ABS
+            if ROUND_REL * abs(rn) > bound:
+                bound = ROUND_REL * abs(rn)
             return ExecValue(K_BOOL, abs(ln - rn) <= bound)
         if name in ("greater", "less", "diff"):
             ln, _ = self.operand(a[0])

@@ -22,7 +22,6 @@ import pytest
 from loft.executor import K_BOOL, verify
 from loft.forms import parse_logic_form, print_logic_form
 from loft.metrics import distinct_n, score_output, self_bleu, sentence_bleu
-from loft.oracle import oracle_execute
 from loft.pipeline import (
     RANDOM,
     STRATIFIED,
@@ -36,6 +35,7 @@ from loft.tables import NUMERIC
 from loft.templates import build_distribution, default_distribution
 
 from .generators import agreement_case, random_form, random_table
+from .oracle import oracle_execute
 
 
 def _check(label: str, ok: bool, detail: str) -> None:

@@ -83,7 +83,7 @@ class TestHandValues:
 
     def test_filter_all_keeps_rows(self, mt):
         got = run("filter_all { all_rows ; team }", mt)
-        assert got.value.row_indices == (0, 1, 2)
+        assert got.value == (0, 1, 2)
 
 
 class TestRuntimeErrors:
@@ -218,7 +218,7 @@ class TestApplyStep:
     """The per-node step takes evaluated arguments and evaluates nothing."""
 
     def test_step_on_child_values(self, mt):
-        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt).value.row_indices == (0, 1)
+        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt).value == (0, 1)
         assert apply("hop", ((1,), 0), mt).value.text == "b"
         assert apply("nth_max", ((0, 1, 2), 1, 2), mt).value == 3.0
         assert apply("eq", ((3.0, "3"), (None, "3 ")), mt).value is True

@@ -7,11 +7,12 @@ the tests do not depend on a shell or on PATH.
 import json
 import shlex
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from loft import HookError, default_distribution, load_corpus, verify
+from loft import HookError, default_distribution, load_corpus, parse_template, verify
 from loft.forms import parse_logic_form, print_logic_form, referenced_columns
 from loft.pipeline import (
     HOOK_WINDOW,
@@ -24,6 +25,7 @@ from loft.pipeline import (
 )
 from loft.synthesizer import SynthesisConfig, SynthesizedCandidate, synthesize_candidates
 from loft.tables import CorpusEntry, Table
+from loft.templates import TemplateDistribution, WeightedTemplate
 
 ECHO_GENERATOR = """\
 import json, sys
@@ -150,6 +152,18 @@ for line in sys.stdin:
     print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
 """
 
+# a line that is not UTF-8 before the second answer
+BAD_BYTES_GENERATOR = """\
+import json, sys
+out = sys.stdout.buffer
+for n, line in enumerate(sys.stdin):
+    req = json.loads(line)
+    if n == 1:
+        out.write(b"\\xff\\n")
+    out.write(json.dumps({"id": req["id"], "statement": req["readable"]}).encode() + b"\\n")
+    out.flush()
+"""
+
 
 def hook_command(tmp_path, name, body):
     script = tmp_path / name
@@ -268,6 +282,17 @@ class TestPipelinedHooks:
         assert len(said) == 3
         assert {r.levelname for r in said} == {"DEBUG"}
 
+    def test_undecodable_line_costs_only_the_awaited_item(self, tmp_path, candidates, caplog):
+        items = candidates[:6]
+        assert len(items) == 6
+        command = hook_command(tmp_path, "bad_bytes.py", BAD_BYTES_GENERATOR)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(items, HookConfig(command, timeout=5.0))
+        builtin = generate_statements(items, HookConfig())
+        assert out == builtin[:1] + builtin[2:]
+        assert "unparseable line" in caplog.text
+        assert "timed out" not in caplog.text
+
     def test_hooked_run_over_the_bundled_corpus_matches_builtin(self, tmp_path,
                                                                 bundled_corpus):
         config = SynthesisConfig(candidates_per_column_set=5, seed=13)
@@ -290,17 +315,26 @@ class TestVerifierHooks:
         kept = verify_statements(statements, HookConfig(), tables)
         assert kept == statements  # synthesis only emits verify-true forms
 
-    def test_builtin_drops_false_statements(self, candidates, tables):
-        statements = generate_statements(candidates, HookConfig())
-        st = statements[0]
-        doctored = Statement(
-            table_id=st.table_id,
-            text="definitely not",
-            logic_form="eq { count { all_rows } ; 99999 }",
-            category=st.category,
-        )
-        kept = verify_statements([doctored] + statements, HookConfig(), tables)
-        assert kept == statements
+    def test_written_forms_are_rechecked_when_the_synthesis_gate_breaks(
+        self, tmp_path, bundled_corpus, monkeypatch
+    ):
+        # "only { all_rows }" grounds to itself and is false on any table of
+        # more than one row, so only synthesis' verify keeps it out; the
+        # builtin verifier keeps everything, and the sampled re-check of the
+        # written forms must then report the false statements
+        dist = TemplateDistribution(entries=(
+            WeightedTemplate(parse_template("only { all_rows }"), 0.5),
+            WeightedTemplate(parse_template("COMPARE_EQ { count { all_rows } ; OBJ_1 }"), 0.5),
+        ))
+        config = SynthesisConfig(candidates_per_column_set=2, seed=13)
+        sound = run_pipeline(bundled_corpus, tmp_path / "sound.jsonl", dist, k=5, seed=13,
+                             synthesis=config)
+        assert sound.sampled > 0 and sound.execution_faithfulness == 1.0
+        monkeypatch.setattr("loft.synthesizer.verify", lambda form, table: True)
+        broken = run_pipeline(bundled_corpus, tmp_path / "broken.jsonl", dist, k=5, seed=13,
+                              synthesis=config)
+        assert broken.verified == broken.candidates > sound.candidates
+        assert broken.execution_faithfulness < 1.0
 
     def test_reject_all_hook_filters_everything(self, tmp_path, candidates, tables):
         statements = generate_statements(candidates, HookConfig())
@@ -364,7 +398,51 @@ class TestSampling:
         assert [st.text for st in alone["t"]] == [st.text for st in mixed["t"]]
 
 
+def count_calls(run, *functions):
+    """Run run() and count the Python calls to the given functions, keyed
+    by (function name, module of the direct caller), plus the calls that
+    returned True, keyed the same way."""
+    watched = {fn.__code__: fn.__name__ for fn in functions}
+    calls: Counter = Counter()
+    true: Counter = Counter()
+
+    def profile(frame, event, arg):
+        name = watched.get(frame.f_code)
+        if name is None:
+            return
+        key = (name, frame.f_back.f_globals.get("__name__"))
+        if event == "call":
+            calls[key] += 1
+        elif event == "return" and arg is True:
+            true[key] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls, true
+
+
 class TestRunPipeline:
+    def test_each_candidate_is_printed_and_verified_once(self, tmp_path, bundled_corpus):
+        report, calls, true = count_calls(
+            lambda: run_pipeline(bundled_corpus, tmp_path / "out.jsonl",
+                                 default_distribution(), seed=13),
+            verify, parse_logic_form, print_logic_form,
+        )
+        assert report.sampled > 0
+        # synthesis prints each form that passes its verify, once
+        synthesized = true["verify", "loft.synthesizer"]
+        assert synthesized >= report.candidates > report.sampled
+        printed = {caller: n for (name, caller), n in calls.items()
+                   if name == "print_logic_form" and caller != "loft.forms"}
+        assert printed == {"loft.synthesizer": synthesized}
+        # the pipeline only re-checks the sampled statements, from their text
+        assert calls["verify", "loft.pipeline"] == report.sampled
+        parsed = sum(n for (name, _), n in calls.items() if name == "parse_logic_form")
+        assert parsed == report.sampled
+
     def test_end_to_end_builtin(self, tmp_path, bundled_corpus):
         out = tmp_path / "statements.jsonl"
         report = run_pipeline(

@@ -8,7 +8,6 @@ from loft import (
     Table,
     abstract,
     default_distribution,
-    oracle_execute,
     parse_template,
     verify,
 )
@@ -24,6 +23,8 @@ from loft.synthesizer import (
     table_rng,
 )
 from loft.tables import NUMERIC
+
+from .oracle import oracle_execute
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,8 @@ class TestSoundness:
 
         for result in small_batch:
             for res in result.per_set:
-                texts = [print_logic_form(f) for f in res.forms]
+                texts = [cand.logic_form for cand in res.forms]
+                assert texts == [print_logic_form(cand.form) for cand in res.forms]
                 assert len(texts) == len(set(texts))
 
     def test_category_comes_from_the_root_function(self, small_batch):

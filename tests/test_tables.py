@@ -13,7 +13,6 @@ from loft.tables import (
     NUMERIC,
     TEXT,
     TEXTUAL,
-    View,
     normalize_cell,
     normalize_header,
 )
@@ -90,21 +89,6 @@ class TestTable:
     def test_column_index_normalizes_lookups(self, mt):
         assert mt.column_index("  Team ") == 0
         assert mt.column_index("nope") is None
-
-
-class TestView:
-    def test_rows_must_be_increasing(self, mt):
-        with pytest.raises(ValueError):
-            View(mt, (1, 0))
-        with pytest.raises(ValueError):
-            View(mt, (0, 0))
-
-    def test_rows_must_be_in_range(self, mt):
-        with pytest.raises(ValueError):
-            View(mt, (3,))
-
-    def test_len(self, mt):
-        assert len(View(mt, (0, 2))) == 2
 
 
 class TestCorpusIO:
