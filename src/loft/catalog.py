@@ -102,8 +102,6 @@ for _s in _DEFS:
     GROUPS.setdefault(_s.group, ())
     GROUPS[_s.group] = GROUPS[_s.group] + (_s.name,)
 
-GROUP_OF: dict[str, str] = {s.name: s.group for s in _DEFS}
-
 # Groups whose object argument is a numeric threshold; their header column
 # must be numeric for any row to satisfy the predicate.
 NUMERIC_PREDICATE_GROUPS = frozenset(

@@ -31,7 +31,7 @@ from .forms import Apply, parse_logic_form, type_check
 from .metrics import TOKENS, score_output
 from .pipeline import BUILTIN, STRATEGIES, HookConfig, run_pipeline
 from .realizer import realize_logic_form
-from .synthesizer import SynthesisConfig, synthesize_candidates
+from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
 from .tables import CorpusEntry, Table, load_corpus, save_corpus
 from .templates import (
     build_distribution,
@@ -73,10 +73,6 @@ def _seed_of(args) -> int:
     return DEFAULT_SEED
 
 
-def _load_entries(path: str, fmt: str = "json") -> list[CorpusEntry]:
-    return load_corpus(path, format=fmt)
-
-
 def _pick_table(entries: list[CorpusEntry], table_id: str | None) -> Table:
     if table_id is None:
         if len(entries) == 1:
@@ -94,6 +90,16 @@ def _load_dist(path: str | None):
     return load_distribution(path)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _form_error(exc: Exception) -> dict:
     if isinstance(exc, (TypeCheckError, ExecutionError)):
         return {"error": str(exc), "kind": exc.kind}
@@ -104,7 +110,7 @@ def _form_error(exc: Exception) -> dict:
 
 
 def _cmd_ingest(args) -> int:
-    entries = _load_entries(args.input, args.format)
+    entries = load_corpus(args.input, format=args.format)
     save_corpus(entries, args.output)
     _emit({"tables": len(entries), "output": args.output})
     return 0
@@ -135,18 +141,15 @@ def _cmd_mine_templates(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    entries = _load_entries(args.corpus)
+    entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
-    config = SynthesisConfig(
-        candidates_per_column_set=args.candidates,
-        seed=_seed_of(args),
-        max_column_sets=args.max_column_sets,
-    )
+    seed = _seed_of(args)
     lines = []
     total = 0
     for entry in sorted(entries, key=lambda e: e.table.table_id):
         result = synthesize_candidates(
-            entry.table, list(entry.selected_column_sets) or None, config, dist
+            entry.table, list(entry.selected_column_sets) or None, dist,
+            seed=seed, candidates=args.candidates,
         )
         for cand in result.candidates:
             total += 1
@@ -178,7 +181,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_execute(args) -> int:
-    entries = _load_entries(args.corpus)
+    entries = load_corpus(args.corpus)
     table = _pick_table(entries, args.table_id)
     try:
         lf = parse_logic_form(args.form)
@@ -191,28 +194,25 @@ def _cmd_execute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    entries = _load_entries(args.corpus)
+    entries = load_corpus(args.corpus)
     table = _pick_table(entries, args.table_id)
     _emit({"entailed": verify(args.form, table)})
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    entries = _load_entries(args.corpus)
+    entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
-    seed = _seed_of(args)
     report = run_pipeline(
         entries,
         args.output,
         dist,
         k=args.k,
         strategy=args.strategy,
-        seed=seed,
+        seed=_seed_of(args),
         generator=HookConfig(command=args.generator, timeout=args.timeout),
         verifier=HookConfig(command=args.verifier, timeout=args.timeout),
-        synthesis=SynthesisConfig(
-            candidates_per_column_set=args.candidates, seed=seed
-        ),
+        candidates=args.candidates,
     )
     payload = report.to_json()
     if args.report:
@@ -227,7 +227,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    entries = _load_entries(args.corpus)
+    entries = load_corpus(args.corpus)
     report = score_output(args.output, entries, distinct_denominator=args.denominator)
     _emit(report.to_json())
     return 0
@@ -247,7 +247,7 @@ def _cmd_demo(args) -> int:
         resources.files("loft.data").joinpath("sample_forms.txt").read_bytes()
     )
 
-    entries = _load_entries(str(corpus_path))
+    entries = load_corpus(str(corpus_path))
     forms = []
     for line in forms_path.read_text("utf-8").splitlines():
         line = line.strip()
@@ -298,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--templates", default=None)
     p.add_argument("--output", required=True)
-    p.add_argument("--candidates", type=int, default=20)
-    p.add_argument("--max-column-sets", type=int, default=4)
+    p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("realize", _cmd_realize, "render one logic form as text")
@@ -320,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_at_least(0), default=5)
     p.add_argument("--strategy", choices=STRATEGIES, default="random")
-    p.add_argument("--candidates", type=int, default=20)
+    p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
     p.add_argument("--generator", default=BUILTIN)
     p.add_argument("--verifier", default=BUILTIN)
     p.add_argument("--timeout", type=float, default=10.0)
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("demo", _cmd_demo, "run everything end to end on bundled data")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -37,12 +37,12 @@ from .errors import HookError, LoftError
 from .executor import verify
 from .realizer import realize_logic_form, serialize_table
 from .synthesizer import (
-    SynthesisConfig,
+    DEFAULT_CANDIDATES,
     SynthesizedCandidate,
     synthesize_candidates,
     table_rng,
 )
-from .tables import CorpusEntry, Table
+from .tables import CorpusEntry, Table, is_utf8_text
 from .templates import TemplateDistribution
 
 log = logging.getLogger(__name__)
@@ -171,7 +171,7 @@ class _HookProcess:
         self.in_flight[payload["id"]] = time.monotonic()
 
     def request(self, payload: dict) -> dict | None:
-        """Send one request unless it is in flight, and wait for its answer.
+        """Wait for the answer to one request that exchange() has sent.
 
         None means the item was dropped: the hook printed nothing for
         `timeout` seconds since the item was sent or since its last line,
@@ -179,8 +179,6 @@ class _HookProcess:
         was awaited.
         """
         item_id = payload["id"]
-        if item_id not in self.in_flight and item_id not in self.answers:
-            self._send(payload)
         while item_id not in self.answers:
             since = max(self.in_flight[item_id], self.last_line)
             remaining = since + self.timeout - time.monotonic()
@@ -243,8 +241,9 @@ def generate_statements(
             if resp is None:
                 continue
             statement = resp.get("statement")
-            if not isinstance(statement, str) or not statement.strip():
-                log.warning("generator hook gave no statement for %s", payload["id"])
+            # a lone surrogate ("\ud800") would stop the output write
+            if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
+                log.warning("generator hook gave no usable statement for %s", payload["id"])
                 continue
             out.append(
                 Statement(
@@ -367,18 +366,18 @@ def run_pipeline(
     seed: int = 13,
     generator: HookConfig = HookConfig(),
     verifier: HookConfig = HookConfig(),
-    synthesis: SynthesisConfig | None = None,
+    candidates: int = DEFAULT_CANDIDATES,
 ) -> PipelineReport:
     """Full run over a corpus; writes one JSON line per table, returns stats.
 
+    One seed, recorded in the report, drives both synthesis (up to
+    `candidates` forms per column set) and sampling (`k` per table).
     Output lines are sorted by table id and rendered with sorted keys, so
     identical inputs and seed give byte-identical files.
     """
-    if synthesis is None:
-        synthesis = SynthesisConfig(seed=seed)
     report = PipelineReport(seed=seed, k=k, strategy=strategy)
     tables: dict[str, Table] = {}
-    candidates: list[SynthesizedCandidate] = []
+    unique: list[SynthesizedCandidate] = []
     for entry in entries:
         table = entry.table
         if table.table_id in tables:
@@ -388,7 +387,8 @@ def run_pipeline(
         tables[table.table_id] = table
         try:
             result = synthesize_candidates(
-                table, list(entry.selected_column_sets) or None, synthesis, dist
+                table, list(entry.selected_column_sets) or None, dist,
+                seed=seed, candidates=candidates,
             )
         except LoftError as exc:
             log.error("synthesis failed for table %s: %s", table.table_id, exc)
@@ -397,21 +397,16 @@ def run_pipeline(
         for res in result.shortfalls:
             key = f"{table.table_id}:{','.join(map(str, res.column_set))}"
             report.shortfalls[key] = res.shortfall
-        candidates.extend(result.candidates)
+        # overlapping column sets can synthesize the same form twice for a
+        # table; the output contract forbids duplicates, so keep the first
+        firsts: dict[str, SynthesizedCandidate] = {}
+        for cand in result.candidates:
+            firsts.setdefault(cand.logic_form, cand)
+        unique.extend(firsts.values())
     report.tables = len(tables)
-    # overlapping column sets can synthesize the same form twice for a
-    # table; the output contract forbids duplicates, so keep the first
-    seen_forms: set[tuple[str, str]] = set()
-    unique: list[SynthesizedCandidate] = []
-    for cand in candidates:
-        key = (cand.table.table_id, cand.logic_form)
-        if key not in seen_forms:
-            seen_forms.add(key)
-            unique.append(cand)
-    candidates = unique
-    report.candidates = len(candidates)
+    report.candidates = len(unique)
 
-    statements = generate_statements(candidates, generator)
+    statements = generate_statements(unique, generator)
     report.generated = len(statements)
     kept = verify_statements(statements, verifier, tables)
     report.verified = len(kept)

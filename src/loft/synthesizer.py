@@ -61,15 +61,10 @@ _MAJORITY_GROUPS = (
 _FILTER_GROUPS = ("FILTER_EQ", "FILTER_GT", "FILTER_GE")
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
-    candidates_per_column_set: int = 20
-    seed: int = 13
-    max_column_sets: int = 4
-
-    def __post_init__(self):
-        if self.candidates_per_column_set < 1:
-            raise ValueError("candidates_per_column_set must be positive")
+# Candidate target per column set unless a caller asks for another.
+DEFAULT_CANDIDATES = 20
+# Column sets sampled for a table that pins none.
+MAX_COLUMN_SETS = 4
 
 
 def table_rng(seed: int, table_id: str, salt: str = "") -> random.Random:
@@ -90,18 +85,16 @@ def sample_template(dist: TemplateDistribution, rng: random.Random) -> Template:
     return dist.entries[-1].template
 
 
-def derive_column_sets(
-    table: Table, rng: random.Random, max_sets: int = 4
-) -> list[tuple[int, ...]]:
-    """Sample up to max_sets subsets of 2-3 columns, each containing a
-    numeric column whenever the table has one."""
+def derive_column_sets(table: Table, rng: random.Random) -> list[tuple[int, ...]]:
+    """Sample up to MAX_COLUMN_SETS subsets of 2-3 columns, each containing
+    a numeric column whenever the table has one."""
     n = len(table.headers)
     if n == 1:
         return [(0,)]
     numeric = [i for i in range(n) if table.column_types[i] == NUMERIC]
     sets: list[tuple[int, ...]] = []
-    for _ in range(max_sets * 10):
-        if len(sets) >= max_sets:
+    for _ in range(MAX_COLUMN_SETS * 10):
+        if len(sets) >= MAX_COLUMN_SETS:
             break
         size = rng.randint(2, min(3, n))
         chosen: list[int] = []
@@ -531,21 +524,25 @@ RETRIES_PER_TEMPLATE = 50
 def synthesize_candidates(
     table: Table,
     column_sets: list[tuple[int, ...]] | None,
-    config: SynthesisConfig,
     dist: TemplateDistribution,
+    *,
+    seed: int,
+    candidates: int,
 ) -> SynthesisResult:
-    """Produce up to candidates_per_column_set distinct verify-true forms
-    for every column set (sampled from the table when none are given)."""
-    rng = table_rng(config.seed, table.table_id)
+    """Up to `candidates` (at least 1) distinct verify-true forms for each
+    column set, or for up to MAX_COLUMN_SETS sets sampled when none are
+    given; every draw comes from table_rng(seed, table id)."""
+    if candidates < 1:
+        raise ValueError("candidates per column set must be positive")
+    rng = table_rng(seed, table.table_id)
     if not column_sets:
-        column_sets = derive_column_sets(table, rng, config.max_column_sets)
+        column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
-    target = config.candidates_per_column_set
     for column_set in column_sets:
-        res = ColumnSetResult(column_set=tuple(column_set), requested=target)
+        res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
         seen: set[str] = set()
-        budget = ATTEMPT_BUDGET_FACTOR * target
-        while len(res.forms) < target and res.attempts < budget:
+        budget = ATTEMPT_BUDGET_FACTOR * candidates
+        while len(res.forms) < candidates and res.attempts < budget:
             res.attempts += 1
             template = sample_template(dist, rng)
             form = instantiate(template, table, list(column_set), rng)
@@ -565,7 +562,7 @@ def synthesize_candidates(
                 table.table_id,
                 res.column_set,
                 len(res.forms),
-                target,
+                candidates,
                 res.attempts,
             )
         result.per_set.append(res)

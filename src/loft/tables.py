@@ -175,18 +175,28 @@ def _clean_column_sets(raw_sets, n_cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cleaned)
 
 
+def is_utf8_text(text: str) -> bool:
+    """False if text holds a lone surrogate (made by a JSON escape such as
+    "\\ud800"), which no UTF-8 file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _entry_from_record(record: dict, where: str) -> CorpusEntry:
     for key in ("table_id", "title", "header", "rows"):
         if key not in record:
             raise IngestError(f"{where}: missing required field {key!r}")
-    table = Table.from_strings(
-        record["table_id"],
-        record["title"],
-        [str(h) for h in record["header"]],
-        [[str(c) for c in row] for row in record["rows"]],
-    )
-    sets = _clean_column_sets(record.get("selected_columns", []), len(table.headers))
+    table_id, title = str(record["table_id"]), str(record["title"])
+    headers = [str(h) for h in record["header"]]
+    rows = [[str(c) for c in row] for row in record["rows"]]
     refs = tuple(str(r) for r in record.get("references", []))
+    if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
+        raise IngestError(f"{where}: text holds a lone surrogate escape")
+    table = Table.from_strings(table_id, title, headers, rows)
+    sets = _clean_column_sets(record.get("selected_columns", []), len(table.headers))
     return CorpusEntry(table=table, selected_column_sets=sets, references=refs)
 
 
@@ -234,7 +244,8 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
 
     Malformed JSON is fatal and names the line; a structurally bad entry
     (no columns, ragged rows, duplicate headers, bad column indices, a
-    table_id already used on an earlier line) is skipped with a warning.
+    lone surrogate escape in its text, a table_id already used on an
+    earlier line) is skipped with a warning.
     """
     path = Path(path)
     if not path.exists():

@@ -30,7 +30,7 @@ from loft.pipeline import (
     run_pipeline,
     sample_outputs,
 )
-from loft.synthesizer import SynthesisConfig, sample_template, synthesize_candidates
+from loft.synthesizer import sample_template, synthesize_candidates
 from loft.tables import NUMERIC
 from loft.templates import build_distribution, default_distribution
 
@@ -71,10 +71,10 @@ def corpus_tables(bundled_corpus):
 @pytest.fixture(scope="module")
 def synthesis_pass(corpus_tables):
     """One synthesis run over all 200 tables, 20 candidates per column set."""
-    config = SynthesisConfig(candidates_per_column_set=20, seed=13)
     dist = default_distribution()
     start = time.perf_counter()
-    results = [synthesize_candidates(t, None, config, dist) for t in corpus_tables]
+    results = [synthesize_candidates(t, None, dist, seed=13, candidates=20)
+               for t in corpus_tables]
     return results, time.perf_counter() - start
 
 

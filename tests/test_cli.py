@@ -122,6 +122,23 @@ class TestUsageErrors:
         assert "LOFT_SEED" in result.stderr
 
 
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--candidates", "0"],
+        ["pipeline", "--candidates", "0"],
+        ["pipeline", "--k", "-1"],
+        ["demo", "--k", "-1"],
+    ], ids=["synthesize-candidates", "pipeline-candidates", "pipeline-k", "demo-k"])
+    def test_out_of_range_counts_are_bad_usage(self, corpus, tmp_path, capsys, argv):
+        paths = {"synthesize": ["--corpus", corpus, "--output", str(tmp_path / "o.jsonl")],
+                 "pipeline": ["--corpus", corpus, "--output", str(tmp_path / "o.jsonl")],
+                 "demo": ["--out-dir", str(tmp_path / "demo")]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, *paths[argv[0]]])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {argv[1]}: must be at least" in err
+
+
 class TestIngest:
     def test_normalizes_and_reports(self, tmp_path):
         src = tmp_path / "raw.csv"
@@ -147,6 +164,20 @@ class TestIngest:
         )
         assert payload_of(result)["tables"] == 1
         assert "no columns" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+    def test_lone_surrogate_cell_is_skipped_by_pipeline(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        bad = {**MT_RECORD, "table_id": "bad", "rows": [["\ud800a", "3"], ["b", "5"]]}
+        corpus.write_text(json.dumps(bad) + "\n" + json.dumps(MT_RECORD) + "\n",
+                          encoding="utf-8")
+        result = loft(
+            "pipeline", "--corpus", str(corpus), "--output", str(tmp_path / "out.jsonl"),
+            "--k", "40",
+        )
+        assert payload_of(result)["tables"] == 1
+        assert f"{corpus}:1: text holds a lone surrogate" in result.stderr
         assert "Traceback" not in result.stderr
 
 

@@ -193,13 +193,12 @@ class TestCategoryCoverage:
 class TestScoreOutput:
     def test_scores_a_real_pipeline_run(self, tmp_path, bundled_corpus):
         from loft.pipeline import run_pipeline
-        from loft.synthesizer import SynthesisConfig
 
         out = tmp_path / "out.jsonl"
         run_pipeline(
             bundled_corpus, out, default_distribution(),
             k=4, seed=13,
-            synthesis=SynthesisConfig(candidates_per_column_set=6, seed=13),
+            candidates=6,
         )
         report = score_output(out, bundled_corpus)
         assert report.tables >= 9

@@ -23,7 +23,7 @@ from loft.pipeline import (
     sample_outputs,
     verify_statements,
 )
-from loft.synthesizer import SynthesisConfig, SynthesizedCandidate, synthesize_candidates
+from loft.synthesizer import SynthesizedCandidate, synthesize_candidates
 from loft.tables import CorpusEntry, Table
 from loft.templates import TemplateDistribution, WeightedTemplate
 
@@ -164,6 +164,15 @@ for n, line in enumerate(sys.stdin):
     out.flush()
 """
 
+# a JSON-escaped lone surrogate as the second statement
+LONE_SURROGATE_GENERATOR = """\
+import json, sys
+for n, line in enumerate(sys.stdin):
+    req = json.loads(line)
+    text = "bad \\ud800 text" if n == 1 else req["readable"]
+    print(json.dumps({"id": req["id"], "statement": text}), flush=True)
+"""
+
 
 def hook_command(tmp_path, name, body):
     script = tmp_path / name
@@ -174,8 +183,8 @@ def hook_command(tmp_path, name, body):
 @pytest.fixture(scope="module")
 def candidates(bundled_corpus):
     entry = bundled_corpus[0]
-    config = SynthesisConfig(candidates_per_column_set=4, seed=13)
-    result = synthesize_candidates(entry.table, None, config, default_distribution())
+    result = synthesize_candidates(entry.table, None, default_distribution(), seed=13,
+                                   candidates=4)
     assert result.candidates
     return result.candidates
 
@@ -183,11 +192,10 @@ def candidates(bundled_corpus):
 @pytest.fixture(scope="module")
 def many_candidates(bundled_corpus):
     """More candidates than HOOK_WINDOW, from three tables."""
-    config = SynthesisConfig(candidates_per_column_set=4, seed=13)
     out = []
     for entry in bundled_corpus[:3]:
-        out.extend(synthesize_candidates(entry.table, None, config,
-                                         default_distribution()).candidates)
+        out.extend(synthesize_candidates(entry.table, None, default_distribution(),
+                                         seed=13, candidates=4).candidates)
     assert len(out) > HOOK_WINDOW
     return out
 
@@ -293,14 +301,22 @@ class TestPipelinedHooks:
         assert "unparseable line" in caplog.text
         assert "timed out" not in caplog.text
 
+    def test_lone_surrogate_statement_costs_only_its_item(self, tmp_path, candidates, caplog):
+        items = candidates[:3]
+        command = hook_command(tmp_path, "surrogate.py", LONE_SURROGATE_GENERATOR)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(items, HookConfig(command, timeout=5.0))
+        builtin = generate_statements(items, HookConfig())
+        assert out == builtin[:1] + builtin[2:]
+        assert "no usable statement" in caplog.text
+
     def test_hooked_run_over_the_bundled_corpus_matches_builtin(self, tmp_path,
                                                                 bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=5, seed=13)
         builtin_out, hooked_out = tmp_path / "builtin.jsonl", tmp_path / "hooked.jsonl"
         builtin = run_pipeline(bundled_corpus, builtin_out, default_distribution(),
-                               seed=13, synthesis=config)
+                               seed=13, candidates=5)
         hooked = run_pipeline(
-            bundled_corpus, hooked_out, default_distribution(), seed=13, synthesis=config,
+            bundled_corpus, hooked_out, default_distribution(), seed=13, candidates=5,
             generator=HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0),
             verifier=HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0),
         )
@@ -326,13 +342,12 @@ class TestVerifierHooks:
             WeightedTemplate(parse_template("only { all_rows }"), 0.5),
             WeightedTemplate(parse_template("COMPARE_EQ { count { all_rows } ; OBJ_1 }"), 0.5),
         ))
-        config = SynthesisConfig(candidates_per_column_set=2, seed=13)
         sound = run_pipeline(bundled_corpus, tmp_path / "sound.jsonl", dist, k=5, seed=13,
-                             synthesis=config)
+                             candidates=2)
         assert sound.sampled > 0 and sound.execution_faithfulness == 1.0
         monkeypatch.setattr("loft.synthesizer.verify", lambda form, table: True)
         broken = run_pipeline(bundled_corpus, tmp_path / "broken.jsonl", dist, k=5, seed=13,
-                              synthesis=config)
+                              candidates=2)
         assert broken.verified == broken.candidates > sound.candidates
         assert broken.execution_faithfulness < 1.0
 
@@ -452,7 +467,7 @@ class TestRunPipeline:
             k=3,
             strategy="random",
             seed=13,
-            synthesis=SynthesisConfig(candidates_per_column_set=5, seed=13),
+            candidates=5,
         )
         assert report.tables == 5
         assert report.candidates >= report.generated >= report.verified >= report.sampled
@@ -477,15 +492,15 @@ class TestRunPipeline:
              ["9", "d", "2004"], ["4", "e", "2005"]],
         )
         sets = ((0, 1), (0, 2))
-        config = SynthesisConfig(candidates_per_column_set=20, seed=13)
-        raw = synthesize_candidates(table, list(sets), config, default_distribution())
+        raw = synthesize_candidates(table, list(sets), default_distribution(), seed=13,
+                                    candidates=20)
         prints = [print_logic_form(c.form) for c in raw.candidates]
         assert len(set(prints)) < len(prints)  # the overlap really repeats forms
 
         entry = CorpusEntry(table=table, selected_column_sets=sets)
         out = tmp_path / "overlap.jsonl"
         report = run_pipeline([entry], out, default_distribution(), k=40, seed=13,
-                              synthesis=config)
+                              candidates=20)
         assert report.candidates == len(set(prints))
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records
@@ -498,12 +513,11 @@ class TestRunPipeline:
         # the same first-one-wins rule itself
         first, second = bundled_corpus[0], bundled_corpus[1]
         same_id = replace(second, table=replace(second.table, table_id=first.table.table_id))
-        config = SynthesisConfig(candidates_per_column_set=5, seed=13)
         alone, both = tmp_path / "alone.jsonl", tmp_path / "both.jsonl"
-        want = run_pipeline([first], alone, default_distribution(), seed=13, synthesis=config)
+        want = run_pipeline([first], alone, default_distribution(), seed=13, candidates=5)
         with caplog.at_level("WARNING", logger="loft.pipeline"):
             got = run_pipeline([first, same_id], both, default_distribution(), seed=13,
-                               synthesis=config)
+                               candidates=5)
         assert got.to_json() == want.to_json()
         assert both.read_text() == alone.read_text()
         assert repr(first.table.table_id) in caplog.text
@@ -521,7 +535,7 @@ class TestRunPipeline:
 
         out = tmp_path / "out.jsonl"
         report = run_pipeline(entries, out, default_distribution(), k=40, seed=13,
-                              synthesis=SynthesisConfig(candidates_per_column_set=20, seed=13))
+                              candidates=20)
         assert report.tables == 1
         assert report.verified == report.candidates > 0
         statements = [st for line in out.read_text().splitlines()
@@ -533,37 +547,34 @@ class TestRunPipeline:
                 parse_logic_form(st["logic_form"]))) <= {"team", "points"}
 
     def test_reruns_are_byte_identical(self, tmp_path, bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=4, seed=13)
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
             path = tmp_path / name
             run_pipeline(
                 bundled_corpus[:4], path, default_distribution(),
-                k=3, seed=13, synthesis=config,
+                k=3, seed=13, candidates=4,
             )
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_seed_changes_selection(self, tmp_path, bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=6, seed=13)
         texts = []
         for seed, name in ((13, "a.jsonl"), (14, "b.jsonl")):
             path = tmp_path / name
             run_pipeline(
                 bundled_corpus[:4], path, default_distribution(),
-                k=2, seed=seed, synthesis=config,
+                k=2, seed=seed, candidates=6,
             )
             texts.append(path.read_text())
         assert texts[0] != texts[1]
 
     def test_stratified_coverage_is_at_least_random(self, tmp_path, bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=8, seed=13)
         coverage = {}
         for strategy in ("random", "stratified"):
             path = tmp_path / f"{strategy}.jsonl"
             report = run_pipeline(
                 bundled_corpus, path, default_distribution(),
-                k=4, strategy=strategy, seed=13, synthesis=config,
+                k=4, strategy=strategy, seed=13, candidates=8,
             )
             coverage[strategy] = len(report.category_histogram)
         assert coverage["stratified"] >= coverage["random"]
@@ -571,7 +582,7 @@ class TestRunPipeline:
     def test_report_json_is_stable(self, tmp_path, bundled_corpus):
         report = run_pipeline(
             bundled_corpus[:2], tmp_path / "out.jsonl", default_distribution(),
-            k=2, seed=13, synthesis=SynthesisConfig(candidates_per_column_set=3, seed=13),
+            k=2, seed=13, candidates=3,
         )
         payload = report.to_json()
         assert payload["tables"] == 2

@@ -12,7 +12,7 @@ from loft import (
 )
 from loft.forms import Literal, referenced_columns, walk
 from loft.realizer import PhraseTableError, _validate, load_phrase_table
-from loft.synthesizer import SynthesisConfig, synthesize_candidates
+from loft.synthesizer import synthesize_candidates
 
 
 class TestExactPhrasings:
@@ -110,11 +110,10 @@ class TestPhraseTable:
 
 class TestEntityContainment:
     def test_synthesized_candidates_mention_their_entities(self, bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=5, seed=13)
         dist = default_distribution()
         checked = 0
         for entry in bundled_corpus[:6]:
-            result = synthesize_candidates(entry.table, None, config, dist)
+            result = synthesize_candidates(entry.table, None, dist, seed=13, candidates=5)
             for cand in result.candidates:
                 text = realize_logic_form(cand.form)
                 for column in referenced_columns(cand.form):
@@ -126,10 +125,10 @@ class TestEntityContainment:
         assert checked >= 50
 
     def test_realization_is_deterministic(self, bundled_corpus):
-        config = SynthesisConfig(candidates_per_column_set=4, seed=13)
         dist = default_distribution()
         table = bundled_corpus[0].table
-        forms = [c.form for c in synthesize_candidates(table, None, config, dist).candidates]
+        result = synthesize_candidates(table, None, dist, seed=13, candidates=4)
+        forms = [c.form for c in result.candidates]
         first = [realize_logic_form(f) for f in forms]
         second = [realize_logic_form(f) for f in forms]
         assert first == second

@@ -15,7 +15,6 @@ from loft.executor import K_BOOL
 from loft.forms import referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
-    SynthesisConfig,
     derive_column_sets,
     instantiate,
     sample_template,
@@ -30,12 +29,11 @@ from .oracle import oracle_execute
 @pytest.fixture(scope="module")
 def small_batch(bundled_corpus):
     """One synthesis run per bundled table, shared by the checks below."""
-    config = SynthesisConfig(candidates_per_column_set=6, seed=13)
     dist = default_distribution()
     results = []
     for entry in bundled_corpus:
         sets = [list(s) for s in entry.selected_column_sets] or None
-        results.append(synthesize_candidates(entry.table, sets, config, dist))
+        results.append(synthesize_candidates(entry.table, sets, dist, seed=13, candidates=6))
     return results
 
 
@@ -83,13 +81,12 @@ class TestDeterminism:
     def test_same_seed_same_forms(self, bundled_corpus):
         from loft import print_logic_form
 
-        config = SynthesisConfig(candidates_per_column_set=5, seed=21)
         dist = default_distribution()
 
         def snapshot():
             out = []
             for entry in bundled_corpus[:4]:
-                result = synthesize_candidates(entry.table, None, config, dist)
+                result = synthesize_candidates(entry.table, None, dist, seed=21, candidates=5)
                 out.append([print_logic_form(c.form) for c in result.candidates])
             return out
 
@@ -102,8 +99,7 @@ class TestDeterminism:
         table = bundled_corpus[0].table
 
         def forms_for(seed):
-            config = SynthesisConfig(candidates_per_column_set=8, seed=seed)
-            result = synthesize_candidates(table, None, config, dist)
+            result = synthesize_candidates(table, None, dist, seed=seed, candidates=8)
             return [print_logic_form(c.form) for c in result.candidates]
 
         assert forms_for(13) != forms_for(14)
@@ -157,8 +153,7 @@ class TestInstantiate:
 
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])
-        config = SynthesisConfig(candidates_per_column_set=3, seed=13)
-        result = synthesize_candidates(table, None, config, default_distribution())
+        result = synthesize_candidates(table, None, default_distribution(), seed=13, candidates=3)
         assert len(result.candidates) >= 1
         for cand in result.candidates:
             assert verify(cand.form, table)
@@ -167,11 +162,10 @@ class TestInstantiate:
         from loft.catalog import CATALOG, ORD
         from loft.forms import Apply, walk
 
-        config = SynthesisConfig(candidates_per_column_set=10, seed=3)
         dist = default_distribution()
         seen_rank = False
         for entry in bundled_corpus:
-            result = synthesize_candidates(entry.table, None, config, dist)
+            result = synthesize_candidates(entry.table, None, dist, seed=3, candidates=10)
             for cand in result.candidates:
                 for node in walk(cand.form):
                     if not isinstance(node, Apply):
@@ -216,9 +210,8 @@ class TestShortfalls:
         # a one-row all-text table cannot satisfy numeric templates at all
         table = Table.from_strings("tiny", "tiny", ["a", "b"], [["x", "y"]])
         dist = default_distribution()
-        config = SynthesisConfig(candidates_per_column_set=50, seed=13)
         with caplog.at_level("WARNING", logger="loft.synthesizer"):
-            result = synthesize_candidates(table, [(0, 1)], config, dist)
+            result = synthesize_candidates(table, [(0, 1)], dist, seed=13, candidates=50)
         res = result.per_set[0]
         assert res.shortfall > 0
         assert res.attempts == ATTEMPT_BUDGET_FACTOR * 50
@@ -227,7 +220,8 @@ class TestShortfalls:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SynthesisConfig(candidates_per_column_set=0)
+            synthesize_candidates(Table.from_strings("t", "t", ["a"], [["1"]]), None,
+                                  default_distribution(), seed=13, candidates=0)
 
 
 def test_sample_template_follows_weights():

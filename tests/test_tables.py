@@ -185,6 +185,19 @@ class TestCorpusIO:
         with caplog.at_level("WARNING"):
             assert load_corpus(path) == []
 
+    def test_lone_surrogate_escape_is_skipped_and_named(self, tmp_path, caplog):
+        # an escaped pair decodes to one character and loads; a lone half
+        # cannot be written as UTF-8, so its entry is skipped
+        path = self._write(
+            tmp_path,
+            ['{"table_id": "pair", "title": "\\ud83d\\ude00", "header": ["h"], "rows": [["1"]]}',
+             '{"table_id": "lone", "title": "t", "header": ["h"], "rows": [["\\ud800a"]]}'],
+        )
+        with caplog.at_level("WARNING"):
+            entries = load_corpus(path)
+        assert [(e.table.table_id, e.table.title) for e in entries] == [("pair", "\U0001F600")]
+        assert f"{path}:2: text holds a lone surrogate" in caplog.text
+
     @pytest.mark.parametrize("name, fmt, body", [
         ("corpus.jsonl", "json",
          b'{"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]]}\n'
