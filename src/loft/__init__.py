@@ -6,151 +6,51 @@ those templates against a concrete table, render or delegate the wording,
 then keep only statements whose underlying form executes to true.
 """
 
-from .catalog import CATALOG, CATEGORIES, GROUPS
+from .catalog import CATALOG
 from .errors import (
     ArityError,
     DistributionError,
-    EmptyViewError,
     ExecutionError,
     HookError,
     IngestError,
     LoftError,
-    NonNumericError,
     ParseError,
-    RankRangeError,
     TypeCheckError,
     UnknownFunctionError,
-    ViewSizeError,
 )
-from .executor import ExecValue, execute, verify
-from .forms import (
-    AllRows,
-    Apply,
-    ColumnRef,
-    Literal,
-    parse_logic_form,
-    print_logic_form,
-    referenced_columns,
-    type_check,
-)
-from .metrics import (
-    MetricsReport,
-    corpus_bleu,
-    distinct_n,
-    score_output,
-    self_bleu,
-    sentence_bleu,
-    tokenize,
-)
-from .pipeline import (
-    HookConfig,
-    PipelineReport,
-    Statement,
-    generate_statements,
-    run_pipeline,
-    sample_outputs,
-    verify_statements,
-)
-from .realizer import realize_logic_form, serialize_table
-from .synthesizer import (
-    SynthesisResult,
-    SynthesizedCandidate,
-    derive_column_sets,
-    instantiate,
-    sample_template,
-    synthesize_candidates,
-    table_rng,
-)
-from .tables import (
-    CellValue,
-    CorpusEntry,
-    Table,
-    infer_column_types,
-    load_corpus,
-    normalize_cell,
-    save_corpus,
-)
-from .templates import (
-    Template,
-    TemplateDistribution,
-    WeightedTemplate,
-    abstract,
-    build_distribution,
-    default_distribution,
-    load_distribution,
-    parse_template,
-    save_distribution,
-    template_to_string,
-)
+from .executor import execute, verify
+from .forms import parse_logic_form, print_logic_form
+from .metrics import score_output
+from .pipeline import HookConfig, run_pipeline
+from .realizer import realize_logic_form
+from .tables import CorpusEntry, Table, load_corpus
+from .templates import build_distribution, default_distribution, load_distribution
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "AllRows",
-    "Apply",
     "CATALOG",
-    "CATEGORIES",
-    "CellValue",
-    "ColumnRef",
     "CorpusEntry",
     "DistributionError",
-    "EmptyViewError",
-    "ExecValue",
     "ExecutionError",
-    "GROUPS",
     "HookConfig",
     "HookError",
     "IngestError",
-    "Literal",
     "LoftError",
-    "MetricsReport",
-    "NonNumericError",
     "ParseError",
-    "PipelineReport",
-    "RankRangeError",
-    "Statement",
-    "SynthesisResult",
-    "SynthesizedCandidate",
     "Table",
-    "Template",
-    "TemplateDistribution",
     "TypeCheckError",
     "UnknownFunctionError",
-    "ViewSizeError",
-    "WeightedTemplate",
-    "abstract",
     "build_distribution",
-    "corpus_bleu",
     "default_distribution",
-    "derive_column_sets",
-    "distinct_n",
     "execute",
-    "generate_statements",
-    "infer_column_types",
-    "instantiate",
     "load_corpus",
     "load_distribution",
-    "normalize_cell",
     "parse_logic_form",
-    "parse_template",
     "print_logic_form",
     "realize_logic_form",
-    "referenced_columns",
     "run_pipeline",
-    "sample_outputs",
-    "sample_template",
-    "save_corpus",
-    "save_distribution",
     "score_output",
-    "self_bleu",
-    "sentence_bleu",
-    "serialize_table",
-    "synthesize_candidates",
-    "table_rng",
-    "template_to_string",
-    "tokenize",
-    "type_check",
     "verify",
-    "verify_statements",
 ]

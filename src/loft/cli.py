@@ -100,6 +100,14 @@ def _at_least(low: int):
     return integer
 
 
+def _timeout(text: str) -> float:
+    """An argparse type: a hook timeout HookConfig accepts."""
+    try:
+        return HookConfig(timeout=float(text)).timeout
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _form_error(exc: Exception) -> dict:
     if isinstance(exc, (TypeCheckError, ExecutionError)):
         return {"error": str(exc), "kind": exc.kind}
@@ -116,9 +124,11 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_mine_templates(args) -> int:
+def _read_forms(path) -> list[Apply]:
+    """The logic forms of a file, one a line; skips blank and # lines, and
+    warns about and skips a line that is not a function application."""
     forms = []
-    with open(args.forms, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -133,8 +143,12 @@ def _cmd_mine_templates(args) -> int:
                 continue
             forms.append(lf)
     if not forms:
-        raise IngestError(f"no usable logic forms in {args.forms}")
-    dist = build_distribution(forms, provenance=args.forms)
+        raise IngestError(f"no usable logic forms in {path}")
+    return forms
+
+
+def _cmd_mine_templates(args) -> int:
+    dist = build_distribution(_read_forms(args.forms), provenance=args.forms)
     save_distribution(dist, args.output)
     _emit({"templates": len(dist.entries), "output": args.output})
     return 0
@@ -248,12 +262,7 @@ def _cmd_demo(args) -> int:
     )
 
     entries = load_corpus(str(corpus_path))
-    forms = []
-    for line in forms_path.read_text("utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            forms.append(parse_logic_form(line))
-    dist = build_distribution(forms, provenance="demo")
+    dist = build_distribution(_read_forms(forms_path), provenance="demo")
     save_distribution(dist, out_dir / "templates.json")
 
     summary: dict = {"out_dir": str(out_dir), "seed": seed}
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
     p.add_argument("--generator", default=BUILTIN)
     p.add_argument("--verifier", default=BUILTIN)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=_timeout, default=HookConfig.timeout)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("score", _cmd_score, "compute metrics for a pipeline output")

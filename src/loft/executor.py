@@ -2,7 +2,7 @@
 
 Semantics notes that the code cannot show on its own:
   * eq/not_eq compare numerically when both operands read as numbers,
-    otherwise by case-folded, whitespace-collapsed text.
+    otherwise by ``tables.fold_text`` (case-folded, whitespace-collapsed).
   * round_eq tolerates |a - b| <= max(abs_tol, rel_tol * |b|).
   * Ties in argmax/argmin go to the earliest row; nth_* ranks the sorted
     value multiset, so duplicated values occupy consecutive ranks.
@@ -25,7 +25,7 @@ from .errors import (
     ViewSizeError,
 )
 from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
-from .tables import EMPTY, CellValue, Table, normalize_cell
+from .tables import EMPTY, CellValue, Table, fold_text, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
@@ -63,10 +63,6 @@ def number_text(value: float) -> str:
     return repr(value)
 
 
-def _norm_text(s: str) -> str:
-    return " ".join(s.strip().lower().split())
-
-
 def obj_pair(v: ExecValue) -> tuple[float | None, str]:
     """Reduce a number/object value to (numeric reading, comparison text)."""
     if v.kind == K_NUMBER:
@@ -85,7 +81,7 @@ def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_text: st
         if cell.number is not None and obj_num is not None:
             hit = cell.number == obj_num
         else:
-            hit = _norm_text(cell.text) == _norm_text(obj_text)
+            hit = fold_text(cell.text) == fold_text(obj_text)
         return not hit if op == "not_eq" else hit
     if cell.number is None or obj_num is None:
         return False
@@ -138,7 +134,7 @@ def apply(name: str, args: tuple, table: Table) -> ExecValue:
         if na is not None and nb is not None:
             equal = na == nb
         else:
-            equal = _norm_text(ta) == _norm_text(tb)
+            equal = fold_text(ta) == fold_text(tb)
         return ExecValue(K_BOOL, not equal if name == "not_eq" else equal)
     if name in ("round_eq", "greater", "less", "diff"):
         (na, _), (nb, _) = args
@@ -234,7 +230,7 @@ def verify(lf: LogicForm | str, table: Table) -> bool:
     try:
         if isinstance(lf, str):
             lf = parse_logic_form(lf)
-        if type_check(lf, table).result_type != BOOL:
+        if type_check(lf, table) != BOOL:
             return False
         result = execute(lf, table)
         return result.kind == K_BOOL and result.value is True

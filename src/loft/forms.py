@@ -17,7 +17,7 @@ from typing import Union
 
 from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
-from .tables import NUMERIC, Table, normalize_header
+from .tables import NUMERIC, Table, fold_text
 
 _ORDINAL_RE = re.compile(r"^\d+$")
 _SPACE_RE = re.compile(r"\s*")
@@ -36,7 +36,7 @@ class ColumnRef:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "name", normalize_header(self.name))
+        object.__setattr__(self, "name", fold_text(str(self.name)))
 
 
 @dataclass(frozen=True)
@@ -157,20 +157,14 @@ def print_logic_form(lf: LogicForm) -> str:
     return f"{lf.name} {{ {inner} }}"
 
 
-@dataclass(frozen=True)
-class TypedForm:
-    form: LogicForm
-    result_type: str
-
-
-def type_check(lf: LogicForm, table: Table) -> TypedForm:
-    """Check lf against the table schema; returns the form with its result type.
+def type_check(lf: LogicForm, table: Table) -> str:
+    """Check lf against the table schema; returns its result type.
 
     Depends only on headers and column types, never on row contents.  Hop
     directly over all_rows is rejected since it can only succeed on
     single-row tables.
     """
-    return TypedForm(lf, _check(lf, table))
+    return _check(lf, table)
 
 
 def _check(node: LogicForm, table: Table) -> str:

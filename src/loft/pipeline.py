@@ -59,10 +59,21 @@ HOOK_WINDOW = 32
 
 @dataclass(frozen=True)
 class HookConfig:
-    """How one pipeline stage talks to the outside world."""
+    """How one pipeline stage talks to the outside world.
+
+    ``timeout`` is in seconds, above 0 and at most threading.TIMEOUT_MAX,
+    the longest wait a queue accepts.
+    """
 
     command: str = BUILTIN
     timeout: float = 10.0
+
+    def __post_init__(self):
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s,"
+                f" got {self.timeout}"
+            )
 
     @property
     def is_builtin(self) -> bool:
@@ -208,6 +219,25 @@ class _HookProcess:
         log.warning(message, self.role, item_id)
 
 
+def _ask_hook(hook: HookConfig, role: str, items: list, request) -> Iterator[tuple]:
+    """(item, id, answer) for each item the hook answered, in item order;
+    request(item) gives the item's table and its own payload fields."""
+    # launched first, so the hook starts up while the payloads are built
+    with _HookProcess(hook.command, hook.timeout, role) as proc:
+        # keyed by object: the items keep every table alive
+        table_texts: dict[int, str] = {}
+        payloads = []
+        for i, item in enumerate(items):
+            table, fields = request(item)
+            if id(table) not in table_texts:
+                table_texts[id(table)] = serialize_table(table)
+            payloads.append({"id": f"{table.table_id}#{i}",
+                             "table_text": table_texts[id(table)], **fields})
+        for item, payload, resp in zip(items, payloads, proc.exchange(payloads)):
+            if resp is not None:
+                yield item, payload["id"], resp
+
+
 def generate_statements(
     candidates: list[SynthesizedCandidate], hook: HookConfig
 ) -> list[Statement]:
@@ -224,35 +254,22 @@ def generate_statements(
                 )
             )
         return out
-    with _HookProcess(hook.command, hook.timeout, "generator") as proc:
-        # keyed by object: the candidates keep every table alive
-        table_texts: dict[int, str] = {}
-        payloads = []
-        for i, cand in enumerate(candidates):
-            if id(cand.table) not in table_texts:
-                table_texts[id(cand.table)] = serialize_table(cand.table)
-            payloads.append({
-                "id": f"{cand.table.table_id}#{i}",
-                "table_text": table_texts[id(cand.table)],
-                "logic_form": cand.logic_form,
-                "readable": realize_logic_form(cand.form),
-            })
-        for cand, payload, resp in zip(candidates, payloads, proc.exchange(payloads)):
-            if resp is None:
-                continue
-            statement = resp.get("statement")
-            # a lone surrogate ("\ud800") would stop the output write
-            if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
-                log.warning("generator hook gave no usable statement for %s", payload["id"])
-                continue
-            out.append(
-                Statement(
-                    table_id=cand.table.table_id,
-                    text=statement.strip(),
-                    logic_form=payload["logic_form"],
-                    category=cand.category,
-                )
+    answers = _ask_hook(hook, "generator", candidates, lambda cand: (cand.table, {
+        "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)}))
+    for cand, item_id, resp in answers:
+        statement = resp.get("statement")
+        # a lone surrogate ("\ud800") would stop the output write
+        if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
+            log.warning("generator hook gave no usable statement for %s", item_id)
+            continue
+        out.append(
+            Statement(
+                table_id=cand.table.table_id,
+                text=statement.strip(),
+                logic_form=cand.logic_form,
+                category=cand.category,
             )
+        )
     return out
 
 
@@ -270,25 +287,14 @@ def verify_statements(
     if hook.is_builtin:
         return list(statements)
     kept: list[Statement] = []
-    with _HookProcess(hook.command, hook.timeout, "verifier") as proc:
-        table_texts = {
-            table_id: serialize_table(tables[table_id])
-            for table_id in dict.fromkeys(st.table_id for st in statements)
-        }
-        payloads = [
-            {"id": f"{st.table_id}#{i}", "table_text": table_texts[st.table_id],
-             "statement": st.text}
-            for i, st in enumerate(statements)
-        ]
-        for st, payload, resp in zip(statements, payloads, proc.exchange(payloads)):
-            if resp is None:
-                continue
-            entailed = resp.get("entailed")
-            if not isinstance(entailed, bool):
-                log.warning("verifier hook gave no boolean for %s", payload["id"])
-                continue
-            if entailed:
-                kept.append(st)
+    answers = _ask_hook(hook, "verifier", statements,
+                        lambda st: (tables[st.table_id], {"statement": st.text}))
+    for st, item_id, resp in answers:
+        entailed = resp.get("entailed")
+        if not isinstance(entailed, bool):
+            log.warning("verifier hook gave no boolean for %s", item_id)
+        elif entailed:
+            kept.append(st)
     return kept
 
 

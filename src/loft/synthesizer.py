@@ -35,7 +35,7 @@ from .executor import (
     verify,
 )
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
+from .tables import EMPTY, NUMERIC, CellValue, Table, fold_text, normalize_cell
 from .templates import (
     TAllRows,
     TApply,
@@ -232,12 +232,13 @@ class _Attempt:
 
     @staticmethod
     def _distinct(cells: list[CellValue]) -> list[tuple[float | None, str]]:
-        """Distinct non-empty values by comparison key, first text wins."""
+        """Distinct non-empty values by the executor's equality (number, else
+        folded text), first text wins."""
         out: dict[object, tuple[float | None, str]] = {}
         for cell in cells:
             if cell.kind == EMPTY:
                 continue
-            key = cell.number if cell.number is not None else cell.text.lower()
+            key = cell.number if cell.number is not None else fold_text(cell.text)
             if key not in out:
                 out[key] = (cell.number, cell.text)
         return list(out.values())
@@ -435,10 +436,10 @@ class _Attempt:
             raise _Fail()
         ref = sub_form.args[1]
         col = self.table.column_index(ref.name)
-        folded = text.strip().lower()
+        folded = fold_text(text)
         pool = [
             t for _, t in self._distinct(self.table.column_cells(col))
-            if t.strip().lower() != folded
+            if fold_text(t) != folded
         ]
         return self.choice(pool)
 

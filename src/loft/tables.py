@@ -21,7 +21,7 @@ import json
 import logging
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import IngestError
@@ -35,17 +35,18 @@ EMPTY = "empty"
 NUMERIC = "numeric"
 TEXTUAL = "textual"
 
-# Share of non-empty cells that must parse as numbers for a column to be
-# treated as numeric.
+# Share of non-empty cells that must parse as numbers, and at least one
+# must, for a column to be treated as numeric.
 NUMERIC_COLUMN_SHARE = 0.8
 
 _EMPTY_MARKERS = {"", "-", "n/a"}
 _LEADING_DECIMAL = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 
 
-def normalize_header(name: str) -> str:
-    """Lowercase, trim and collapse inner whitespace."""
-    return " ".join(str(name).strip().lower().split())
+def fold_text(text: str) -> str:
+    """Lowercase, trim and collapse inner whitespace: the one text equality
+    of headers, column lookups and the executor's eq/not_eq."""
+    return " ".join(text.lower().split())
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,14 @@ def normalize_cell(raw: str) -> CellValue:
 
 @dataclass(frozen=True)
 class Table:
-    """An immutable table with normalized headers, cells and column types."""
+    """An immutable table with normalized headers and cells; column types
+    are derived from the cells (see NUMERIC_COLUMN_SHARE)."""
 
     table_id: str
     title: str
     headers: tuple[str, ...]
     rows: tuple[tuple[CellValue, ...], ...]
-    column_types: tuple[str, ...]
+    column_types: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.headers:
@@ -95,8 +97,13 @@ class Table:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(self.headers)}"
                 )
-        if len(self.column_types) != len(self.headers):
-            raise ValueError("column_types does not match headers")
+        types = []
+        for j in range(len(self.headers)):
+            kinds = [row[j].kind for row in self.rows if row[j].kind != EMPTY]
+            numeric = kinds.count(NUMBER)
+            is_numeric = numeric > 0 and numeric >= NUMERIC_COLUMN_SHARE * len(kinds)
+            types.append(NUMERIC if is_numeric else TEXTUAL)
+        object.__setattr__(self, "column_types", tuple(types))
 
     @classmethod
     def from_strings(
@@ -106,21 +113,15 @@ class Table:
         headers: list[str],
         rows: list[list[str]],
     ) -> "Table":
-        norm_headers = tuple(normalize_header(h) for h in headers)
-        norm_rows = tuple(
-            tuple(normalize_cell(c) for c in row) for row in rows
-        )
-        table = cls(
+        return cls(
             table_id=str(table_id),
             title=str(title),
-            headers=norm_headers,
-            rows=norm_rows,
-            column_types=tuple(TEXTUAL for _ in norm_headers),
+            headers=tuple(fold_text(str(h)) for h in headers),
+            rows=tuple(tuple(normalize_cell(c) for c in row) for row in rows),
         )
-        return infer_column_types(table)
 
     def column_index(self, name: str) -> int | None:
-        name = normalize_header(name)
+        name = fold_text(name)
         try:
             return self.headers.index(name)
         except ValueError:
@@ -134,21 +135,6 @@ class Table:
         return len(self.rows)
 
 
-def infer_column_types(table: Table) -> Table:
-    """Recompute column types: numeric iff >= 80% of non-empty cells parse
-    as numbers and at least one does."""
-    types = []
-    for j in range(len(table.headers)):
-        cells = [row[j] for row in table.rows]
-        non_empty = [c for c in cells if c.kind != EMPTY]
-        numeric = [c for c in non_empty if c.kind == NUMBER]
-        if numeric and len(numeric) >= NUMERIC_COLUMN_SHARE * len(non_empty):
-            types.append(NUMERIC)
-        else:
-            types.append(TEXTUAL)
-    return replace(table, column_types=tuple(types))
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     """One corpus record: a table plus optional column sets and references."""
@@ -158,13 +144,24 @@ class CorpusEntry:
     references: tuple[str, ...] = field(default=())
 
 
+def _as_list(value, what: str) -> list:
+    """A JSON field that must be a list: a string or number would load wrong
+    or not at all."""
+    if not isinstance(value, list):
+        raise IngestError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _clean_column_sets(raw_sets, n_cols: int) -> tuple[tuple[int, ...], ...]:
     """Deduplicate indices inside each set, keep order, reject bad indices."""
     cleaned = []
-    for s in raw_sets:
+    for s in _as_list(raw_sets, "selected_columns"):
         seen: list[int] = []
-        for idx in s:
-            idx = int(idx)
+        for idx in _as_list(s, "a selected_columns set"):
+            try:
+                idx = int(idx)
+            except (TypeError, OverflowError):
+                raise ValueError(f"column index {idx!r} is not a number") from None
             if not 0 <= idx < n_cols:
                 raise ValueError(f"column index {idx} out of range")
             if idx not in seen:
@@ -190,9 +187,9 @@ def _entry_from_record(record: dict, where: str) -> CorpusEntry:
         if key not in record:
             raise IngestError(f"{where}: missing required field {key!r}")
     table_id, title = str(record["table_id"]), str(record["title"])
-    headers = [str(h) for h in record["header"]]
-    rows = [[str(c) for c in row] for row in record["rows"]]
-    refs = tuple(str(r) for r in record.get("references", []))
+    headers = [str(h) for h in _as_list(record["header"], "header")]
+    rows = [[str(c) for c in _as_list(row, "a row")] for row in _as_list(record["rows"], "rows")]
+    refs = tuple(str(r) for r in _as_list(record.get("references", []), "references"))
     if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
         raise IngestError(f"{where}: text holds a lone surrogate escape")
     table = Table.from_strings(table_id, title, headers, rows)
@@ -244,8 +241,9 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
 
     Malformed JSON is fatal and names the line; a structurally bad entry
     (no columns, ragged rows, duplicate headers, bad column indices, a
-    lone surrogate escape in its text, a table_id already used on an
-    earlier line) is skipped with a warning.
+    header, rows, row, references or selected_columns field that is not a
+    list, a lone surrogate escape in its text, a table_id already used on
+    an earlier line) is skipped with a warning.
     """
     path = Path(path)
     if not path.exists():

@@ -138,6 +138,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {argv[1]}: must be at least" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_timeout_not_above_zero_is_bad_usage(self, corpus, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--corpus", corpus, "--output", str(tmp_path / "o.jsonl"),
+                  "--timeout", value])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --timeout: timeout must be above 0" in err
+
 
 class TestIngest:
     def test_normalizes_and_reports(self, tmp_path):
@@ -166,6 +175,22 @@ class TestIngest:
         assert "no columns" in result.stderr
         assert "Traceback" not in result.stderr
 
+
+    def test_fields_that_are_not_lists_are_skipped_by_pipeline(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        bad = [{**MT_RECORD, "table_id": "b1", "rows": 5},
+               {**MT_RECORD, "table_id": "b2", "selected_columns": [0]},
+               {**MT_RECORD, "table_id": "b3", "header": "xy", "rows": ["12", "34"]}]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in [*bad, MT_RECORD]),
+                          encoding="utf-8")
+        result = loft(
+            "pipeline", "--corpus", str(corpus), "--output", str(tmp_path / "out.jsonl"),
+            "--k", "2", "--candidates", "3",
+        )
+        assert payload_of(result)["tables"] == 1
+        for lineno in (1, 2, 3):
+            assert f"skipping entry at {corpus}:{lineno}: " in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_lone_surrogate_cell_is_skipped_by_pipeline(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"

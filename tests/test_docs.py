@@ -1,15 +1,20 @@
-"""Every form and template shown in the README parses."""
+"""The README: every form and template it shows parses, and its Python API
+list names exactly the package exports."""
 
 import re
 from pathlib import Path
 
-from loft import parse_logic_form, parse_template, print_logic_form
+import loft
+from loft import parse_logic_form, print_logic_form
+from loft.templates import parse_template
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
 # a whole line, or a double-quoted string, spelled name { ... }
 EXAMPLE_RE = re.compile(r'^\s*([A-Za-z_]+ \{.*\})\s*$|"([A-Za-z_]+ \{[^"]*\})"', re.M)
 PLACEHOLDER_RE = re.compile(r"\b(COL|OBJ|ORD)_\d+\b")
+# the bullet list of the "Python API" section, up to the next heading
+API_RE = re.compile(r"^## Python API\n.*?\n(- .*?)^#", re.M | re.S)
 
 
 def readme_examples():
@@ -29,3 +34,9 @@ def test_readme_examples_parse():
         assert print_logic_form(parse_logic_form(text)) == text
     for text in templates:
         assert parse_template(text).canonical() == text
+
+
+def test_readme_lists_exactly_the_exports():
+    bullets = API_RE.search(README.read_text(encoding="utf-8")).group(1)
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert sorted(listed) == sorted(loft.__all__)

@@ -7,19 +7,9 @@ import random
 
 import pytest
 
-from loft import (
-    Apply,
-    EmptyViewError,
-    NonNumericError,
-    RankRangeError,
-    Table,
-    TypeCheckError,
-    ViewSizeError,
-    execute,
-    parse_logic_form,
-    type_check,
-    verify,
-)
+from loft import Table, TypeCheckError, execute, parse_logic_form, verify
+from loft.errors import EmptyViewError, NonNumericError, RankRangeError, ViewSizeError
+from loft.forms import Apply, type_check
 from loft.executor import ExecValue, K_BOOL, K_NUMBER, apply, number_text
 
 from .generators import outcome, random_form, random_table

@@ -3,20 +3,24 @@
 import pytest
 
 from loft import (
-    AllRows,
-    Apply,
     ArityError,
-    ColumnRef,
-    Literal,
     ParseError,
     TypeCheckError,
     UnknownFunctionError,
     parse_logic_form,
     print_logic_form,
-    type_check,
 )
 from loft.catalog import BOOL, NUM, OBJECT, VIEW
-from loft.forms import escape_token, referenced_columns, walk
+from loft.forms import (
+    AllRows,
+    Apply,
+    ColumnRef,
+    Literal,
+    escape_token,
+    referenced_columns,
+    type_check,
+    walk,
+)
 
 EXAMPLE = "eq { count { filter_eq { all_rows ; team ; a } } ; 1 }"
 
@@ -111,12 +115,12 @@ class TestEscaping:
 class TestTypeCheck:
     def test_example_is_boolean(self, mt):
         lf = parse_logic_form(EXAMPLE)
-        assert type_check(lf, mt).result_type == BOOL
+        assert type_check(lf, mt) == BOOL
 
     def test_view_and_number_roots(self, mt):
-        assert type_check(parse_logic_form("filter_eq { all_rows ; team ; a }"), mt).result_type == VIEW
-        assert type_check(parse_logic_form("count { all_rows }"), mt).result_type == NUM
-        assert type_check(parse_logic_form("hop { argmax { all_rows ; points } ; team }"), mt).result_type == OBJECT
+        assert type_check(parse_logic_form("filter_eq { all_rows ; team ; a }"), mt) == VIEW
+        assert type_check(parse_logic_form("count { all_rows }"), mt) == NUM
+        assert type_check(parse_logic_form("hop { argmax { all_rows ; points } ; team }"), mt) == OBJECT
 
     def test_unknown_column_kind(self, mt):
         lf = parse_logic_form("count { filter_eq { all_rows ; venue ; a } }")
@@ -127,7 +131,7 @@ class TestTypeCheck:
     def test_aggregation_needs_numeric_column(self, mt):
         with pytest.raises(TypeCheckError):
             type_check(parse_logic_form("avg { all_rows ; team }"), mt)
-        assert type_check(parse_logic_form("avg { all_rows ; points }"), mt).result_type == NUM
+        assert type_check(parse_logic_form("avg { all_rows ; points }"), mt) == NUM
 
     @pytest.mark.parametrize("rank", ["0", "2.5", "x", "-1"])
     def test_bad_ordinals(self, mt, rank):
@@ -139,7 +143,7 @@ class TestTypeCheck:
     def test_ordinal_out_of_range_still_type_checks(self, mt):
         # rank bounds are a runtime property, not a schema property
         lf = parse_logic_form("nth_max { all_rows ; points ; 99 }")
-        assert type_check(lf, mt).result_type == NUM
+        assert type_check(lf, mt) == NUM
 
     def test_strict_rejects_hop_over_all_rows(self, mt):
         lf = parse_logic_form("hop { all_rows ; team }")
@@ -148,7 +152,7 @@ class TestTypeCheck:
 
     def test_strict_allows_hop_over_filters(self, mt):
         lf = parse_logic_form("hop { filter_eq { all_rows ; team ; a } ; points }")
-        assert type_check(lf, mt).result_type == OBJECT
+        assert type_check(lf, mt) == OBJECT
 
     def test_boolean_argument_must_be_boolean(self, mt):
         lf = Apply("and", (Apply("count", (AllRows(),)), Apply("only", (AllRows(),))))
@@ -172,7 +176,7 @@ class TestTypeCheck:
             "other", "other", ["team", "points"], [["z", "9"]] * 2
         )
         lf = parse_logic_form(EXAMPLE)
-        assert type_check(lf, same_schema).result_type == BOOL
+        assert type_check(lf, same_schema) == BOOL
 
 
 class TestTreeHelpers:

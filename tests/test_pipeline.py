@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from loft import HookError, default_distribution, load_corpus, parse_template, verify
+from loft import HookError, default_distribution, load_corpus, verify
 from loft.forms import parse_logic_form, print_logic_form, referenced_columns
 from loft.pipeline import (
     HOOK_WINDOW,
@@ -23,9 +23,10 @@ from loft.pipeline import (
     sample_outputs,
     verify_statements,
 )
+from loft.realizer import serialize_table
 from loft.synthesizer import SynthesizedCandidate, synthesize_candidates
 from loft.tables import CorpusEntry, Table
-from loft.templates import TemplateDistribution, WeightedTemplate
+from loft.templates import TemplateDistribution, WeightedTemplate, parse_template
 
 ECHO_GENERATOR = """\
 import json, sys
@@ -323,6 +324,32 @@ class TestPipelinedHooks:
         assert hooked.candidates > HOOK_WINDOW
         assert hooked.to_json() == builtin.to_json()
         assert hooked_out.read_bytes() == builtin_out.read_bytes()
+
+
+class TestHookStage:
+    def test_each_table_is_serialized_once_per_stage(self, tmp_path, many_candidates,
+                                                     tables, monkeypatch):
+        serialized = []
+
+        def counting(table):
+            serialized.append(table.table_id)
+            return serialize_table(table)
+
+        monkeypatch.setattr("loft.pipeline.serialize_table", counting)
+        table_ids = list(dict.fromkeys(cand.table.table_id for cand in many_candidates))
+        assert len(table_ids) == 3
+        generator = HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0)
+        statements = generate_statements(many_candidates, generator)
+        assert len(statements) == len(many_candidates) and serialized == table_ids
+        serialized.clear()
+        verifier = HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0)
+        assert verify_statements(statements, verifier, tables) == statements
+        assert serialized == table_ids
+
+    @pytest.mark.parametrize("timeout", [0, -5, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be above 0"):
+            HookConfig("python hook.py", timeout)
 
 
 class TestVerifierHooks:

@@ -4,14 +4,9 @@ import random
 
 import pytest
 
-from loft import (
-    default_distribution,
-    parse_logic_form,
-    realize_logic_form,
-    serialize_table,
-)
+from loft import default_distribution, parse_logic_form, realize_logic_form
 from loft.forms import Literal, referenced_columns, walk
-from loft.realizer import PhraseTableError, _validate, load_phrase_table
+from loft.realizer import PhraseTableError, _validate, load_phrase_table, serialize_table
 from loft.synthesizer import synthesize_candidates
 
 

@@ -4,24 +4,20 @@ import random
 
 import pytest
 
-from loft import (
-    Table,
-    abstract,
-    default_distribution,
-    parse_template,
-    verify,
-)
+from loft import Table, default_distribution, verify
 from loft.executor import K_BOOL
 from loft.forms import referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
+    _Attempt,
     derive_column_sets,
     instantiate,
     sample_template,
     synthesize_candidates,
     table_rng,
 )
-from loft.tables import NUMERIC
+from loft.tables import NUMERIC, normalize_cell
+from loft.templates import abstract, parse_template
 
 from .oracle import oracle_execute
 
@@ -176,6 +172,12 @@ class TestInstantiate:
                             assert 1 <= rank <= entry.table.n_rows
                             seen_rank = True
         assert seen_rank
+
+
+def test_distinct_cells_use_the_executors_text_equality():
+    # eq treats these two cells as one value, so the pools must as well
+    cells = [normalize_cell("a  b"), normalize_cell("A B"), normalize_cell("c")]
+    assert _Attempt._distinct(cells) == [(None, "a  b"), (None, "c")]
 
 
 class TestColumnSets:

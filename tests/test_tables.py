@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loft import CorpusEntry, IngestError, Table, load_corpus, save_corpus
+from loft import CorpusEntry, IngestError, Table, load_corpus
 from loft.tables import (
     EMPTY,
     NUMBER,
     NUMERIC,
     TEXT,
     TEXTUAL,
+    fold_text,
     normalize_cell,
-    normalize_header,
+    save_corpus,
 )
 
 
@@ -176,6 +177,24 @@ class TestCorpusIO:
         with caplog.at_level("WARNING"):
             assert load_corpus(path) == []
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"rows": 5}, "rows must be a list, got int"),
+        ({"header": "xy", "rows": ["12", "34"]}, "header must be a list, got str"),
+        ({"header": ["x", "y"], "rows": ["12", "34"]}, "a row must be a list, got str"),
+        ({"references": "a ref"}, "references must be a list, got str"),
+        ({"selected_columns": 0}, "selected_columns must be a list, got int"),
+        ({"selected_columns": [0]}, "a selected_columns set must be a list, got int"),
+        ({"selected_columns": [[None]]}, "column index None is not a number"),
+        ({"selected_columns": [[1e400]]}, "column index inf is not a number"),
+    ], ids=["rows-int", "header-str", "row-str", "references-str", "sets-int", "set-int",
+            "index-null", "index-inf"])
+    def test_field_of_the_wrong_shape_is_skipped(self, tmp_path, caplog, fields, message):
+        record = {"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]], **fields}
+        path = self._write(tmp_path, [json.dumps(record)])
+        with caplog.at_level("WARNING"):
+            assert load_corpus(path) == []
+        assert f"skipping entry at {path}:1: {message}" in caplog.text
+
     def test_bad_column_index_is_skipped(self, tmp_path, caplog):
         record = {
             "table_id": "a", "title": "a", "header": ["h"],
@@ -230,5 +249,5 @@ class TestCorpusIO:
             load_corpus(path, format="xml")
 
 
-def test_normalize_header_collapses_space():
-    assert normalize_header("  Final   Score ") == "final score"
+def test_fold_text_collapses_space():
+    assert fold_text("  Final   Score ") == "final score"

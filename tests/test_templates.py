@@ -6,21 +6,24 @@ import random
 import pytest
 
 from loft import (
-    Apply,
     ArityError,
     DistributionError,
     ParseError,
     UnknownFunctionError,
-    abstract,
     build_distribution,
     default_distribution,
     load_distribution,
     parse_logic_form,
+)
+from loft.forms import Apply
+from loft.synthesizer import _column_needs
+from loft.templates import (
+    TemplateDistribution,
+    WeightedTemplate,
+    abstract,
     parse_template,
     save_distribution,
 )
-from loft.synthesizer import _column_needs
-from loft.templates import TemplateDistribution, WeightedTemplate
 
 from .generators import random_form, random_table
 
@@ -69,7 +72,7 @@ class TestAbstraction:
         assert template.category == "majority"
 
     def test_root_must_be_an_application(self):
-        from loft import AllRows
+        from loft.forms import AllRows
 
         with pytest.raises(ValueError):
             abstract(AllRows())
