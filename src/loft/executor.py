@@ -73,15 +73,16 @@ def obj_pair(v: ExecValue) -> tuple[float | None, str]:
     return cell.number, cell.text
 
 
-def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_text: str) -> bool:
-    """Row predicate for filter/majority functions. Empty cells fail."""
+def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_folded: str) -> bool:
+    """Row predicate for filter/majority functions, given the object's
+    numeric reading and its text through fold_text. Empty cells fail."""
     if cell.kind == EMPTY:
         return False
     if op in ("eq", "not_eq"):
         if cell.number is not None and obj_num is not None:
             hit = cell.number == obj_num
         else:
-            hit = fold_text(cell.text) == fold_text(obj_text)
+            hit = cell.folded == obj_folded
         return not hit if op == "not_eq" else hit
     if cell.number is None or obj_num is None:
         return False
@@ -157,7 +158,8 @@ def apply(name: str, args: tuple, table: Table) -> ExecValue:
     if name.startswith(("filter_",) + _MAJORITY):
         op = predicate_op(name)
         obj_num, obj_text = args[2]
-        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, obj_text))
+        folded = fold_text(obj_text)
+        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, folded))
         if name.startswith("filter_"):
             return ExecValue(K_VIEW, kept)
         if not rows:

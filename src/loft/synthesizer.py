@@ -7,9 +7,12 @@ ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
 computed result instead of being guessed.  A node's value comes from the
 executor's per-node step applied to the values its children already
-produced, so no subtree is executed twice.  Every filled form still goes
-through verification before it is returned, so these strategies only buy
-speed, never soundness.
+produced, so no subtree is executed twice.  A filter or majority object
+pool counts each value's hits in the view from tallies made in one pass
+over the view's cells (equality by number, else by folded text; order by
+bisecting the sorted numbers), never from one predicate scan per value.
+Every filled form still goes through verification before it is returned,
+so these strategies only buy speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -20,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .catalog import BOOL, CATALOG, GROUPS, HEADER, NUMERIC_PREDICATE_GROUPS, group_signature
@@ -28,7 +33,6 @@ from .executor import (
     K_OBJECT,
     ExecValue,
     apply,
-    cell_predicate,
     number_text,
     obj_pair,
     predicate_op,
@@ -238,7 +242,7 @@ class _Attempt:
         for cell in cells:
             if cell.kind == EMPTY:
                 continue
-            key = cell.number if cell.number is not None else fold_text(cell.text)
+            key = cell.number if cell.number is not None else cell.folded
             if key not in out:
                 out[key] = (cell.number, cell.text)
         return list(out.values())
@@ -247,10 +251,10 @@ class _Attempt:
         self, member: str, col: int, rows: tuple[int, ...], unique: bool
     ) -> list[str]:
         cells = self.view_cells(rows, col)
-        op = predicate_op(member)
+        hits = _hit_counter(predicate_op(member), cells)
         candidates = []
         for num, text in self._distinct(cells):
-            kept = sum(1 for c in cells if cell_predicate(op, c, num, text))
+            kept = hits(num, text)
             if (kept == 1) if unique else (kept >= 1):
                 candidates.append(text)
         return candidates
@@ -259,7 +263,7 @@ class _Attempt:
         self, member: str, col: int, rows: tuple[int, ...]
     ) -> list[str]:
         cells = self.view_cells(rows, col)
-        op = predicate_op(member)
+        hits = _hit_counter(predicate_op(member), cells)
         is_all = member.startswith("all_")
         pool = self._distinct(cells)
         # values absent from the view and synthetic extremes give the
@@ -276,8 +280,8 @@ class _Attempt:
             if text in seen:
                 continue
             seen.add(text)
-            hits = sum(1 for c in cells if cell_predicate(op, c, num, text))
-            ok = hits == len(cells) if is_all else hits * 2 > len(cells)
+            kept = hits(num, text)
+            ok = kept == len(cells) if is_all else kept * 2 > len(cells)
             if ok:
                 candidates.append(text)
         return candidates
@@ -442,6 +446,49 @@ class _Attempt:
             if fold_text(t) != folded
         ]
         return self.choice(pool)
+
+
+def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[float | None, str], int]:
+    """hits(num, text): how many cells pass ``cell_predicate(op, cell, num,
+    fold_text(text))``, read off tallies made in one pass over the cells."""
+    if op in ("eq", "not_eq"):
+        by_number: dict[float, int] = {}
+        by_text: dict[str, int] = {}  # folded text of the cells with no number
+        any_text: dict[str, int] = {}  # folded text of every non-empty cell
+        for cell in cells:
+            if cell.kind == EMPTY:
+                continue
+            any_text[cell.folded] = any_text.get(cell.folded, 0) + 1
+            if cell.number is None:
+                by_text[cell.folded] = by_text.get(cell.folded, 0) + 1
+            else:
+                by_number[cell.number] = by_number.get(cell.number, 0) + 1
+        filled = sum(any_text.values())
+
+        def hits(num: float | None, text: str) -> int:
+            if num is None:
+                equal = any_text.get(fold_text(text), 0)
+            else:
+                equal = by_number.get(num, 0)
+                if by_text:  # a number's text can still equal a text cell
+                    equal += by_text.get(fold_text(text), 0)
+            return filled - equal if op == "not_eq" else equal
+
+        return hits
+    numbers = sorted(c.number for c in cells if c.kind != EMPTY and c.number is not None)
+
+    def hits(num: float | None, text: str) -> int:
+        if num is None:
+            return 0
+        if op == "greater":
+            return len(numbers) - bisect_right(numbers, num)
+        if op == "less":
+            return bisect_left(numbers, num)
+        if op == "greater_eq":
+            return len(numbers) - bisect_left(numbers, num)
+        return bisect_right(numbers, num)  # less_eq
+
+    return hits
 
 
 def _literal_value(text: str) -> tuple[float | None, str]:

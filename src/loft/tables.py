@@ -51,11 +51,18 @@ def fold_text(text: str) -> str:
 
 @dataclass(frozen=True)
 class CellValue:
-    """A normalized cell: kind is one of number/text/empty."""
+    """A normalized cell: kind is one of number/text/empty; folded is
+    fold_text(text), made once here for the executor's text equality."""
 
     kind: str
     text: str
     number: float | None = None
+    folded: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        folded = fold_text(self.text)
+        # most cells fold to their own text: share it rather than hold a copy
+        object.__setattr__(self, "folded", self.text if folded == self.text else folded)
 
 
 def normalize_cell(raw: str) -> CellValue:
@@ -83,15 +90,17 @@ class Table:
     headers: tuple[str, ...]
     rows: tuple[tuple[CellValue, ...], ...]
     column_types: tuple[str, ...] = field(init=False)
+    _column_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.headers:
             raise ValueError("table has no columns")
-        seen = set()
-        for h in self.headers:
-            if h in seen:
+        column_of: dict[str, int] = {}
+        for j, h in enumerate(self.headers):
+            if h in column_of:
                 raise ValueError(f"duplicate header after normalization: {h!r}")
-            seen.add(h)
+            column_of[h] = j
+        object.__setattr__(self, "_column_of", column_of)
         for i, row in enumerate(self.rows):
             if len(row) != len(self.headers):
                 raise ValueError(
@@ -121,11 +130,7 @@ class Table:
         )
 
     def column_index(self, name: str) -> int | None:
-        name = fold_text(name)
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+        return self._column_of.get(fold_text(name))
 
     def column_cells(self, index: int) -> list[CellValue]:
         return [row[index] for row in self.rows]
@@ -158,10 +163,9 @@ def _clean_column_sets(raw_sets, n_cols: int) -> tuple[tuple[int, ...], ...]:
     for s in _as_list(raw_sets, "selected_columns"):
         seen: list[int] = []
         for idx in _as_list(s, "a selected_columns set"):
-            try:
-                idx = int(idx)
-            except (TypeError, OverflowError):
-                raise ValueError(f"column index {idx!r} is not a number") from None
+            # JSON true is a Python int and 0.9 or "1" would read as one
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise ValueError(f"column index {idx!r} is not an integer")
             if not 0 <= idx < n_cols:
                 raise ValueError(f"column index {idx} out of range")
             if idx not in seen:
@@ -182,16 +186,16 @@ def is_utf8_text(text: str) -> bool:
     return True
 
 
-def _entry_from_record(record: dict, where: str) -> CorpusEntry:
+def _entry_from_record(record: dict) -> CorpusEntry:
     for key in ("table_id", "title", "header", "rows"):
         if key not in record:
-            raise IngestError(f"{where}: missing required field {key!r}")
+            raise IngestError(f"missing required field {key!r}")
     table_id, title = str(record["table_id"]), str(record["title"])
     headers = [str(h) for h in _as_list(record["header"], "header")]
     rows = [[str(c) for c in _as_list(row, "a row")] for row in _as_list(record["rows"], "rows")]
     refs = tuple(str(r) for r in _as_list(record.get("references", []), "references"))
     if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
-        raise IngestError(f"{where}: text holds a lone surrogate escape")
+        raise IngestError("text holds a lone surrogate escape")
     table = Table.from_strings(table_id, title, headers, rows)
     sets = _clean_column_sets(record.get("selected_columns", []), len(table.headers))
     return CorpusEntry(table=table, selected_column_sets=sets, references=refs)
@@ -240,10 +244,11 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     first row is the header, title and id come from the file name.
 
     Malformed JSON is fatal and names the line; a structurally bad entry
-    (no columns, ragged rows, duplicate headers, bad column indices, a
-    header, rows, row, references or selected_columns field that is not a
-    list, a lone surrogate escape in its text, a table_id already used on
-    an earlier line) is skipped with a warning.
+    (no columns, ragged rows, duplicate headers, a column index that is not
+    a JSON integer or is out of range, a header, rows, row, references or
+    selected_columns field that is not a list, a lone surrogate escape in
+    its text, a table_id already used on an earlier line) is skipped with
+    a warning naming its line.
     """
     path = Path(path)
     if not path.exists():
@@ -253,11 +258,11 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
         first_line: dict[str, int] = {}
         for lineno, record in json_records(path):
             try:
-                entry = _entry_from_record(record, f"{path}:{lineno}")
+                entry = _entry_from_record(record)
                 table_id = entry.table.table_id
                 if table_id in first_line:
                     raise IngestError(
-                        f"{path}:{lineno}: duplicate table_id {table_id!r},"
+                        f"duplicate table_id {table_id!r},"
                         f" first used at line {first_line[table_id]}"
                     )
                 first_line[table_id] = lineno

@@ -20,7 +20,7 @@ def bundled_corpus() -> list[CorpusEntry]:
 
     raw = resources.files("loft.data").joinpath("sample_corpus.jsonl").read_text("utf-8")
     entries = []
-    for i, line in enumerate(raw.splitlines()):
+    for line in raw.splitlines():
         if line.strip():
-            entries.append(_entry_from_record(json.loads(line), f"sample:{i}"))
+            entries.append(_entry_from_record(json.loads(line)))
     return entries

@@ -3,20 +3,25 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import loft.executor
+import loft.synthesizer
 from loft import Table, default_distribution, verify
-from loft.executor import K_BOOL
+from loft.executor import K_BOOL, cell_predicate, number_text
 from loft.forms import referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
     _Attempt,
+    _hit_counter,
     derive_column_sets,
     instantiate,
     sample_template,
     synthesize_candidates,
     table_rng,
 )
-from loft.tables import NUMERIC, normalize_cell
+from loft.tables import NUMERIC, fold_text, normalize_cell
 from loft.templates import abstract, parse_template
 
 from .oracle import oracle_execute
@@ -178,6 +183,126 @@ def test_distinct_cells_use_the_executors_text_equality():
     # eq treats these two cells as one value, so the pools must as well
     cells = [normalize_cell("a  b"), normalize_cell("A B"), normalize_cell("c")]
     assert _Attempt._distinct(cells) == [(None, "a  b"), (None, "c")]
+
+
+OPS = ("eq", "not_eq", "greater", "less", "greater_eq", "less_eq")
+# empty markers, numbers with trailing text, percentages, thousands commas,
+# signed zeros, case and whitespace variants of one word, and a number too
+# large for a float, whose extremes print as "inf"/"-inf"
+CELL_TEXTS = st.one_of(
+    st.sampled_from([
+        "", "-", "n/a", "N/A", "5 (x)", "5", "5.0", "12%", "12", "1,000", "1000",
+        "0", "-0", "0.0", "-2.5", "alpha", "Alpha", " ALPHA ", "a  b", "A B", "a b",
+        "inf", "-inf", "1" + "0" * 400, "-" + "9" * 400,
+    ]),
+    st.text(alphabet=" aAbB019-.,%()", max_size=6),
+)
+
+
+def _majority_pool(view, column):
+    """The majority pool as the synthesizer builds it, before deduplication:
+    view values, column values, then the synthetic extremes low-1/high+1."""
+    pool = _Attempt._distinct(view) + _Attempt._distinct(column)
+    numbers = [num for num, _ in pool if num is not None]
+    if numbers:
+        low, high = min(numbers), max(numbers)
+        pool += [(low - 1, number_text(low - 1)), (high + 1, number_text(high + 1))]
+    return pool
+
+
+class TestPoolCounts:
+    """Candidate pools count hits from tallies of the view; the counts and
+    the pools must match one cell_predicate scan per value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELL_TEXTS, max_size=12), st.lists(CELL_TEXTS, max_size=6))
+    # the extreme above 1e400 reads as inf and prints as the text cell "inf"
+    @example(["inf", "1" + "0" * 400], [])
+    # an object with no number meets a number cell by its text alone
+    @example(["5", "5 (x)"], ["5"])
+    def test_counts_match_a_predicate_scan(self, view_texts, other_texts):
+        view = [normalize_cell(t) for t in view_texts]
+        pool = _majority_pool(view, view + [normalize_cell(t) for t in other_texts])
+        # and objects with no numeric reading whatever their text, as the
+        # executor is free to be given
+        pool += [(None, t) for t in view_texts + other_texts]
+        for op in OPS:
+            hits = _hit_counter(op, view)
+            for num, text in pool:
+                expected = sum(cell_predicate(op, c, num, fold_text(text)) for c in view)
+                assert hits(num, text) == expected, (op, num, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CELL_TEXTS, min_size=1, max_size=12), st.data())
+    def test_pools_match_a_predicate_scan(self, texts, data):
+        table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
+        rows = tuple(sorted(data.draw(st.sets(st.sampled_from(range(len(texts))), min_size=1))))
+        attempt = _Attempt(table, [0], random.Random(0), {})
+        view = attempt.view_cells(rows, 0)
+
+        def kept(op, num, text):
+            return sum(cell_predicate(op, c, num, fold_text(text)) for c in view)
+
+        for op in OPS:
+            for unique in (False, True):
+                counts = [(text, kept(op, num, text)) for num, text in _Attempt._distinct(view)]
+                expected = [text for text, n in counts if (n == 1 if unique else n >= 1)]
+                got = attempt.filter_obj_candidates("filter_" + op, 0, rows, unique)
+                assert got == expected, (op, unique)
+            for quantifier in ("all_", "most_"):
+                expected, seen = [], set()
+                for num, text in _majority_pool(view, table.column_cells(0)):
+                    if text in seen:
+                        continue
+                    seen.add(text)
+                    n = kept(op, num, text)
+                    if n == len(view) if quantifier == "all_" else n * 2 > len(view):
+                        expected.append(text)
+                got = attempt.majority_obj_candidates(quantifier + op, 0, rows)
+                assert got == expected, (quantifier + op)
+
+
+def _seeded_table(seed: int) -> Table:
+    """48 rows of two numeric, two text and two mixed columns of seeded cells."""
+    rng = random.Random(seed)
+    words = ["alpha", "bravo", "carol", "delta", "echo", "fox", "golf", "hotel",
+             "india", "jazz", "kilo", "lima", "metro", "nova", "oscar", "polar"]
+
+    def cell(kind):
+        if kind == "num":
+            return str(rng.randint(0, 40)) if rng.random() < 0.4 else f"{rng.uniform(0, 100):.1f}"
+        if kind == "text":
+            return rng.choice(words)
+        return rng.choice([str(rng.randint(0, 9)), rng.choice(words), "-",
+                           f"{rng.randint(1, 5)} (x)", f"{rng.randint(10, 99)}%"])
+
+    kinds = ["num", "text", "mixed", "num", "text", "mixed"]
+    rows = [[cell(k) for k in kinds] for _ in range(48)]
+    return Table.from_strings(f"wide{seed}", "wide", [f"c{j}" for j in range(6)], rows)
+
+
+# 8,688 calls when recorded; a scan per pool value made 293,472
+CALL_BOUND = 10_000
+
+
+def test_row_predicate_calls_per_table_stay_pinned(monkeypatch):
+    # Pools are counted from one pass over the view, so the only row
+    # predicates left are the executor's own filter and majority steps.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cell_predicate(*args)
+
+    for module in (loft.executor, loft.synthesizer):
+        if hasattr(module, "cell_predicate"):
+            monkeypatch.setattr(module, "cell_predicate", counting)
+    result = synthesize_candidates(
+        _seeded_table(0), None, default_distribution(), seed=13, candidates=20
+    )
+    assert len(result.candidates) >= 60
+    assert 0 < calls <= CALL_BOUND
 
 
 class TestColumnSets:

@@ -13,6 +13,7 @@ from loft.tables import (
     NUMERIC,
     TEXT,
     TEXTUAL,
+    CellValue,
     fold_text,
     normalize_cell,
     save_corpus,
@@ -90,6 +91,17 @@ class TestTable:
     def test_column_index_normalizes_lookups(self, mt):
         assert mt.column_index("  Team ") == 0
         assert mt.column_index("nope") is None
+
+    def test_derived_fields_stay_out_of_equality(self, mt):
+        # the header map and each cell's folded text are derived, so equal
+        # tables stay equal and hashable
+        twin = Table.from_strings(
+            "mt", "mt", ["team", "points"], [["a", "3"], ["b", "5"], ["c", "2"]]
+        )
+        assert twin == mt and hash(twin) == hash(mt)
+        assert normalize_cell(" A  B ") == CellValue("text", "A  B")
+        assert normalize_cell(" A  B ").folded == "a b"
+        assert repr(normalize_cell("x")) == "CellValue(kind='text', text='x', number=None)"
 
 
 class TestCorpusIO:
@@ -177,6 +189,14 @@ class TestCorpusIO:
         with caplog.at_level("WARNING"):
             assert load_corpus(path) == []
 
+    def test_skip_warning_names_the_line_once(self, tmp_path, caplog):
+        path = self._write(tmp_path, ['{"table_id": "a", "title": "t"}'])
+        with caplog.at_level("WARNING"):
+            assert load_corpus(path) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping entry at {path}:1: missing required field 'header'"
+        ]
+
     @pytest.mark.parametrize("fields, message", [
         ({"rows": 5}, "rows must be a list, got int"),
         ({"header": "xy", "rows": ["12", "34"]}, "header must be a list, got str"),
@@ -184,10 +204,13 @@ class TestCorpusIO:
         ({"references": "a ref"}, "references must be a list, got str"),
         ({"selected_columns": 0}, "selected_columns must be a list, got int"),
         ({"selected_columns": [0]}, "a selected_columns set must be a list, got int"),
-        ({"selected_columns": [[None]]}, "column index None is not a number"),
-        ({"selected_columns": [[1e400]]}, "column index inf is not a number"),
+        ({"selected_columns": [[None]]}, "column index None is not an integer"),
+        ({"selected_columns": [[1e400]]}, "column index inf is not an integer"),
+        ({"selected_columns": [[0.9]]}, "column index 0.9 is not an integer"),
+        ({"selected_columns": [["1"]]}, "column index '1' is not an integer"),
+        ({"selected_columns": [[True]]}, "column index True is not an integer"),
     ], ids=["rows-int", "header-str", "row-str", "references-str", "sets-int", "set-int",
-            "index-null", "index-inf"])
+            "index-null", "index-inf", "index-fraction", "index-str", "index-bool"])
     def test_field_of_the_wrong_shape_is_skipped(self, tmp_path, caplog, fields, message):
         record = {"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]], **fields}
         path = self._write(tmp_path, [json.dumps(record)])
