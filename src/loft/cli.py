@@ -28,11 +28,13 @@ from .errors import (
 )
 from .executor import execute, verify
 from .forms import Apply, parse_logic_form, type_check
-from .metrics import TOKENS, score_output
-from .pipeline import BUILTIN, STRATEGIES, HookConfig, run_pipeline
+from .metrics import score_output
+from .pipeline import (
+    BUILTIN, DEFAULT_K, DEFAULT_SEED, DEFAULT_STRATEGY, STRATEGIES, HookConfig, run_pipeline,
+)
 from .realizer import realize_logic_form
 from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
-from .tables import CorpusEntry, Table, load_corpus, save_corpus
+from .tables import CorpusEntry, Table, load_corpus, save_corpus, write_json_lines
 from .templates import (
     build_distribution,
     default_distribution,
@@ -41,8 +43,6 @@ from .templates import (
 )
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SEED = 13
 
 
 class UsageError(Exception):
@@ -158,31 +158,20 @@ def _cmd_synthesize(args) -> int:
     entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
     seed = _seed_of(args)
-    lines = []
-    total = 0
+    records = []
     for entry in sorted(entries, key=lambda e: e.table.table_id):
         result = synthesize_candidates(
-            entry.table, list(entry.selected_column_sets) or None, dist,
-            seed=seed, candidates=args.candidates,
+            entry.table, entry.selected_column_sets, dist, seed=seed, candidates=args.candidates
         )
         for cand in result.candidates:
-            total += 1
-            lines.append(
-                json.dumps(
-                    {
-                        "table_id": cand.table.table_id,
-                        "column_set": list(cand.column_set),
-                        "logic_form": cand.logic_form,
-                        "category": cand.category,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    _emit({"tables": len(entries), "candidates": total, "output": args.output})
+            records.append({
+                "table_id": cand.table.table_id,
+                "column_set": list(cand.column_set),
+                "logic_form": cand.logic_form,
+                "category": cand.category,
+            })
+    write_json_lines(args.output, records)
+    _emit({"tables": len(entries), "candidates": len(records), "output": args.output})
     return 0
 
 
@@ -242,7 +231,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_score(args) -> int:
     entries = load_corpus(args.corpus)
-    report = score_output(args.output, entries, distinct_denominator=args.denominator)
+    report = score_output(args.output, entries)
     _emit(report.to_json())
     return 0
 
@@ -328,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--k", type=_at_least(0), default=5)
-    p.add_argument("--strategy", choices=STRATEGIES, default="random")
+    p.add_argument("--k", type=_at_least(0), default=DEFAULT_K)
+    p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
     p.add_argument("--generator", default=BUILTIN)
     p.add_argument("--verifier", default=BUILTIN)
@@ -339,11 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("score", _cmd_score, "compute metrics for a pipeline output")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--denominator", choices=(TOKENS, "ngrams"), default=TOKENS)
 
     p = add("demo", _cmd_demo, "run everything end to end on bundled data")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=_at_least(0), default=5)
+    p.add_argument("--k", type=_at_least(0), default=DEFAULT_K)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

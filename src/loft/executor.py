@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import BOOL, CATALOG, HEADER, OBJECT, ORD, VIEW
+from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
 from .errors import (
     EmptyViewError,
     LoftError,
@@ -24,33 +24,31 @@ from .errors import (
     TypeCheckError,
     ViewSizeError,
 )
-from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
+from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
 from .tables import EMPTY, CellValue, Table, fold_text, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
 
-K_BOOL = "bool"
-K_NUMBER = "number"
-K_OBJECT = "object"
-K_VIEW = "view"
+# a plain value: BOOL, NUM, OBJECT or VIEW (its row indices) in catalog terms
+Value = bool | float | CellValue | tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ExecValue:
-    """One evaluated value; a view is the tuple of its row indices."""
+    """A form's result: a plain value tagged with its catalog type."""
 
     kind: str
-    value: bool | float | CellValue | tuple[int, ...]
+    value: Value
 
     def to_json(self):
         """JSON-friendly rendering used by the CLI."""
-        if self.kind == K_NUMBER:
+        if self.kind == NUM:
             v = self.value
             return int(v) if float(v).is_integer() and abs(v) < 1e15 else v
-        if self.kind == K_OBJECT:
+        if self.kind == OBJECT:
             return self.value.text
-        if self.kind == K_VIEW:
+        if self.kind == VIEW:
             return list(self.value)
         return self.value
 
@@ -63,14 +61,13 @@ def number_text(value: float) -> str:
     return repr(value)
 
 
-def obj_pair(v: ExecValue) -> tuple[float | None, str]:
-    """Reduce a number/object value to (numeric reading, comparison text)."""
-    if v.kind == K_NUMBER:
-        return float(v.value), number_text(v.value)
-    cell: CellValue = v.value
-    if cell.kind == EMPTY:
+def obj_pair(value: float | CellValue) -> tuple[float | None, str]:
+    """Reduce a number or a cell to (numeric reading, comparison text)."""
+    if not isinstance(value, CellValue):
+        return float(value), number_text(value)
+    if value.kind == EMPTY:
         return None, ""
-    return cell.number, cell.text
+    return value.number, value.text
 
 
 def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_folded: str) -> bool:
@@ -95,20 +92,14 @@ def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_folded: 
     return cell.number <= obj_num  # less_eq
 
 
-_PRED_SUFFIXES = (
-    ("greater_eq", "greater_eq"),
-    ("less_eq", "less_eq"),
-    ("not_eq", "not_eq"),
-    ("greater", "greater"),
-    ("less", "less"),
-    ("eq", "eq"),
-)
+# longest first, so "greater_eq" is not read as "eq"
+_PREDICATE_OPS = ("greater_eq", "less_eq", "not_eq", "greater", "less", "eq")
 
 
 def predicate_op(name: str) -> str:
     """Comparator carried by a filter_*/all_*/most_* function name."""
-    for suffix, op in _PRED_SUFFIXES:
-        if name.endswith(suffix):
+    for op in _PREDICATE_OPS:
+        if name.endswith(op):
             return op
     raise ValueError(f"{name} carries no predicate")
 
@@ -116,93 +107,92 @@ def predicate_op(name: str) -> str:
 _MAJORITY = ("all_", "most_")
 
 
-def apply(name: str, args: tuple, table: Table) -> ExecValue:
+def apply(name: str, args: tuple, table: Table) -> Value:
     """One function applied to its evaluated arguments.
 
     Arguments arrive as ``_eval`` produces them: a view as its row
     indices, a header as its column index, an ordinal as its rank, an object
-    as its ``obj_pair`` reading and a bool as a bool.  Nothing is evaluated
-    here, so callers that already hold child values can step one node.
+    as its ``obj_pair`` reading and a bool as a bool.  The result is plain
+    too, of the function's catalog return type.  Nothing is evaluated here,
+    so callers that already hold child values can step one node.
     """
     if name == "count":
-        return ExecValue(K_NUMBER, float(len(args[0])))
+        return float(len(args[0]))
     if name == "only":
-        return ExecValue(K_BOOL, len(args[0]) == 1)
+        return len(args[0]) == 1
     if name == "and":
-        return ExecValue(K_BOOL, args[0] and args[1])
+        return args[0] and args[1]
     if name in ("eq", "not_eq"):
         (na, ta), (nb, tb) = args
         if na is not None and nb is not None:
             equal = na == nb
         else:
             equal = fold_text(ta) == fold_text(tb)
-        return ExecValue(K_BOOL, not equal if name == "not_eq" else equal)
+        return not equal if name == "not_eq" else equal
     if name in ("round_eq", "greater", "less", "diff"):
         (na, _), (nb, _) = args
         if na is None or nb is None:
             raise NonNumericError(f"{name} needs numeric operands")
         if name == "round_eq":
-            return ExecValue(K_BOOL, abs(na - nb) <= max(ROUND_EQ_ABS, ROUND_EQ_REL * abs(nb)))
+            return abs(na - nb) <= max(ROUND_EQ_ABS, ROUND_EQ_REL * abs(nb))
         if name == "greater":
-            return ExecValue(K_BOOL, na > nb)
+            return na > nb
         if name == "less":
-            return ExecValue(K_BOOL, na < nb)
-        return ExecValue(K_NUMBER, na - nb)
+            return na < nb
+        return na - nb
     rows, col = args[0], args[1]
     if name == "hop":
         if len(rows) != 1:
             raise ViewSizeError(f"hop over a view of {len(rows)} rows")
-        return ExecValue(K_OBJECT, table.rows[rows[0]][col])
+        return table.rows[rows[0]][col]
     if name == "filter_all":
-        return ExecValue(K_VIEW, rows)
+        return rows
     if name.startswith(("filter_",) + _MAJORITY):
         op = predicate_op(name)
         obj_num, obj_text = args[2]
         folded = fold_text(obj_text)
         kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, folded))
         if name.startswith("filter_"):
-            return ExecValue(K_VIEW, kept)
+            return kept
         if not rows:
             raise EmptyViewError(f"{name}: empty view")
         if name.startswith("all_"):
-            return ExecValue(K_BOOL, len(kept) == len(rows))
-        return ExecValue(K_BOOL, len(kept) * 2 > len(rows))
+            return len(kept) == len(rows)
+        return len(kept) * 2 > len(rows)
     # the rest read the view's numeric cells: avg, sum, argmax, argmin, nth_*
     cands = [(table.rows[i][col].number, i) for i in rows if table.rows[i][col].number is not None]
     if not cands:
         raise EmptyViewError(f"{name}: no numeric values in view")
     if name in ("avg", "sum"):
         total = sum(v for v, _ in cands)
-        return ExecValue(K_NUMBER, total / len(cands) if name == "avg" else total)
+        return total / len(cands) if name == "avg" else total
     if name == "argmax":
-        return ExecValue(K_VIEW, (max(cands, key=lambda t: (t[0], -t[1]))[1],))
+        return (max(cands, key=lambda t: (t[0], -t[1]))[1],)
     if name == "argmin":
-        return ExecValue(K_VIEW, (min(cands)[1],))
+        return (min(cands)[1],)
     n = args[2]
     if n < 1 or n > len(cands):
         raise RankRangeError(f"{name}: rank {n} outside 1..{len(cands)}")
     descending = name.endswith("max")
     value, row = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))[n - 1]
     if name.startswith("nth_arg"):
-        return ExecValue(K_VIEW, (row,))
-    return ExecValue(K_NUMBER, value)
+        return (row,)
+    return value
 
 
-def _eval(node: LogicForm, table: Table) -> ExecValue:
+def _eval(node: LogicForm, table: Table) -> Value:
     """Evaluate the arguments left to right, each by its signature type,
     then step the node."""
     if isinstance(node, AllRows):
-        return ExecValue(K_VIEW, tuple(range(table.n_rows)))
+        return tuple(range(table.n_rows))
     if isinstance(node, Literal):
-        return ExecValue(K_OBJECT, normalize_cell(node.text))
+        return normalize_cell(node.text)
     if isinstance(node, ColumnRef):
         raise TypeCheckError("column reference is not executable on its own")
     name = node.name
     args: list = []
     for arg, arg_type in zip(node.args, CATALOG[name].arg_types):
-        if arg_type == VIEW:
-            args.append(_eval(arg, table).value)
-        elif arg_type == HEADER:
+        if arg_type == HEADER:
             idx = table.column_index(arg.name)
             if idx is None:
                 raise TypeCheckError(f"unknown column {arg.name!r}", kind="unknown_column")
@@ -214,14 +204,18 @@ def _eval(node: LogicForm, table: Table) -> ExecValue:
                 # an empty view fails before the object is evaluated
                 raise EmptyViewError(f"{name}: empty view")
             args.append(obj_pair(_eval(arg, table)))
-        else:  # BOOL
-            args.append(bool(_eval(arg, table).value))
+        else:  # VIEW or BOOL
+            args.append(_eval(arg, table))
     return apply(name, tuple(args), table)
 
 
 def execute(lf: LogicForm, table: Table) -> ExecValue:
-    """Evaluate a type-checked form. Deterministic; never mutates the table."""
-    return _eval(lf, table)
+    """Evaluate a type-checked form, tagged with its root's catalog type.
+    Deterministic; never mutates the table."""
+    value = _eval(lf, table)  # a bare column reference raises here
+    if isinstance(lf, Apply):
+        return ExecValue(CATALOG[lf.name].return_type, value)
+    return ExecValue(VIEW if isinstance(lf, AllRows) else OBJECT, value)
 
 
 def verify(lf: LogicForm | str, table: Table) -> bool:
@@ -234,7 +228,6 @@ def verify(lf: LogicForm | str, table: Table) -> bool:
             lf = parse_logic_form(lf)
         if type_check(lf, table) != BOOL:
             return False
-        result = execute(lf, table)
-        return result.kind == K_BOOL and result.value is True
+        return execute(lf, table).value is True
     except LoftError:
         return False

@@ -25,6 +25,10 @@ _SPACE_RE = re.compile(r"\s*")
 _TOKEN_RE = re.compile(r"(?:[^{};\\]|\\[{};\\])*")
 _UNESCAPE_RE = re.compile(r"\\(.)")
 
+# deepest function nesting a form or template may have: every consumer
+# (type check, execute, print, realize, abstract) recurses once per level
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class AllRows:
@@ -75,7 +79,8 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
 
     ``signatures`` maps every function name to its signature; any other
     name raises UnknownFunctionError, a wrong argument count ArityError and
-    any other syntax problem ParseError, all with an offset.  A function is
+    any other syntax problem ParseError, all with an offset; so does a
+    function nested more than MAX_NESTING levels deep.  A function is
     built by ``node(name, args)`` and a bare token by ``leaf(token, offset,
     expected)``, where ``expected`` is the argument type of its position
     (None at the root).
@@ -88,7 +93,7 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
         pos = _SPACE_RE.match(text, pos).end()
         return text[pos : pos + 1]
 
-    def parse(expected: str | None):
+    def parse(expected: str | None, depth: int):
         nonlocal pos
         next_char()
         offset = pos
@@ -106,14 +111,16 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
         sig = signatures.get(token)
         if sig is None:
             raise UnknownFunctionError(f"unknown function {token!r}", offset)
+        if depth > MAX_NESTING:
+            raise ParseError(f"functions nested more than {MAX_NESTING} levels deep", offset)
         arity = f"{token} takes {len(sig.arg_types)} arguments"
         pos += 1
-        args = [parse(sig.arg_types[0])]
+        args = [parse(sig.arg_types[0], depth + 1)]
         for arg_type in sig.arg_types[1:]:
             if next_char() != ";":
                 raise ArityError(arity, pos)
             pos += 1
-            args.append(parse(arg_type))
+            args.append(parse(arg_type, depth + 1))
         close = next_char()
         if close == ";":
             raise ArityError(arity, pos)
@@ -122,7 +129,7 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
         pos += 1
         return node(token, tuple(args))
 
-    tree = parse(None)
+    tree = parse(None, 1)
     if next_char():
         raise ParseError("trailing input after form", pos)
     return tree

@@ -26,9 +26,6 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 ZERO_PRECISION_EPSILON = 0.01
 
-TOKENS = "tokens"
-NGRAMS = "ngrams"
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercased words and standalone punctuation marks."""
@@ -123,23 +120,16 @@ def corpus_bleu(
     return sum(scores) / len(scores)
 
 
-def distinct_n(texts: list[str], n: int = 2, denominator: str = TOKENS) -> float | None:
-    """Distinct n-grams over the whole set, divided by total token count
-    (default) or by total n-gram count."""
-    if denominator not in (TOKENS, NGRAMS):
-        raise ValueError(f"unknown denominator {denominator!r}")
-    token_lists = [tokenize(t) for t in texts]
+def distinct_n(texts: list[str], n: int = 2) -> float | None:
+    """Distinct n-grams over the whole set, divided by the total token count."""
     grams: set[tuple[str, ...]] = set()
     total_tokens = 0
-    total_grams = 0
-    for tokens in token_lists:
+    for tokens in map(tokenize, texts):
         total_tokens += len(tokens)
-        total_grams += max(0, len(tokens) - n + 1)
         grams.update(_ngram_counts(tokens, n))
-    denom = total_tokens if denominator == TOKENS else total_grams
-    if denom == 0:
+    if total_tokens == 0:
         return None
-    return len(grams) / denom
+    return len(grams) / total_tokens
 
 
 def self_bleu(texts: list[str], max_order: int = 4) -> float | None:
@@ -233,11 +223,7 @@ def _read_output(path: str | Path) -> list[dict]:
     return rows
 
 
-def score_output(
-    output_path: str | Path,
-    entries: list[CorpusEntry],
-    distinct_denominator: str = TOKENS,
-) -> MetricsReport:
+def score_output(output_path: str | Path, entries: list[CorpusEntry]) -> MetricsReport:
     """Score a pipeline output file against the corpus it came from."""
     by_id = {entry.table.table_id: entry for entry in entries}
     rows = _read_output(output_path)
@@ -275,7 +261,7 @@ def score_output(
     report.bleu_1 = corpus_bleu(bleu_pairs, 1)
     report.bleu_2 = corpus_bleu(bleu_pairs, 2)
     report.bleu_3 = corpus_bleu(bleu_pairs, 3)
-    report.distinct_2 = distinct_n(texts, 2, distinct_denominator)
+    report.distinct_2 = distinct_n(texts, 2)
     report.self_bleu_4 = self_bleu(texts, 4)
     report.category_coverage = category_coverage(categories)
     report.column_coverage = (

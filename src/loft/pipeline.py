@@ -42,7 +42,7 @@ from .synthesizer import (
     synthesize_candidates,
     table_rng,
 )
-from .tables import CorpusEntry, Table, is_utf8_text
+from .tables import CorpusEntry, Table, is_utf8_text, json_object, write_json_lines
 from .templates import TemplateDistribution
 
 log = logging.getLogger(__name__)
@@ -52,6 +52,11 @@ BUILTIN = "builtin"
 RANDOM = "random"
 STRATIFIED = "stratified"
 STRATEGIES = (RANDOM, STRATIFIED)
+
+# run defaults, shared by run_pipeline, its report and the CLI
+DEFAULT_SEED = 13
+DEFAULT_K = 5
+DEFAULT_STRATEGY = RANDOM
 
 # requests written to a hook ahead of the item being collected
 HOOK_WINDOW = 32
@@ -196,15 +201,13 @@ class _HookProcess:
             try:
                 self.last_line, raw = self.lines.get(timeout=max(remaining, 0.0))
             except Empty:
-                return self._drop(item_id, "%s hook timed out on item %s")
+                return self._drop(item_id, "timed out")
             if raw is None:
                 raise HookError(f"{self.role} hook exited mid-run")
             try:
-                data = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return self._drop(item_id, "%s hook sent unparseable line, item %s dropped")
-            if not isinstance(data, dict):
-                return self._drop(item_id, "%s hook sent a non-object line, item %s dropped")
+                data = json_object(raw)
+            except ValueError as exc:
+                return self._drop(item_id, f"sent unparseable line ({exc})")
             answered = data.get("id")
             if not isinstance(answered, str) or answered not in self.in_flight:
                 log.warning("%s hook answered stale id %r, discarded",
@@ -214,9 +217,9 @@ class _HookProcess:
             self.answers[answered] = data
         return self.answers.pop(item_id)
 
-    def _drop(self, item_id: str, message: str) -> None:
+    def _drop(self, item_id: str, why: str) -> None:
         del self.in_flight[item_id]
-        log.warning(message, self.role, item_id)
+        log.warning("%s hook %s, item %s dropped", self.role, why, item_id)
 
 
 def _ask_hook(hook: HookConfig, role: str, items: list, request) -> Iterator[tuple]:
@@ -346,9 +349,9 @@ class PipelineReport:
     generated: int = 0
     verified: int = 0
     sampled: int = 0
-    seed: int = 13
-    k: int = 5
-    strategy: str = RANDOM
+    seed: int = DEFAULT_SEED
+    k: int = DEFAULT_K
+    strategy: str = DEFAULT_STRATEGY
     category_histogram: dict[str, int] = field(default_factory=dict)
     synthesis_failures: list[str] = field(default_factory=list)
     shortfalls: dict[str, int] = field(default_factory=dict)
@@ -367,9 +370,9 @@ def run_pipeline(
     out_path: str | Path,
     dist: TemplateDistribution,
     *,
-    k: int = 5,
-    strategy: str = RANDOM,
-    seed: int = 13,
+    k: int = DEFAULT_K,
+    strategy: str = DEFAULT_STRATEGY,
+    seed: int = DEFAULT_SEED,
     generator: HookConfig = HookConfig(),
     verifier: HookConfig = HookConfig(),
     candidates: int = DEFAULT_CANDIDATES,
@@ -393,8 +396,7 @@ def run_pipeline(
         tables[table.table_id] = table
         try:
             result = synthesize_candidates(
-                table, list(entry.selected_column_sets) or None, dist,
-                seed=seed, candidates=candidates,
+                table, entry.selected_column_sets, dist, seed=seed, candidates=candidates
             )
         except LoftError as exc:
             log.error("synthesis failed for table %s: %s", table.table_id, exc)
@@ -421,26 +423,22 @@ def run_pipeline(
     histogram: Counter = Counter()
     faithful = 0
     total = 0
-    lines = []
+    records = []
     for table_id in sorted(sampled):
-        payload = {
+        records.append({
             "table_id": table_id,
             "statements": [
                 {"text": st.text, "logic_form": st.logic_form, "category": st.category}
                 for st in sampled[table_id]
             ],
-        }
+        })
         for st in sampled[table_id]:
             histogram[st.category] += 1
             total += 1
             if verify(st.logic_form, tables[table_id]):
                 faithful += 1
-        lines.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     report.sampled = total
     report.category_histogram = dict(histogram)
     report.execution_faithfulness = (faithful / total) if total else None
-
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_json_lines(out_path, records)
     return report

@@ -24,20 +24,12 @@ import hashlib
 import logging
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .catalog import BOOL, CATALOG, GROUPS, HEADER, NUMERIC_PREDICATE_GROUPS, group_signature
 from .errors import LoftError
-from .executor import (
-    K_OBJECT,
-    ExecValue,
-    apply,
-    number_text,
-    obj_pair,
-    predicate_op,
-    verify,
-)
+from .executor import Value, apply, number_text, obj_pair, predicate_op, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, fold_text, normalize_cell
 from .templates import (
@@ -207,11 +199,11 @@ class _Attempt:
             text = self.objs[node.index]
         else:
             text = self.new_obj(node.index, pool())
-        return Literal(text), _literal_value(text)
+        return Literal(text), obj_pair(normalize_cell(text))
 
     # -- execution helpers -----------------------------------------------
 
-    def step(self, name: str, *args) -> ExecValue:
+    def step(self, name: str, *args) -> Value:
         """The value of one node, from the child values already computed."""
         try:
             return apply(name, args, self.table)
@@ -301,7 +293,7 @@ class _Attempt:
             obj_form, obj = self.bind_obj(
                 node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
             )
-            rows = self.step(member, inner_rows, col, obj).value
+            rows = self.step(member, inner_rows, col, obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if group == "filter_all":
             inner_form, inner_rows = self.fill_view(node.args[0])
@@ -316,7 +308,7 @@ class _Attempt:
             if group == "ORD_ARG":
                 rank = self.bind_ord(node.args[2], usable)
                 args, values = args + (Literal(str(rank)),), values + (rank,)
-            return Apply(member, args), self.step(member, *values).value
+            return Apply(member, args), self.step(member, *values)
         raise _Fail()
 
     def fill_value(self, node: TemplateNode) -> tuple[Apply, tuple[float | None, str]]:
@@ -391,7 +383,7 @@ class _Attempt:
         if obj_node.index in self.objs:
             # a shared placeholder fixed earlier: pick any member that holds
             text = self.objs[obj_node.index]
-            lit = (Literal(text), _literal_value(text))
+            lit = (Literal(text), obj_pair(normalize_cell(text)))
             return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
         sub_form, (num, text) = sub
         member, target = self._compare_target(group, num, text, left_obj, sub_form)
@@ -403,7 +395,7 @@ class _Attempt:
         (form, value) operands."""
         (left_form, left_value), (right_form, right_value) = left, right
         for member in _shuffled(self.rng, GROUPS[group]):
-            if self.step(member, left_value, right_value).value:
+            if self.step(member, left_value, right_value):
                 return Apply(member, (left_form, right_form))
         raise _Fail()
 
@@ -491,11 +483,6 @@ def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[float | None, str
     return hits
 
 
-def _literal_value(text: str) -> tuple[float | None, str]:
-    """The executor's reading of a literal in an object position."""
-    return obj_pair(ExecValue(K_OBJECT, normalize_cell(text)))
-
-
 def _shuffled(rng: random.Random, items: tuple[str, ...]) -> list[str]:
     out = list(items)
     rng.shuffle(out)
@@ -571,7 +558,7 @@ RETRIES_PER_TEMPLATE = 50
 
 def synthesize_candidates(
     table: Table,
-    column_sets: list[tuple[int, ...]] | None,
+    column_sets: Sequence[tuple[int, ...]] | None,
     dist: TemplateDistribution,
     *,
     seed: int,

@@ -20,7 +20,7 @@ import csv
 import json
 import logging
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,11 +213,25 @@ def _not_utf8(path: Path) -> IngestError:
     return IngestError(f"{path}: not valid UTF-8")
 
 
+def json_object(raw: bytes | str) -> dict:
+    """The JSON object one line or file holds: bytes must be strict UTF-8,
+    the JSON must not nest too deeply for the decoder, and its top level
+    must be an object.  ValueError says which rule a bad input breaks."""
+    try:
+        value = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not valid UTF-8: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
+
+
 def json_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file.
 
-    A line that is not UTF-8, not JSON or not an object raises IngestError
-    naming it.
+    A line that json_object rejects raises IngestError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -226,14 +240,20 @@ def json_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise IngestError(f"{path}:{lineno}: record is not an object")
+                    record = json_object(line)
+                except ValueError as exc:
+                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
                 yield lineno, record
     except UnicodeDecodeError as exc:
         raise _not_utf8(Path(path)) from exc
+
+
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """One sorted-key JSON object a line, as UTF-8; makes the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = (json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
@@ -272,7 +292,13 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     elif format == "csv":
         try:
             with open(path, newline="", encoding="utf-8") as fh:
-                reader = list(csv.reader(fh))
+                lines = csv.reader(fh)
+                try:
+                    reader = list(lines)
+                except csv.Error as exc:
+                    # e.g. a field over csv.field_size_limit(), which is
+                    # process-wide and so stays as it is
+                    raise IngestError(f"{path}:{lines.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path) from exc
         if not reader:

@@ -29,6 +29,7 @@ from .catalog import (
 )
 from .errors import DistributionError, ParseError
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, walk
+from .tables import json_object
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
 
@@ -237,17 +238,17 @@ def save_distribution(dist: TemplateDistribution, path: str | Path) -> None:
 def load_distribution(path: str | Path) -> TemplateDistribution:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json_object(path.read_bytes())
     except FileNotFoundError as exc:
         raise DistributionError(f"distribution file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DistributionError(f"{path}: malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        raise DistributionError(f"{path}: {exc}") from exc
     return distribution_from_payload(payload, where=str(path))
 
 
 def distribution_from_payload(payload: dict, where: str = "<payload>") -> TemplateDistribution:
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise DistributionError(f"{where}: expected an object with entries")
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+        raise DistributionError(f"{where}: expected an object with an entries list")
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 
+from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.errors import (
     EmptyViewError,
     NonNumericError,
@@ -21,7 +22,7 @@ from loft.errors import (
     TypeCheckError,
     ViewSizeError,
 )
-from loft.executor import ExecValue, K_BOOL, K_NUMBER, K_OBJECT, K_VIEW
+from loft.executor import ExecValue
 from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
 from loft.tables import CellValue, Table
 
@@ -63,7 +64,7 @@ def _fold(text: str) -> str:
 
 
 def _pair_of(value: ExecValue) -> tuple[float | None, str]:
-    if value.kind == K_NUMBER:
+    if value.kind == NUM:
         n = float(value.value)
         if n == int(n) and abs(n) < 1e15:
             return n, str(int(n))
@@ -87,7 +88,7 @@ def oracle_execute(lf: LogicForm, table: Table) -> ExecValue:
             cell = CellValue("number", text, num)
         else:
             cell = CellValue("text", text)
-        return ExecValue(K_OBJECT, cell)
+        return ExecValue(OBJECT, cell)
     return result
 
 
@@ -100,7 +101,7 @@ class _Oracle:
             every = []
             for i in range(len(self.table.rows)):
                 every.append(i)
-            return ExecValue(K_VIEW, tuple(every))
+            return ExecValue(VIEW, tuple(every))
         if isinstance(node, Literal):
             num = _literal_number(node.text)
             return ExecValue("__lit__", (num, node.text))
@@ -190,9 +191,9 @@ class _Oracle:
         a = node.args
 
         if name == "count":
-            return ExecValue(K_NUMBER, 0.0 + len(self.rows_of(a[0])))
+            return ExecValue(NUM, 0.0 + len(self.rows_of(a[0])))
         if name == "only":
-            return ExecValue(K_BOOL, len(self.rows_of(a[0])) == 1)
+            return ExecValue(BOOL, len(self.rows_of(a[0])) == 1)
         if name in ("avg", "sum"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
@@ -202,15 +203,15 @@ class _Oracle:
             for v, _ in nums:
                 total += v
             if name == "sum":
-                return ExecValue(K_NUMBER, total)
-            return ExecValue(K_NUMBER, total / len(nums))
+                return ExecValue(NUM, total)
+            return ExecValue(NUM, total / len(nums))
         if name in ("argmax", "argmin"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
                 raise EmptyViewError(name)
             _, row = self.take_extreme(nums, name == "argmax")
-            return ExecValue(K_VIEW, (row,))
+            return ExecValue(VIEW, (row,))
         if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             n = int(a[2].text)
@@ -221,12 +222,12 @@ class _Oracle:
                 raise RankRangeError(name)
             value, row = self.take_ranked(nums, n, "max" in name)
             if name in ("nth_argmax", "nth_argmin"):
-                return ExecValue(K_VIEW, (row,))
-            return ExecValue(K_NUMBER, value)
+                return ExecValue(VIEW, (row,))
+            return ExecValue(NUM, value)
         if name == "filter_all":
             rows = self.rows_of(a[0])
             self.col(a[1])
-            return ExecValue(K_VIEW, tuple(rows))
+            return ExecValue(VIEW, tuple(rows))
         if name.startswith("filter_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             obj = self.operand(a[2])
@@ -235,7 +236,7 @@ class _Oracle:
             for i in rows:
                 if self.holds(op, i, col, obj):
                     kept.append(i)
-            return ExecValue(K_VIEW, tuple(kept))
+            return ExecValue(VIEW, tuple(kept))
         if name.startswith("all_") or name.startswith("most_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) == 0:
@@ -247,13 +248,13 @@ class _Oracle:
                 if self.holds(op, i, col, obj):
                     good += 1
             if name.startswith("all_"):
-                return ExecValue(K_BOOL, good == len(rows))
-            return ExecValue(K_BOOL, good > len(rows) - good)
+                return ExecValue(BOOL, good == len(rows))
+            return ExecValue(BOOL, good > len(rows) - good)
         if name == "hop":
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) != 1:
                 raise ViewSizeError(name)
-            return ExecValue(K_OBJECT, self.table.rows[rows[0]][col])
+            return ExecValue(OBJECT, self.table.rows[rows[0]][col])
         if name in ("eq", "not_eq"):
             ln, lt = self.operand(a[0])
             rn, rt = self.operand(a[1])
@@ -261,7 +262,7 @@ class _Oracle:
                 same = ln == rn
             else:
                 same = _fold(lt) == _fold(rt)
-            return ExecValue(K_BOOL, (not same) if name == "not_eq" else same)
+            return ExecValue(BOOL, (not same) if name == "not_eq" else same)
         if name == "round_eq":
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
@@ -270,19 +271,19 @@ class _Oracle:
             bound = ROUND_ABS
             if ROUND_REL * abs(rn) > bound:
                 bound = ROUND_REL * abs(rn)
-            return ExecValue(K_BOOL, abs(ln - rn) <= bound)
+            return ExecValue(BOOL, abs(ln - rn) <= bound)
         if name in ("greater", "less", "diff"):
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
             if ln is None or rn is None:
                 raise NonNumericError(name)
             if name == "greater":
-                return ExecValue(K_BOOL, ln > rn)
+                return ExecValue(BOOL, ln > rn)
             if name == "less":
-                return ExecValue(K_BOOL, ln < rn)
-            return ExecValue(K_NUMBER, ln - rn)
+                return ExecValue(BOOL, ln < rn)
+            return ExecValue(NUM, ln - rn)
         if name == "and":
             left = self.run(a[0])
             right = self.run(a[1])
-            return ExecValue(K_BOOL, bool(left.value) and bool(right.value))
+            return ExecValue(BOOL, bool(left.value) and bool(right.value))
         raise TypeCheckError(f"unknown function {name!r}")

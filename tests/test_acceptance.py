@@ -19,7 +19,8 @@ from importlib.resources import files
 
 import pytest
 
-from loft.executor import K_BOOL, verify
+from loft.catalog import BOOL
+from loft.executor import verify
 from loft.forms import parse_logic_form, print_logic_form
 from loft.metrics import distinct_n, score_output, self_bleu, sentence_bleu
 from loft.pipeline import (
@@ -125,7 +126,7 @@ def test_every_synthesized_candidate_verifies_true(synthesis_pass):
         for cand in result.candidates:
             cross_total += 1
             value = oracle_execute(cand.form, result.table)
-            if value.kind != K_BOOL or value.value is not True:
+            if value.kind != BOOL or value.value is not True:
                 cross_bad += 1
     elapsed = synth_elapsed + time.perf_counter() - start
     ok = not violations and cross_bad == 0 and elapsed < 60.0

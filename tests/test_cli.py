@@ -406,3 +406,112 @@ class TestScoreInput:
         assert got["execution_faithfulness"] == pytest.approx(1 / 3)
         # only the parseable form's `team` counts; `points` sits in a broken form
         assert got["column_coverage"] == 0.5
+
+
+def nested_form(levels: int) -> str:
+    """A boolean form `levels` functions deep over the mt table."""
+    text = "all_rows"
+    for _ in range(levels - 1):
+        text = f"filter_all {{ {text} ; team }}"
+    return f"only {{ {text} }}"
+
+
+class TestDeepForms:
+    """A form nested past forms.MAX_NESTING is a parse error on every surface."""
+
+    DEEP = nested_form(3000)
+
+    def test_realize_prints_a_parse_error(self, capsys):
+        assert main(["realize", self.DEEP]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["kind"] == "parse"
+        assert "nested more than" in got["error"]
+
+    def test_verify_is_not_entailed(self, corpus, capsys):
+        assert main(["verify", "--corpus", corpus, self.DEEP]) == 0
+        assert json.loads(capsys.readouterr().out) == {"entailed": False}
+
+    def test_score_counts_the_statement_as_unfaithful(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        out.write_text(json.dumps({"table_id": "mt", "statements": [
+            {"text": "b is the only one", "logic_form": "only { filter_eq { all_rows ; team ; b } }"},
+            {"text": "deep", "logic_form": self.DEEP},
+        ]}) + "\n", encoding="utf-8")
+        assert main(["score", "--corpus", corpus, "--output", str(out)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["statements"] == 2
+        assert got["execution_faithfulness"] == 0.5
+
+    def test_mine_templates_skips_the_line(self, tmp_path, capsys, caplog):
+        forms = tmp_path / "forms.txt"
+        forms.write_text(self.DEEP + "\nonly { all_rows }\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="loft.cli"):
+            code = main(["mine-templates", "--forms", str(forms),
+                         "--output", str(tmp_path / "t.json")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["templates"] == 1
+        assert "skipping unparseable form on line 1" in caplog.text
+
+
+# deeper than the JSON decoder can recurse
+DEEP_JSON = "[" * 200_000
+
+DEEP_ANSWER_GENERATOR = f"""\
+import json, sys
+for n, line in enumerate(sys.stdin):
+    req = json.loads(line)
+    answer = {{"id": req["id"], "statement": req["readable"]}}
+    print("{DEEP_JSON}" if n == 1 else json.dumps(answer), flush=True)
+"""
+
+
+class TestDeepJson:
+    """JSON nested past the decoder's limit is bad input on each of its four
+    ways in, never a traceback."""
+
+    def test_corpus_line_is_exit_2_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(MT_RECORD) + "\n" + DEEP_JSON + "\n", encoding="utf-8")
+        code = main(["pipeline", "--corpus", str(corpus),
+                     "--output", str(tmp_path / "out.jsonl")])
+        assert code == 2
+        assert f"{corpus}:2: malformed JSON" in capsys.readouterr().err
+
+    def test_output_line_is_exit_2_naming_the_line(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        out.write_text('{"table_id": "mt", "statements": []}\n' + DEEP_JSON + "\n",
+                       encoding="utf-8")
+        assert main(["score", "--corpus", corpus, "--output", str(out)]) == 2
+        assert f"{out}:2: malformed JSON" in capsys.readouterr().err
+
+    def test_template_file_is_exit_2(self, corpus, tmp_path, capsys):
+        templates = tmp_path / "templates.json"
+        templates.write_text('{"entries": ' + DEEP_JSON, encoding="utf-8")
+        code = main(["pipeline", "--corpus", corpus, "--templates", str(templates),
+                     "--output", str(tmp_path / "out.jsonl")])
+        assert code == 2
+        assert f"{templates}: malformed JSON" in capsys.readouterr().err
+
+    def test_hook_answer_costs_only_its_item(self, corpus, tmp_path, capsys, caplog):
+        script = tmp_path / "deep.py"
+        script.write_text(DEEP_ANSWER_GENERATOR, encoding="utf-8")
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            code = main(["pipeline", "--corpus", corpus, "--output", str(tmp_path / "out.jsonl"),
+                         "--generator", f"{sys.executable} {script}", "--timeout", "30"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["candidates"] >= 3
+        assert report["generated"] == report["candidates"] - 1
+        assert "unparseable line" in caplog.text
+        assert "timed out" not in caplog.text
+
+
+class TestCsvFieldLimit:
+    def test_oversized_field_is_exit_2_naming_the_line(self, tmp_path):
+        src = tmp_path / "big.csv"
+        src.write_text("team,note\na," + "x" * 200_000 + "\n", encoding="utf-8")
+        result = loft("ingest", "--input", str(src), "--format", "csv",
+                      "--output", str(tmp_path / "corpus.jsonl"))
+        assert result.returncode == 2
+        assert f"{src}:2: field larger than field limit" in result.stderr
+        assert "Traceback" not in result.stderr

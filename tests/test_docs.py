@@ -1,11 +1,14 @@
-"""The README: every form and template it shows parses, and its Python API
-list names exactly the package exports."""
+"""The README: every form and template it shows parses, its Python API
+list names exactly the package exports, and its CLI table lists exactly the
+options of each subcommand."""
 
+import argparse
 import re
 from pathlib import Path
 
 import loft
 from loft import parse_logic_form, print_logic_form
+from loft.cli import build_parser
 from loft.templates import parse_template
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -15,6 +18,8 @@ EXAMPLE_RE = re.compile(r'^\s*([A-Za-z_]+ \{.*\})\s*$|"([A-Za-z_]+ \{[^"]*\})"',
 PLACEHOLDER_RE = re.compile(r"\b(COL|OBJ|ORD)_\d+\b")
 # the bullet list of the "Python API" section, up to the next heading
 API_RE = re.compile(r"^## Python API\n.*?\n(- .*?)^#", re.M | re.S)
+# a row of the "CLI reference" table: | `loft <command> <usage>` | ... |
+CLI_ROW_RE = re.compile(r"^\| `loft ([\w-]+)([^`]*)` \|", re.M)
 
 
 def readme_examples():
@@ -40,3 +45,22 @@ def test_readme_lists_exactly_the_exports():
     bullets = API_RE.search(README.read_text(encoding="utf-8")).group(1)
     listed = re.findall(r"`(\w+)`", bullets)
     assert sorted(listed) == sorted(loft.__all__)
+
+
+def test_readme_cli_table_lists_exactly_the_options():
+    listed = {
+        command: sorted(set(re.findall(r"--[\w-]+", usage)))
+        for command, usage in CLI_ROW_RE.findall(README.read_text(encoding="utf-8"))
+    }
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        command: sorted(
+            option for action in sub._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        )
+        for command, sub in subparsers.choices.items()
+    }
+    assert listed == defined

@@ -8,9 +8,10 @@ import random
 import pytest
 
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
+from loft.catalog import BOOL, NUM
 from loft.errors import EmptyViewError, NonNumericError, RankRangeError, ViewSizeError
+from loft.executor import ExecValue, apply, number_text
 from loft.forms import Apply, type_check
-from loft.executor import ExecValue, K_BOOL, K_NUMBER, apply, number_text
 
 from .generators import outcome, random_form, random_table
 
@@ -208,10 +209,10 @@ class TestApplyStep:
     """The per-node step takes evaluated arguments and evaluates nothing."""
 
     def test_step_on_child_values(self, mt):
-        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt).value == (0, 1)
-        assert apply("hop", ((1,), 0), mt).value.text == "b"
-        assert apply("nth_max", ((0, 1, 2), 1, 2), mt).value == 3.0
-        assert apply("eq", ((3.0, "3"), (None, "3 ")), mt).value is True
+        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt) == (0, 1)
+        assert apply("hop", ((1,), 0), mt).text == "b"
+        assert apply("nth_max", ((0, 1, 2), 1, 2), mt) == 3.0
+        assert apply("eq", ((3.0, "3"), (None, "3 ")), mt) is True
 
     def test_majority_step_rejects_an_empty_view(self, mt):
         with pytest.raises(EmptyViewError):
@@ -305,6 +306,6 @@ class TestPropertyIdentities:
 
 
 def test_exec_value_is_frozen():
-    value = ExecValue(K_NUMBER, 1.0)
+    value = ExecValue(NUM, 1.0)
     with pytest.raises(AttributeError):
-        value.kind = K_BOOL
+        value.kind = BOOL

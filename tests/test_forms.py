@@ -9,9 +9,12 @@ from loft import (
     UnknownFunctionError,
     parse_logic_form,
     print_logic_form,
+    realize_logic_form,
+    verify,
 )
 from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.forms import (
+    MAX_NESTING,
     AllRows,
     Apply,
     ColumnRef,
@@ -21,6 +24,7 @@ from loft.forms import (
     type_check,
     walk,
 )
+from loft.templates import abstract, parse_template
 
 EXAMPLE = "eq { count { filter_eq { all_rows ; team ; a } } ; 1 }"
 
@@ -87,6 +91,39 @@ class TestParsing:
 
     def test_root_bare_all_rows(self):
         assert parse_logic_form("all_rows") == AllRows()
+
+
+def nested(levels: int, column: str = "team") -> str:
+    """An only { filter_all { ... } } chain of `levels` functions."""
+    text = "all_rows"
+    for _ in range(levels - 1):
+        text = f"filter_all {{ {text} ; {column} }}"
+    return f"only {{ {text} }}"
+
+
+class TestNesting:
+    def test_deepest_allowed_form_works_in_every_consumer(self, mt):
+        text = nested(MAX_NESTING)
+        lf = parse_logic_form(text)
+        assert print_logic_form(lf) == text
+        assert type_check(lf, mt) == BOOL
+        assert verify(lf, mt) is False
+        assert realize_logic_form(lf)
+        assert abstract(lf).canonical() == nested(MAX_NESTING, "COL_1")
+
+    def test_one_level_deeper_is_a_parse_error_at_its_offset(self):
+        text = nested(MAX_NESTING + 1)
+        offending = len("only { ") + len("filter_all { ") * (MAX_NESTING - 1)
+        with pytest.raises(ParseError) as exc_info:
+            parse_logic_form(text)
+        assert exc_info.value.offset == offending
+        assert text.startswith("filter_all {", offending)
+
+    def test_far_deeper_forms_and_templates_are_parse_errors(self):
+        with pytest.raises(ParseError):
+            parse_logic_form(nested(3000))
+        with pytest.raises(ParseError):
+            parse_template(nested(3000, "COL_1"))
 
 
 class TestEscaping:

@@ -142,19 +142,13 @@ class TestDistinctN:
         # one distinct bigram over four tokens
         assert distinct_n(["a b", "a b"], 2) == pytest.approx(0.25)
 
-    def test_ngram_denominator(self):
-        assert distinct_n(["a b", "a b"], 2, denominator="ngrams") == pytest.approx(0.5)
-
     def test_all_distinct(self):
-        assert distinct_n(["a b", "c d"], 2, denominator="ngrams") == pytest.approx(1.0)
+        # two distinct bigrams over four tokens
+        assert distinct_n(["a b", "c d"], 2) == pytest.approx(0.5)
 
     def test_no_tokens_is_none(self):
         assert distinct_n([], 2) is None
         assert distinct_n(["", "  "], 2) is None
-
-    def test_unknown_denominator(self):
-        with pytest.raises(ValueError):
-            distinct_n(["a"], 2, denominator="chars")
 
     def test_duplicates_lower_the_score(self):
         varied = distinct_n(["a b c", "d e f"], 2)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import loft.executor
 import loft.synthesizer
 from loft import Table, default_distribution, verify
-from loft.executor import K_BOOL, cell_predicate, number_text
+from loft.catalog import BOOL
+from loft.executor import cell_predicate, number_text
 from loft.forms import referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
@@ -22,7 +23,7 @@ from loft.synthesizer import (
     table_rng,
 )
 from loft.tables import NUMERIC, fold_text, normalize_cell
-from loft.templates import abstract, parse_template
+from loft.templates import TemplateDistribution, WeightedTemplate, abstract, parse_template
 
 from .oracle import oracle_execute
 
@@ -45,7 +46,7 @@ class TestSoundness:
             for cand in result.candidates:
                 assert verify(cand.form, cand.table) is True
                 cross = oracle_execute(cand.form, cand.table)
-                assert cross.kind == K_BOOL and cross.value is True
+                assert cross.kind == BOOL and cross.value is True
                 checked += 1
         assert checked >= 100
 
@@ -177,6 +178,33 @@ class TestInstantiate:
                             assert 1 <= rank <= entry.table.n_rows
                             seen_rank = True
         assert seen_rank
+
+
+@pytest.mark.parametrize("skeleton", [
+    # a computed object (a count) meets a free COMPARE_GT object
+    "COMPARE_GT { OBJ_1 ; count { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } } }",
+    "COMPARE_GT { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }",
+    "only { filter_all { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } }",
+    # OBJ_2 is bound by the first comparison and shared by the second
+    "and { COMPARE_EQ { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 } ;"
+    " COMPARE_EQ { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_3 } ; COL_2 } ; OBJ_2 } }",
+    # ORD_1 is bound by the first ordinal and shared by the second
+    "COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; ORD_1 } ; ORDINAL { all_rows ; COL_2 ; ORD_1 } }",
+    # a computed majority object
+    "MAJORITY_ALL_GT { all_rows ; COL_1 ; AGGREGATION { all_rows ; COL_1 } }",
+], ids=["gt-count", "gt-aggregate", "filter-all", "shared-obj", "shared-ord",
+        "computed-majority-obj"])
+def test_each_grounding_branch_yields_sound_candidates(bundled_corpus, skeleton):
+    dist = TemplateDistribution(entries=(WeightedTemplate(parse_template(skeleton), 1.0),))
+    produced = 0
+    for entry in bundled_corpus:
+        result = synthesize_candidates(entry.table, None, dist, seed=1, candidates=3)
+        for cand in result.candidates:
+            produced += 1
+            assert verify(cand.form, cand.table) is True, cand.logic_form
+            allowed = {cand.table.headers[i] for i in cand.column_set}
+            assert set(referenced_columns(cand.form)) <= allowed, cand.logic_form
+    assert produced >= 1
 
 
 def test_distinct_cells_use_the_executors_text_equality():
@@ -352,8 +380,6 @@ class TestShortfalls:
 
 
 def test_sample_template_follows_weights():
-    from loft.templates import TemplateDistribution, WeightedTemplate
-
     heavy = WeightedTemplate(parse_template("only { all_rows }"), 0.9)
     light = WeightedTemplate(parse_template("count { all_rows }"), 0.1)
     dist = TemplateDistribution(entries=(heavy, light))

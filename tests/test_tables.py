@@ -1,5 +1,6 @@
 """Cell normalization, column typing, and corpus round trips."""
 
+import csv
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from loft.tables import (
     TEXTUAL,
     CellValue,
     fold_text,
+    json_object,
     normalize_cell,
     save_corpus,
 )
@@ -252,6 +254,13 @@ class TestCorpusIO:
         with pytest.raises(IngestError, match=rf"{name}:2: not valid UTF-8"):
             load_corpus(path, format=fmt)
 
+    def test_csv_field_over_the_size_limit_is_fatal_and_named(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("team,note\na,b\nc," + "x" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"big\.csv:3: field larger than field limit"):
+            load_corpus(path, format="csv")
+        assert csv.field_size_limit() == 131072  # the process-wide limit is left alone
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_corpus(tmp_path / "absent.jsonl")
@@ -274,3 +283,21 @@ class TestCorpusIO:
 
 def test_fold_text_collapses_space():
     assert fold_text("  Final   Score ") == "final score"
+
+
+@pytest.mark.parametrize("raw, why", [
+    (b'{"a": "\xff"}', "not valid UTF-8"),
+    ("{not json", "malformed JSON"),
+    ("[" * 200_000, "malformed JSON: maximum recursion depth"),
+    ("[1, 2]", "not a JSON object"),
+    ('"text"', "not a JSON object"),
+], ids=["not-utf8", "not-json", "too-deep", "list", "string"])
+def test_json_object_names_the_rule_a_line_breaks(raw, why):
+    with pytest.raises(ValueError, match=why):
+        json_object(raw)
+
+
+def test_json_object_reads_text_and_bytes_alike():
+    expected = {"a": [1, "é"]}
+    assert json_object('{"a": [1, "\\u00e9"]}') == expected
+    assert json_object('{"a": [1, "é"]}'.encode("utf-8")) == expected

@@ -231,6 +231,15 @@ class TestDistributions:
         with pytest.raises(DistributionError):
             load_distribution(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("body", [
+        b'{"entries": 5}', b"[]", b'{"provenance": "x"}', b'{"entries": []}', b"\xff",
+    ], ids=["entries-number", "not-object", "no-entries", "no-templates", "not-utf8"])
+    def test_file_of_the_wrong_shape(self, tmp_path, body):
+        path = tmp_path / "templates.json"
+        path.write_bytes(body)
+        with pytest.raises(DistributionError, match="templates.json"):
+            load_distribution(path)
+
     def test_default_distribution_covers_every_category(self):
         from loft.catalog import CATEGORIES, group_category
         from loft.forms import walk
