@@ -5,7 +5,7 @@ codes: 0 success (including forms that fail to execute, which still get
 an error object on stdout), 1 bad usage, 2 unreadable or invalid input
 data, 3 a hook process that could not be used at all.
 
-LOFT_SEED sets the default seed (13 otherwise) and LOFT_LOG the log level.
+LOFT_LOG sets the log level (WARNING otherwise).
 """
 
 from __future__ import annotations
@@ -61,18 +61,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("LOFT_SEED", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"LOFT_SEED must be an integer, got {raw!r}") from exc
-    return DEFAULT_SEED
-
-
 def _pick_table(entries: list[CorpusEntry], table_id: str | None) -> Table:
     if table_id is None:
         if len(entries) == 1:
@@ -106,12 +94,6 @@ def _timeout(text: str) -> float:
         return HookConfig(timeout=float(text)).timeout
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _form_error(exc: Exception) -> dict:
-    if isinstance(exc, (TypeCheckError, ExecutionError)):
-        return {"error": str(exc), "kind": exc.kind}
-    return {"error": str(exc), "kind": "parse"}
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -157,11 +139,11 @@ def _cmd_mine_templates(args) -> int:
 def _cmd_synthesize(args) -> int:
     entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
-    seed = _seed_of(args)
     records = []
     for entry in sorted(entries, key=lambda e: e.table.table_id):
         result = synthesize_candidates(
-            entry.table, entry.selected_column_sets, dist, seed=seed, candidates=args.candidates
+            entry.table, entry.selected_column_sets, dist,
+            seed=args.seed, candidates=args.candidates,
         )
         for cand in result.candidates:
             records.append({
@@ -179,7 +161,7 @@ def _cmd_realize(args) -> int:
     try:
         _emit({"text": realize_logic_form(args.form)})
     except ParseError as exc:
-        _emit(_form_error(exc))
+        _emit({"error": str(exc), "kind": exc.kind})
     return 0
 
 
@@ -192,7 +174,7 @@ def _cmd_execute(args) -> int:
         value = execute(lf, table)
         _emit({"kind": value.kind, "value": value.to_json()})
     except (ParseError, TypeCheckError, ExecutionError) as exc:
-        _emit(_form_error(exc))
+        _emit({"error": str(exc), "kind": exc.kind})
     return 0
 
 
@@ -212,7 +194,7 @@ def _cmd_pipeline(args) -> int:
         dist,
         k=args.k,
         strategy=args.strategy,
-        seed=_seed_of(args),
+        seed=args.seed,
         generator=HookConfig(command=args.generator, timeout=args.timeout),
         verifier=HookConfig(command=args.verifier, timeout=args.timeout),
         candidates=args.candidates,
@@ -239,7 +221,6 @@ def _cmd_score(args) -> int:
 def _cmd_demo(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _seed_of(args)
 
     corpus_path = out_dir / "corpus.jsonl"
     corpus_path.write_bytes(
@@ -254,11 +235,11 @@ def _cmd_demo(args) -> int:
     dist = build_distribution(_read_forms(forms_path), provenance="demo")
     save_distribution(dist, out_dir / "templates.json")
 
-    summary: dict = {"out_dir": str(out_dir), "seed": seed}
+    summary: dict = {"out_dir": str(out_dir), "seed": args.seed}
     for strategy in STRATEGIES:
         output = out_dir / f"output_{strategy}.jsonl"
         report = run_pipeline(
-            entries, output, dist, k=args.k, strategy=strategy, seed=seed
+            entries, output, dist, k=args.k, strategy=strategy, seed=args.seed
         )
         metrics = score_output(output, entries)
         summary[strategy] = {
@@ -297,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("realize", _cmd_realize, "render one logic form as text")
     p.add_argument("form")
@@ -323,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default=BUILTIN)
     p.add_argument("--verifier", default=BUILTIN)
     p.add_argument("--timeout", type=_timeout, default=HookConfig.timeout)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("score", _cmd_score, "compute metrics for a pipeline output")
     p.add_argument("--corpus", required=True)
@@ -332,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("demo", _cmd_demo, "run everything end to end on bundled data")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--k", type=_at_least(0), default=DEFAULT_K)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
@@ -350,10 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, DistributionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+    except (IngestError, DistributionError, FileNotFoundError, IsADirectoryError,
+            PermissionError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HookError as exc:

@@ -2,6 +2,8 @@
 
 Every error raised on purpose derives from LoftError so callers (the CLI,
 the pipeline) can map failures to exit codes without enumerating modules.
+A form error (ParseError, TypeCheckError, ExecutionError) names its
+``kind``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ class ParseError(LoftError):
     ``offset`` is the character offset of the problem, or None when the
     error is not tied to a single location (e.g. programmatic construction).
     """
+
+    kind = "parse"
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

@@ -169,12 +169,13 @@ def type_check(lf: LogicForm, table: Table) -> str:
 
     Depends only on headers and column types, never on row contents.  Hop
     directly over all_rows is rejected since it can only succeed on
-    single-row tables.
+    single-row tables, and so is a tree built by hand with functions
+    nested more than MAX_NESTING levels deep, as the parser rejects it.
     """
-    return _check(lf, table)
+    return _check(lf, table, 1)
 
 
-def _check(node: LogicForm, table: Table) -> str:
+def _check(node: LogicForm, table: Table, depth: int) -> str:
     if isinstance(node, AllRows):
         return VIEW
     if isinstance(node, Literal):
@@ -183,6 +184,8 @@ def _check(node: LogicForm, table: Table) -> str:
         raise TypeCheckError("column reference outside a header position")
     if not isinstance(node, Apply):
         raise TypeCheckError(f"not a logic form node: {node!r}")
+    if depth > MAX_NESTING:
+        raise TypeCheckError(f"functions nested more than {MAX_NESTING} levels deep")
     sig = CATALOG[node.name]
     if node.name == "hop" and isinstance(node.args[0], AllRows):
         raise TypeCheckError("hop requires a single-row view, not all_rows")
@@ -190,7 +193,7 @@ def _check(node: LogicForm, table: Table) -> str:
         if arg_type == VIEW:
             if isinstance(arg, (Literal, ColumnRef)):
                 raise TypeCheckError(f"{node.name}: view argument expected")
-            if _check(arg, table) != VIEW:
+            if _check(arg, table, depth + 1) != VIEW:
                 raise TypeCheckError(f"{node.name}: view argument expected")
         elif arg_type == HEADER:
             if not isinstance(arg, ColumnRef):
@@ -209,7 +212,7 @@ def _check(node: LogicForm, table: Table) -> str:
                 continue
             if isinstance(arg, (AllRows, ColumnRef)):
                 raise TypeCheckError(f"{node.name}: object argument expected")
-            if _check(arg, table) not in (NUM, OBJECT):
+            if _check(arg, table, depth + 1) not in (NUM, OBJECT):
                 raise TypeCheckError(f"{node.name}: object argument expected")
         elif arg_type == ORD:
             if not isinstance(arg, Literal):
@@ -222,7 +225,7 @@ def _check(node: LogicForm, table: Table) -> str:
                     kind="bad_ordinal",
                 )
         elif arg_type == BOOL:
-            if not isinstance(arg, Apply) or _check(arg, table) != BOOL:
+            if not isinstance(arg, Apply) or _check(arg, table, depth + 1) != BOOL:
                 raise TypeCheckError(f"{node.name}: boolean argument expected")
         else:  # pragma: no cover - catalog uses no other tags
             raise TypeCheckError(f"unhandled argument type {arg_type!r}")

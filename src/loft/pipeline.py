@@ -87,7 +87,7 @@ class HookConfig:
 
 @dataclass
 class Statement:
-    table_id: str
+    table: Table
     text: str
     logic_form: str
     category: str
@@ -222,20 +222,20 @@ class _HookProcess:
         log.warning("%s hook %s, item %s dropped", self.role, why, item_id)
 
 
-def _ask_hook(hook: HookConfig, role: str, items: list, request) -> Iterator[tuple]:
+def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tuple]:
     """(item, id, answer) for each item the hook answered, in item order;
-    request(item) gives the item's table and its own payload fields."""
+    each payload holds item.table's text and fields(item)."""
     # launched first, so the hook starts up while the payloads are built
     with _HookProcess(hook.command, hook.timeout, role) as proc:
         # keyed by object: the items keep every table alive
         table_texts: dict[int, str] = {}
         payloads = []
         for i, item in enumerate(items):
-            table, fields = request(item)
+            table = item.table
             if id(table) not in table_texts:
                 table_texts[id(table)] = serialize_table(table)
             payloads.append({"id": f"{table.table_id}#{i}",
-                             "table_text": table_texts[id(table)], **fields})
+                             "table_text": table_texts[id(table)], **fields(item)})
         for item, payload, resp in zip(items, payloads, proc.exchange(payloads)):
             if resp is not None:
                 yield item, payload["id"], resp
@@ -250,15 +250,15 @@ def generate_statements(
         for cand in candidates:
             out.append(
                 Statement(
-                    table_id=cand.table.table_id,
+                    table=cand.table,
                     text=realize_logic_form(cand.form),
                     logic_form=cand.logic_form,
                     category=cand.category,
                 )
             )
         return out
-    answers = _ask_hook(hook, "generator", candidates, lambda cand: (cand.table, {
-        "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)}))
+    answers = _ask_hook(hook, "generator", candidates, lambda cand: {
+        "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)})
     for cand, item_id, resp in answers:
         statement = resp.get("statement")
         # a lone surrogate ("\ud800") would stop the output write
@@ -267,7 +267,7 @@ def generate_statements(
             continue
         out.append(
             Statement(
-                table_id=cand.table.table_id,
+                table=cand.table,
                 text=statement.strip(),
                 logic_form=cand.logic_form,
                 category=cand.category,
@@ -276,9 +276,7 @@ def generate_statements(
     return out
 
 
-def verify_statements(
-    statements: list[Statement], hook: HookConfig, tables: dict[str, Table]
-) -> list[Statement]:
+def verify_statements(statements: list[Statement], hook: HookConfig) -> list[Statement]:
     """Keep only statements the verifier marks as entailed.
 
     The builtin verifier keeps every statement and executes nothing: each
@@ -290,8 +288,7 @@ def verify_statements(
     if hook.is_builtin:
         return list(statements)
     kept: list[Statement] = []
-    answers = _ask_hook(hook, "verifier", statements,
-                        lambda st: (tables[st.table_id], {"statement": st.text}))
+    answers = _ask_hook(hook, "verifier", statements, lambda st: {"statement": st.text})
     for st, item_id, resp in answers:
         entailed = resp.get("entailed")
         if not isinstance(entailed, bool):
@@ -315,7 +312,7 @@ def sample_outputs(
         raise ValueError(f"unknown sampling strategy {strategy!r}")
     grouped: dict[str, list[Statement]] = {}
     for st in statements:
-        grouped.setdefault(st.table_id, []).append(st)
+        grouped.setdefault(st.table.table_id, []).append(st)
     out: dict[str, list[Statement]] = {}
     for table_id, items in grouped.items():
         rng = table_rng(seed, table_id, salt="sample")
@@ -385,15 +382,15 @@ def run_pipeline(
     identical inputs and seed give byte-identical files.
     """
     report = PipelineReport(seed=seed, k=k, strategy=strategy)
-    tables: dict[str, Table] = {}
+    seen: set[str] = set()
     unique: list[SynthesizedCandidate] = []
     for entry in entries:
         table = entry.table
-        if table.table_id in tables:
+        if table.table_id in seen:
             # as load_corpus does: a repeated id would mix two tables' rows
             log.warning("skipping repeated table_id %r; the first table is kept", table.table_id)
             continue
-        tables[table.table_id] = table
+        seen.add(table.table_id)
         try:
             result = synthesize_candidates(
                 table, entry.selected_column_sets, dist, seed=seed, candidates=candidates
@@ -411,12 +408,12 @@ def run_pipeline(
         for cand in result.candidates:
             firsts.setdefault(cand.logic_form, cand)
         unique.extend(firsts.values())
-    report.tables = len(tables)
+    report.tables = len(seen)
     report.candidates = len(unique)
 
     statements = generate_statements(unique, generator)
     report.generated = len(statements)
-    kept = verify_statements(statements, verifier, tables)
+    kept = verify_statements(statements, verifier)
     report.verified = len(kept)
     sampled = sample_outputs(kept, k, strategy, seed)
 
@@ -435,7 +432,7 @@ def run_pipeline(
         for st in sampled[table_id]:
             histogram[st.category] += 1
             total += 1
-            if verify(st.logic_form, tables[table_id]):
+            if verify(st.logic_form, st.table):
                 faithful += 1
     report.sampled = total
     report.category_histogram = dict(histogram)

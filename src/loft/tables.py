@@ -317,18 +317,18 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
 
 def save_corpus(entries: list[CorpusEntry], path: str | Path) -> None:
     """Write entries back out in the JSON-lines corpus format."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            t = entry.table
-            record = {
-                "table_id": t.table_id,
-                "title": t.title,
-                "header": list(t.headers),
-                "rows": [[c.text for c in row] for row in t.rows],
-            }
-            if entry.selected_column_sets:
-                record["selected_columns"] = [list(s) for s in entry.selected_column_sets]
-            if entry.references:
-                record["references"] = list(entry.references)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = []
+    for entry in entries:
+        t = entry.table
+        record = {
+            "table_id": t.table_id,
+            "title": t.title,
+            "header": list(t.headers),
+            "rows": [[c.text for c in row] for row in t.rows],
+        }
+        if entry.selected_column_sets:
+            record["selected_columns"] = [list(s) for s in entry.selected_column_sets]
+        if entry.references:
+            record["references"] = list(entry.references)
+        records.append(record)
+    write_json_lines(path, records)

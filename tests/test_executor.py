@@ -11,7 +11,7 @@ from loft import Table, TypeCheckError, execute, parse_logic_form, verify
 from loft.catalog import BOOL, NUM
 from loft.errors import EmptyViewError, NonNumericError, RankRangeError, ViewSizeError
 from loft.executor import ExecValue, apply, number_text
-from loft.forms import Apply, type_check
+from loft.forms import MAX_NESTING, AllRows, Apply, ColumnRef, type_check
 
 from .generators import outcome, random_form, random_table
 
@@ -182,6 +182,21 @@ class TestVerify:
         with pytest.raises(TypeCheckError):
             type_check(lf, mt)
         assert verify(lf, mt) is False
+
+    @staticmethod
+    def hand_built(levels):
+        """only { filter_all { ... } } of `levels` functions, built without the parser."""
+        view = AllRows()
+        for _ in range(levels - 1):
+            view = Apply("filter_all", (view, ColumnRef("team")))
+        return Apply("only", (view,))
+
+    def test_hand_built_nesting_is_bounded_like_parsed_text(self, mt):
+        assert type_check(self.hand_built(MAX_NESTING), mt) == BOOL
+        with pytest.raises(TypeCheckError, match="nested more than"):
+            type_check(self.hand_built(MAX_NESTING + 1), mt)
+        # far past the interpreter's recursion limit: still False, no RecursionError
+        assert verify(self.hand_built(3000), mt) is False
 
 
 class TestExecValue:

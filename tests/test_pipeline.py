@@ -90,6 +90,14 @@ for line in sys.stdin:
     print(json.dumps({"id": req["id"], "entailed": True}), flush=True)
 """
 
+# "yes" instead of true for the second statement
+NON_BOOLEAN_VERIFIER = """\
+import json, sys
+for n, line in enumerate(sys.stdin):
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "entailed": "yes" if n == 1 else True}), flush=True)
+"""
+
 # A hook that reads its input in batches: everything that arrives before
 # stdin has been quiet for `quiet` seconds.
 BATCH_READER = """\
@@ -199,11 +207,6 @@ def many_candidates(bundled_corpus):
                                          seed=13, candidates=4).candidates)
     assert len(out) > HOOK_WINDOW
     return out
-
-
-@pytest.fixture(scope="module")
-def tables(bundled_corpus):
-    return {e.table.table_id: e.table for e in bundled_corpus}
 
 
 class TestGeneratorHooks:
@@ -328,7 +331,7 @@ class TestPipelinedHooks:
 
 class TestHookStage:
     def test_each_table_is_serialized_once_per_stage(self, tmp_path, many_candidates,
-                                                     tables, monkeypatch):
+                                                     monkeypatch):
         serialized = []
 
         def counting(table):
@@ -343,7 +346,7 @@ class TestHookStage:
         assert len(statements) == len(many_candidates) and serialized == table_ids
         serialized.clear()
         verifier = HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0)
-        assert verify_statements(statements, verifier, tables) == statements
+        assert verify_statements(statements, verifier) == statements
         assert serialized == table_ids
 
     @pytest.mark.parametrize("timeout", [0, -5, float("nan"), float("inf")])
@@ -353,9 +356,9 @@ class TestHookStage:
 
 
 class TestVerifierHooks:
-    def test_builtin_keeps_true_statements(self, candidates, tables):
+    def test_builtin_keeps_true_statements(self, candidates):
         statements = generate_statements(candidates, HookConfig())
-        kept = verify_statements(statements, HookConfig(), tables)
+        kept = verify_statements(statements, HookConfig())
         assert kept == statements  # synthesis only emits verify-true forms
 
     def test_written_forms_are_rechecked_when_the_synthesis_gate_breaks(
@@ -378,16 +381,26 @@ class TestVerifierHooks:
         assert broken.verified == broken.candidates > sound.candidates
         assert broken.execution_faithfulness < 1.0
 
-    def test_reject_all_hook_filters_everything(self, tmp_path, candidates, tables):
+    def test_reject_all_hook_filters_everything(self, tmp_path, candidates):
         statements = generate_statements(candidates, HookConfig())
         command = hook_command(tmp_path, "nope.py", REJECT_ALL_VERIFIER)
-        kept = verify_statements(statements, HookConfig(command, timeout=30.0), tables)
+        kept = verify_statements(statements, HookConfig(command, timeout=30.0))
         assert kept == []
 
+    def test_non_boolean_answer_costs_only_its_item(self, tmp_path, candidates, caplog):
+        statements = generate_statements(candidates, HookConfig())
+        assert len(statements) >= 3
+        command = hook_command(tmp_path, "yes_str.py", NON_BOOLEAN_VERIFIER)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            kept = verify_statements(statements, HookConfig(command, timeout=30.0))
+        assert kept == statements[:1] + statements[2:]
+        assert "gave no boolean" in caplog.text
 
-def make_statements(categories):
+
+def make_statements(categories, table_id="t", prefix="s"):
+    table = Table(table_id, table_id, ("x",), ())
     return [
-        Statement(table_id="t", text=f"s{i}", logic_form=f"f{i}", category=cat)
+        Statement(table=table, text=f"{prefix}{i}", logic_form=f"{prefix}{i}", category=cat)
         for i, cat in enumerate(categories)
     ]
 
@@ -431,10 +444,7 @@ class TestSampling:
         # per-table draws depend only on (seed, table_id), so adding another
         # table's statements to the batch cannot change what t gets
         statements = make_statements(["count"] * 8)
-        other = [
-            Statement(table_id="u", text=f"u{i}", logic_form=f"g{i}", category="count")
-            for i in range(5)
-        ]
+        other = make_statements(["count"] * 5, table_id="u", prefix="u")
         alone = sample_outputs(statements, 3, "random", seed=5)
         mixed = sample_outputs(other + statements, 3, "random", seed=5)
         assert [st.text for st in alone["t"]] == [st.text for st in mixed["t"]]
@@ -548,6 +558,21 @@ class TestRunPipeline:
         assert got.to_json() == want.to_json()
         assert both.read_text() == alone.read_text()
         assert repr(first.table.table_id) in caplog.text
+
+    def test_column_sets_that_fall_short_are_reported_by_table_and_columns(self, tmp_path):
+        # one row of text cannot fill many candidates for any column set
+        table = Table.from_strings("tiny", "tiny", ["a", "b", "c"], [["x", "y", "z"]])
+        sets = ((0, 1), (0, 2))
+        want = synthesize_candidates(table, list(sets), default_distribution(), seed=13,
+                                     candidates=50)
+        report = run_pipeline([CorpusEntry(table=table, selected_column_sets=sets)],
+                              tmp_path / "out.jsonl", default_distribution(), seed=13,
+                              candidates=50)
+        shortfalls = {res.column_set: res.shortfall for res in want.per_set}
+        assert all(shortfalls.values())
+        assert report.shortfalls == {
+            "tiny:0,1": shortfalls[(0, 1)], "tiny:0,2": shortfalls[(0, 2)],
+        }
 
     def test_duplicate_table_id_keeps_the_first_table(self, tmp_path):
         first = {"table_id": "x", "title": "first", "header": ["team", "points"],

@@ -192,8 +192,13 @@ class TestInstantiate:
     "COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; ORD_1 } ; ORDINAL { all_rows ; COL_2 ; ORD_1 } }",
     # a computed majority object
     "MAJORITY_ALL_GT { all_rows ; COL_1 ; AGGREGATION { all_rows ; COL_1 } }",
+    # a ranked row (nth_argmax / nth_argmin) under a hop
+    "COMPARE_EQ { hop { ORD_ARG { all_rows ; COL_1 ; ORD_1 } ; COL_2 } ; OBJ_1 }",
+    # the difference of two computed values
+    "COMPARE_EQ { diff { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ;"
+    " hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } ; COL_2 } } ; OBJ_3 }",
 ], ids=["gt-count", "gt-aggregate", "filter-all", "shared-obj", "shared-ord",
-        "computed-majority-obj"])
+        "computed-majority-obj", "ord-arg", "diff"])
 def test_each_grounding_branch_yields_sound_candidates(bundled_corpus, skeleton):
     dist = TemplateDistribution(entries=(WeightedTemplate(parse_template(skeleton), 1.0),))
     produced = 0
