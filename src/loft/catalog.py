@@ -115,6 +115,9 @@ NUMERIC_PREDICATE_GROUPS = frozenset(
     }
 )
 
+# Functions whose two object operands must both read as numbers.
+NUMERIC_OPERANDS = frozenset({"round_eq", "greater", "less", "diff"})
+
 
 def group_signature(group: str) -> FunctionSignature:
     """Representative signature of a group (members share types)."""

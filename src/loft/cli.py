@@ -331,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, DistributionError, FileNotFoundError, IsADirectoryError,
-            PermissionError, UnicodeDecodeError) as exc:
+    except (IngestError, DistributionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HookError as exc:

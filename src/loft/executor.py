@@ -1,8 +1,9 @@
 """Reference evaluator for logic forms over tables.
 
 Semantics notes that the code cannot show on its own:
-  * eq/not_eq compare numerically when both operands read as numbers,
-    otherwise by ``tables.fold_text`` (case-folded, whitespace-collapsed).
+  * An object is a cell; ``as_object`` makes a computed number one.  eq/not_eq
+    compare numerically when both operands read as numbers, otherwise by
+    ``CellValue.folded`` (``tables.fold_text``; every empty cell reads as "").
   * round_eq tolerates |a - b| <= max(abs_tol, rel_tol * |b|).
   * Ties in argmax/argmin go to the earliest row; nth_* ranks the sorted
     value multiset, so duplicated values occupy consecutive ranks.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
+from .catalog import BOOL, CATALOG, HEADER, NUM, NUMERIC_OPERANDS, OBJECT, ORD, VIEW
 from .errors import (
     EmptyViewError,
     LoftError,
@@ -25,7 +26,7 @@ from .errors import (
     ViewSizeError,
 )
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
-from .tables import EMPTY, CellValue, Table, fold_text, normalize_cell
+from .tables import EMPTY, NUMBER, CellValue, Table, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
@@ -61,35 +62,36 @@ def number_text(value: float) -> str:
     return repr(value)
 
 
-def obj_pair(value: float | CellValue) -> tuple[float | None, str]:
-    """Reduce a number or a cell to (numeric reading, comparison text)."""
-    if not isinstance(value, CellValue):
-        return float(value), number_text(value)
-    if value.kind == EMPTY:
-        return None, ""
-    return value.number, value.text
+def as_object(value: float | CellValue) -> CellValue:
+    """A cell as is; a number as a number cell holding it exactly, not re-read from its text."""
+    if isinstance(value, CellValue):
+        return value
+    return CellValue(NUMBER, number_text(value), float(value))
 
 
-def cell_predicate(op: str, cell: CellValue, obj_num: float | None, obj_folded: str) -> bool:
-    """Row predicate for filter/majority functions, given the object's
-    numeric reading and its text through fold_text. Empty cells fail."""
+def _equal(a: CellValue, b: CellValue) -> bool:
+    """The one object equality: numbers when both read as one, else folded text."""
+    if a.number is not None and b.number is not None:
+        return a.number == b.number
+    return a.folded == b.folded
+
+
+def cell_predicate(op: str, cell: CellValue, obj: CellValue) -> bool:
+    """Row predicate for filter/majority functions. Empty cells fail."""
     if cell.kind == EMPTY:
         return False
     if op in ("eq", "not_eq"):
-        if cell.number is not None and obj_num is not None:
-            hit = cell.number == obj_num
-        else:
-            hit = cell.folded == obj_folded
+        hit = _equal(cell, obj)
         return not hit if op == "not_eq" else hit
-    if cell.number is None or obj_num is None:
+    if cell.number is None or obj.number is None:
         return False
     if op == "greater":
-        return cell.number > obj_num
+        return cell.number > obj.number
     if op == "less":
-        return cell.number < obj_num
+        return cell.number < obj.number
     if op == "greater_eq":
-        return cell.number >= obj_num
-    return cell.number <= obj_num  # less_eq
+        return cell.number >= obj.number
+    return cell.number <= obj.number  # less_eq
 
 
 # longest first, so "greater_eq" is not read as "eq"
@@ -112,7 +114,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
 
     Arguments arrive as ``_eval`` produces them: a view as its row
     indices, a header as its column index, an ordinal as its rank, an object
-    as its ``obj_pair`` reading and a bool as a bool.  The result is plain
+    as a cell (see ``as_object``) and a bool as a bool.  The result is plain
     too, of the function's catalog return type.  Nothing is evaluated here,
     so callers that already hold child values can step one node.
     """
@@ -123,14 +125,10 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if name == "and":
         return args[0] and args[1]
     if name in ("eq", "not_eq"):
-        (na, ta), (nb, tb) = args
-        if na is not None and nb is not None:
-            equal = na == nb
-        else:
-            equal = fold_text(ta) == fold_text(tb)
+        equal = _equal(*args)
         return not equal if name == "not_eq" else equal
-    if name in ("round_eq", "greater", "less", "diff"):
-        (na, _), (nb, _) = args
+    if name in NUMERIC_OPERANDS:
+        na, nb = args[0].number, args[1].number
         if na is None or nb is None:
             raise NonNumericError(f"{name} needs numeric operands")
         if name == "round_eq":
@@ -148,10 +146,8 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if name == "filter_all":
         return rows
     if name.startswith(("filter_",) + _MAJORITY):
-        op = predicate_op(name)
-        obj_num, obj_text = args[2]
-        folded = fold_text(obj_text)
-        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj_num, folded))
+        op, obj = predicate_op(name), args[2]
+        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj))
         if name.startswith("filter_"):
             return kept
         if not rows:
@@ -203,7 +199,7 @@ def _eval(node: LogicForm, table: Table) -> Value:
             if name.startswith(_MAJORITY) and not args[0]:
                 # an empty view fails before the object is evaluated
                 raise EmptyViewError(f"{name}: empty view")
-            args.append(obj_pair(_eval(arg, table)))
+            args.append(as_object(_eval(arg, table)))
         else:  # VIEW or BOOL
             args.append(_eval(arg, table))
     return apply(name, tuple(args), table)

@@ -101,8 +101,11 @@ class _HookProcess:
         self.role = role
         self.timeout = timeout
         try:
+            argv = shlex.split(command)
+            if not argv:
+                raise ValueError("the command is blank")
             self.proc = subprocess.Popen(
-                shlex.split(command),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,

@@ -27,11 +27,13 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from .catalog import BOOL, CATALOG, GROUPS, HEADER, NUMERIC_PREDICATE_GROUPS, group_signature
+from .catalog import (
+    BOOL, CATALOG, GROUPS, HEADER, NUMERIC_OPERANDS, NUMERIC_PREDICATE_GROUPS, group_signature
+)
 from .errors import LoftError
-from .executor import Value, apply, number_text, obj_pair, predicate_op, verify
+from .executor import Value, apply, as_object, number_text, predicate_op, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table, fold_text, normalize_cell
+from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
     TAllRows,
     TApply,
@@ -123,7 +125,7 @@ def _column_needs(skeleton: TApply) -> dict[int, bool]:
         if node.group == "hop" and numeric_hop:
             numeric = True
         # hop results fed into numeric comparison must come from numeric columns
-        child_hop_numeric = node.group in ("COMPARE_GT", "round_eq", "diff")
+        child_hop_numeric = sig.name in NUMERIC_OPERANDS
         for arg, arg_type in zip(node.args, sig.arg_types):
             if arg_type == HEADER:
                 if isinstance(arg, TCol):
@@ -190,16 +192,16 @@ class _Attempt:
         self.ords[node.index] = value
         return value
 
-    def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, tuple[float | None, str]]:
-        """Form and value of a filter or majority object: a computed subform,
-        the literal already bound to the placeholder, or a draw from pool()."""
+    def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, CellValue]:
+        """Form and value of an object: a computed subform, the literal
+        already bound to the placeholder, or a draw from pool()."""
         if not isinstance(node, TObj):
             return self.fill_value(node)
         if node.index in self.objs:
             text = self.objs[node.index]
         else:
             text = self.new_obj(node.index, pool())
-        return Literal(text), obj_pair(normalize_cell(text))
+        return Literal(text), normalize_cell(text)
 
     # -- execution helpers -----------------------------------------------
 
@@ -227,16 +229,16 @@ class _Attempt:
     # -- candidate pools ---------------------------------------------------
 
     @staticmethod
-    def _distinct(cells: list[CellValue]) -> list[tuple[float | None, str]]:
-        """Distinct non-empty values by the executor's equality (number, else
-        folded text), first text wins."""
-        out: dict[object, tuple[float | None, str]] = {}
+    def _distinct(cells: list[CellValue]) -> list[CellValue]:
+        """Distinct non-empty cells by the executor's equality (number, else
+        folded text), first cell wins."""
+        out: dict[object, CellValue] = {}
         for cell in cells:
             if cell.kind == EMPTY:
                 continue
             key = cell.number if cell.number is not None else cell.folded
             if key not in out:
-                out[key] = (cell.number, cell.text)
+                out[key] = cell
         return list(out.values())
 
     def filter_obj_candidates(
@@ -245,10 +247,10 @@ class _Attempt:
         cells = self.view_cells(rows, col)
         hits = _hit_counter(predicate_op(member), cells)
         candidates = []
-        for num, text in self._distinct(cells):
-            kept = hits(num, text)
+        for obj in self._distinct(cells):
+            kept = hits(obj)
             if (kept == 1) if unique else (kept >= 1):
-                candidates.append(text)
+                candidates.append(obj.text)
         return candidates
 
     def majority_obj_candidates(
@@ -261,21 +263,20 @@ class _Attempt:
         # values absent from the view and synthetic extremes give the
         # all_not_eq / all_greater family something true to say
         pool += self._distinct(self.table.column_cells(col))
-        numbers = [num for num, _ in pool if num is not None]
+        numbers = [obj.number for obj in pool if obj.number is not None]
         if numbers:
             low, high = min(numbers), max(numbers)
-            pool.append((low - 1, number_text(low - 1)))
-            pool.append((high + 1, number_text(high + 1)))
+            pool += [as_object(low - 1), as_object(high + 1)]
         seen: set[str] = set()
         candidates = []
-        for num, text in pool:
-            if text in seen:
+        for obj in pool:
+            if obj.text in seen:
                 continue
-            seen.add(text)
-            kept = hits(num, text)
+            seen.add(obj.text)
+            kept = hits(obj)
             ok = kept == len(cells) if is_all else kept * 2 > len(cells)
             if ok:
-                candidates.append(text)
+                candidates.append(obj.text)
         return candidates
 
     # -- recursive filling -------------------------------------------------
@@ -311,7 +312,7 @@ class _Attempt:
             return Apply(member, args), self.step(member, *values)
         raise _Fail()
 
-    def fill_value(self, node: TemplateNode) -> tuple[Apply, tuple[float | None, str]]:
+    def fill_value(self, node: TemplateNode) -> tuple[Apply, CellValue]:
         if not isinstance(node, TApply):
             raise _Fail()
         group = node.group
@@ -345,7 +346,7 @@ class _Attempt:
             form, value = Apply("diff", forms), self.step("diff", *values)
         else:
             raise _Fail()
-        return form, obj_pair(value)
+        return form, as_object(value)
 
     def fill_bool(self, node: TApply) -> Apply:
         group = node.group
@@ -382,11 +383,10 @@ class _Attempt:
         sub = self.fill_value(right if left_obj else left)
         if obj_node.index in self.objs:
             # a shared placeholder fixed earlier: pick any member that holds
-            text = self.objs[obj_node.index]
-            lit = (Literal(text), obj_pair(normalize_cell(text)))
+            lit = self.bind_obj(obj_node, None)
             return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
-        sub_form, (num, text) = sub
-        member, target = self._compare_target(group, num, text, left_obj, sub_form)
+        sub_form, obj = sub
+        member, target = self._compare_target(group, obj, left_obj, sub_form)
         lit = Literal(self.new_obj(obj_node.index, [target]))
         return Apply(member, (lit, sub_form) if left_obj else (sub_form, lit))
 
@@ -400,22 +400,23 @@ class _Attempt:
         raise _Fail()
 
     def _compare_target(
-        self, group: str, num: float | None, text: str, obj_first: bool, sub_form: Apply
+        self, group: str, obj: CellValue, obj_first: bool, sub_form: Apply
     ) -> tuple[str, str]:
         """Pick a member plus a literal text that makes the comparison true."""
+        num = obj.number
         if group == "round_eq":
             if num is None:
                 raise _Fail()
             return "round_eq", number_text(num)
         if group == "COMPARE_EQ":
-            if not text:
+            if obj.kind == EMPTY:
                 raise _Fail()
             member = self.choice(["eq", "not_eq"])
             if member == "eq":
-                return "eq", text
+                return "eq", obj.text
             if num is not None:
                 return "not_eq", number_text(num + 1)
-            return "not_eq", self._different_text(sub_form, text)
+            return "not_eq", self._different_text(sub_form, obj)
         # COMPARE_GT
         if num is None:
             raise _Fail()
@@ -426,23 +427,18 @@ class _Attempt:
             return "greater", (above if obj_first else below)
         return "less", (below if obj_first else above)
 
-    def _different_text(self, sub_form: Apply, text: str) -> str:
-        """A live value unequal to text, from the column the value came from."""
+    def _different_text(self, sub_form: Apply, obj: CellValue) -> str:
+        """A live value's text unequal to obj, from the column obj came from."""
         if sub_form.name != "hop":
             raise _Fail()
-        ref = sub_form.args[1]
-        col = self.table.column_index(ref.name)
-        folded = fold_text(text)
-        pool = [
-            t for _, t in self._distinct(self.table.column_cells(col))
-            if fold_text(t) != folded
-        ]
-        return self.choice(pool)
+        col = self.table.column_index(sub_form.args[1].name)
+        pool = self._distinct(self.table.column_cells(col))
+        return self.choice([c.text for c in pool if c.folded != obj.folded])
 
 
-def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[float | None, str], int]:
-    """hits(num, text): how many cells pass ``cell_predicate(op, cell, num,
-    fold_text(text))``, read off tallies made in one pass over the cells."""
+def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[CellValue], int]:
+    """hits(obj): how many cells pass ``cell_predicate(op, cell, obj)``,
+    read off tallies made in one pass over the cells."""
     if op in ("eq", "not_eq"):
         by_number: dict[float, int] = {}
         by_text: dict[str, int] = {}  # folded text of the cells with no number
@@ -457,19 +453,20 @@ def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[float | None, str
                 by_number[cell.number] = by_number.get(cell.number, 0) + 1
         filled = sum(any_text.values())
 
-        def hits(num: float | None, text: str) -> int:
-            if num is None:
-                equal = any_text.get(fold_text(text), 0)
+        def hits(obj: CellValue) -> int:
+            if obj.number is None:
+                equal = any_text.get(obj.folded, 0)
             else:
-                equal = by_number.get(num, 0)
+                equal = by_number.get(obj.number, 0)
                 if by_text:  # a number's text can still equal a text cell
-                    equal += by_text.get(fold_text(text), 0)
+                    equal += by_text.get(obj.folded, 0)
             return filled - equal if op == "not_eq" else equal
 
         return hits
-    numbers = sorted(c.number for c in cells if c.kind != EMPTY and c.number is not None)
+    numbers = sorted(c.number for c in cells if c.number is not None)
 
-    def hits(num: float | None, text: str) -> int:
+    def hits(obj: CellValue) -> int:
+        num = obj.number
         if num is None:
             return 0
         if op == "greater":

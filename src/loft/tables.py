@@ -51,8 +51,8 @@ def fold_text(text: str) -> str:
 
 @dataclass(frozen=True)
 class CellValue:
-    """A normalized cell: kind is one of number/text/empty; folded is
-    fold_text(text), made once here for the executor's text equality."""
+    """A normalized cell, and the executor's object value: kind is number, text
+    or empty; folded is fold_text(text), or "" when empty, for eq's text rule."""
 
     kind: str
     text: str
@@ -60,7 +60,7 @@ class CellValue:
     folded: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        folded = fold_text(self.text)
+        folded = "" if self.kind == EMPTY else fold_text(self.text)
         # most cells fold to their own text: share it rather than hold a copy
         object.__setattr__(self, "folded", self.text if folded == self.text else folded)
 

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from loft import CorpusEntry, Table
+from loft import CorpusEntry, Table, build_distribution, parse_logic_form
 
 
 @pytest.fixture
@@ -24,3 +24,12 @@ def bundled_corpus() -> list[CorpusEntry]:
         if line.strip():
             entries.append(_entry_from_record(json.loads(line)))
     return entries
+
+
+@pytest.fixture(scope="session")
+def mined_distribution():
+    """The distribution mined from the bundled forms, as the benchmark mines it."""
+    raw = resources.files("loft.data").joinpath("sample_forms.txt").read_text("utf-8")
+    lines = (line.strip() for line in raw.splitlines())
+    return build_distribution([parse_logic_form(line) for line in lines
+                               if line and not line.startswith("#")])

@@ -15,7 +15,6 @@ import math
 import random
 import time
 from collections import Counter
-from importlib.resources import files
 
 import pytest
 
@@ -33,7 +32,7 @@ from loft.pipeline import (
 )
 from loft.synthesizer import sample_template, synthesize_candidates
 from loft.tables import NUMERIC
-from loft.templates import build_distribution, default_distribution
+from loft.templates import default_distribution
 
 from .generators import agreement_case, random_form, random_table
 from .oracle import oracle_execute
@@ -172,22 +171,11 @@ def test_capable_tables_fill_the_candidate_budget(synthesis_pass):
            "20-candidate budget", ok, detail)
 
 
-def _mined_distribution():
-    text = files("loft.data").joinpath("sample_forms.txt").read_text(encoding="utf-8")
-    lines = [line.strip() for line in text.splitlines()]
-    forms = [
-        parse_logic_form(line)
-        for line in lines
-        if line and not line.startswith("#")
-    ]
-    return build_distribution(forms)
-
-
-def test_template_draws_track_configured_weights():
+def test_template_draws_track_configured_weights(mined_distribution):
     rng = random.Random(777)
     draws = 10_000
     readings = []
-    for dist in (default_distribution(), _mined_distribution()):
+    for dist in (default_distribution(), mined_distribution):
         counts: Counter = Counter()
         for _ in range(draws):
             counts[sample_template(dist, rng).canonical()] += 1

@@ -492,6 +492,22 @@ class TestDeepJson:
         assert "timed out" not in caplog.text
 
 
+class TestUnwritableOutput:
+    """An output path under a regular file cannot be made: exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--out-dir", "afile"],
+        ["mine-templates", "--forms", "forms.txt", "--output", "afile/t.json"],
+    ], ids=["demo", "mine-templates"])
+    def test_output_under_a_file_is_exit_2(self, tmp_path, argv):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        (tmp_path / "forms.txt").write_text("only { all_rows }\n", encoding="utf-8")
+        result = loft(*argv, cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+
 class TestCsvFieldLimit:
     def test_oversized_field_is_exit_2_naming_the_line(self, tmp_path):
         src = tmp_path / "big.csv"

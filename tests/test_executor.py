@@ -10,8 +10,9 @@ import pytest
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
 from loft.catalog import BOOL, NUM
 from loft.errors import EmptyViewError, NonNumericError, RankRangeError, ViewSizeError
-from loft.executor import ExecValue, apply, number_text
+from loft.executor import ExecValue, apply, as_object, number_text
 from loft.forms import MAX_NESTING, AllRows, Apply, ColumnRef, type_check
+from loft.tables import CellValue, normalize_cell
 
 from .generators import outcome, random_form, random_table
 
@@ -130,6 +131,24 @@ class TestEmptyCells:
         assert run("avg { all_rows ; score }", holed).value == 5.0
         assert run("sum { all_rows ; score }", holed).value == 10.0
 
+    def test_every_empty_marker_is_one_object(self):
+        # eq reads each empty marker as "", so "n/a", "-" and "" are equal
+        t = Table.from_strings("t", "t", ["team", "points"], [["a", "3"], ["b", "n/a"], ["c", "-"]])
+        b = "hop { filter_eq { all_rows ; team ; b } ; points }"
+        c = "hop { filter_eq { all_rows ; team ; c } ; points }"
+        assert verify(f"eq {{ {b} ; - }}", t) is True
+        assert verify(f"eq {{ {b} ; {c} }}", t) is True
+
+
+class TestComputedObjects:
+    def test_a_computed_number_is_held_exactly(self):
+        # the sum prints as "1e+20", which would read back as 1
+        t = Table.from_strings(
+            "t", "t", ["big"], [["60000000000000000000"], ["40000000000000000000"]]
+        )
+        assert verify("greater { sum { all_rows ; big } ; 5 }", t) is True
+        assert as_object(1e20) == CellValue("number", "1e+20", 1e20)
+
 
 class TestTies:
     @pytest.fixture
@@ -224,14 +243,15 @@ class TestApplyStep:
     """The per-node step takes evaluated arguments and evaluates nothing."""
 
     def test_step_on_child_values(self, mt):
-        assert apply("filter_greater", ((0, 1, 2), 1, (2.0, "2")), mt) == (0, 1)
+        assert apply("filter_greater", ((0, 1, 2), 1, normalize_cell("2")), mt) == (0, 1)
         assert apply("hop", ((1,), 0), mt).text == "b"
         assert apply("nth_max", ((0, 1, 2), 1, 2), mt) == 3.0
-        assert apply("eq", ((3.0, "3"), (None, "3 ")), mt) is True
+        # a text object meets a number by its folded text
+        assert apply("eq", (as_object(3.0), CellValue("text", "3 ")), mt) is True
 
     def test_majority_step_rejects_an_empty_view(self, mt):
         with pytest.raises(EmptyViewError):
-            apply("all_eq", ((), 0, (None, "a")), mt)
+            apply("all_eq", ((), 0, CellValue("text", "a")), mt)
 
 
 class TestPropertyIdentities:

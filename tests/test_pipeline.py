@@ -248,8 +248,9 @@ class TestGeneratorHooks:
         assert "stale" in caplog.text
 
     def test_unlaunchable_hook_is_fatal(self, candidates):
-        with pytest.raises(HookError, match="cannot launch"):
-            generate_statements(candidates, HookConfig("/nonexistent/hook-binary"))
+        for command in ("/nonexistent/hook-binary", "", "   "):
+            with pytest.raises(HookError, match="cannot launch"):
+                generate_statements(candidates, HookConfig(command))
 
     def test_hook_exit_mid_run_is_fatal(self, tmp_path, candidates):
         command = hook_command(tmp_path, "quitter.py", QUITTER_HOOK)

@@ -151,16 +151,8 @@ class TestTemplateParsing:
 
 
 class TestDistributions:
-    def test_build_from_sample_forms(self):
-        from importlib import resources
-
-        raw = resources.files("loft.data").joinpath("sample_forms.txt").read_text("utf-8")
-        forms = [
-            parse_logic_form(line)
-            for line in raw.splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
-        dist = build_distribution(forms)
+    def test_build_from_sample_forms(self, mined_distribution):
+        dist = mined_distribution
         assert len(dist.entries) == 15
         assert sum(e.weight for e in dist.entries) == pytest.approx(1.0)
         weights = [e.weight for e in dist.entries]
