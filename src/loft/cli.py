@@ -185,12 +185,24 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _output_file(path: str) -> Path:
+    """An output file path whose parent directory exists, made now so a bad
+    path fails before any work rather than after it."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_pipeline(args) -> int:
+    report_path = args.report and _output_file(args.report)
+    output_path = _output_file(args.output)
     entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
     report = run_pipeline(
         entries,
-        args.output,
+        output_path,
         dist,
         k=args.k,
         strategy=args.strategy,
@@ -200,10 +212,8 @@ def _cmd_pipeline(args) -> int:
         candidates=args.candidates,
     )
     payload = report.to_json()
-    if args.report:
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
+    if report_path:
+        report_path.write_text(
             json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )

@@ -146,10 +146,10 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if name == "filter_all":
         return rows
     if name.startswith(("filter_",) + _MAJORITY):
-        op, obj = predicate_op(name), args[2]
-        kept = tuple(i for i in rows if cell_predicate(op, table.rows[i][col], obj))
+        op, obj, cells = predicate_op(name), args[2], table.rows
+        kept = [i for i in rows if cell_predicate(op, cells[i][col], obj)]
         if name.startswith("filter_"):
-            return kept
+            return tuple(kept)
         if not rows:
             raise EmptyViewError(f"{name}: empty view")
         if name.startswith("all_"):

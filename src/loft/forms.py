@@ -24,6 +24,7 @@ _SPACE_RE = re.compile(r"\s*")
 # a bare token runs up to the first delimiter or bad escape
 _TOKEN_RE = re.compile(r"(?:[^{};\\]|\\[{};\\])*")
 _UNESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPED_RE = re.compile(r"[{};\\]")
 
 # deepest function nesting a form or template may have: every consumer
 # (type check, execute, print, realize, abstract) recurses once per level
@@ -71,7 +72,10 @@ LogicForm = Union[AllRows, ColumnRef, Literal, Apply]
 
 
 def escape_token(text: str) -> str:
-    return re.sub(r"([{};\\])", r"\\\1", text)
+    """The token with ``{`` ``}`` ``;`` and ``\\`` backslash-escaped; most hold none."""
+    if _ESCAPED_RE.search(text) is None:
+        return text
+    return _ESCAPED_RE.sub(r"\\\g<0>", text)
 
 
 def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):

@@ -7,12 +7,16 @@ ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
 computed result instead of being guessed.  A node's value comes from the
 executor's per-node step applied to the values its children already
-produced, so no subtree is executed twice.  A filter or majority object
-pool counts each value's hits in the view from tallies made in one pass
-over the view's cells (equality by number, else by folded text; order by
-bisecting the sorted numbers), never from one predicate scan per value.
-Every filled form still goes through verification before it is returned,
-so these strategies only buy speed, never soundness.
+produced, so no subtree is executed twice.  Each view gets one index,
+made in one pass over its cells (equality by number, else by folded text;
+order by bisecting the sorted numbers): the filter and majority object
+pools count each value's hits from it, and a filter step reads its kept
+rows from it, never from one predicate scan per value.  Indexes, pools
+and the other per-view constants are built once per
+``synthesize_candidates`` call in a memo that dies with the call, so
+nothing is cached beyond it.  Every filled form still goes through
+verification before it is returned, so these strategies only buy speed,
+never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -26,6 +30,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .catalog import (
     BOOL, CATALOG, GROUPS, HEADER, NUMERIC_OPERANDS, NUMERIC_PREDICATE_GROUPS, group_signature
@@ -72,15 +77,12 @@ def table_rng(seed: int, table_id: str, salt: str = "") -> random.Random:
 
 
 def sample_template(dist: TemplateDistribution, rng: random.Random) -> Template:
-    """Draw one template with probability proportional to its weight."""
-    total = sum(e.weight for e in dist.entries)
-    point = rng.random() * total
-    acc = 0.0
-    for entry in dist.entries:
-        acc += entry.weight
-        if point <= acc:
-            return entry.template
-    return dist.entries[-1].template
+    """Draw one template with probability proportional to its weight: the
+    first entry whose running weight sum reaches the drawn point."""
+    weights = [e.weight for e in dist.entries]
+    point = rng.random() * sum(weights)
+    i = bisect_left(list(accumulate(weights)), point)
+    return dist.entries[min(i, len(weights) - 1)].template
 
 
 def derive_column_sets(table: Table, rng: random.Random) -> list[tuple[int, ...]]:
@@ -141,10 +143,12 @@ class _Attempt:
     """One grounding attempt; owns the placeholder assignments."""
 
     def __init__(
-        self, table: Table, columns: list[int], rng: random.Random, needs: dict[int, bool]
+        self, table: Table, columns: list[int], rng: random.Random, needs: dict[int, bool],
+        memo: dict,
     ):
         self.table = table
         self.rng = rng
+        self.memo = memo
         self.objs: dict[int, str] = {}
         self.ords: dict[int, int] = {}
         self.cols = self._assign_columns(needs, columns)
@@ -168,7 +172,7 @@ class _Attempt:
             used.add(choice)
         return assign
 
-    def choice(self, candidates: list):
+    def choice(self, candidates: Sequence):
         if not candidates:
             raise _Fail()
         return self.rng.choice(candidates)
@@ -201,7 +205,7 @@ class _Attempt:
             text = self.objs[node.index]
         else:
             text = self.new_obj(node.index, pool())
-        return Literal(text), normalize_cell(text)
+        return _once(self.memo, ("literal", text), lambda: (Literal(text), normalize_cell(text)))
 
     # -- execution helpers -----------------------------------------------
 
@@ -214,14 +218,17 @@ class _Attempt:
 
     def col_ref(self, node: TCol) -> tuple[ColumnRef, int]:
         col = self.cols[node.index]
-        return ColumnRef(self.table.headers[col]), col
+        return _once(self.memo, ("column", col), lambda: ColumnRef(self.table.headers[col])), col
 
     def view_cells(self, rows: tuple[int, ...], col: int) -> list[CellValue]:
         return [self.table.rows[i][col] for i in rows]
 
+    def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:
+        return _once(self.memo, ("view", col, rows), lambda: _ViewIndex(self.table, col, rows))
+
     def numeric_count(self, rows: tuple[int, ...], col: int) -> int:
         """Numeric cells of the column within the view; none fails the draw."""
-        usable = sum(1 for c in self.view_cells(rows, col) if c.number is not None)
+        usable = len(self.view(col, rows).pairs)
         if usable == 0:
             raise _Fail()
         return usable
@@ -241,28 +248,43 @@ class _Attempt:
                 out[key] = cell
         return list(out.values())
 
+    def column_values(self, col: int) -> list[CellValue]:
+        """Distinct values of the whole column."""
+        cells = self.table.column_cells
+        return _once(self.memo, ("values", col), lambda: self._distinct(cells(col)))
+
+    # A pool is built once per key and shared by every draw of the call;
+    # callers copy rather than mutate it.
     def filter_obj_candidates(
         self, member: str, col: int, rows: tuple[int, ...], unique: bool
     ) -> list[str]:
-        cells = self.view_cells(rows, col)
-        hits = _hit_counter(predicate_op(member), cells)
-        candidates = []
-        for obj in self._distinct(cells):
-            kept = hits(obj)
-            if (kept == 1) if unique else (kept >= 1):
-                candidates.append(obj.text)
-        return candidates
+        op = predicate_op(member)
+        key = ("filter", op, col, rows, unique)
+        return _once(self.memo, key, lambda: self._filter_pool(op, col, rows, unique))
 
     def majority_obj_candidates(
         self, member: str, col: int, rows: tuple[int, ...]
     ) -> list[str]:
+        key = ("majority", member, col, rows)
+        return _once(self.memo, key, lambda: self._majority_pool(member, col, rows))
+
+    def _filter_pool(self, op: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
+        index = self.view(col, rows)
+        candidates = []
+        for obj in self._distinct(self.view_cells(rows, col)):
+            kept = index.count(op, obj)
+            if (kept == 1) if unique else (kept >= 1):
+                candidates.append(obj.text)
+        return candidates
+
+    def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
+        index, op = self.view(col, rows), predicate_op(member)
         cells = self.view_cells(rows, col)
-        hits = _hit_counter(predicate_op(member), cells)
         is_all = member.startswith("all_")
         pool = self._distinct(cells)
         # values absent from the view and synthetic extremes give the
         # all_not_eq / all_greater family something true to say
-        pool += self._distinct(self.table.column_cells(col))
+        pool += self.column_values(col)
         numbers = [obj.number for obj in pool if obj.number is not None]
         if numbers:
             low, high = min(numbers), max(numbers)
@@ -273,7 +295,7 @@ class _Attempt:
             if obj.text in seen:
                 continue
             seen.add(obj.text)
-            kept = hits(obj)
+            kept = index.count(op, obj)
             ok = kept == len(cells) if is_all else kept * 2 > len(cells)
             if ok:
                 candidates.append(obj.text)
@@ -290,11 +312,11 @@ class _Attempt:
         if group in _FILTER_GROUPS:
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
-            member = self.choice(list(GROUPS[group]))
+            member = self.choice(GROUPS[group])
             obj_form, obj = self.bind_obj(
                 node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
             )
-            rows = self.step(member, inner_rows, col, obj)
+            rows = self.view(col, inner_rows).kept(predicate_op(member), obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if group == "filter_all":
             inner_form, inner_rows = self.fill_view(node.args[0])
@@ -304,7 +326,7 @@ class _Attempt:
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
             usable = self.numeric_count(inner_rows, col)
-            member = self.choice(list(GROUPS[group]))
+            member = self.choice(GROUPS[group])
             args, values = (inner_form, ref), (inner_rows, col)
             if group == "ORD_ARG":
                 rank = self.bind_ord(node.args[2], usable)
@@ -323,13 +345,13 @@ class _Attempt:
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
             self.numeric_count(inner_rows, col)
-            member = self.choice(list(GROUPS[group]))
+            member = self.choice(GROUPS[group])
             form, value = Apply(member, (inner_form, ref)), self.step(member, inner_rows, col)
         elif group == "ORDINAL":
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
             rank = self.bind_ord(node.args[2], self.numeric_count(inner_rows, col))
-            member = self.choice(list(GROUPS[group]))
+            member = self.choice(GROUPS[group])
             form = Apply(member, (inner_form, ref, Literal(str(rank))))
             value = self.step(member, inner_rows, col, rank)
         elif group == "hop":
@@ -362,7 +384,7 @@ class _Attempt:
             if not inner_rows:
                 raise _Fail()
             ref, col = self.col_ref(node.args[1])
-            member = self.choice(list(GROUPS[group]))
+            member = self.choice(GROUPS[group])
             obj_form, _ = self.bind_obj(
                 node.args[2], lambda: self.majority_obj_candidates(member, col, inner_rows)
             )
@@ -432,52 +454,78 @@ class _Attempt:
         if sub_form.name != "hop":
             raise _Fail()
         col = self.table.column_index(sub_form.args[1].name)
-        pool = self._distinct(self.table.column_cells(col))
-        return self.choice([c.text for c in pool if c.folded != obj.folded])
+        return self.choice([c.text for c in self.column_values(col) if c.folded != obj.folded])
 
 
-def _hit_counter(op: str, cells: list[CellValue]) -> Callable[[CellValue], int]:
-    """hits(obj): how many cells pass ``cell_predicate(op, cell, obj)``,
-    read off tallies made in one pass over the cells."""
-    if op in ("eq", "not_eq"):
-        by_number: dict[float, int] = {}
-        by_text: dict[str, int] = {}  # folded text of the cells with no number
-        any_text: dict[str, int] = {}  # folded text of every non-empty cell
-        for cell in cells:
+class _ViewIndex:
+    """One view of one column, indexed in one pass over its cells: the rows
+    each object keeps under cell_predicate, as counts and as row tuples."""
+
+    def __init__(self, table: Table, col: int, rows: tuple[int, ...]):
+        self.by_number: dict[float, list[int]] = {}
+        self.by_text: dict[str, list[int]] = {}  # folded text of the cells with no number
+        self.any_text: dict[str, list[int]] = {}  # folded text of every non-empty cell
+        self.filled: list[int] = []
+        pairs: list[tuple[float, int]] = []
+        for i in rows:
+            cell = table.rows[i][col]
             if cell.kind == EMPTY:
                 continue
-            any_text[cell.folded] = any_text.get(cell.folded, 0) + 1
+            self.filled.append(i)
+            self.any_text.setdefault(cell.folded, []).append(i)
             if cell.number is None:
-                by_text[cell.folded] = by_text.get(cell.folded, 0) + 1
+                self.by_text.setdefault(cell.folded, []).append(i)
             else:
-                by_number[cell.number] = by_number.get(cell.number, 0) + 1
-        filled = sum(any_text.values())
+                self.by_number.setdefault(cell.number, []).append(i)
+                pairs.append((cell.number, i))
+        pairs.sort()
+        self.pairs = pairs
+        self.numbers = [n for n, _ in pairs]
 
-        def hits(obj: CellValue) -> int:
-            if obj.number is None:
-                equal = any_text.get(obj.folded, 0)
-            else:
-                equal = by_number.get(obj.number, 0)
-                if by_text:  # a number's text can still equal a text cell
-                    equal += by_text.get(obj.folded, 0)
-            return filled - equal if op == "not_eq" else equal
+    def _equal(self, obj: CellValue) -> tuple[list[int], ...]:
+        if obj.number is None:
+            return (self.any_text.get(obj.folded, []),)
+        # a number's text can still equal a text cell
+        return self.by_number.get(obj.number, []), self.by_text.get(obj.folded, [])
 
-        return hits
-    numbers = sorted(c.number for c in cells if c.number is not None)
-
-    def hits(obj: CellValue) -> int:
-        num = obj.number
-        if num is None:
-            return 0
+    def _span(self, op: str, num: float | None) -> tuple[int, int]:
+        """The slice of the sorted pairs whose number passes op against num."""
+        if num is None or num != num:  # no number, or NaN: no order holds
+            return 0, 0
         if op == "greater":
-            return len(numbers) - bisect_right(numbers, num)
+            return bisect_right(self.numbers, num), len(self.numbers)
         if op == "less":
-            return bisect_left(numbers, num)
+            return 0, bisect_left(self.numbers, num)
         if op == "greater_eq":
-            return len(numbers) - bisect_left(numbers, num)
-        return bisect_right(numbers, num)  # less_eq
+            return bisect_left(self.numbers, num), len(self.numbers)
+        return 0, bisect_right(self.numbers, num)  # less_eq
 
-    return hits
+    def count(self, op: str, obj: CellValue) -> int:
+        """How many of the view's cells pass ``cell_predicate(op, cell, obj)``."""
+        if op in ("eq", "not_eq"):
+            equal = sum(map(len, self._equal(obj)))
+            return len(self.filled) - equal if op == "not_eq" else equal
+        low, high = self._span(op, obj.number)
+        return high - low
+
+    def kept(self, op: str, obj: CellValue) -> tuple[int, ...]:
+        """``apply("filter_" + op, (rows, col, obj), table)``: the passing rows, in row order."""
+        if op in ("eq", "not_eq"):
+            equal = sorted(i for part in self._equal(obj) for i in part)
+            if op == "eq":
+                return tuple(equal)
+            drop = set(equal)
+            return tuple(i for i in self.filled if i not in drop)
+        low, high = self._span(op, obj.number)
+        return tuple(sorted(i for _, i in self.pairs[low:high]))
+
+
+def _once(memo: dict, key: tuple, build: Callable[[], object]):
+    """memo[key], built by build() the first time a synthesis call asks."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
 
 
 def _shuffled(rng: random.Random, items: tuple[str, ...]) -> list[str]:
@@ -491,20 +539,26 @@ def instantiate(
     table: Table,
     columns: list[int],
     rng: random.Random,
+    memo: dict | None = None,
 ) -> Apply | None:
     """Ground one template against the table, or None after all retries.
 
     Returned forms always verify true and reference only the given columns.
+    ``memo`` holds what grounding builds from the table alone; it must not
+    outlive the table's synthesis call (a fresh one by default).
     """
     if group_signature(template.skeleton.group).return_type != BOOL:
         return None
+    memo = {} if memo is None else memo
     columns = [c for c in columns if 0 <= c < len(table.headers)]
-    needs = _column_needs(template.skeleton)
+    # the entry holds the template, so no other object takes its id while the memo lives
+    _, needs = _once(memo, ("needs", id(template)),
+                     lambda: (template, _column_needs(template.skeleton)))
     if len(needs) > len(columns):
         return None
     for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            form = _Attempt(table, columns, rng, needs).fill_bool(template.skeleton)
+            form = _Attempt(table, columns, rng, needs, memo).fill_bool(template.skeleton)
         except _Fail:
             continue
         if verify(form, table):
@@ -570,6 +624,7 @@ def synthesize_candidates(
     if not column_sets:
         column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
+    memo: dict = {}  # this call's indexes and pools; see _once
     for column_set in column_sets:
         res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
         seen: set[str] = set()
@@ -577,7 +632,7 @@ def synthesize_candidates(
         while len(res.forms) < candidates and res.attempts < budget:
             res.attempts += 1
             template = sample_template(dist, rng)
-            form = instantiate(template, table, list(column_set), rng)
+            form = instantiate(template, table, list(column_set), rng, memo)
             if form is None:
                 continue
             text = print_logic_form(form)

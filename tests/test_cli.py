@@ -507,6 +507,22 @@ class TestUnwritableOutput:
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("bad", [
+        ["--report", "afile/r.json"],
+        ["--report", "adir"],
+        ["--output", "adir"],
+    ], ids=["report-under-a-file", "report-is-a-directory", "output-is-a-directory"])
+    def test_pipeline_fails_before_writing_its_output(self, tmp_path, corpus, bad):
+        # both paths are checked before the run, so no output is left behind
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        args = {"--corpus": corpus, "--output": "out/o.jsonl", bad[0]: bad[1]}
+        result = loft("pipeline", *(x for kv in args.items() for x in kv), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out" / "o.jsonl").exists()
+
 
 class TestCsvFieldLimit:
     def test_oversized_field_is_exit_2_naming_the_line(self, tmp_path):

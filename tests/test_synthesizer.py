@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +12,12 @@ import loft.executor
 import loft.synthesizer
 from loft import Table, default_distribution, verify
 from loft.catalog import BOOL
-from loft.executor import as_object, cell_predicate
+from loft.executor import apply, as_object, cell_predicate
 from loft.forms import referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
     _Attempt,
-    _hit_counter,
+    _ViewIndex,
     derive_column_sets,
     instantiate,
     sample_template,
@@ -244,8 +245,9 @@ def _majority_pool(view, column):
 
 
 class TestPoolCounts:
-    """Candidate pools count hits from tallies of the view; the counts and
-    the pools must match one cell_predicate scan per value."""
+    """Candidate pools count hits from one index of the view; the counts and
+    the pools must match one cell_predicate scan per value, and the index's
+    kept rows the executor's filter step."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CELL_TEXTS, max_size=12), st.lists(CELL_TEXTS, max_size=6))
@@ -254,23 +256,27 @@ class TestPoolCounts:
     # an object with no number meets a number cell by its text alone
     @example(["5", "5 (x)"], ["5"])
     def test_counts_match_a_predicate_scan(self, view_texts, other_texts):
-        view = [normalize_cell(t) for t in view_texts]
+        table = Table.from_strings("t", "t", ["c"], [[t] for t in view_texts])
+        view, rows = table.column_cells(0), tuple(range(table.n_rows))
         pool = _majority_pool(view, view + [normalize_cell(t) for t in other_texts])
         # and objects with no numeric reading whatever their text, as the
-        # executor is free to be given
+        # executor is free to be given, and a computed NaN (inf - inf)
         pool += [CellValue(TEXT, t) for t in view_texts + other_texts]
+        pool.append(as_object(float("inf") - float("inf")))
+        index = _ViewIndex(table, 0, rows)
         for op in OPS:
-            hits = _hit_counter(op, view)
             for obj in pool:
                 expected = sum(cell_predicate(op, c, obj) for c in view)
-                assert hits(obj) == expected, (op, obj)
+                assert index.count(op, obj) == expected, (op, obj)
+                kept = apply("filter_" + op, (rows, 0, obj), table)
+                assert index.kept(op, obj) == kept, (op, obj)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(CELL_TEXTS, min_size=1, max_size=12), st.data())
     def test_pools_match_a_predicate_scan(self, texts, data):
         table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
         rows = tuple(sorted(data.draw(st.sets(st.sampled_from(range(len(texts))), min_size=1))))
-        attempt = _Attempt(table, [0], random.Random(0), {})
+        attempt = _Attempt(table, [0], random.Random(0), {}, {})
         view = attempt.view_cells(rows, 0)
 
         def kept(op, obj):
@@ -293,6 +299,9 @@ class TestPoolCounts:
                         expected.append(obj.text)
                 got = attempt.majority_obj_candidates(quantifier + op, 0, rows)
                 assert got == expected, (quantifier + op)
+            for obj in _majority_pool(view, table.column_cells(0)):
+                got = attempt.view(0, rows).kept(op, obj)
+                assert got == apply("filter_" + op, (rows, 0, obj), table), (op, obj)
 
 
 def _seeded_table(seed: int) -> Table:
@@ -329,6 +338,73 @@ def test_synthesis_on_wide_mixed_tables_is_byte_stable(mined_distribution):
         for cand in result.candidates:
             digest.update(f"{list(cand.column_set)} {cand.logic_form}\n".encode("utf-8"))
     assert digest.hexdigest() == WIDE_TABLES_SHA256
+
+
+def _with_empty_cells(table: Table, share: float, seed: int) -> Table:
+    """The table with about `share` of its cells replaced by the empty marker "-"."""
+    rng = random.Random(seed)
+    rows = [["-" if rng.random() < share else cell.text for cell in row] for row in table.rows]
+    return Table.from_strings(table.table_id, table.title, list(table.headers), rows)
+
+
+def _with_majority_all_gt(dist: TemplateDistribution) -> TemplateDistribution:
+    """dist at half weight plus MAJORITY_ALL_GT at the other half: all_* draws
+    over views with empty cells are the ones that fail most."""
+    extra = WeightedTemplate(parse_template("MAJORITY_ALL_GT { all_rows ; COL_1 ; OBJ_1 }"), 0.5)
+    halved = tuple(WeightedTemplate(e.template, e.weight / 2) for e in dist.entries)
+    return TemplateDistribution(entries=halved + (extra,))
+
+
+# 160 candidates when recorded, before grounding memoized its views and
+# pools, which must change no byte.  Pins draws on a 48-row table with 2%
+# and then 10% more empty cells, under a distribution where half the draws
+# are all_greater: some ground at 2%, and at 10% every one is doomed.
+EMPTY_CELLS_SHA256 = "654a2c30706cd38c060c88eaf02653b9c412d4dffd2785d36bcaf4be7632d5f8"
+
+
+def test_synthesis_with_empty_cells_and_all_draws_is_byte_stable():
+    dist = _with_majority_all_gt(default_distribution())
+    digest = hashlib.sha256()
+    for share in (0.02, 0.1):
+        table = _with_empty_cells(_seeded_table(0), share, seed=1)
+        result = synthesize_candidates(table, None, dist, seed=13, candidates=20)
+        for cand in result.candidates:
+            digest.update(f"{list(cand.column_set)} {cand.logic_form}\n".encode("utf-8"))
+    assert digest.hexdigest() == EMPTY_CELLS_SHA256
+
+
+def test_grounding_memo_lives_for_one_call(monkeypatch):
+    # every view index and pool is built once per synthesize_candidates
+    # call, and again by the next call: nothing is kept on the table or
+    # in the module between calls
+    builds = []
+    real_index = loft.synthesizer._ViewIndex
+
+    def counting_index(table, col, rows):
+        builds.append(("view", col, rows))
+        return real_index(table, col, rows)
+
+    monkeypatch.setattr(loft.synthesizer, "_ViewIndex", counting_index)
+    for name in ("_filter_pool", "_majority_pool"):
+        def counting_pool(self, *key, _name=name, _real=getattr(_Attempt, name)):
+            builds.append((_name,) + key)
+            return _real(self, *key)
+
+        monkeypatch.setattr(_Attempt, name, counting_pool)
+    table = _seeded_table(0)
+    attributes = dict(vars(table))
+    dist = _with_majority_all_gt(default_distribution())
+    runs = []
+    for _ in range(2):
+        builds.clear()
+        synthesize_candidates(table, None, dist, seed=13, candidates=20)
+        runs.append(list(builds))
+    first, second = runs
+    assert {key[0] for key in first} == {"view", "_filter_pool", "_majority_pool"}
+    assert len(first) == len(set(first))
+    assert second == first
+    assert vars(table).keys() == attributes.keys()
+    assert all(vars(table)[k] is v for k, v in attributes.items())
 
 
 # 8,688 calls when recorded; a scan per pool value made 293,472
@@ -409,3 +485,35 @@ def test_sample_template_follows_weights():
     draws = [sample_template(dist, rng).canonical() for _ in range(2000)]
     share = draws.count("only { all_rows }") / len(draws)
     assert 0.87 <= share <= 0.93
+
+
+def _linear_scan_draw(dist, rng):
+    """The reference draw: the first entry whose running weight sum reaches
+    the point, scanned one entry at a time."""
+    total = sum(e.weight for e in dist.entries)
+    point = rng.random() * total
+    acc = 0.0
+    for entry in dist.entries:
+        acc += entry.weight
+        if point <= acc:
+            return entry.template
+    return dist.entries[-1].template
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-9]),
+                    st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(WEIGHTS, min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+@example([0.0, 0.5, 0.0, 0.5, 0.0], 0)
+@example([1.0], 0)
+@example([0.1] * 10, 0)  # sums to 0.9999999999999999
+@example([0.0, 0.0], 0)
+def test_sample_template_picks_what_a_linear_scan_picks(weights, seed):
+    # entries stand for templates by their index; zero weights, which a
+    # TemplateDistribution refuses, must still never be picked differently
+    dist = SimpleNamespace(entries=tuple(WeightedTemplate(i, w) for i, w in enumerate(weights)))
+    fast, reference = random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        assert sample_template(dist, fast) == _linear_scan_draw(dist, reference)
