@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
@@ -31,12 +30,12 @@ _ESCAPED_RE = re.compile(r"[{};\\]")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllRows:
     """The whole-table view terminal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     name: str
 
@@ -44,7 +43,7 @@ class ColumnRef:
         object.__setattr__(self, "name", fold_text(str(self.name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     text: str
 
@@ -52,7 +51,7 @@ class Literal:
         object.__setattr__(self, "text", str(self.text).strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     name: str
     args: tuple["LogicForm", ...]
@@ -68,7 +67,7 @@ class Apply:
             )
 
 
-LogicForm = Union[AllRows, ColumnRef, Literal, Apply]
+LogicForm = AllRows | ColumnRef | Literal | Apply
 
 
 def escape_token(text: str) -> str:

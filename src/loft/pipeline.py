@@ -35,6 +35,7 @@ from queue import Empty, Queue
 
 from .errors import HookError, LoftError
 from .executor import verify
+from .forms import Apply
 from .realizer import realize_logic_form, serialize_table
 from .synthesizer import (
     DEFAULT_CANDIDATES,
@@ -85,12 +86,35 @@ class HookConfig:
         return self.command == BUILTIN
 
 
-@dataclass
 class Statement:
-    table: Table
-    text: str
-    logic_form: str
-    category: str
+    """A statement about a table and the logic form it states.
+
+    The builtin generator gives the form in place of the text, which is
+    realized the first time it is read: most statements are never written
+    or sent to a verifier.
+    """
+
+    __slots__ = ("table", "_text", "logic_form", "category", "_form")
+
+    def __init__(self, table: Table, text: str | None, logic_form: str, category: str,
+                 form: Apply | None = None):
+        self.table, self._text, self._form = table, text, form
+        self.logic_form, self.category = logic_form, category
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = realize_logic_form(self._form)
+        return self._text
+
+    def _fields(self) -> tuple:
+        return self.table, self.text, self.logic_form, self.category
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Statement) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Statement(table=%r, text=%r, logic_form=%r, category=%r)" % self._fields()
 
 
 class _HookProcess:
@@ -247,19 +271,12 @@ def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tupl
 def generate_statements(
     candidates: list[SynthesizedCandidate], hook: HookConfig
 ) -> list[Statement]:
-    """Turn candidate forms into statement texts via realizer or hook."""
-    out: list[Statement] = []
+    """Turn candidate forms into statements: the builtin realizer's texts are
+    realized when first read, a hook's are asked for now."""
     if hook.is_builtin:
-        for cand in candidates:
-            out.append(
-                Statement(
-                    table=cand.table,
-                    text=realize_logic_form(cand.form),
-                    logic_form=cand.logic_form,
-                    category=cand.category,
-                )
-            )
-        return out
+        return [Statement(cand.table, None, cand.logic_form, cand.category, cand.form)
+                for cand in candidates]
+    out: list[Statement] = []
     answers = _ask_hook(hook, "generator", candidates, lambda cand: {
         "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)})
     for cand, item_id, resp in answers:

@@ -14,9 +14,10 @@ pools count each value's hits from it, and a filter step reads its kept
 rows from it, never from one predicate scan per value.  Indexes, pools
 and the other per-view constants are built once per
 ``synthesize_candidates`` call in a memo that dies with the call, so
-nothing is cached beyond it.  Every filled form still goes through
-verification before it is returned, so these strategies only buy speed,
-never soundness.
+nothing is cached beyond it.  Every filled form is printed, and each
+distinct text goes through one full verification per call before it is
+returned; a form with the same text is the same tree, so it reuses that
+answer.  These strategies only buy speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -76,13 +77,23 @@ def table_rng(seed: int, table_id: str, salt: str = "") -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_template(dist: TemplateDistribution, rng: random.Random) -> Template:
-    """Draw one template with probability proportional to its weight: the
-    first entry whose running weight sum reaches the drawn point."""
+def running_weights(dist: TemplateDistribution) -> tuple[list[float], float]:
+    """The running weight sums of dist's entries, and sum() of the weights."""
     weights = [e.weight for e in dist.entries]
-    point = rng.random() * sum(weights)
-    i = bisect_left(list(accumulate(weights)), point)
-    return dist.entries[min(i, len(weights) - 1)].template
+    return list(accumulate(weights)), sum(weights)
+
+
+def sample_template(
+    dist: TemplateDistribution,
+    rng: random.Random,
+    running: tuple[list[float], float] | None = None,
+) -> Template:
+    """Draw one template with probability proportional to its weight: the
+    first entry whose running weight sum reaches the drawn point.  A caller
+    that draws many times passes ``running_weights(dist)``, made once."""
+    sums, total = running or running_weights(dist)
+    i = bisect_left(sums, rng.random() * total)
+    return dist.entries[min(i, len(sums) - 1)].template
 
 
 def derive_column_sets(table: Table, rng: random.Random) -> list[tuple[int, ...]]:
@@ -540,12 +551,14 @@ def instantiate(
     columns: list[int],
     rng: random.Random,
     memo: dict | None = None,
-) -> Apply | None:
-    """Ground one template against the table, or None after all retries.
+) -> tuple[Apply, str] | None:
+    """Ground one template against the table: the form and its printed
+    text, or None after all retries.
 
     Returned forms always verify true and reference only the given columns.
-    ``memo`` holds what grounding builds from the table alone; it must not
-    outlive the table's synthesis call (a fresh one by default).
+    ``memo`` holds what grounding builds from the table alone, and each
+    printed text's verify answer; it must not outlive the table's synthesis
+    call (a fresh one by default).
     """
     if group_signature(template.skeleton.group).return_type != BOOL:
         return None
@@ -561,8 +574,10 @@ def instantiate(
             form = _Attempt(table, columns, rng, needs, memo).fill_bool(template.skeleton)
         except _Fail:
             continue
-        if verify(form, table):
-            return form
+        text = print_logic_form(form)
+        # parse(print(form)) is form, so a text this call verified has its answer
+        if _once(memo, ("verified", text), lambda: verify(form, table)):
+            return form, text
     return None
 
 
@@ -624,18 +639,19 @@ def synthesize_candidates(
     if not column_sets:
         column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
-    memo: dict = {}  # this call's indexes and pools; see _once
+    memo: dict = {}  # this call's indexes, pools and verify answers; see _once
+    running = running_weights(dist)
     for column_set in column_sets:
         res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
         seen: set[str] = set()
         budget = ATTEMPT_BUDGET_FACTOR * candidates
         while len(res.forms) < candidates and res.attempts < budget:
             res.attempts += 1
-            template = sample_template(dist, rng)
-            form = instantiate(template, table, list(column_set), rng, memo)
-            if form is None:
+            template = sample_template(dist, rng, running)
+            grounded = instantiate(template, table, list(column_set), rng, memo)
+            if grounded is None:
                 continue
-            text = print_logic_form(form)
+            form, text = grounded
             if text in seen:
                 continue
             seen.add(text)

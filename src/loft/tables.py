@@ -49,7 +49,7 @@ def fold_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellValue:
     """A normalized cell, and the executor's object value: kind is number, text
     or empty; folded is fold_text(text), or "" when empty, for eq's text rule."""

@@ -15,7 +15,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 from .catalog import (
     CATALOG,
@@ -62,7 +61,7 @@ class TApply:
     args: tuple["TemplateNode", ...]
 
 
-TemplateNode = Union[TAllRows, TCol, TObj, TOrd, TApply]
+TemplateNode = TAllRows | TCol | TObj | TOrd | TApply
 
 
 @dataclass(frozen=True)

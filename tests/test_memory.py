@@ -1,0 +1,57 @@
+"""What loft keeps in memory: nothing after a re-import, little per value."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import loft
+from loft.forms import AllRows, Apply, ColumnRef, Literal
+from loft.tables import normalize_cell
+
+LOFT_ROOT = str(Path(loft.__file__).resolve().parents[1])
+
+# Imports loft, drops every loft module, imports it again and prints which
+# classes of the first import are still alive after a collection.
+REIMPORT = """
+import gc, importlib, json, sys, weakref
+
+def first_import():
+    import loft  # noqa: F401
+    loaded = [m for name, m in sys.modules.items() if name == "loft" or name.startswith("loft.")]
+    refs = {f"{m.__name__}.{name}": weakref.ref(value) for m in loaded
+            for name, value in vars(m).items()
+            if isinstance(value, type) and value.__module__ == m.__name__}
+    for m in loaded:
+        del sys.modules[m.__name__]
+    return refs
+
+refs = first_import()
+importlib.import_module("loft")
+gc.collect()
+print(json.dumps({"classes": sorted(refs),
+                  "alive": sorted(name for name, ref in refs.items() if ref() is not None)}))
+"""
+
+
+def test_a_reimport_leaves_no_class_of_the_first_import_alive():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [LOFT_ROOT, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    assert {"loft.forms.Apply", "loft.tables.CellValue", "loft.templates.TApply"} <= set(
+        got["classes"])
+    assert got["alive"] == []
+
+
+@pytest.mark.parametrize("value", [
+    normalize_cell("3"), normalize_cell("a b"), normalize_cell("-"),
+    AllRows(), ColumnRef("points"), Literal("3"), Apply("count", (AllRows(),)),
+], ids=repr)
+def test_cells_and_form_nodes_have_no_instance_dict(value):
+    assert not hasattr(value, "__dict__")

@@ -13,7 +13,7 @@ import loft.synthesizer
 from loft import Table, default_distribution, verify
 from loft.catalog import BOOL
 from loft.executor import apply, as_object, cell_predicate
-from loft.forms import referenced_columns
+from loft.forms import print_logic_form, referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
     _Attempt,
@@ -127,9 +127,11 @@ class TestInstantiate:
         template = self.count_template()
         produced = 0
         for _ in range(50):
-            form = instantiate(template, mt, [0, 1], rng)
-            if form is None:
+            grounded = instantiate(template, mt, [0, 1], rng)
+            if grounded is None:
                 continue
+            form, text = grounded
+            assert text == print_logic_form(form)
             got = oracle_execute(form, mt)
             assert got.value is True
             produced += 1
@@ -139,8 +141,9 @@ class TestInstantiate:
         rng = random.Random(7)
         for entry in default_distribution().entries:
             for _ in range(10):
-                form = instantiate(entry.template, mt, [0, 1], rng)
-                if form is not None:
+                grounded = instantiate(entry.template, mt, [0, 1], rng)
+                if grounded is not None:
+                    form, _ = grounded
                     assert abstract(form).canonical() == entry.template.canonical()
 
     def test_non_boolean_template_yields_nothing(self, mt):
