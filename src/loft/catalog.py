@@ -5,6 +5,15 @@ abstraction group used by template mining, argument types and a return
 type.  Functions that differ only in comparator direction or polarity
 share a group (greater/less, all_greater_eq/all_less_eq, ...); functions
 with no such twin keep their own name as the group.
+
+Two more fields say what a function does, so no caller reads it from the
+name.  ``family`` is ``filter``, ``all`` or ``most`` for the row-predicate
+functions (a filter keeps the passing rows; ``all`` holds when every row
+passes, ``most`` when more than half do), ``numeric_pair`` for the
+functions whose two objects must both read as numbers (round_eq, greater,
+less, diff), and the function's own name for every other function.
+``op`` is the comparator a row-predicate function tests each cell with
+(eq, not_eq, greater, less, greater_eq, less_eq) and None elsewhere.
 """
 
 from __future__ import annotations
@@ -48,11 +57,32 @@ class FunctionSignature:
     group: str
     arg_types: tuple[str, ...]
     return_type: str
+    family: str
     numeric_column: bool = False  # header argument must be a numeric column
+    op: str | None = None  # comparator of a filter/all/most function
 
 
-def _sig(name, category, group, args, ret, numeric=False):
-    return FunctionSignature(name, category, group, tuple(args), ret, numeric)
+def _sig(name, category, group, args, ret, numeric=False, family=None):
+    return FunctionSignature(name, category, group, tuple(args), ret, family or name, numeric)
+
+
+# Each row-predicate comparator, with the suffix of the group it shares
+# with its twin (eq/not_eq, greater/less, greater_eq/less_eq); the order
+# is the catalog's, which template grounding draws members by.
+_COMPARATORS = {
+    "eq": "EQ", "not_eq": "EQ", "greater": "GT", "less": "GT", "greater_eq": "GE", "less_eq": "GE",
+}
+# comparators that order numbers: their object is a numeric threshold
+ORDER_OPS = frozenset(op for op, suffix in _COMPARATORS.items() if suffix != "EQ")
+
+
+def _predicates(family, category, group, ret):
+    """The six ``<family>_<op>`` functions, one per comparator."""
+    return [
+        FunctionSignature(f"{family}_{op}", category, f"{group}_{suffix}", (VIEW, HEADER, OBJECT),
+                          ret, family, op=op)
+        for op, suffix in _COMPARATORS.items()
+    ]
 
 
 _DEFS = [
@@ -68,28 +98,13 @@ _DEFS = [
     _sig("argmin", ORDINAL, "SUPER_ARG", [VIEW, HEADER], VIEW, numeric=True),
     _sig("eq", COMPARATIVE, "COMPARE_EQ", [OBJECT, OBJECT], BOOL),
     _sig("not_eq", COMPARATIVE, "COMPARE_EQ", [OBJECT, OBJECT], BOOL),
-    _sig("round_eq", COMPARATIVE, "round_eq", [OBJECT, OBJECT], BOOL),
-    _sig("greater", COMPARATIVE, "COMPARE_GT", [OBJECT, OBJECT], BOOL),
-    _sig("less", COMPARATIVE, "COMPARE_GT", [OBJECT, OBJECT], BOOL),
-    _sig("diff", COMPARATIVE, "diff", [OBJECT, OBJECT], NUM),
-    _sig("all_eq", MAJORITY, "MAJORITY_ALL_EQ", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("all_not_eq", MAJORITY, "MAJORITY_ALL_EQ", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("all_greater", MAJORITY, "MAJORITY_ALL_GT", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("all_less", MAJORITY, "MAJORITY_ALL_GT", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("all_greater_eq", MAJORITY, "MAJORITY_ALL_GE", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("all_less_eq", MAJORITY, "MAJORITY_ALL_GE", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_eq", MAJORITY, "MAJORITY_MOST_EQ", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_not_eq", MAJORITY, "MAJORITY_MOST_EQ", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_greater", MAJORITY, "MAJORITY_MOST_GT", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_less", MAJORITY, "MAJORITY_MOST_GT", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_greater_eq", MAJORITY, "MAJORITY_MOST_GE", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("most_less_eq", MAJORITY, "MAJORITY_MOST_GE", [VIEW, HEADER, OBJECT], BOOL),
-    _sig("filter_eq", CONJUNCTION, "FILTER_EQ", [VIEW, HEADER, OBJECT], VIEW),
-    _sig("filter_not_eq", CONJUNCTION, "FILTER_EQ", [VIEW, HEADER, OBJECT], VIEW),
-    _sig("filter_greater", CONJUNCTION, "FILTER_GT", [VIEW, HEADER, OBJECT], VIEW),
-    _sig("filter_less", CONJUNCTION, "FILTER_GT", [VIEW, HEADER, OBJECT], VIEW),
-    _sig("filter_greater_eq", CONJUNCTION, "FILTER_GE", [VIEW, HEADER, OBJECT], VIEW),
-    _sig("filter_less_eq", CONJUNCTION, "FILTER_GE", [VIEW, HEADER, OBJECT], VIEW),
+    _sig("round_eq", COMPARATIVE, "round_eq", [OBJECT, OBJECT], BOOL, family="numeric_pair"),
+    _sig("greater", COMPARATIVE, "COMPARE_GT", [OBJECT, OBJECT], BOOL, family="numeric_pair"),
+    _sig("less", COMPARATIVE, "COMPARE_GT", [OBJECT, OBJECT], BOOL, family="numeric_pair"),
+    _sig("diff", COMPARATIVE, "diff", [OBJECT, OBJECT], NUM, family="numeric_pair"),
+    *_predicates("all", MAJORITY, "MAJORITY_ALL", BOOL),
+    *_predicates("most", MAJORITY, "MAJORITY_MOST", BOOL),
+    *_predicates("filter", CONJUNCTION, "FILTER", VIEW),
     _sig("filter_all", CONJUNCTION, "filter_all", [VIEW, HEADER], VIEW),
     _sig("hop", OTHER, "hop", [VIEW, HEADER], OBJECT),
     _sig("and", OTHER, "and", [BOOL, BOOL], BOOL),
@@ -101,22 +116,6 @@ GROUPS: dict[str, tuple[str, ...]] = {}
 for _s in _DEFS:
     GROUPS.setdefault(_s.group, ())
     GROUPS[_s.group] = GROUPS[_s.group] + (_s.name,)
-
-# Groups whose object argument is a numeric threshold; their header column
-# must be numeric for any row to satisfy the predicate.
-NUMERIC_PREDICATE_GROUPS = frozenset(
-    {
-        "FILTER_GT",
-        "FILTER_GE",
-        "MAJORITY_ALL_GT",
-        "MAJORITY_ALL_GE",
-        "MAJORITY_MOST_GT",
-        "MAJORITY_MOST_GE",
-    }
-)
-
-# Functions whose two object operands must both read as numbers.
-NUMERIC_OPERANDS = frozenset({"round_eq", "greater", "less", "diff"})
 
 
 def group_signature(group: str) -> FunctionSignature:

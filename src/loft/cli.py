@@ -329,9 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    level = (os.environ.get("LOFT_LOG") or "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: LOFT_LOG={level!r} is not a log level; "
+              "use DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
+        return 1
     logging.basicConfig(
         stream=sys.stderr,
-        level=os.environ.get("LOFT_LOG", "WARNING").upper(),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

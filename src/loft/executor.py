@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import BOOL, CATALOG, HEADER, NUM, NUMERIC_OPERANDS, OBJECT, ORD, VIEW
+from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
 from .errors import (
     EmptyViewError,
     LoftError,
@@ -94,21 +94,6 @@ def cell_predicate(op: str, cell: CellValue, obj: CellValue) -> bool:
     return cell.number <= obj.number  # less_eq
 
 
-# longest first, so "greater_eq" is not read as "eq"
-_PREDICATE_OPS = ("greater_eq", "less_eq", "not_eq", "greater", "less", "eq")
-
-
-def predicate_op(name: str) -> str:
-    """Comparator carried by a filter_*/all_*/most_* function name."""
-    for op in _PREDICATE_OPS:
-        if name.endswith(op):
-            return op
-    raise ValueError(f"{name} carries no predicate")
-
-
-_MAJORITY = ("all_", "most_")
-
-
 def apply(name: str, args: tuple, table: Table) -> Value:
     """One function applied to its evaluated arguments.
 
@@ -118,6 +103,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     too, of the function's catalog return type.  Nothing is evaluated here,
     so callers that already hold child values can step one node.
     """
+    sig = CATALOG[name]
     if name == "count":
         return float(len(args[0]))
     if name == "only":
@@ -127,7 +113,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if name in ("eq", "not_eq"):
         equal = _equal(*args)
         return not equal if name == "not_eq" else equal
-    if name in NUMERIC_OPERANDS:
+    if sig.family == "numeric_pair":
         na, nb = args[0].number, args[1].number
         if na is None or nb is None:
             raise NonNumericError(f"{name} needs numeric operands")
@@ -145,14 +131,14 @@ def apply(name: str, args: tuple, table: Table) -> Value:
         return table.rows[rows[0]][col]
     if name == "filter_all":
         return rows
-    if name.startswith(("filter_",) + _MAJORITY):
-        op, obj, cells = predicate_op(name), args[2], table.rows
+    if sig.op is not None:  # a filter, all or most function
+        op, obj, cells = sig.op, args[2], table.rows
         kept = [i for i in rows if cell_predicate(op, cells[i][col], obj)]
-        if name.startswith("filter_"):
+        if sig.family == "filter":
             return tuple(kept)
         if not rows:
             raise EmptyViewError(f"{name}: empty view")
-        if name.startswith("all_"):
+        if sig.family == "all":
             return len(kept) == len(rows)
         return len(kept) * 2 > len(rows)
     # the rest read the view's numeric cells: avg, sum, argmax, argmin, nth_*
@@ -185,9 +171,9 @@ def _eval(node: LogicForm, table: Table) -> Value:
         return normalize_cell(node.text)
     if isinstance(node, ColumnRef):
         raise TypeCheckError("column reference is not executable on its own")
-    name = node.name
+    name, sig = node.name, CATALOG[node.name]
     args: list = []
-    for arg, arg_type in zip(node.args, CATALOG[name].arg_types):
+    for arg, arg_type in zip(node.args, sig.arg_types):
         if arg_type == HEADER:
             idx = table.column_index(arg.name)
             if idx is None:
@@ -196,7 +182,7 @@ def _eval(node: LogicForm, table: Table) -> Value:
         elif arg_type == ORD:
             args.append(int(arg.text))
         elif arg_type == OBJECT:
-            if name.startswith(_MAJORITY) and not args[0]:
+            if sig.family in ("all", "most") and not args[0]:
                 # an empty view fails before the object is evaluated
                 raise EmptyViewError(f"{name}: empty view")
             args.append(as_object(_eval(arg, table)))

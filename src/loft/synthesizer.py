@@ -33,11 +33,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .catalog import (
-    BOOL, CATALOG, GROUPS, HEADER, NUMERIC_OPERANDS, NUMERIC_PREDICATE_GROUPS, group_signature
-)
+from .catalog import BOOL, CATALOG, COMPARATIVE, GROUPS, HEADER, ORDER_OPS, group_signature
 from .errors import LoftError
-from .executor import Value, apply, as_object, number_text, predicate_op, verify
+from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
@@ -52,18 +50,6 @@ from .templates import (
 )
 
 log = logging.getLogger(__name__)
-
-_COMPARE_GROUPS = ("COMPARE_EQ", "COMPARE_GT", "round_eq")
-_MAJORITY_GROUPS = (
-    "MAJORITY_ALL_EQ",
-    "MAJORITY_ALL_GT",
-    "MAJORITY_ALL_GE",
-    "MAJORITY_MOST_EQ",
-    "MAJORITY_MOST_GT",
-    "MAJORITY_MOST_GE",
-)
-_FILTER_GROUPS = ("FILTER_EQ", "FILTER_GT", "FILTER_GE")
-
 
 # Candidate target per column set unless a caller asks for another.
 DEFAULT_CANDIDATES = 20
@@ -134,11 +120,11 @@ def _column_needs(skeleton: TApply) -> dict[int, bool]:
         if not isinstance(node, TApply):
             return
         sig = group_signature(node.group)
-        numeric = sig.numeric_column or node.group in NUMERIC_PREDICATE_GROUPS
+        numeric = sig.numeric_column or sig.op in ORDER_OPS
         if node.group == "hop" and numeric_hop:
             numeric = True
         # hop results fed into numeric comparison must come from numeric columns
-        child_hop_numeric = sig.name in NUMERIC_OPERANDS
+        child_hop_numeric = sig.family == "numeric_pair"
         for arg, arg_type in zip(node.args, sig.arg_types):
             if arg_type == HEADER:
                 if isinstance(arg, TCol):
@@ -269,7 +255,7 @@ class _Attempt:
     def filter_obj_candidates(
         self, member: str, col: int, rows: tuple[int, ...], unique: bool
     ) -> list[str]:
-        op = predicate_op(member)
+        op = CATALOG[member].op
         key = ("filter", op, col, rows, unique)
         return _once(self.memo, key, lambda: self._filter_pool(op, col, rows, unique))
 
@@ -289,9 +275,8 @@ class _Attempt:
         return candidates
 
     def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
-        index, op = self.view(col, rows), predicate_op(member)
+        index, sig = self.view(col, rows), CATALOG[member]
         cells = self.view_cells(rows, col)
-        is_all = member.startswith("all_")
         pool = self._distinct(cells)
         # values absent from the view and synthetic extremes give the
         # all_not_eq / all_greater family something true to say
@@ -306,8 +291,8 @@ class _Attempt:
             if obj.text in seen:
                 continue
             seen.add(obj.text)
-            kept = index.count(op, obj)
-            ok = kept == len(cells) if is_all else kept * 2 > len(cells)
+            kept = index.count(sig.op, obj)
+            ok = kept == len(cells) if sig.family == "all" else kept * 2 > len(cells)
             if ok:
                 candidates.append(obj.text)
         return candidates
@@ -320,14 +305,14 @@ class _Attempt:
         if not isinstance(node, TApply):
             raise _Fail()
         group = node.group
-        if group in _FILTER_GROUPS:
+        if group_signature(group).family == "filter":
             inner_form, inner_rows = self.fill_view(node.args[0])
             ref, col = self.col_ref(node.args[1])
             member = self.choice(GROUPS[group])
             obj_form, obj = self.bind_obj(
                 node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
             )
-            rows = self.view(col, inner_rows).kept(predicate_op(member), obj)
+            rows = self.view(col, inner_rows).kept(CATALOG[member].op, obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if group == "filter_all":
             inner_form, inner_rows = self.fill_view(node.args[0])
@@ -382,7 +367,7 @@ class _Attempt:
         return form, as_object(value)
 
     def fill_bool(self, node: TApply) -> Apply:
-        group = node.group
+        group, sig = node.group, group_signature(node.group)
         if group == "and":
             left = self.fill_bool(node.args[0])
             right = self.fill_bool(node.args[1])
@@ -390,7 +375,7 @@ class _Attempt:
         if group == "only":
             inner_form, _ = self.fill_view(node.args[0], unique=True)
             return Apply("only", (inner_form,))
-        if group in _MAJORITY_GROUPS:
+        if sig.family in ("all", "most"):
             inner_form, inner_rows = self.fill_view(node.args[0])
             if not inner_rows:
                 raise _Fail()
@@ -400,7 +385,7 @@ class _Attempt:
                 node.args[2], lambda: self.majority_obj_candidates(member, col, inner_rows)
             )
             return Apply(member, (inner_form, ref, obj_form))
-        if group in _COMPARE_GROUPS:
+        if sig.category == COMPARATIVE and sig.return_type == BOOL:  # not diff
             return self.fill_compare(group, node.args)
         raise _Fail()
 
@@ -520,7 +505,7 @@ class _ViewIndex:
         return high - low
 
     def kept(self, op: str, obj: CellValue) -> tuple[int, ...]:
-        """``apply("filter_" + op, (rows, col, obj), table)``: the passing rows, in row order."""
+        """The rows a filter with comparator op keeps, as ``apply`` gives them: in row order."""
         if op in ("eq", "not_eq"):
             equal = sorted(i for part in self._equal(obj) for i in part)
             if op == "eq":

@@ -144,6 +144,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err and "argument --timeout: timeout must be above 0" in err
 
+    @pytest.mark.parametrize("level", ["verbose", "10"])
+    def test_unknown_log_level_is_bad_usage(self, level):
+        result = loft("realize", "count { all_rows }", env_extra={"LOFT_LOG": level})
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        assert "DEBUG, INFO, WARNING, ERROR or CRITICAL" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestIngest:
     def test_normalizes_and_reports(self, tmp_path):

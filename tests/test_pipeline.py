@@ -5,6 +5,7 @@ the tests do not depend on a shell or on PATH.
 """
 
 import json
+import random
 import shlex
 import sys
 from collections import Counter
@@ -25,8 +26,10 @@ from loft.pipeline import (
 )
 from loft.realizer import serialize_table
 from loft.synthesizer import SynthesizedCandidate, synthesize_candidates
-from loft.tables import CorpusEntry, Table
+from loft.tables import EMPTY, CorpusEntry, Table, save_corpus
 from loft.templates import TemplateDistribution, WeightedTemplate, parse_template
+
+from .generators import random_table
 
 ECHO_GENERATOR = """\
 import json, sys
@@ -610,6 +613,29 @@ class TestRunPipeline:
             )
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["stratified", "random"])
+    def test_output_does_not_depend_on_corpus_order(self, tmp_path, bundled_corpus, strategy):
+        # synthesis and sampling draw from (seed, table id) alone, never the position
+        rng = random.Random(4)
+        tables = [random_table(rng) for _ in range(7)] + [
+            random_table(rng, max_rows=1), random_table(rng, max_cols=1),
+            random_table(rng, max_rows=1, max_cols=1)]
+        assert any(cell.kind == EMPTY for t in tables for row in t.rows for cell in row)
+        save_corpus(bundled_corpus + [CorpusEntry(t) for t in tables], tmp_path / "corpus.jsonl")
+        lines = (tmp_path / "corpus.jsonl").read_text("utf-8").splitlines(keepends=True)
+        runs = []
+        for shuffle in (None, 1, 2, 3):
+            if shuffle is not None:
+                random.Random(shuffle).shuffle(lines)
+            corpus, out = tmp_path / f"corpus{shuffle}.jsonl", tmp_path / f"out{shuffle}.jsonl"
+            corpus.write_text("".join(lines), encoding="utf-8")
+            report = run_pipeline(load_corpus(corpus), out, default_distribution(),
+                                  k=3, strategy=strategy, seed=13)
+            runs.append((out.read_bytes(), report.to_json()))
+        assert runs[0][1]["tables"] == len(bundled_corpus) + len(tables)
+        assert runs[0][1]["sampled"] > 0
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_seed_changes_selection(self, tmp_path, bundled_corpus):
         texts = []
