@@ -1,4 +1,11 @@
-"""End-to-end run: synthesize, realize or delegate, verify, sample, write.
+"""End-to-end run: synthesize, generate, verify, sample, write.
+
+With both hooks builtin a run has no generate or verify stage: nothing
+can be dropped, so it samples the synthesized candidates and realizes
+only the sampled ones, as it writes them.  With either hook external, it
+generates a statement for every candidate (the builtin realizer realizes
+each one, since a hook verifier reads every text), verifies them, then
+samples what is kept.
 
 External hooks are line-delimited JSON subprocesses.  A generator hook
 receives {"id", "table_text", "logic_form", "readable"} per line and must
@@ -35,7 +42,6 @@ from queue import Empty, Queue
 
 from .errors import HookError, LoftError
 from .executor import verify
-from .forms import Apply
 from .realizer import realize_logic_form, serialize_table
 from .synthesizer import (
     DEFAULT_CANDIDATES,
@@ -86,35 +92,14 @@ class HookConfig:
         return self.command == BUILTIN
 
 
+@dataclass(frozen=True)
 class Statement:
-    """A statement about a table and the logic form it states.
+    """A statement about a table and the logic form it states."""
 
-    The builtin generator gives the form in place of the text, which is
-    realized the first time it is read: most statements are never written
-    or sent to a verifier.
-    """
-
-    __slots__ = ("table", "_text", "logic_form", "category", "_form")
-
-    def __init__(self, table: Table, text: str | None, logic_form: str, category: str,
-                 form: Apply | None = None):
-        self.table, self._text, self._form = table, text, form
-        self.logic_form, self.category = logic_form, category
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = realize_logic_form(self._form)
-        return self._text
-
-    def _fields(self) -> tuple:
-        return self.table, self.text, self.logic_form, self.category
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Statement) and self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "Statement(table=%r, text=%r, logic_form=%r, category=%r)" % self._fields()
+    table: Table
+    text: str
+    logic_form: str
+    category: str
 
 
 class _HookProcess:
@@ -268,14 +253,16 @@ def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tupl
                 yield item, payload["id"], resp
 
 
+def _realized(cand: SynthesizedCandidate) -> Statement:
+    return Statement(cand.table, realize_logic_form(cand.form), cand.logic_form, cand.category)
+
+
 def generate_statements(
     candidates: list[SynthesizedCandidate], hook: HookConfig
 ) -> list[Statement]:
-    """Turn candidate forms into statements: the builtin realizer's texts are
-    realized when first read, a hook's are asked for now."""
+    """Turn candidate forms into statements, by the builtin realizer or a hook."""
     if hook.is_builtin:
-        return [Statement(cand.table, None, cand.logic_form, cand.category, cand.form)
-                for cand in candidates]
+        return [_realized(cand) for cand in candidates]
     out: list[Statement] = []
     answers = _ask_hook(hook, "generator", candidates, lambda cand: {
         "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)})
@@ -285,14 +272,7 @@ def generate_statements(
         if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
             log.warning("generator hook gave no usable statement for %s", item_id)
             continue
-        out.append(
-            Statement(
-                table=cand.table,
-                text=statement.strip(),
-                logic_form=cand.logic_form,
-                category=cand.category,
-            )
-        )
+        out.append(Statement(cand.table, statement.strip(), cand.logic_form, cand.category))
     return out
 
 
@@ -301,9 +281,9 @@ def verify_statements(statements: list[Statement], hook: HookConfig) -> list[Sta
 
     The builtin verifier keeps every statement and executes nothing: each
     logic form passed the one full verify of synthesis (``instantiate``),
-    and no generator can change it.  The sampled statements are checked
-    again, from their written forms, when ``run_pipeline`` measures
-    execution faithfulness.
+    and no generator can change it.  The written statements are checked
+    again, from their forms, when ``run_pipeline`` measures execution
+    faithfulness.
     """
     if hook.is_builtin:
         return list(statements)
@@ -318,31 +298,36 @@ def verify_statements(statements: list[Statement], hook: HookConfig) -> list[Sta
     return kept
 
 
-def sample_outputs(
-    statements: list[Statement], k: int, strategy: str, seed: int
-) -> dict[str, list[Statement]]:
-    """Pick at most k statements per table.
+def _check_sampling(k: int, strategy: str) -> None:
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
+
+
+def sample_outputs(items: list, k: int, strategy: str, seed: int) -> dict[str, list]:
+    """Pick at most k items per table; an item is anything with a table, a
+    logic_form and a category, such as a Statement or a candidate.
 
     random: uniform without replacement.  stratified: one draw from every
     root category first (category order shuffled), then uniform fill from
-    what is left.  Selection only depends on (seed, table_id), never on
-    corpus order.
+    what is left.  A table's picks depend only on the seed, its table_id
+    and its own items in order, never on other tables or on the item type.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown sampling strategy {strategy!r}")
-    grouped: dict[str, list[Statement]] = {}
-    for st in statements:
+    _check_sampling(k, strategy)
+    grouped: dict[str, list] = {}
+    for st in items:
         grouped.setdefault(st.table.table_id, []).append(st)
-    out: dict[str, list[Statement]] = {}
-    for table_id, items in grouped.items():
+    out: dict[str, list] = {}
+    for table_id, group in grouped.items():
         rng = table_rng(seed, table_id, salt="sample")
-        if len(items) <= k:
-            chosen = list(items)
+        if len(group) <= k:
+            chosen = list(group)
         elif strategy == RANDOM:
-            chosen = rng.sample(items, k)
+            chosen = rng.sample(group, k)
         else:
-            by_cat: dict[str, list[Statement]] = {}
-            for st in items:
+            by_cat: dict[str, list] = {}
+            for st in group:
                 by_cat.setdefault(st.category, []).append(st)
             cats = sorted(by_cat)
             rng.shuffle(cats)
@@ -401,6 +386,7 @@ def run_pipeline(
     Output lines are sorted by table id and rendered with sorted keys, so
     identical inputs and seed give byte-identical files.
     """
+    _check_sampling(k, strategy)
     report = PipelineReport(seed=seed, k=k, strategy=strategy)
     seen: set[str] = set()
     unique: list[SynthesizedCandidate] = []
@@ -431,31 +417,25 @@ def run_pipeline(
     report.tables = len(seen)
     report.candidates = len(unique)
 
-    statements = generate_statements(unique, generator)
-    report.generated = len(statements)
-    kept = verify_statements(statements, verifier)
-    report.verified = len(kept)
-    sampled = sample_outputs(kept, k, strategy, seed)
+    if generator.is_builtin and verifier.is_builtin:
+        # nothing can be dropped: sample the candidates, realize only those
+        report.generated = report.verified = report.candidates
+        sampled = {table_id: [_realized(cand) for cand in chosen] for table_id, chosen
+                   in sample_outputs(unique, k, strategy, seed).items()}
+    else:
+        statements = generate_statements(unique, generator)
+        report.generated = len(statements)
+        kept = verify_statements(statements, verifier)
+        report.verified = len(kept)
+        sampled = sample_outputs(kept, k, strategy, seed)
 
-    histogram: Counter = Counter()
-    faithful = 0
-    total = 0
-    records = []
-    for table_id in sorted(sampled):
-        records.append({
-            "table_id": table_id,
-            "statements": [
-                {"text": st.text, "logic_form": st.logic_form, "category": st.category}
-                for st in sampled[table_id]
-            ],
-        })
-        for st in sampled[table_id]:
-            histogram[st.category] += 1
-            total += 1
-            if verify(st.logic_form, st.table):
-                faithful += 1
-    report.sampled = total
-    report.category_histogram = dict(histogram)
-    report.execution_faithfulness = (faithful / total) if total else None
-    write_json_lines(out_path, records)
+    table_ids = sorted(sampled)
+    written = [st for table_id in table_ids for st in sampled[table_id]]
+    report.sampled = len(written)
+    report.category_histogram = dict(Counter(st.category for st in written))
+    faithful = sum(verify(st.logic_form, st.table) for st in written)
+    report.execution_faithfulness = (faithful / len(written)) if written else None
+    write_json_lines(out_path, [{"table_id": table_id, "statements": [
+        {"text": st.text, "logic_form": st.logic_form, "category": st.category}
+        for st in sampled[table_id]]} for table_id in table_ids])
     return report

@@ -24,7 +24,7 @@ from loft.pipeline import (
     sample_outputs,
     verify_statements,
 )
-from loft.realizer import serialize_table
+from loft.realizer import realize_logic_form, serialize_table
 from loft.synthesizer import SynthesizedCandidate, synthesize_candidates
 from loft.tables import EMPTY, CorpusEntry, Table, save_corpus
 from loft.templates import TemplateDistribution, WeightedTemplate, parse_template
@@ -318,19 +318,30 @@ class TestPipelinedHooks:
         assert out == builtin[:1] + builtin[2:]
         assert "no usable statement" in caplog.text
 
-    def test_hooked_run_over_the_bundled_corpus_matches_builtin(self, tmp_path,
-                                                                bundled_corpus):
+    def assert_hooked_run_matches_builtin(self, tmp_path, corpus, hooks):
+        # any external hook takes the generate -> verify -> sample path, which
+        # must write what the builtin run writes when its hooks change nothing
         builtin_out, hooked_out = tmp_path / "builtin.jsonl", tmp_path / "hooked.jsonl"
-        builtin = run_pipeline(bundled_corpus, builtin_out, default_distribution(),
+        builtin = run_pipeline(corpus, builtin_out, default_distribution(),
                                seed=13, candidates=5)
+        echo = HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0)
+        accept = HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0)
         hooked = run_pipeline(
-            bundled_corpus, hooked_out, default_distribution(), seed=13, candidates=5,
-            generator=HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0),
-            verifier=HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0),
+            corpus, hooked_out, default_distribution(), seed=13, candidates=5,
+            generator=echo if "echo" in hooks else HookConfig(),
+            verifier=accept if "accept" in hooks else HookConfig(),
         )
         assert hooked.candidates > HOOK_WINDOW
         assert hooked.to_json() == builtin.to_json()
         assert hooked_out.read_bytes() == builtin_out.read_bytes()
+
+    def test_hooked_run_over_the_bundled_corpus_matches_builtin(self, tmp_path,
+                                                                bundled_corpus):
+        self.assert_hooked_run_matches_builtin(tmp_path, bundled_corpus, ("echo", "accept"))
+
+    @pytest.mark.parametrize("hook", ["echo", "accept"])
+    def test_a_run_with_one_hook_matches_builtin(self, tmp_path, bundled_corpus, hook):
+        self.assert_hooked_run_matches_builtin(tmp_path, bundled_corpus, (hook,))
 
 
 class TestHookStage:
@@ -441,8 +452,32 @@ class TestSampling:
         assert {st.category for st in out["t"]} == {"count", "unique"}
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strategy"):
             sample_outputs([], 3, "sorted", seed=0)
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            sample_outputs(make_statements(["count"] * 3), -1, "random", seed=0)
+
+    @pytest.mark.parametrize("strategy", ["random", "stratified"])
+    def test_candidates_and_their_statements_get_the_same_picks(self, bundled_corpus,
+                                                                strategy):
+        # the builtin run samples candidates where a hooked run samples the
+        # statements realized from them: both must pick the same forms
+        candidates = [cand for entry in bundled_corpus
+                      for cand in synthesize_candidates(entry.table, None,
+                                                        default_distribution(), seed=13,
+                                                        candidates=5).candidates]
+        per_table = Counter(cand.table.table_id for cand in candidates)
+        assert len(per_table) == len(bundled_corpus) and min(per_table.values()) > 3
+        statements = generate_statements(candidates, HookConfig())
+        for seed in range(6):
+            picks = [
+                {table_id: [(item.table.table_id, item.logic_form) for item in chosen]
+                 for table_id, chosen in sample_outputs(items, 3, strategy, seed).items()}
+                for items in (candidates, statements)
+            ]
+            assert picks[0] == picks[1]
 
     def test_selection_ignores_other_tables(self):
         # per-table draws depend only on (seed, table_id), so adding another
@@ -485,9 +520,19 @@ class TestRunPipeline:
         report, calls, true = count_calls(
             lambda: run_pipeline(bundled_corpus, tmp_path / "out.jsonl",
                                  default_distribution(), seed=13),
-            verify, parse_logic_form, print_logic_form,
+            verify, parse_logic_form, print_logic_form, realize_logic_form,
+            generate_statements, verify_statements,
         )
         assert report.sampled > 0
+        # with both hooks builtin there is no generate or verify stage, and
+        # only the written statements are realized
+        realized = {caller: n for (name, caller), n in calls.items()
+                    if name == "realize_logic_form"}
+        assert realized == {"loft.pipeline": report.sampled}
+        stages = [key for key in calls
+                  if key[0] in ("generate_statements", "verify_statements")]
+        assert stages == []
+        assert report.generated == report.verified == report.candidates
         # synthesis prints each form it fills, once, and verifies each distinct
         # text of a table once: 120 of the 634 filled forms repeat a text
         assert calls["verify", "loft.synthesizer"] == true["verify", "loft.synthesizer"] == 514
@@ -636,6 +681,44 @@ class TestRunPipeline:
         assert runs[0][1]["tables"] == len(bundled_corpus) + len(tables)
         assert runs[0][1]["sampled"] > 0
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("strategy", ["stratified", "random"])
+    def test_a_table_writes_the_same_line_alone_as_in_the_corpus(self, tmp_path,
+                                                                 bundled_corpus, strategy):
+        # synthesis and sampling of a table draw on that table alone
+        rng = random.Random(9)
+        tables = [random_table(rng) for _ in range(3)] + [
+            random_table(rng, max_rows=1), random_table(rng, max_cols=1),
+            random_table(rng, max_rows=1, max_cols=1)]
+        assert any(cell.kind == EMPTY for t in tables for row in t.rows for cell in row)
+        entries = bundled_corpus + [CorpusEntry(t) for t in tables]
+
+        def lines(run_entries, name):
+            out = tmp_path / name
+            run_pipeline(run_entries, out, default_distribution(), k=3, strategy=strategy,
+                         seed=13)
+            return {json.loads(line)["table_id"]: line
+                    for line in out.read_text("utf-8").splitlines()}
+
+        together = lines(entries, "all.jsonl")
+        assert len(together) > len(bundled_corpus)
+        for i, entry in enumerate(entries):
+            alone = lines([entry], f"alone{i}.jsonl")
+            table_id = entry.table.table_id
+            assert alone == ({table_id: together[table_id]} if table_id in together else {})
+
+    def test_bad_k_or_strategy_fails_before_synthesis(self, tmp_path, bundled_corpus,
+                                                      monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the arguments were checked")
+
+        monkeypatch.setattr("loft.pipeline.synthesize_candidates", no_synthesis)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+            run_pipeline(bundled_corpus, out, default_distribution(), k=-1)
+        with pytest.raises(ValueError, match="strategy must be one of .* got 'sorted'"):
+            run_pipeline(bundled_corpus, out, default_distribution(), strategy="sorted")
+        assert not out.exists()
 
     def test_seed_changes_selection(self, tmp_path, bundled_corpus):
         texts = []
