@@ -61,7 +61,9 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
-def _pick_table(entries: list[CorpusEntry], table_id: str | None) -> Table:
+def _pick_table(entries: list[CorpusEntry], table_id: str | None, corpus: str) -> Table:
+    if not entries:
+        raise IngestError(f"{corpus} holds no tables")
     if table_id is None:
         if len(entries) == 1:
             return entries[0].table
@@ -167,7 +169,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_execute(args) -> int:
     entries = load_corpus(args.corpus)
-    table = _pick_table(entries, args.table_id)
+    table = _pick_table(entries, args.table_id, args.corpus)
     try:
         lf = parse_logic_form(args.form)
         type_check(lf, table)
@@ -180,7 +182,7 @@ def _cmd_execute(args) -> int:
 
 def _cmd_verify(args) -> int:
     entries = load_corpus(args.corpus)
-    table = _pick_table(entries, args.table_id)
+    table = _pick_table(entries, args.table_id, args.corpus)
     _emit({"entailed": verify(args.form, table)})
     return 0
 

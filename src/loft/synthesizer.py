@@ -9,15 +9,16 @@ computed result instead of being guessed.  A node's value comes from the
 executor's per-node step applied to the values its children already
 produced, so no subtree is executed twice.  Each view gets one index,
 made in one pass over its cells (equality by number, else by folded text;
-order by bisecting the sorted numbers): the filter and majority object
-pools count each value's hits from it, and a filter step reads its kept
-rows from it, never from one predicate scan per value.  Indexes, pools
-and the other per-view constants are built once per
-``synthesize_candidates`` call in a memo that dies with the call, so
-nothing is cached beyond it.  Every filled form is printed, and each
-distinct text goes through one full verification per call before it is
-returned; a form with the same text is the same tree, so it reuses that
-answer.  These strategies only buy speed, never soundness.
+order by bisecting the sorted numbers): the object pools read the view's
+distinct values (a whole column's are the all-rows view's) and count each
+value's hits from it, and a filter step reads its kept rows from it, never
+from one predicate scan per value.  Indexes, pools and the other
+per-view constants are built once per ``synthesize_candidates`` call in
+a memo that dies with the call, so nothing is cached beyond it.  Every
+filled form is printed, and each distinct text goes through one full
+verification per call before it is returned; a form with the same text is
+the same tree, so it reuses that answer.  These strategies only buy speed,
+never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -31,7 +32,6 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .catalog import BOOL, CATALOG, COMPARATIVE, GROUPS, HEADER, ORDER_OPS, group_signature
 from .errors import LoftError
@@ -63,23 +63,12 @@ def table_rng(seed: int, table_id: str, salt: str = "") -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def running_weights(dist: TemplateDistribution) -> tuple[list[float], float]:
-    """The running weight sums of dist's entries, and sum() of the weights."""
-    weights = [e.weight for e in dist.entries]
-    return list(accumulate(weights)), sum(weights)
-
-
-def sample_template(
-    dist: TemplateDistribution,
-    rng: random.Random,
-    running: tuple[list[float], float] | None = None,
-) -> Template:
+def sample_template(dist: TemplateDistribution, rng: random.Random) -> Template:
     """Draw one template with probability proportional to its weight: the
-    first entry whose running weight sum reaches the drawn point.  A caller
-    that draws many times passes ``running_weights(dist)``, made once."""
-    sums, total = running or running_weights(dist)
-    i = bisect_left(sums, rng.random() * total)
-    return dist.entries[min(i, len(sums) - 1)].template
+    first entry whose running weight sum reaches the drawn point, found by
+    bisecting the distribution's own running sums."""
+    i = bisect_left(dist.running, rng.random() * dist.total)
+    return dist.entries[min(i, len(dist.running) - 1)].template
 
 
 def derive_column_sets(table: Table, rng: random.Random) -> list[tuple[int, ...]]:
@@ -217,9 +206,6 @@ class _Attempt:
         col = self.cols[node.index]
         return _once(self.memo, ("column", col), lambda: ColumnRef(self.table.headers[col])), col
 
-    def view_cells(self, rows: tuple[int, ...], col: int) -> list[CellValue]:
-        return [self.table.rows[i][col] for i in rows]
-
     def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:
         return _once(self.memo, ("view", col, rows), lambda: _ViewIndex(self.table, col, rows))
 
@@ -231,24 +217,6 @@ class _Attempt:
         return usable
 
     # -- candidate pools ---------------------------------------------------
-
-    @staticmethod
-    def _distinct(cells: list[CellValue]) -> list[CellValue]:
-        """Distinct non-empty cells by the executor's equality (number, else
-        folded text), first cell wins."""
-        out: dict[object, CellValue] = {}
-        for cell in cells:
-            if cell.kind == EMPTY:
-                continue
-            key = cell.number if cell.number is not None else cell.folded
-            if key not in out:
-                out[key] = cell
-        return list(out.values())
-
-    def column_values(self, col: int) -> list[CellValue]:
-        """Distinct values of the whole column."""
-        cells = self.table.column_cells
-        return _once(self.memo, ("values", col), lambda: self._distinct(cells(col)))
 
     # A pool is built once per key and shared by every draw of the call;
     # callers copy rather than mutate it.
@@ -268,7 +236,7 @@ class _Attempt:
     def _filter_pool(self, op: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
         index = self.view(col, rows)
         candidates = []
-        for obj in self._distinct(self.view_cells(rows, col)):
+        for obj in index.distinct:
             kept = index.count(op, obj)
             if (kept == 1) if unique else (kept >= 1):
                 candidates.append(obj.text)
@@ -276,11 +244,9 @@ class _Attempt:
 
     def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
         index, sig = self.view(col, rows), CATALOG[member]
-        cells = self.view_cells(rows, col)
-        pool = self._distinct(cells)
-        # values absent from the view and synthetic extremes give the
-        # all_not_eq / all_greater family something true to say
-        pool += self.column_values(col)
+        # values absent from the view (the whole column's) and synthetic
+        # extremes give the all_not_eq / all_greater family something true to say
+        pool = index.distinct + self.view(col, tuple(range(self.table.n_rows))).distinct
         numbers = [obj.number for obj in pool if obj.number is not None]
         if numbers:
             low, high = min(numbers), max(numbers)
@@ -292,7 +258,7 @@ class _Attempt:
                 continue
             seen.add(obj.text)
             kept = index.count(sig.op, obj)
-            ok = kept == len(cells) if sig.family == "all" else kept * 2 > len(cells)
+            ok = kept == len(rows) if sig.family == "all" else kept * 2 > len(rows)
             if ok:
                 candidates.append(obj.text)
         return candidates
@@ -450,30 +416,36 @@ class _Attempt:
         if sub_form.name != "hop":
             raise _Fail()
         col = self.table.column_index(sub_form.args[1].name)
-        return self.choice([c.text for c in self.column_values(col) if c.folded != obj.folded])
+        column = self.view(col, tuple(range(self.table.n_rows))).distinct
+        return self.choice([c.text for c in column if c.folded != obj.folded])
 
 
 class _ViewIndex:
-    """One view of one column, indexed in one pass over its cells: the rows
-    each object keeps under cell_predicate, as counts and as row tuples."""
+    """One view of one column, indexed in one pass over its cells: its
+    distinct values (the first non-empty cell of each equality key, in row
+    order), and the rows each object keeps under cell_predicate, as counts
+    and as row tuples."""
 
     def __init__(self, table: Table, col: int, rows: tuple[int, ...]):
         self.by_number: dict[float, list[int]] = {}
         self.by_text: dict[str, list[int]] = {}  # folded text of the cells with no number
         self.any_text: dict[str, list[int]] = {}  # folded text of every non-empty cell
         self.filled: list[int] = []
+        distinct: dict[object, CellValue] = {}  # by the number, else the folded text
         pairs: list[tuple[float, int]] = []
         for i in rows:
             cell = table.rows[i][col]
             if cell.kind == EMPTY:
                 continue
             self.filled.append(i)
+            distinct.setdefault(cell.number if cell.number is not None else cell.folded, cell)
             self.any_text.setdefault(cell.folded, []).append(i)
             if cell.number is None:
                 self.by_text.setdefault(cell.folded, []).append(i)
             else:
                 self.by_number.setdefault(cell.number, []).append(i)
                 pairs.append((cell.number, i))
+        self.distinct = list(distinct.values())
         pairs.sort()
         self.pairs = pairs
         self.numbers = [n for n, _ in pairs]
@@ -535,7 +507,7 @@ def instantiate(
     table: Table,
     columns: list[int],
     rng: random.Random,
-    memo: dict | None = None,
+    memo: dict,
 ) -> tuple[Apply, str] | None:
     """Ground one template against the table: the form and its printed
     text, or None after all retries.
@@ -543,11 +515,10 @@ def instantiate(
     Returned forms always verify true and reference only the given columns.
     ``memo`` holds what grounding builds from the table alone, and each
     printed text's verify answer; it must not outlive the table's synthesis
-    call (a fresh one by default).
+    call.
     """
     if group_signature(template.skeleton.group).return_type != BOOL:
         return None
-    memo = {} if memo is None else memo
     columns = [c for c in columns if 0 <= c < len(table.headers)]
     # the entry holds the template, so no other object takes its id while the memo lives
     _, needs = _once(memo, ("needs", id(template)),
@@ -625,14 +596,13 @@ def synthesize_candidates(
         column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
     memo: dict = {}  # this call's indexes, pools and verify answers; see _once
-    running = running_weights(dist)
     for column_set in column_sets:
         res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
         seen: set[str] = set()
         budget = ATTEMPT_BUDGET_FACTOR * candidates
         while len(res.forms) < candidates and res.attempts < budget:
             res.attempts += 1
-            template = sample_template(dist, rng, running)
+            template = sample_template(dist, rng)
             grounded = instantiate(template, table, list(column_set), rng, memo)
             if grounded is None:
                 continue

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from .catalog import (
@@ -179,22 +180,25 @@ class WeightedTemplate:
 class TemplateDistribution:
     entries: tuple[WeightedTemplate, ...]
     provenance: str = ""
+    running: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise DistributionError("a distribution needs at least one template")
         seen = set()
-        total = 0.0
         for e in self.entries:
             key = e.template.canonical()
             if key in seen:
                 raise DistributionError(f"duplicate template: {key}")
             seen.add(key)
-            if e.weight <= 0:
-                raise DistributionError(f"non-positive weight for {key}")
-            total += e.weight
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise DistributionError(f"weights sum to {total!r}, expected 1.0")
+            if not e.weight > 0:  # NaN fails this too
+                raise DistributionError(f"weight {e.weight!r} for {key} is not positive")
+        weights = [e.weight for e in self.entries]
+        object.__setattr__(self, "running", tuple(accumulate(weights)))
+        object.__setattr__(self, "total", sum(weights))
+        if abs(self.total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            raise DistributionError(f"weights sum to {self.total!r}, expected 1.0")
 
 
 def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> TemplateDistribution:
@@ -252,6 +256,8 @@ def distribution_from_payload(payload: dict, where: str = "<payload>") -> Templa
     for i, raw in enumerate(payload["entries"]):
         try:
             template = parse_template(raw["skeleton"])
+            if isinstance(raw["weight"], bool):
+                raise TypeError(f"weight must be a number, not {raw['weight']!r}")
             weight = float(raw["weight"])
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise DistributionError(f"{where}: entry {i}: {exc}") from exc

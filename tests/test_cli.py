@@ -90,6 +90,27 @@ class TestExecute:
         assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["execute", "verify"])
+def test_a_corpus_with_no_tables_is_exit_2(tmp_path, command):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    result = loft(command, "--corpus", str(path), "count { all_rows }")
+    assert result.returncode == 2
+    assert result.stderr == f"error: {path} holds no tables\n"
+
+
+def test_a_nan_template_weight_is_exit_2(corpus, tmp_path):
+    # a loaded NaN weight would make every draw take the first template
+    templates = tmp_path / "templates.json"
+    templates.write_text('{"entries": [{"skeleton": "only { all_rows }", "weight": NaN}]}',
+                         encoding="utf-8")
+    result = loft("pipeline", "--corpus", corpus, "--templates", str(templates),
+                  "--output", str(tmp_path / "out.jsonl"))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {templates}: ")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestVerifyAndRealize:
     def test_verify_true(self, corpus):
         got = payload_of(loft("verify", "--corpus", corpus, "eq { count { all_rows } ; 3 }"))

@@ -12,9 +12,14 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from loft import HookError, default_distribution, load_corpus, verify
-from loft.forms import parse_logic_form, print_logic_form, referenced_columns
+from loft.catalog import BOOL
+from loft.executor import execute
+from loft.forms import parse_logic_form, print_logic_form, referenced_columns, type_check
+from loft.metrics import score_output
 from loft.pipeline import (
     HOOK_WINDOW,
     HookConfig,
@@ -755,3 +760,48 @@ class TestRunPipeline:
             "synthesis_failures", "shortfalls", "execution_faithfulness",
         ]
         assert json.dumps(payload) == json.dumps(report.to_json())
+
+
+def _soundness_distribution() -> TemplateDistribution:
+    """The bundled templates at half weight, plus "only { all_rows }", which
+    grounds to itself and is false on any table of more than one row: only
+    synthesis' verify keeps its forms out of the output."""
+    entries = tuple(replace(e, weight=e.weight / 2) for e in default_distribution().entries)
+    return TemplateDistribution(
+        entries=entries + (WeightedTemplate(parse_template("only { all_rows }"), 0.5),))
+
+
+# (seed, max_rows, max_cols) of each generated table; shapes of at most one
+# row or one column come up as often as the others
+TABLE_SHAPES = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 8]),
+                         st.sampled_from([1, 5]))
+
+
+class TestSoundnessProperty:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(TABLE_SHAPES, min_size=1, max_size=4, unique=True))
+    # empty cells ("-", "n/a"), numbers written as text ("3 (x)", "12%"),
+    # repeated values, and 1-row, 1-column and 1-cell tables
+    @example([(4, 8, 5), (5, 8, 5), (6, 1, 5), (7, 8, 1), (8, 1, 1)])
+    def test_every_written_statement_executes_true(self, tmp_path_factory, shapes):
+        tables = [random_table(random.Random(seed), max_rows=rows, max_cols=cols)
+                  for seed, rows, cols in shapes]
+        entries = [CorpusEntry(t) for t in tables]
+        out = tmp_path_factory.mktemp("soundness") / "out.jsonl"
+        report = run_pipeline(entries, out, _soundness_distribution(), k=100, seed=13,
+                              candidates=5)
+        by_id = {t.table_id: t for t in tables}
+        written = 0
+        for line in out.read_text("utf-8").splitlines():
+            row = json.loads(line)
+            table = by_id[row["table_id"]]
+            for statement in row["statements"]:
+                form = parse_logic_form(statement["logic_form"])
+                assert type_check(form, table) == BOOL, statement["logic_form"]
+                value = execute(form, table)
+                assert value.kind == BOOL and value.value is True, statement["logic_form"]
+                written += 1
+        faithfulness = 1.0 if written else None
+        assert report.execution_faithfulness == faithfulness
+        assert score_output(out, entries).execution_faithfulness == faithfulness

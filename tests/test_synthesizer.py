@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,7 @@ from loft.synthesizer import (
     synthesize_candidates,
     table_rng,
 )
-from loft.tables import NUMERIC, TEXT, CellValue, normalize_cell
+from loft.tables import EMPTY, NUMERIC, TEXT, CellValue, normalize_cell
 from loft.templates import TemplateDistribution, WeightedTemplate, abstract, parse_template
 
 from .oracle import oracle_execute
@@ -127,7 +128,7 @@ class TestInstantiate:
         template = self.count_template()
         produced = 0
         for _ in range(50):
-            grounded = instantiate(template, mt, [0, 1], rng)
+            grounded = instantiate(template, mt, [0, 1], rng, {})
             if grounded is None:
                 continue
             form, text = grounded
@@ -141,7 +142,7 @@ class TestInstantiate:
         rng = random.Random(7)
         for entry in default_distribution().entries:
             for _ in range(10):
-                grounded = instantiate(entry.template, mt, [0, 1], rng)
+                grounded = instantiate(entry.template, mt, [0, 1], rng, {})
                 if grounded is not None:
                     form, _ = grounded
                     assert abstract(form).canonical() == entry.template.canonical()
@@ -149,14 +150,14 @@ class TestInstantiate:
     def test_non_boolean_template_yields_nothing(self, mt):
         rng = random.Random(3)
         template = parse_template("FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }")
-        assert instantiate(template, mt, [0, 1], rng) is None
+        assert instantiate(template, mt, [0, 1], rng, {}) is None
 
     def test_more_placeholders_than_columns_yields_nothing(self, mt):
         rng = random.Random(3)
         template = parse_template(
             "COMPARE_EQ { hop { SUPER_ARG { all_rows ; COL_1 } ; COL_2 } ; OBJ_1 }"
         )
-        assert instantiate(template, mt, [1], rng) is None
+        assert instantiate(template, mt, [1], rng, {}) is None
 
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])
@@ -217,10 +218,24 @@ def test_each_grounding_branch_yields_sound_candidates(bundled_corpus, skeleton)
     assert produced >= 1
 
 
+def _distinct(cells):
+    """The reference distinct values: each non-empty cell that the executor's
+    eq does not match with a cell kept before it, in order."""
+    kept = []
+    for cell in cells:
+        if cell.kind != EMPTY and not any(loft.executor._equal(cell, k) for k in kept):
+            kept.append(cell)
+    return kept
+
+
 def test_distinct_cells_use_the_executors_text_equality():
-    # eq treats these two cells as one value, so the pools must as well
-    cells = [normalize_cell("a  b"), normalize_cell("A B"), normalize_cell("c")]
-    assert _Attempt._distinct(cells) == [cells[0], cells[2]]
+    # eq treats "a  b" and "A B" as one value, and "5" and "5.0", so the
+    # pools must as well
+    texts = ["a  b", "A B", "c", "-", "5", "5.0", "c"]
+    table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
+    index = _ViewIndex(table, 0, tuple(range(table.n_rows)))
+    cells = table.column_cells(0)
+    assert index.distinct == _distinct(cells) == [cells[0], cells[2], cells[4]]
 
 
 OPS = ("eq", "not_eq", "greater", "less", "greater_eq", "less_eq")
@@ -240,7 +255,7 @@ CELL_TEXTS = st.one_of(
 def _majority_pool(view, column):
     """The majority pool as the synthesizer builds it, before deduplication:
     view values, column values, then the synthetic extremes low-1/high+1."""
-    pool = _Attempt._distinct(view) + _Attempt._distinct(column)
+    pool = _distinct(view) + _distinct(column)
     numbers = [obj.number for obj in pool if obj.number is not None]
     if numbers:
         pool += [as_object(min(numbers) - 1), as_object(max(numbers) + 1)]
@@ -267,6 +282,7 @@ class TestPoolCounts:
         pool += [CellValue(TEXT, t) for t in view_texts + other_texts]
         pool.append(as_object(float("inf") - float("inf")))
         index = _ViewIndex(table, 0, rows)
+        assert index.distinct == _distinct(view)
         for op in OPS:
             for obj in pool:
                 expected = sum(cell_predicate(op, c, obj) for c in view)
@@ -280,14 +296,14 @@ class TestPoolCounts:
         table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
         rows = tuple(sorted(data.draw(st.sets(st.sampled_from(range(len(texts))), min_size=1))))
         attempt = _Attempt(table, [0], random.Random(0), {}, {})
-        view = attempt.view_cells(rows, 0)
+        view = [table.rows[i][0] for i in rows]
 
         def kept(op, obj):
             return sum(cell_predicate(op, c, obj) for c in view)
 
         for op in OPS:
             for unique in (False, True):
-                counts = [(obj.text, kept(op, obj)) for obj in _Attempt._distinct(view)]
+                counts = [(obj.text, kept(op, obj)) for obj in _distinct(view)]
                 expected = [text for text, n in counts if (n == 1 if unique else n >= 1)]
                 got = attempt.filter_obj_candidates("filter_" + op, 0, rows, unique)
                 assert got == expected, (op, unique)
@@ -516,7 +532,8 @@ WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 1e
 def test_sample_template_picks_what_a_linear_scan_picks(weights, seed):
     # entries stand for templates by their index; zero weights, which a
     # TemplateDistribution refuses, must still never be picked differently
-    dist = SimpleNamespace(entries=tuple(WeightedTemplate(i, w) for i, w in enumerate(weights)))
+    dist = SimpleNamespace(entries=tuple(WeightedTemplate(i, w) for i, w in enumerate(weights)),
+                           running=tuple(accumulate(weights)), total=sum(weights))
     fast, reference = random.Random(seed), random.Random(seed)
     for _ in range(300):
         assert sample_template(dist, fast) == _linear_scan_draw(dist, reference)

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from itertools import accumulate
 
 import pytest
 
@@ -186,6 +188,27 @@ class TestDistributions:
         good = WeightedTemplate(parse_template("count { all_rows }"), 1.0)
         with pytest.raises(DistributionError):
             TemplateDistribution(entries=(good, bad))
+
+    @pytest.mark.parametrize("weight, message", [
+        ("NaN", "nan for only { all_rows } is not positive"),
+        ('"nan"', "nan for only { all_rows } is not positive"),
+        ("true", "entry 0: weight must be a number, not True"),
+    ], ids=["nan", "nan-text", "true"])
+    def test_weight_that_is_not_a_positive_number_is_refused(self, tmp_path, weight, message):
+        # json reads the bare NaN literal, float() the text "nan", and True as
+        # 1.0; NaN compares False with everything, so only "> 0" refuses it
+        path = tmp_path / "templates.json"
+        path.write_text('{"entries": [{"skeleton": "only { all_rows }", "weight": %s}]}'
+                        % weight, encoding="utf-8")
+        with pytest.raises(DistributionError, match=re.escape(message)):
+            load_distribution(path)
+
+    def test_running_sums_are_the_distributions_own(self):
+        dist = default_distribution()
+        weights = [e.weight for e in dist.entries]
+        assert dist.running == tuple(accumulate(weights))
+        assert dist.total == sum(weights)
+        assert "running" not in repr(dist)
 
     def test_save_load_round_trip(self, tmp_path):
         dist = build_distribution(
