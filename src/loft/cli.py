@@ -34,7 +34,9 @@ from .pipeline import (
 )
 from .realizer import realize_logic_form
 from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
-from .tables import CorpusEntry, Table, load_corpus, save_corpus, write_json_lines
+from .tables import (
+    CorpusEntry, Table, _not_utf8, load_corpus, save_corpus, write_json_lines,
+)
 from .templates import (
     build_distribution,
     default_distribution,
@@ -111,21 +113,24 @@ def _cmd_ingest(args) -> int:
 def _read_forms(path) -> list[Apply]:
     """The logic forms of a file, one a line; skips blank and # lines, and
     warns about and skips a line that is not a function application."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(Path(path)) from exc
     forms = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                lf = parse_logic_form(line)
-            except ParseError as exc:
-                log.warning("skipping unparseable form on line %d: %s", lineno, exc)
-                continue
-            if not isinstance(lf, Apply):
-                log.warning("skipping line %d: not a function application", lineno)
-                continue
-            forms.append(lf)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            lf = parse_logic_form(line)
+        except ParseError as exc:
+            log.warning("skipping unparseable form on line %d: %s", lineno, exc)
+            continue
+        if not isinstance(lf, Apply):
+            log.warning("skipping line %d: not a function application", lineno)
+            continue
+        forms.append(lf)
     if not forms:
         raise IngestError(f"no usable logic forms in {path}")
     return forms

@@ -20,8 +20,9 @@ from .tables import NUMERIC, Table, fold_text
 
 _ORDINAL_RE = re.compile(r"^\d+$")
 _SPACE_RE = re.compile(r"\s*")
-# a bare token runs up to the first delimiter or bad escape
-_TOKEN_RE = re.compile(r"(?:[^{};\\]|\\[{};\\])*")
+# a bare token, after the whitespace before it, runs up to the first
+# delimiter or bad escape; its own characters include whitespace
+_TOKEN_RE = re.compile(r"\s*([^{};\\]*(?:\\[{};\\][^{};\\]*)*)")
 _UNESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPED_RE = re.compile(r"[{};\\]")
 
@@ -90,24 +91,18 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
     """
     pos = 0
 
-    def next_char() -> str:
-        """Skip whitespace; return the next character ('' at the end)."""
-        nonlocal pos
-        pos = _SPACE_RE.match(text, pos).end()
-        return text[pos : pos + 1]
-
+    # each parse returns with pos past the whitespace after its form
     def parse(expected: str | None, depth: int):
         nonlocal pos
-        next_char()
-        offset = pos
-        raw = _TOKEN_RE.match(text, pos).group()
-        pos += len(raw)
+        match = _TOKEN_RE.match(text, pos)
+        offset, pos = match.span(1)
+        raw = match.group(1)
         if text.startswith("\\", pos):
             if pos + 1 == len(text):
                 raise ParseError("dangling escape", pos)
             raise ParseError(f"unknown escape \\{text[pos + 1]}", pos)
         token = (_UNESCAPE_RE.sub(r"\1", raw) if "\\" in raw else raw).strip()
-        if next_char() != "{":
+        if not text.startswith("{", pos):
             if not token:
                 raise ParseError("expected a form", offset)
             return leaf(token, offset, expected)
@@ -120,20 +115,19 @@ def parse_tree(text: str, signatures: dict[str, FunctionSignature], node, leaf):
         pos += 1
         args = [parse(sig.arg_types[0], depth + 1)]
         for arg_type in sig.arg_types[1:]:
-            if next_char() != ";":
+            if not text.startswith(";", pos):
                 raise ArityError(arity, pos)
             pos += 1
             args.append(parse(arg_type, depth + 1))
-        close = next_char()
-        if close == ";":
+        if text.startswith(";", pos):
             raise ArityError(arity, pos)
-        if close != "}":
+        if not text.startswith("}", pos):
             raise ParseError("expected '}'", pos)
-        pos += 1
+        pos = _SPACE_RE.match(text, pos + 1).end()
         return node(token, tuple(args))
 
     tree = parse(None, 1)
-    if next_char():
+    if pos < len(text):
         raise ParseError("trailing input after form", pos)
     return tree
 
@@ -246,7 +240,14 @@ def walk(node):
 def referenced_columns(lf: LogicForm) -> list[str]:
     """Column names referenced anywhere in the form, in first-seen order."""
     out: list[str] = []
-    for node in walk(lf):
-        if isinstance(node, ColumnRef) and node.name not in out:
-            out.append(node.name)
+
+    def visit(node) -> None:
+        if isinstance(node, ColumnRef):
+            if node.name not in out:
+                out.append(node.name)
+        elif isinstance(node, Apply):
+            for arg in node.args:
+                visit(arg)
+
+    visit(lf)
     return out

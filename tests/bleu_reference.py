@@ -1,4 +1,4 @@
-"""Quadratic BLEU and self-BLEU, the test-only reference for loft.metrics.
+"""Quadratic BLEU, self-BLEU and distinct-n, the test-only reference for loft.metrics.
 
 A direct transcription of the definitions: every reference is tokenized
 and counted again for every candidate, and self-BLEU scores each text
@@ -66,3 +66,15 @@ def self_bleu(texts: list[str], max_order: int = 4) -> float | None:
         others = texts[:i] + texts[i + 1 :]
         scores.append(sentence_bleu(text, others, max_order))
     return sum(scores) / len(scores)
+
+
+def distinct_n(texts: list[str], n: int = 2) -> float | None:
+    grams = set()
+    total_tokens = 0
+    for text in texts:
+        tokens = tokenize(text)
+        total_tokens += len(tokens)
+        grams.update(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    if total_tokens == 0:
+        return None
+    return len(grams) / total_tokens

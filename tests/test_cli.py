@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import loft as loft_package
+from loft import metrics
 from loft.cli import main
+from loft.tables import load_corpus
 
 # the directory the loft under test is imported from, handed on to each
 # subprocess, so the CLI runs the same code whether or not it is installed
@@ -289,6 +291,14 @@ class TestToolChain:
         result = loft("mine-templates", "--forms", str(forms), "--output", str(tmp_path / "t.json"))
         assert result.returncode == 2
 
+    def test_mine_templates_names_an_undecodable_line(self, tmp_path, capsys):
+        forms = tmp_path / "forms.txt"
+        forms.write_bytes(b"only { all_rows }\n\xff\n")
+        code = main(["mine-templates", "--forms", str(forms),
+                     "--output", str(tmp_path / "t.json")])
+        assert code == 2
+        assert f"{forms}:2: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestSeeding:
     def test_seed_flag_is_the_only_seed_input(self, corpus, tmp_path):
@@ -355,6 +365,21 @@ class TestDemo:
             got[name] = result.stdout.strip()
         assert got == self.DEMO_SCORES
 
+    def test_scoring_tokenizes_each_text_once(self, default_demo, monkeypatch):
+        calls = []
+        tokenize = metrics.tokenize
+        monkeypatch.setattr(metrics, "tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        entries = {e.table.table_id: e for e in load_corpus(default_demo / "corpus.jsonl")}
+        output = default_demo / "output_random.jsonl"
+        metrics.score_output(output, list(entries.values()))
+        rows = [json.loads(line) for line in output.read_text("utf-8").splitlines()]
+        # each statement, and each reference of a table with statements, once
+        texts = [st["text"] for row in rows for st in row["statements"]]
+        texts += [ref for row in rows if row["statements"]
+                  for ref in entries[row["table_id"]].references]
+        assert sorted(calls) == sorted(texts)
+        assert len(calls) == 58
 
 class TestScoreInput:
     """`loft score` on hand-written output files, through cli.main."""

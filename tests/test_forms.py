@@ -92,6 +92,37 @@ class TestParsing:
     def test_root_bare_all_rows(self):
         assert parse_logic_form("all_rows") == AllRows()
 
+    # each malformed text's error type, message and offset
+    @pytest.mark.parametrize("text, error, message, offset", [
+        ("eq { a ; b \\", ParseError, "dangling escape (at offset 11)", 11),
+        ("eq { a\\x ; b }", ParseError, "unknown escape \\x (at offset 6)", 6),
+        ("eq { ; b }", ParseError, "expected a form (at offset 5)", 5),
+        ("eq { a ; }", ParseError, "expected a form (at offset 9)", 9),
+        ("   ", ParseError, "expected a form (at offset 3)", 3),
+        ("eq { count { all_rows } ; 3", ParseError, "expected '}' (at offset 27)", 27),
+        ("eq { a \\; b ; c", ParseError, "expected '}' (at offset 15)", 15),
+        ("eq { a ; b ; c }", ArityError, "eq takes 2 arguments (at offset 11)", 11),
+        ("eq { count { all_rows } ; 3 } x", ParseError,
+         "trailing input after form (at offset 30)", 30),
+        ("eq { a ; b } }", ParseError, "trailing input after form (at offset 13)", 13),
+        ("eq { count { nope { all_rows } } ; 3 }", UnknownFunctionError,
+         "unknown function 'nope' (at offset 13)", 13),
+        ("  eq  {   count {  all_rows  }   ;  3   ;  4 }", ArityError,
+         "eq takes 2 arguments (at offset 40)", 40),
+        ("  eq  {   count {  all_rows  }   3 }", ArityError,
+         "eq takes 2 arguments (at offset 33)", 33),
+        ("\t eq {  hop { all_rows ; team }  ;  x y  }   extra  ", ParseError,
+         "trailing input after form (at offset 45)", 45),
+    ], ids=["dangling-escape", "unknown-escape", "empty-argument", "empty-last-argument",
+            "blank", "missing-close", "escaped-semicolon-then-missing-close", "extra-semicolon",
+            "trailing-token", "trailing-close", "nested-unknown-function",
+            "padded-extra-argument", "padded-missing-semicolon", "padded-trailing-token"])
+    def test_parse_error_type_message_and_offset(self, text, error, message, offset):
+        with pytest.raises(ParseError) as exc_info:
+            parse_logic_form(text)
+        got = exc_info.value
+        assert (type(got), str(got), got.offset) == (error, message, offset)
+
 
 def nested(levels: int, column: str = "team") -> str:
     """An only { filter_all { ... } } chain of `levels` functions."""

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from loft.metrics import (
     sentence_bleu,
     tokenize,
 )
+from loft.tables import CorpusEntry, Table
 
 from . import bleu_reference as reference
 
@@ -125,6 +128,47 @@ class TestAgainstReference:
         assert sentence_bleu(candidate, references, max_order) == (
             reference.sentence_bleu(candidate, references, max_order)
         )
+
+
+# One output file's tables: each with up to 3 references (none, or all
+# blank, among them), up to 5 statements, and whether the corpus holds it.
+OUTPUT_TABLES = st.lists(
+    st.tuples(
+        st.one_of(st.lists(TEXT, max_size=3),
+                  st.lists(st.sampled_from(["", "  ", "\t\n"]), min_size=1, max_size=2)),
+        st.lists(TEXT, max_size=5),
+        st.booleans(),
+    ),
+    max_size=4,
+)
+
+
+class TestScoreOutputAgainstReference:
+    """score_output's text scores equal the quadratic reference exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(OUTPUT_TABLES)
+    def test_text_scores(self, tables):
+        entries, records, pairs, texts = [], [], [], []
+        for i, (references, statements, known) in enumerate(tables):
+            if known:
+                table = Table.from_strings(f"t{i}", f"t{i}", ["team"], [["a"]])
+                entries.append(CorpusEntry(table=table, references=tuple(references)))
+                pairs += [(text, references) for text in statements if references]
+            records.append({"table_id": f"t{i}", "statements": [
+                {"text": text, "logic_form": "only { all_rows }", "category": "unique"}
+                for text in statements
+            ]})
+            texts += statements
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            report = score_output(path, entries)
+        assert [report.bleu_1, report.bleu_2, report.bleu_3] == [
+            reference.corpus_bleu(pairs, n) for n in (1, 2, 3)
+        ]
+        assert report.distinct_2 == reference.distinct_n(texts, 2)
+        assert report.self_bleu_4 == reference.self_bleu(texts, 4)
 
 
 class TestCorpusBleu:
