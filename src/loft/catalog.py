@@ -117,11 +117,8 @@ for _s in _DEFS:
     GROUPS.setdefault(_s.group, ())
     GROUPS[_s.group] = GROUPS[_s.group] + (_s.name,)
 
-
-def group_signature(group: str) -> FunctionSignature:
-    """Representative signature of a group (members share types)."""
-    return CATALOG[GROUPS[group][0]]
-
-
-def group_category(group: str) -> str:
-    return group_signature(group).category
+# Each group's representative signature: its members share types, category
+# and family.
+GROUP_SIGNATURES: dict[str, FunctionSignature] = {
+    group: CATALOG[members[0]] for group, members in GROUPS.items()
+}

@@ -14,6 +14,7 @@ Semantics notes that the code cannot show on its own:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
@@ -46,6 +47,8 @@ class ExecValue:
         """JSON-friendly rendering used by the CLI."""
         if self.kind == NUM:
             v = self.value
+            if not math.isfinite(v):  # JSON has no inf or nan: give the number's text
+                return number_text(v)
             return int(v) if float(v).is_integer() and abs(v) < 1e15 else v
         if self.kind == OBJECT:
             return self.value.text

@@ -379,7 +379,12 @@ def run_pipeline(
     verifier: HookConfig = HookConfig(),
     candidates: int = DEFAULT_CANDIDATES,
 ) -> PipelineReport:
-    """Full run over a corpus; writes one JSON line per table, returns stats.
+    """Full run over a corpus; writes the output file, returns stats.
+
+    A table gets one JSON line when at least one statement survives for
+    it, holding up to `k` of them (an empty list when `k` is 0); a table
+    with none (no candidate synthesized, or a hook dropped them all) gets
+    no line.
 
     One seed, recorded in the report, drives both synthesis (up to
     `candidates` forms per column set) and sampling (`k` per table).

@@ -5,8 +5,12 @@ objects come from cell values of the current view (so the subview is never
 empty), comparison thresholds sit inside the view's value range, ordinal
 ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
-computed result instead of being guessed.  A node's value comes from the
-executor's per-node step applied to the values its children already
+computed result instead of being guessed.  One dispatcher,
+``_Attempt.fill``, grounds every node in a view, object or boolean
+position: a node whose catalog return type does not fit the position
+fails before any draw; otherwise it fills its inner view, reads its
+column, and its group's tail draws the member and binds the object or
+rank.  A node's value comes from the executor's per-node step applied to the values its children already
 produced, so no subtree is executed twice.  Each view gets one index,
 made in one pass over its cells (equality by number, else by folded text;
 order by bisecting the sorted numbers): the object pools read the view's
@@ -33,7 +37,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from .catalog import BOOL, CATALOG, COMPARATIVE, GROUPS, HEADER, ORDER_OPS, group_signature
+from .catalog import (
+    BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, HEADER, NUM, OBJECT, ORDER_OPS, VIEW,
+)
 from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
@@ -101,6 +107,10 @@ class _Fail(Exception):
     """One draw could not be grounded; the caller retries."""
 
 
+# The position a node of each catalog return type can fill: a number is an object.
+_POSITION = {NUM: OBJECT, OBJECT: OBJECT, VIEW: VIEW, BOOL: BOOL}
+
+
 def _column_needs(skeleton: TApply) -> dict[int, bool]:
     """Which COL placeholders must be numeric columns."""
     needs: dict[int, bool] = {}
@@ -108,7 +118,7 @@ def _column_needs(skeleton: TApply) -> dict[int, bool]:
     def scan(node: TemplateNode, numeric_hop: bool = False) -> None:
         if not isinstance(node, TApply):
             return
-        sig = group_signature(node.group)
+        sig = GROUP_SIGNATURES[node.group]
         numeric = sig.numeric_column or sig.op in ORDER_OPS
         if node.group == "hop" and numeric_hop:
             numeric = True
@@ -186,7 +196,7 @@ class _Attempt:
         """Form and value of an object: a computed subform, the literal
         already bound to the placeholder, or a draw from pool()."""
         if not isinstance(node, TObj):
-            return self.fill_value(node)
+            return self.fill(node, OBJECT)
         if node.index in self.objs:
             text = self.objs[node.index]
         else:
@@ -265,95 +275,59 @@ class _Attempt:
 
     # -- recursive filling -------------------------------------------------
 
-    def fill_view(self, node: TemplateNode, unique: bool = False) -> tuple[LogicForm, tuple[int, ...]]:
-        if isinstance(node, TAllRows):
-            return AllRows(), tuple(range(self.table.n_rows))
+    def fill(
+        self, node: TemplateNode, position: str, unique: bool = False
+    ) -> tuple[LogicForm, Value]:
+        """Form and value of a node in a VIEW, OBJECT or BOOL position: the
+        view's rows, the object's cell, or True (the boolean holds).  A
+        filter under ``unique`` keeps exactly one row."""
         if not isinstance(node, TApply):
+            if isinstance(node, TAllRows) and position == VIEW:
+                return AllRows(), tuple(range(self.table.n_rows))
+            raise _Fail()  # a free OBJ is grounded by bind_obj or fill_compare
+        group, args, sig = node.group, node.args, GROUP_SIGNATURES[node.group]
+        if _POSITION[sig.return_type] != position:
             raise _Fail()
-        group = node.group
-        if group_signature(group).family == "filter":
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            ref, col = self.col_ref(node.args[1])
-            member = self.choice(GROUPS[group])
-            obj_form, obj = self.bind_obj(
-                node.args[2], lambda: self.filter_obj_candidates(member, col, inner_rows, unique)
-            )
-            rows = self.view(col, inner_rows).kept(CATALOG[member].op, obj)
-            return Apply(member, (inner_form, ref, obj_form)), rows
-        if group == "filter_all":
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            ref, _ = self.col_ref(node.args[1])
-            return Apply("filter_all", (inner_form, ref)), inner_rows
-        if group in ("SUPER_ARG", "ORD_ARG"):
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            ref, col = self.col_ref(node.args[1])
-            usable = self.numeric_count(inner_rows, col)
-            member = self.choice(GROUPS[group])
-            args, values = (inner_form, ref), (inner_rows, col)
-            if group == "ORD_ARG":
-                rank = self.bind_ord(node.args[2], usable)
-                args, values = args + (Literal(str(rank)),), values + (rank,)
-            return Apply(member, args), self.step(member, *values)
-        raise _Fail()
-
-    def fill_value(self, node: TemplateNode) -> tuple[Apply, CellValue]:
-        if not isinstance(node, TApply):
-            raise _Fail()
-        group = node.group
-        if group == "count":
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            form, value = Apply("count", (inner_form,)), self.step("count", inner_rows)
-        elif group == "AGGREGATION":
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            ref, col = self.col_ref(node.args[1])
-            self.numeric_count(inner_rows, col)
-            member = self.choice(GROUPS[group])
-            form, value = Apply(member, (inner_form, ref)), self.step(member, inner_rows, col)
-        elif group == "ORDINAL":
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            ref, col = self.col_ref(node.args[1])
-            rank = self.bind_ord(node.args[2], self.numeric_count(inner_rows, col))
-            member = self.choice(GROUPS[group])
-            form = Apply(member, (inner_form, ref, Literal(str(rank))))
-            value = self.step(member, inner_rows, col, rank)
-        elif group == "hop":
-            inner_form, inner_rows = self.fill_view(node.args[0], unique=True)
-            ref, col = self.col_ref(node.args[1])
-            form, value = Apply("hop", (inner_form, ref)), self.step("hop", inner_rows, col)
-        elif group == "diff":
-            parts = []
-            for arg in node.args:
-                if isinstance(arg, (TObj, TOrd, TCol, TAllRows)):
-                    raise _Fail()
-                parts.append(self.fill_value(arg))
-            forms, values = zip(*parts)
-            form, value = Apply("diff", forms), self.step("diff", *values)
-        else:
-            raise _Fail()
-        return form, as_object(value)
-
-    def fill_bool(self, node: TApply) -> Apply:
-        group, sig = node.group, group_signature(node.group)
         if group == "and":
-            left = self.fill_bool(node.args[0])
-            right = self.fill_bool(node.args[1])
-            return Apply("and", (left, right))
+            return Apply("and", tuple(self.fill(arg, BOOL)[0] for arg in args)), True
+        if group == "diff":
+            (left, a), (right, b) = [self.fill(arg, OBJECT) for arg in args]
+            return Apply("diff", (left, right)), as_object(self.step("diff", a, b))
+        if sig.category == COMPARATIVE:
+            return self.fill_compare(group, args), True
+        inner_form, rows = self.fill(args[0], VIEW, unique=group in ("hop", "only"))
+        if group == "count":
+            return Apply("count", (inner_form,)), as_object(self.step("count", rows))
         if group == "only":
-            inner_form, _ = self.fill_view(node.args[0], unique=True)
-            return Apply("only", (inner_form,))
-        if sig.family in ("all", "most"):
-            inner_form, inner_rows = self.fill_view(node.args[0])
-            if not inner_rows:
-                raise _Fail()
-            ref, col = self.col_ref(node.args[1])
-            member = self.choice(GROUPS[group])
-            obj_form, _ = self.bind_obj(
-                node.args[2], lambda: self.majority_obj_candidates(member, col, inner_rows)
+            return Apply("only", (inner_form,)), True
+        ref, col = self.col_ref(args[1])
+        usable = self.numeric_count(rows, col) if sig.numeric_column else 0
+        if group == "filter_all":
+            return Apply("filter_all", (inner_form, ref)), rows
+        if group == "hop":
+            return Apply("hop", (inner_form, ref)), self.step("hop", rows, col)
+        if sig.family in ("all", "most") and not rows:
+            raise _Fail()
+        # ORDINAL binds its rank before drawing its member, ORD_ARG after
+        ranks = (self.bind_ord(args[2], usable),) if group == "ORDINAL" else ()
+        member = self.choice(GROUPS[group])
+        if sig.family == "filter":
+            obj_form, obj = self.bind_obj(
+                args[2], lambda: self.filter_obj_candidates(member, col, rows, unique)
             )
-            return Apply(member, (inner_form, ref, obj_form))
-        if sig.category == COMPARATIVE and sig.return_type == BOOL:  # not diff
-            return self.fill_compare(group, node.args)
-        raise _Fail()
+            rows = self.view(col, rows).kept(CATALOG[member].op, obj)
+            return Apply(member, (inner_form, ref, obj_form)), rows
+        if sig.family in ("all", "most"):
+            obj_form, _ = self.bind_obj(
+                args[2], lambda: self.majority_obj_candidates(member, col, rows)
+            )
+            return Apply(member, (inner_form, ref, obj_form)), True
+        if group == "ORD_ARG":
+            ranks = (self.bind_ord(args[2], usable),)
+        # AGGREGATION, SUPER_ARG, ORDINAL, ORD_ARG: a step over the column
+        form = Apply(member, (inner_form, ref) + tuple(Literal(str(r)) for r in ranks))
+        value = self.step(member, rows, col, *ranks)
+        return form, (as_object(value) if position == OBJECT else value)
 
     def fill_compare(self, group: str, args: tuple[TemplateNode, ...]) -> Apply:
         left, right = args
@@ -362,9 +336,9 @@ class _Attempt:
         if left_obj and right_obj:
             raise _Fail()  # nothing to ground a free comparison against
         if not left_obj and not right_obj:
-            return self.holding_member(group, self.fill_value(left), self.fill_value(right))
+            return self.holding_member(group, self.fill(left, OBJECT), self.fill(right, OBJECT))
         obj_node = left if left_obj else right
-        sub = self.fill_value(right if left_obj else left)
+        sub = self.fill(right if left_obj else left, OBJECT)
         if obj_node.index in self.objs:
             # a shared placeholder fixed earlier: pick any member that holds
             lit = self.bind_obj(obj_node, None)
@@ -517,7 +491,7 @@ def instantiate(
     printed text's verify answer; it must not outlive the table's synthesis
     call.
     """
-    if group_signature(template.skeleton.group).return_type != BOOL:
+    if GROUP_SIGNATURES[template.skeleton.group].return_type != BOOL:
         return None
     columns = [c for c in columns if 0 <= c < len(table.headers)]
     # the entry holds the template, so no other object takes its id while the memo lives
@@ -527,7 +501,7 @@ def instantiate(
         return None
     for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            form = _Attempt(table, columns, rng, needs, memo).fill_bool(template.skeleton)
+            form, _ = _Attempt(table, columns, rng, needs, memo).fill(template.skeleton, BOOL)
         except _Fail:
             continue
         text = print_logic_form(form)

@@ -97,6 +97,8 @@ class Table:
             raise ValueError("table has no columns")
         column_of: dict[str, int] = {}
         for j, h in enumerate(self.headers):
+            if not h:  # no form could name the column
+                raise ValueError(f"header {j} is blank")
             if h in column_of:
                 raise ValueError(f"duplicate header after normalization: {h!r}")
             column_of[h] = j
@@ -264,11 +266,11 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     first row is the header, title and id come from the file name.
 
     Malformed JSON is fatal and names the line; a structurally bad entry
-    (no columns, ragged rows, duplicate headers, a column index that is not
-    a JSON integer or is out of range, a header, rows, row, references or
-    selected_columns field that is not a list, a lone surrogate escape in
-    its text, a table_id already used on an earlier line) is skipped with
-    a warning naming its line.
+    (no columns, ragged rows, a blank or duplicate header, a column index
+    that is not a JSON integer or is out of range, a header, rows, row,
+    references or selected_columns field that is not a list, a lone
+    surrogate escape in its text, a table_id already used on an earlier
+    line) is skipped with a warning naming its line.
     """
     path = Path(path)
     if not path.exists():

@@ -19,13 +19,11 @@ from pathlib import Path
 
 from .catalog import (
     CATALOG,
-    GROUPS,
+    GROUP_SIGNATURES,
     HEADER,
     OBJECT,
     ORD,
     VIEW,
-    group_category,
-    group_signature,
 )
 from .errors import DistributionError, ParseError
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, walk
@@ -119,9 +117,6 @@ def abstract(lf: LogicForm) -> Template:
     return Template(skeleton=skeleton, category=CATALOG[lf.name].category)
 
 
-_GROUP_SIGNATURES = {group: group_signature(group) for group in GROUPS}
-
-
 def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
     if token == "all_rows":
         if expected not in (VIEW, None):
@@ -163,11 +158,11 @@ def parse_template(text: str) -> Template:
     Raises the form parser's errors: UnknownFunctionError for a name that
     is not a group, ArityError on argument count, ParseError otherwise.
     """
-    skeleton = parse_tree(text, _GROUP_SIGNATURES, TApply, _template_leaf)
+    skeleton = parse_tree(text, GROUP_SIGNATURES, TApply, _template_leaf)
     if not isinstance(skeleton, TApply):
         raise ParseError("template root must be a function group", 0)
     _check_numbering(skeleton)
-    return Template(skeleton=skeleton, category=group_category(skeleton.group))
+    return Template(skeleton=skeleton, category=GROUP_SIGNATURES[skeleton.group].category)
 
 
 @dataclass(frozen=True)

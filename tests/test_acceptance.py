@@ -9,6 +9,7 @@ change, not a test fix.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -169,6 +170,26 @@ def test_capable_tables_fill_the_candidate_budget(synthesis_pass):
         detail += f"; short: {shown}"
     _check("tables with 4+ rows, 2+ columns, a numeric column fill the "
            "20-candidate budget", ok, detail)
+
+
+# 11,103 candidates when recorded.  A change that only buys speed or
+# simplicity keeps every byte; a deliberate output change re-records this
+# and says why in CHANGES.md.
+SYNTHESIS_PASS_SHA256 = "a9855868ec4047cf4703c6f405e41f655c6a13a49b4a7b9cf8e5fb6993f332bb"
+
+
+def test_synthesis_over_200_tables_is_byte_stable(synthesis_pass):
+    results, _ = synthesis_pass
+    digest = hashlib.sha256()
+    total = 0
+    for result in results:
+        for cand in result.candidates:
+            total += 1
+            line = f"{result.table.table_id} {list(cand.column_set)} {cand.logic_form}\n"
+            digest.update(line.encode("utf-8"))
+    got = digest.hexdigest()
+    _check("synthesis over the 200-table corpus is byte-identical to the pinned run",
+           got == SYNTHESIS_PASS_SHA256, f"{total} candidates, sha256 {got[:12]}…")
 
 
 def test_template_draws_track_configured_weights(mined_distribution):

@@ -82,6 +82,26 @@ class TestExecute:
         )
         assert got["kind"] == "rank_range"
 
+    @pytest.mark.parametrize("form, value", [
+        ("sum { all_rows ; big }", "inf"),
+        ("sum { all_rows ; low }", "-inf"),
+        ("diff { sum { all_rows ; big } ; sum { all_rows ; big } }", "nan"),
+    ])
+    def test_a_number_json_cannot_hold_is_printed_as_its_text(self, tmp_path, form, value):
+        # 400 digits read as an infinite number; JSON has no inf or nan
+        record = {"table_id": "huge", "title": "huge", "header": ["big", "low"],
+                  "rows": [["9" * 400, "-" + "9" * 400]]}
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        result = loft("execute", "--corpus", str(path), form)
+        assert result.returncode == 0, result.stderr
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        assert json.loads(result.stdout, parse_constant=refuse) == {
+            "kind": "number", "value": value}
+
     def test_missing_corpus_is_exit_2(self, tmp_path):
         result = loft("execute", "--corpus", str(tmp_path / "nope.jsonl"), "count { all_rows }")
         assert result.returncode == 2

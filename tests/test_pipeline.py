@@ -653,6 +653,38 @@ class TestRunPipeline:
             assert set(referenced_columns(
                 parse_logic_form(st["logic_form"]))) <= {"team", "points"}
 
+    def test_a_table_with_a_blank_header_is_skipped_at_load(self, tmp_path, caplog):
+        # its forms would name the column by an empty token, which no parser
+        # reads back, and the run's faithfulness would fall below 1
+        rows = [["a", "1"], ["b", "2"], ["c", "3"], ["d", "4"]]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"table_id": table_id, "title": table_id, "header": header,
+                        "rows": rows}) + "\n"
+            for table_id, header in (("blank", ["  ", "n"]), ("named", ["team", "n"]))
+        ), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            entries = load_corpus(corpus)
+        assert [e.table.table_id for e in entries] == ["named"]
+        assert "header 0 is blank" in caplog.text
+        out = tmp_path / "out.jsonl"
+        report = run_pipeline(entries, out, default_distribution(), seed=0)
+        assert report.execution_faithfulness == 1.0
+        assert score_output(out, entries).execution_faithfulness == 1.0
+
+    @pytest.mark.parametrize("k, written", [(5, [{"statements": 1, "table_id": "one"}]),
+                                            (0, [{"statements": 0, "table_id": "one"}])])
+    def test_a_table_gets_a_line_only_when_it_keeps_a_statement(self, tmp_path, k, written):
+        # "only { all_rows }" holds on the 1-row table and on no other
+        dist = TemplateDistribution(
+            entries=(WeightedTemplate(parse_template("only { all_rows }"), 1.0),))
+        entries = [CorpusEntry(Table.from_strings("one", "one", ["a"], [["x"]])),
+                   CorpusEntry(Table.from_strings("two", "two", ["a"], [["x"], ["y"]]))]
+        out = tmp_path / "out.jsonl"
+        run_pipeline(entries, out, dist, k=k, seed=13, candidates=1)
+        lines = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        assert [{**rec, "statements": len(rec["statements"])} for rec in lines] == written
+
     def test_reruns_are_byte_identical(self, tmp_path, bundled_corpus):
         paths = []
         for name in ("a.jsonl", "b.jsonl"):

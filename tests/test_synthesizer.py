@@ -28,6 +28,7 @@ from loft.synthesizer import (
 from loft.tables import EMPTY, NUMERIC, TEXT, CellValue, normalize_cell
 from loft.templates import TemplateDistribution, WeightedTemplate, abstract, parse_template
 
+from .generators import random_table
 from .oracle import oracle_execute
 
 
@@ -390,6 +391,61 @@ def test_synthesis_with_empty_cells_and_all_draws_is_byte_stable():
         for cand in result.candidates:
             digest.update(f"{list(cand.column_set)} {cand.logic_form}\n".encode("utf-8"))
     assert digest.hexdigest() == EMPTY_CELLS_SHA256
+
+
+# One template per grounding shape, then placements the catalog types rule
+# out: every group, every computed-object position and every fail point,
+# so a change to the order of draws or fails shows in the digest.
+GROUNDING_SKELETONS = [
+    "COMPARE_EQ { hop { ORD_ARG { all_rows ; COL_1 ; ORD_1 } ; COL_2 } ; OBJ_1 }",
+    "COMPARE_GT { ORDINAL { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 ; ORD_1 } ; OBJ_2 }",
+    "only { filter_all { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } }",
+    "COMPARE_EQ { count { FILTER_GE { all_rows ; COL_1 ; OBJ_1 } } ; OBJ_2 }",
+    # diff grounds its left argument, then fails on the free OBJ_2
+    "COMPARE_EQ { diff { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 } ; OBJ_3 }",
+    "only { FILTER_GT { all_rows ; COL_1 ; AGGREGATION { all_rows ; COL_1 } } }",
+    "MAJORITY_MOST_GE { all_rows ; COL_1 ; hop { SUPER_ARG { all_rows ; COL_1 } ; COL_1 } }",
+    "round_eq { OBJ_1 ; AGGREGATION { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } ; COL_2 } }",
+    "MAJORITY_ALL_EQ { FILTER_GT { all_rows ; COL_1 ; OBJ_1 } ; COL_2 ; OBJ_2 }",
+    "COMPARE_EQ { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 }",
+    "and { COMPARE_GT { count { all_rows } ; OBJ_1 } ;"
+    " only { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } } }",
+    "and { COMPARE_EQ { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 } ;"
+    " COMPARE_EQ { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_3 } ; COL_2 } ; OBJ_2 } }",
+    "COMPARE_GT { diff { ORDINAL { all_rows ; COL_1 ; ORD_1 } ;"
+    " ORDINAL { all_rows ; COL_1 ; ORD_2 } } ; OBJ_1 }",
+    "COMPARE_EQ { OBJ_1 ; hop { ORD_ARG { FILTER_GT { all_rows ; COL_1 ; OBJ_2 } ;"
+    " COL_2 ; ORD_1 } ; COL_3 } }",
+    "COMPARE_EQ { OBJ_1 ; OBJ_2 }",
+    # ill-typed: a number under only and and, a view root or operand, an
+    # object in a boolean position, a boolean in a view position
+    "only { count { all_rows } }",
+    "and { count { all_rows } ; only { all_rows } }",
+    "and { COMPARE_EQ { count { all_rows } ; OBJ_1 } ; hop { all_rows ; COL_1 } }",
+    "FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }",
+    "COMPARE_EQ { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; OBJ_2 }",
+    "count { only { all_rows } }",
+]
+
+# 1,112 forms when recorded, before the grounding fillers became one
+# dispatcher, which must change no byte.
+GROUNDING_SHA256 = "79c2bcfa557819bcb36d7f609acc0552a956cc624e6dfb6079fd43d41e3b0e75"
+
+
+def test_grounding_of_every_group_and_fail_point_is_byte_stable():
+    weight = 1 / len(GROUNDING_SKELETONS)
+    dist = TemplateDistribution(entries=tuple(
+        WeightedTemplate(parse_template(s), weight) for s in GROUNDING_SKELETONS))
+    rng = random.Random(2020)
+    tables = [random_table(rng) for _ in range(24)] + [_seeded_table(0)]
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for table in tables:
+            for res in synthesize_candidates(table, None, dist, seed=seed, candidates=8).per_set:
+                digest.update(f"{list(res.column_set)} {res.attempts}\n".encode("utf-8"))
+                for cand in res.forms:
+                    digest.update(f"{cand.logic_form}\n".encode("utf-8"))
+    assert digest.hexdigest() == GROUNDING_SHA256
 
 
 def test_grounding_memo_lives_for_one_call(monkeypatch):

@@ -68,6 +68,12 @@ class TestTable:
         with pytest.raises(ValueError):
             Table.from_strings("t", "t", ["A", "a"], [["1", "2"]])
 
+    @pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
+    def test_blank_header_rejected(self, blank):
+        # a header that folds to "" would print forms no parser reads back
+        with pytest.raises(ValueError, match="header 1 is blank"):
+            Table.from_strings("t", "t", ["a", blank], [["1", "2"]])
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Table.from_strings("t", "t", ["a", "b"], [["1", "2"], ["3"]])
@@ -170,6 +176,20 @@ class TestCorpusIO:
         with caplog.at_level("WARNING"):
             assert load_corpus(path, format="csv") == []
         assert "no columns" in caplog.text
+
+    def test_blank_header_skips_the_entry_or_the_csv_table(self, tmp_path, caplog):
+        path = self._write(
+            tmp_path,
+            ['{"table_id": "a", "title": "a", "header": ["h", "  "], "rows": [["1", "2"]]}',
+             '{"table_id": "b", "title": "b", "header": ["h"], "rows": [["1"]]}'],
+        )
+        csv_path = tmp_path / "blank.csv"
+        csv_path.write_text("h, \n1,2\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert [e.table.table_id for e in load_corpus(path)] == ["b"]
+            assert load_corpus(csv_path, format="csv") == []
+        assert "corpus.jsonl:1: header 1 is blank" in caplog.text
+        assert "skipping csv table" in caplog.text
 
     def test_duplicate_table_id_keeps_the_first(self, tmp_path, caplog):
         path = self._write(

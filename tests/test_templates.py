@@ -256,14 +256,14 @@ class TestDistributions:
             load_distribution(path)
 
     def test_default_distribution_covers_every_category(self):
-        from loft.catalog import CATEGORIES, group_category
+        from loft.catalog import CATEGORIES, GROUP_SIGNATURES
         from loft.forms import walk
         from loft.templates import TApply
 
         dist = default_distribution()
         assert len(dist.entries) == 8
         exercised = {
-            group_category(node.group)
+            GROUP_SIGNATURES[node.group].category
             for e in dist.entries
             for node in walk(e.template.skeleton)
             if isinstance(node, TApply)
