@@ -38,9 +38,11 @@ from .tables import (
     CorpusEntry, Table, _not_utf8, load_corpus, save_corpus, write_json_lines,
 )
 from .templates import (
+    abstract,
     build_distribution,
     default_distribution,
     load_distribution,
+    parse_template,
     save_distribution,
 )
 
@@ -112,7 +114,8 @@ def _cmd_ingest(args) -> int:
 
 def _read_forms(path) -> list[Apply]:
     """The logic forms of a file, one a line; skips blank and # lines, and
-    warns about and skips a line that is not a function application."""
+    warns about and skips a line that is not a function application or
+    whose template parse_template refuses."""
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -129,6 +132,11 @@ def _read_forms(path) -> list[Apply]:
             continue
         if not isinstance(lf, Apply):
             log.warning("skipping line %d: not a function application", lineno)
+            continue
+        try:
+            parse_template(abstract(lf).canonical())
+        except ParseError as exc:
+            log.warning("skipping line %d: its template is refused: %s", lineno, exc)
             continue
         forms.append(lf)
     if not forms:

@@ -163,8 +163,11 @@ class _HookProcess:
                 self.proc.stdin.close()
         except OSError:
             pass
+        # the stdout reader ends as the hook exits; joining it, unlike wait, does not poll
+        deadline = time.monotonic() + 2
+        self.readers[0][0].join(timeout=2)
         try:
-            self.proc.wait(timeout=2)
+            self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()

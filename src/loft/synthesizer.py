@@ -7,11 +7,12 @@ ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
 computed result instead of being guessed.  One dispatcher,
 ``_Attempt.fill``, grounds every node in a view, object or boolean
-position: a node whose catalog return type does not fit the position
-fails before any draw; otherwise it fills its inner view, reads its
-column, and its group's tail draws the member and binds the object or
-rank.  A node's value comes from the executor's per-node step applied to the values its children already
-produced, so no subtree is executed twice.  Each view gets one index,
+position.  ``parse_template`` has already checked that each node fits
+its position, so fill only grounds: it fills the node's inner view,
+reads its column, and its group's tail draws the member and binds the
+object or rank.  A node's value comes from the executor's
+per-node step applied to the values its children already produced, so
+no subtree is executed twice.  Each view gets one index,
 made in one pass over its cells (equality by number, else by folded text;
 order by bisecting the sorted numbers): the object pools read the view's
 distinct values (a whole column's are the all-rows view's) and count each
@@ -37,16 +38,13 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from .catalog import (
-    BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, HEADER, NUM, OBJECT, ORDER_OPS, VIEW,
-)
+from .catalog import BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, OBJECT, VIEW
 from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
     TAllRows,
-    TApply,
     TCol,
     TObj,
     TOrd,
@@ -105,34 +103,6 @@ def derive_column_sets(table: Table, rng: random.Random) -> list[tuple[int, ...]
 
 class _Fail(Exception):
     """One draw could not be grounded; the caller retries."""
-
-
-# The position a node of each catalog return type can fill: a number is an object.
-_POSITION = {NUM: OBJECT, OBJECT: OBJECT, VIEW: VIEW, BOOL: BOOL}
-
-
-def _column_needs(skeleton: TApply) -> dict[int, bool]:
-    """Which COL placeholders must be numeric columns."""
-    needs: dict[int, bool] = {}
-
-    def scan(node: TemplateNode, numeric_hop: bool = False) -> None:
-        if not isinstance(node, TApply):
-            return
-        sig = GROUP_SIGNATURES[node.group]
-        numeric = sig.numeric_column or sig.op in ORDER_OPS
-        if node.group == "hop" and numeric_hop:
-            numeric = True
-        # hop results fed into numeric comparison must come from numeric columns
-        child_hop_numeric = sig.family == "numeric_pair"
-        for arg, arg_type in zip(node.args, sig.arg_types):
-            if arg_type == HEADER:
-                if isinstance(arg, TCol):
-                    needs[arg.index] = needs.get(arg.index, False) or numeric
-            else:
-                scan(arg, numeric_hop=child_hop_numeric)
-
-    scan(skeleton)
-    return needs
 
 
 class _Attempt:
@@ -281,13 +251,9 @@ class _Attempt:
         """Form and value of a node in a VIEW, OBJECT or BOOL position: the
         view's rows, the object's cell, or True (the boolean holds).  A
         filter under ``unique`` keeps exactly one row."""
-        if not isinstance(node, TApply):
-            if isinstance(node, TAllRows) and position == VIEW:
-                return AllRows(), tuple(range(self.table.n_rows))
-            raise _Fail()  # a free OBJ is grounded by bind_obj or fill_compare
+        if isinstance(node, TAllRows):
+            return AllRows(), tuple(range(self.table.n_rows))
         group, args, sig = node.group, node.args, GROUP_SIGNATURES[node.group]
-        if _POSITION[sig.return_type] != position:
-            raise _Fail()
         if group == "and":
             return Apply("and", tuple(self.fill(arg, BOOL)[0] for arg in args)), True
         if group == "diff":
@@ -331,10 +297,7 @@ class _Attempt:
 
     def fill_compare(self, group: str, args: tuple[TemplateNode, ...]) -> Apply:
         left, right = args
-        left_obj = isinstance(left, TObj)
-        right_obj = isinstance(right, TObj)
-        if left_obj and right_obj:
-            raise _Fail()  # nothing to ground a free comparison against
+        left_obj, right_obj = isinstance(left, TObj), isinstance(right, TObj)
         if not left_obj and not right_obj:
             return self.holding_member(group, self.fill(left, OBJECT), self.fill(right, OBJECT))
         obj_node = left if left_obj else right
@@ -483,25 +446,21 @@ def instantiate(
     rng: random.Random,
     memo: dict,
 ) -> tuple[Apply, str] | None:
-    """Ground one template against the table: the form and its printed
-    text, or None after all retries.
+    """Ground one template, as parse_template checked it, against the
+    table: the form and its printed text, or None after all retries.
 
     Returned forms always verify true and reference only the given columns.
     ``memo`` holds what grounding builds from the table alone, and each
     printed text's verify answer; it must not outlive the table's synthesis
     call.
     """
-    if GROUP_SIGNATURES[template.skeleton.group].return_type != BOOL:
-        return None
     columns = [c for c in columns if 0 <= c < len(table.headers)]
-    # the entry holds the template, so no other object takes its id while the memo lives
-    _, needs = _once(memo, ("needs", id(template)),
-                     lambda: (template, _column_needs(template.skeleton)))
-    if len(needs) > len(columns):
+    if len(template.needs) > len(columns):
         return None
     for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            form, _ = _Attempt(table, columns, rng, needs, memo).fill(template.skeleton, BOOL)
+            form, _ = _Attempt(table, columns, rng, template.needs, memo).fill(
+                template.skeleton, BOOL)
         except _Fail:
             continue
         text = print_logic_form(form)

@@ -18,18 +18,15 @@ from itertools import accumulate
 from pathlib import Path
 
 from .catalog import (
-    CATALOG,
-    GROUP_SIGNATURES,
-    HEADER,
-    OBJECT,
-    ORD,
-    VIEW,
+    BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, HEADER, NUM, OBJECT, ORD, ORDER_OPS, VIEW,
 )
 from .errors import DistributionError, ParseError
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, walk
+from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, print_logic_form
 from .tables import json_object
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
+# a skeleton's tokens (group names, placeholders, all_rows) in printing order
+_TOKEN_RE = re.compile(r"[^\s{};]+")
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -67,29 +64,33 @@ TemplateNode = TAllRows | TCol | TObj | TOrd | TApply
 class Template:
     skeleton: TApply
     category: str
+    # COL index -> needs a numeric column; None until parse_template checks the skeleton
+    needs: dict[int, bool] | None = field(default=None, compare=False, repr=False)
 
     def canonical(self) -> str:
         return template_to_string(self.skeleton)
 
 
+_PLACEHOLDERS = {"COL": TCol, "OBJ": TObj, "ORD": TOrd}
+_PREFIXES = {cls: prefix for prefix, cls in _PLACEHOLDERS.items()}
+
+
 def template_to_string(node: TemplateNode) -> str:
+    if isinstance(node, TApply):
+        inner = " ; ".join(template_to_string(a) for a in node.args)
+        return f"{node.group} {{ {inner} }}"
     if isinstance(node, TAllRows):
         return "all_rows"
-    if isinstance(node, TCol):
-        return f"COL_{node.index}"
-    if isinstance(node, TObj):
-        return f"OBJ_{node.index}"
-    if isinstance(node, TOrd):
-        return f"ORD_{node.index}"
-    inner = " ; ".join(template_to_string(a) for a in node.args)
-    return f"{node.group} {{ {inner} }}"
+    return f"{_PREFIXES[type(node)]}_{node.index}"
 
 
 def abstract(lf: LogicForm) -> Template:
     """Mask a concrete form into its template.
 
     The root must be a function application; placeholder numbering follows
-    first appearance, and identical entities reuse their placeholder.
+    first appearance, and identical entities reuse their placeholder.  Any
+    such form has a template, so the skeleton is not checked here:
+    ``parse_template(template.canonical())`` checks it.
     """
     if not isinstance(lf, Apply):
         raise ValueError("only function applications can be abstracted")
@@ -101,14 +102,11 @@ def abstract(lf: LogicForm) -> Template:
         if isinstance(node, AllRows):
             return TAllRows()
         if isinstance(node, ColumnRef):
-            idx = cols.setdefault(node.name, len(cols) + 1)
-            return TCol(idx)
+            return TCol(cols.setdefault(node.name, len(cols) + 1))
         if isinstance(node, Literal):
             if position == ORD:
-                idx = ords.setdefault(node.text, len(ords) + 1)
-                return TOrd(idx)
-            idx = objs.setdefault(node.text, len(objs) + 1)
-            return TObj(idx)
+                return TOrd(ords.setdefault(node.text, len(ords) + 1))
+            return TObj(objs.setdefault(node.text, len(objs) + 1))
         sig = CATALOG[node.name]
         args = tuple(mask(a, t) for a, t in zip(node.args, sig.arg_types))
         return TApply(sig.group, args)
@@ -119,50 +117,77 @@ def abstract(lf: LogicForm) -> Template:
 
 def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
     if token == "all_rows":
-        if expected not in (VIEW, None):
-            raise ParseError("all_rows outside a view position", offset)
         return TAllRows()
     m = _PLACEHOLDER_RE.match(token)
     if not m:
         raise ParseError(f"expected a placeholder, got {token!r}", offset)
-    kind, index = m.group(1), int(m.group(2))
-    if kind == "COL":
-        if expected != HEADER:
-            raise ParseError("COL placeholder outside a header position", offset)
-        return TCol(index)
-    if kind == "ORD":
-        if expected != ORD:
-            raise ParseError("ORD placeholder outside an ordinal position", offset)
-        return TOrd(index)
-    if expected not in (OBJECT,):
-        raise ParseError("OBJ placeholder outside an object position", offset)
-    return TObj(index)
+    return _PLACEHOLDERS[m.group(1)](int(m.group(2)))
 
 
-def _check_numbering(skeleton: TApply) -> None:
-    """Placeholders must be numbered 1..n by first appearance."""
-    seen: dict[str, list[int]] = {"COL": [], "OBJ": [], "ORD": []}
-    for node in walk(skeleton):
-        for kind, cls in (("COL", TCol), ("OBJ", TObj), ("ORD", TOrd)):
-            if isinstance(node, cls) and node.index not in seen[kind]:
-                if node.index != len(seen[kind]) + 1:
-                    raise ParseError(
-                        f"{kind} placeholders must be numbered by first appearance"
-                    )
-                seen[kind].append(node.index)
+# The position each leaf fills, and the one a function of each return type
+# fills: a number is an object.
+_LEAF_FILLS = {TAllRows: VIEW, TCol: HEADER, TObj: OBJECT, TOrd: ORD}
+_RETURN_FILLS = {NUM: OBJECT, OBJECT: OBJECT, VIEW: VIEW, BOOL: BOOL}
+
+
+def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
+    """Check a parsed skeleton by the typing rules ``forms.type_check``
+    applies to forms, and return whether each COL needs a numeric column.
+
+    One pre-order walk checks that every node fills its position (the
+    root's is boolean; header and ordinal ones take placeholders only), the
+    numbering, and that no hop sits over all_rows; it refuses two shapes
+    that type-check but never ground: two free objects compared, and a free
+    object under diff.  It meets the nodes in the order of their tokens in
+    ``text``, which gives each ParseError its offset.
+    """
+    offsets = (m.start() for m in _TOKEN_RE.finditer(text))
+    numbered = {TCol: 0, TObj: 0, TOrd: 0}
+    needs: dict[int, bool] = {}
+
+    def visit(node: TemplateNode, position: str, numeric: bool) -> None:
+        # numeric: a COL here, or the column a hop here reads, must be numeric
+        offset, kind = next(offsets), type(node)
+        sig = GROUP_SIGNATURES[node.group] if kind is TApply else None
+        label = f"{node.group} returns type {sig.return_type}" if sig else template_to_string(node)
+        if (_RETURN_FILLS[sig.return_type] if sig else _LEAF_FILLS[kind]) != position:
+            raise ParseError(f"{label} where type {position} is expected", offset)
+        if kind in numbered:
+            if node.index > numbered[kind] + 1:
+                raise ParseError(f"{label} is not numbered by first appearance", offset)
+            numbered[kind] = max(numbered[kind], node.index)
+            if kind is TCol:
+                needs[node.index] = needs.get(node.index, False) or numeric
+        if sig is None:
+            return
+        group = node.group
+        if group == "hop" and type(node.args[0]) is TAllRows:
+            raise ParseError("hop over all_rows never type-checks", offset)
+        free = sum(type(arg) is TObj for arg in node.args)
+        if sig.category == COMPARATIVE and (free == 2 or group == "diff" and free):
+            raise ParseError(f"{group} cannot ground its OBJ: an OBJ under diff or compared "
+                             f"with another OBJ can never be grounded", offset)
+        reads_number = sig.numeric_column or sig.op in ORDER_OPS or (group == "hop" and numeric)
+        for arg, arg_type in zip(node.args, sig.arg_types):
+            visit(arg, arg_type,
+                  reads_number if arg_type == HEADER else sig.family == "numeric_pair")
+
+    visit(skeleton, BOOL, False)
+    return needs
 
 
 def parse_template(text: str) -> Template:
-    """Parse and validate one skeleton string.
+    """Parse and check one skeleton string.
 
     Raises the form parser's errors: UnknownFunctionError for a name that
-    is not a group, ArityError on argument count, ParseError otherwise.
+    is not a group, ArityError on argument count, ParseError otherwise,
+    including a skeleton that breaks a rule of ``_check_skeleton``.
     """
     skeleton = parse_tree(text, GROUP_SIGNATURES, TApply, _template_leaf)
     if not isinstance(skeleton, TApply):
         raise ParseError("template root must be a function group", 0)
-    _check_numbering(skeleton)
-    return Template(skeleton=skeleton, category=GROUP_SIGNATURES[skeleton.group].category)
+    return Template(skeleton=skeleton, category=GROUP_SIGNATURES[skeleton.group].category,
+                    needs=_check_skeleton(skeleton, text))
 
 
 @dataclass(frozen=True)
@@ -187,6 +212,8 @@ class TemplateDistribution:
             if key in seen:
                 raise DistributionError(f"duplicate template: {key}")
             seen.add(key)
+            if e.template.needs is None:
+                raise DistributionError(f"{key} was not checked by parse_template")
             if not e.weight > 0:  # NaN fails this too
                 raise DistributionError(f"weight {e.weight!r} for {key} is not positive")
         weights = [e.weight for e in self.entries]
@@ -200,20 +227,22 @@ def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> Te
     """Mine a weighted distribution from concrete forms.
 
     Weights are occurrence shares; entries are sorted by descending weight,
-    then canonical string, so equal corpora give identical files.
+    then canonical string, so equal corpora give identical files.  A form
+    whose template parse_template refuses is refused, by name.
     """
     if not forms:
         raise DistributionError("no forms to mine templates from")
-    counts: dict[str, tuple[Template, int]] = {}
+    counts: dict[str, list] = {}  # canonical text -> [template, occurrences]
     for lf in forms:
-        template = abstract(lf)
-        key = template.canonical()
-        prev = counts.get(key)
-        counts[key] = (template, (prev[1] if prev else 0) + 1)
-    total = sum(c for _, c in counts.values())
-    entries = [
-        WeightedTemplate(template=t, weight=c / total) for t, c in counts.values()
-    ]
+        key = abstract(lf).canonical()
+        if key not in counts:
+            try:
+                counts[key] = [parse_template(key), 0]
+            except ParseError as exc:
+                raise DistributionError(
+                    f"{print_logic_form(lf)}: its template {key} is refused: {exc}") from None
+        counts[key][1] += 1
+    entries = [WeightedTemplate(template=t, weight=c / len(forms)) for t, c in counts.values()]
     entries.sort(key=lambda e: (-e.weight, e.template.canonical()))
     return TemplateDistribution(entries=tuple(entries), provenance=provenance)
 

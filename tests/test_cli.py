@@ -133,6 +133,18 @@ def test_a_nan_template_weight_is_exit_2(corpus, tmp_path):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_a_function_in_a_column_position_is_exit_2(corpus, tmp_path):
+    templates = tmp_path / "templates.json"
+    skeleton = "COMPARE_EQ { AGGREGATION { all_rows ; count { all_rows } } ; OBJ_1 }"
+    templates.write_text(json.dumps({"entries": [{"skeleton": skeleton, "weight": 1.0}]}),
+                         encoding="utf-8")
+    result = loft("pipeline", "--corpus", corpus, "--templates", str(templates),
+                  "--output", str(tmp_path / "out.jsonl"))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {templates}: entry 0: count ")
+    assert "Traceback" not in result.stderr
+
+
 class TestVerifyAndRealize:
     def test_verify_true(self, corpus):
         got = payload_of(loft("verify", "--corpus", corpus, "eq { count { all_rows } ; 3 }"))
@@ -310,6 +322,23 @@ class TestToolChain:
         forms.write_text("# nothing here\n", encoding="utf-8")
         result = loft("mine-templates", "--forms", str(forms), "--output", str(tmp_path / "t.json"))
         assert result.returncode == 2
+
+    def test_mine_templates_skips_a_form_whose_template_cannot_ground(self, tmp_path, capsys,
+                                                                      caplog):
+        forms = tmp_path / "forms.txt"
+        forms.write_text("eq { 3 ; 4 }\n"
+                         "eq { hop { all_rows ; team } ; x }\n"
+                         "only { filter_eq { all_rows ; team ; a } }\n", encoding="utf-8")
+        templates = tmp_path / "t.json"
+        with caplog.at_level("WARNING", logger="loft.cli"):
+            code = main(["mine-templates", "--forms", str(forms), "--output", str(templates)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["templates"] == 1
+        skeletons = [e["skeleton"] for e in json.loads(templates.read_text())["entries"]]
+        assert skeletons == ["only { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } }"]
+        assert "skipping line 1: " in caplog.text
+        assert "skipping line 2: " in caplog.text
+        assert "line 3" not in caplog.text
 
     def test_mine_templates_names_an_undecodable_line(self, tmp_path, capsys):
         forms = tmp_path / "forms.txt"

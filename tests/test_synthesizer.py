@@ -1,7 +1,9 @@
 """Synthesis of verify-true candidate forms from weighted templates."""
 
 import hashlib
+import json
 import random
+import re
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 import loft.executor
 import loft.synthesizer
 from loft import Table, default_distribution, verify
-from loft.catalog import BOOL
+from loft.catalog import BOOL, GROUP_SIGNATURES
+from loft.cli import main
+from loft.errors import LoftError, ParseError
 from loft.executor import apply, as_object, cell_predicate
 from loft.forms import print_logic_form, referenced_columns
 from loft.synthesizer import (
@@ -148,10 +152,10 @@ class TestInstantiate:
                     form, _ = grounded
                     assert abstract(form).canonical() == entry.template.canonical()
 
-    def test_non_boolean_template_yields_nothing(self, mt):
-        rng = random.Random(3)
-        template = parse_template("FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }")
-        assert instantiate(template, mt, [0, 1], rng, {}) is None
+    def test_non_boolean_template_is_refused(self):
+        with pytest.raises(ParseError, match="FILTER_EQ returns type view where type bool") as exc:
+            parse_template("FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }")
+        assert exc.value.offset == 0
 
     def test_more_placeholders_than_columns_yields_nothing(self, mt):
         rng = random.Random(3)
@@ -393,16 +397,14 @@ def test_synthesis_with_empty_cells_and_all_draws_is_byte_stable():
     assert digest.hexdigest() == EMPTY_CELLS_SHA256
 
 
-# One template per grounding shape, then placements the catalog types rule
-# out: every group, every computed-object position and every fail point,
-# so a change to the order of draws or fails shows in the digest.
+# One template per grounding shape: every group, every computed-object
+# position and every fail point a template that loads can reach, so a
+# change to the order of draws or fails shows in the digest.
 GROUNDING_SKELETONS = [
     "COMPARE_EQ { hop { ORD_ARG { all_rows ; COL_1 ; ORD_1 } ; COL_2 } ; OBJ_1 }",
     "COMPARE_GT { ORDINAL { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 ; ORD_1 } ; OBJ_2 }",
     "only { filter_all { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } }",
     "COMPARE_EQ { count { FILTER_GE { all_rows ; COL_1 ; OBJ_1 } } ; OBJ_2 }",
-    # diff grounds its left argument, then fails on the free OBJ_2
-    "COMPARE_EQ { diff { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 } ; OBJ_3 }",
     "only { FILTER_GT { all_rows ; COL_1 ; AGGREGATION { all_rows ; COL_1 } } }",
     "MAJORITY_MOST_GE { all_rows ; COL_1 ; hop { SUPER_ARG { all_rows ; COL_1 } ; COL_1 } }",
     "round_eq { OBJ_1 ; AGGREGATION { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } ; COL_2 } }",
@@ -416,23 +418,14 @@ GROUNDING_SKELETONS = [
     " ORDINAL { all_rows ; COL_1 ; ORD_2 } } ; OBJ_1 }",
     "COMPARE_EQ { OBJ_1 ; hop { ORD_ARG { FILTER_GT { all_rows ; COL_1 ; OBJ_2 } ;"
     " COL_2 ; ORD_1 } ; COL_3 } }",
-    "COMPARE_EQ { OBJ_1 ; OBJ_2 }",
-    # ill-typed: a number under only and and, a view root or operand, an
-    # object in a boolean position, a boolean in a view position
-    "only { count { all_rows } }",
-    "and { count { all_rows } ; only { all_rows } }",
-    "and { COMPARE_EQ { count { all_rows } ; OBJ_1 } ; hop { all_rows ; COL_1 } }",
-    "FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }",
-    "COMPARE_EQ { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; OBJ_2 }",
-    "count { only { all_rows } }",
 ]
 
-# 1,112 forms when recorded, before the grounding fillers became one
-# dispatcher, which must change no byte.
-GROUNDING_SHA256 = "79c2bcfa557819bcb36d7f609acc0552a956cc624e6dfb6079fd43d41e3b0e75"
+# 1,114 forms when recorded, before templates were typed at load, which
+# must change no byte of a distribution that still loads.
+GROUNDING_SHA256 = "3497ff50f3eb0a01640521f8f694d3e195de63e29abbcedd48d2d18f89b9c86e"
 
 
-def test_grounding_of_every_group_and_fail_point_is_byte_stable():
+def test_grounding_of_every_group_is_byte_stable():
     weight = 1 / len(GROUNDING_SKELETONS)
     dist = TemplateDistribution(entries=tuple(
         WeightedTemplate(parse_template(s), weight) for s in GROUNDING_SKELETONS))
@@ -446,6 +439,98 @@ def test_grounding_of_every_group_and_fail_point_is_byte_stable():
                 for cand in res.forms:
                     digest.update(f"{cand.logic_form}\n".encode("utf-8"))
     assert digest.hexdigest() == GROUNDING_SHA256
+
+
+# Skeletons that parse but can never give a candidate, each refused where
+# it loads.
+REFUSED_SKELETONS = {
+    "number-under-only": "only { count { all_rows } }",
+    "number-under-and": "and { count { all_rows } ; only { all_rows } }",
+    "object-operand-of-and":
+        "and { COMPARE_EQ { count { all_rows } ; OBJ_1 } ; hop { all_rows ; COL_1 } }",
+    "view-root": "FILTER_EQ { all_rows ; COL_1 ; OBJ_1 }",
+    "view-compared": "COMPARE_EQ { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; OBJ_2 }",
+    "bool-as-view": "count { only { all_rows } }",
+    "free-obj-under-diff":
+        "COMPARE_EQ { diff { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ; OBJ_2 } ;"
+        " OBJ_3 }",
+    "two-free-objects": "COMPARE_EQ { OBJ_1 ; OBJ_2 }",
+}
+
+
+@pytest.mark.parametrize("skeleton", REFUSED_SKELETONS.values(), ids=REFUSED_SKELETONS.keys())
+def test_skeleton_that_cannot_ground_is_refused_at_load(tmp_path, capsys, skeleton):
+    with pytest.raises(ParseError):
+        parse_template(skeleton)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"table_id": "mt", "title": "mt", "header": ["team", "points"],
+                                  "rows": [["a", "3"], ["b", "5"]]}) + "\n", encoding="utf-8")
+    templates = tmp_path / "templates.json"
+    templates.write_text(json.dumps({"entries": [{"skeleton": skeleton, "weight": 1.0}]}),
+                         encoding="utf-8")
+    code = main(["pipeline", "--corpus", str(corpus), "--templates", str(templates),
+                 "--output", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {templates}: entry 0: ")
+
+
+_RETURN_FITS = {"number": "object", "object": "object", "view": "view", "bool": "bool"}
+# the leaves that fit each argument position
+_TYPED_LEAVES = {"view": ["all_rows"], "header": ["COL_1", "COL_2"], "object": ["OBJ_1", "OBJ_2"],
+                 "ordinal": ["ORD_1", "ORD_2"], "bool": []}
+_ANY_LEAF = [leaf for leaves in _TYPED_LEAVES.values() for leaf in leaves]
+
+
+@st.composite
+def skeleton_nodes(draw, position, depth):
+    """A skeleton node: a catalog group over nodes, a placeholder or
+    all_rows, drawn from those that fit its position three times in four
+    and from all of them otherwise."""
+    typed = draw(st.integers(0, 3)) > 0
+    groups = sorted(g for g, sig in GROUP_SIGNATURES.items()
+                    if not typed or _RETURN_FITS[sig.return_type] == position)
+    leaves = _TYPED_LEAVES[position] if typed else _ANY_LEAF
+    if depth == 0 or not groups or (leaves and draw(st.booleans())):
+        return draw(st.sampled_from(leaves or _ANY_LEAF))
+    group = draw(st.sampled_from(groups))
+    args = [draw(skeleton_nodes(arg_type, depth - 1))
+            for arg_type in GROUP_SIGNATURES[group].arg_types]
+    return f"{group} {{ {' ; '.join(args)} }}"
+
+
+def _numbered_by_first_appearance(text):
+    numbers: dict[str, str] = {}
+
+    def renumber(match):
+        kind = match.group(1)
+        count = sum(key.startswith(kind) for key in numbers)
+        return numbers.setdefault(match.group(0), f"{kind}_{count + 1}")
+
+    return re.sub(r"(COL|OBJ|ORD)_[0-9]+", renumber, text)
+
+
+SKELETON_TEXTS = skeleton_nodes("bool", 3).map(_numbered_by_first_appearance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SKELETON_TEXTS, st.integers(0, 2**32 - 1))
+@example("COMPARE_EQ { AGGREGATION { all_rows ; count { all_rows } } ; OBJ_1 }", 0)
+@example("COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; count { all_rows } } ; OBJ_1 }", 0)
+def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
+    try:
+        template = parse_template(text)
+    except LoftError:
+        return
+    rng = random.Random(seed)
+    for _ in range(2):
+        table = random_table(rng)
+        columns = list(range(len(table.headers)))
+        for _ in range(2):
+            grounded = instantiate(template, table, columns, rng, {})
+            if grounded is not None:
+                form, printed = grounded
+                assert printed == print_logic_form(form)
+                assert verify(form, table) is True
 
 
 def test_grounding_memo_lives_for_one_call(monkeypatch):
@@ -554,7 +639,7 @@ class TestShortfalls:
 
 def test_sample_template_follows_weights():
     heavy = WeightedTemplate(parse_template("only { all_rows }"), 0.9)
-    light = WeightedTemplate(parse_template("count { all_rows }"), 0.1)
+    light = WeightedTemplate(parse_template("COMPARE_EQ { count { all_rows } ; OBJ_1 }"), 0.1)
     dist = TemplateDistribution(entries=(heavy, light))
     rng = random.Random(0)
     draws = [sample_template(dist, rng).canonical() for _ in range(2000)]

@@ -18,7 +18,6 @@ from loft import (
     parse_logic_form,
 )
 from loft.forms import Apply
-from loft.synthesizer import _column_needs
 from loft.templates import (
     TemplateDistribution,
     WeightedTemplate,
@@ -91,7 +90,7 @@ class TestTemplateParsing:
             " hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } ; COL_2 } }"
         )
         # two distinct columns; only the one the comparison reads is numeric
-        assert _column_needs(template.skeleton) == {1: False, 2: True}
+        assert template.needs == {1: False, 2: True}
 
     def test_numbering_must_follow_first_appearance(self):
         with pytest.raises(ParseError):
@@ -137,15 +136,47 @@ class TestTemplateParsing:
         assert exc_info.value.offset is not None
 
     def test_abstraction_round_trips_on_random_forms(self):
+        # a template that loads is the one abstraction gave; the rest (a
+        # view or value root, a free OBJ that cannot be grounded) are refused
         rng = random.Random(11)
-        checked = 0
+        checked = refused = 0
         for _ in range(300):
             form = random_form(rng, random_table(rng))
             if isinstance(form, Apply):
                 template = abstract(form)
-                assert parse_template(template.canonical()) == template
+                try:
+                    loaded = parse_template(template.canonical())
+                except ParseError:
+                    refused += 1
+                    continue
+                assert loaded == template
                 checked += 1
-        assert checked > 200
+        assert checked > 120 and refused > 60
+
+    @pytest.mark.parametrize("text, token, message", [
+        ("COMPARE_EQ { AGGREGATION { all_rows ; count { all_rows } } ; OBJ_1 }", "count",
+         "count returns type number where type header is expected"),
+        ("COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; count { all_rows } } ; OBJ_1 }", "count",
+         "count returns type number where type ordinal is expected"),
+        ("COMPARE_EQ { hop { all_rows ; COL_1 } ; OBJ_1 }", "hop",
+         "hop over all_rows never type-checks"),
+        ("round_eq {  OBJ_1 ;\tOBJ_2 }", "round_eq", "round_eq cannot ground its OBJ"),
+        ("only { FILTER_EQ { all_rows ; COL_1 ;  OBJ_2 } }", "OBJ_2",
+         "OBJ_2 is not numbered by first appearance"),
+    ], ids=["function-as-column", "function-as-rank", "hop-over-all-rows", "free-comparison",
+            "numbering"])
+    def test_a_refused_skeleton_names_the_offending_node(self, text, token, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc_info:
+            parse_template(text)
+        assert exc_info.value.offset == text.index(token)
+
+    def test_a_loaded_template_holds_its_column_needs(self):
+        # hop under a numeric comparison reads a number; a filter's column
+        # needs none, an ordinal's does
+        template = parse_template(
+            "COMPARE_GT { hop { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } ; COL_2 } ;"
+            " ORDINAL { all_rows ; COL_3 ; ORD_1 } }")
+        assert template.needs == {1: False, 2: True, 3: True}
 
     def test_singleton_groups_keep_function_names(self):
         template = parse_template("only { filter_all { all_rows ; COL_1 } }")
@@ -161,13 +192,22 @@ class TestDistributions:
         assert weights == sorted(weights, reverse=True)
 
     def test_equal_weights_sort_by_canonical(self):
-        dist = build_distribution(
-            [parse_logic_form("greater { 5 ; 2 }"), parse_logic_form("only { all_rows }")]
-        )
+        dist = build_distribution([parse_logic_form("greater { count { all_rows } ; 2 }"),
+                                   parse_logic_form("only { all_rows }")])
         assert [e.template.canonical() for e in dist.entries] == [
-            "COMPARE_GT { OBJ_1 ; OBJ_2 }",
+            "COMPARE_GT { count { all_rows } ; OBJ_1 }",
             "only { all_rows }",
         ]
+
+    def test_a_form_whose_template_cannot_ground_is_refused_by_name(self):
+        forms = [parse_logic_form("only { all_rows }"), parse_logic_form("eq { 3 ; 4 }")]
+        with pytest.raises(DistributionError, match=re.escape("eq { 3 ; 4 }: its template")):
+            build_distribution(forms)
+
+    def test_an_unchecked_template_is_refused(self):
+        unchecked = abstract(parse_logic_form("only { all_rows }"))
+        with pytest.raises(DistributionError, match="not checked"):
+            TemplateDistribution(entries=(WeightedTemplate(unchecked, 1.0),))
 
     def test_empty_input_rejected(self):
         with pytest.raises(DistributionError):
@@ -185,7 +225,7 @@ class TestDistributions:
 
     def test_non_positive_weight_rejected(self):
         bad = WeightedTemplate(parse_template("only { all_rows }"), 0.0)
-        good = WeightedTemplate(parse_template("count { all_rows }"), 1.0)
+        good = WeightedTemplate(parse_template("COMPARE_EQ { count { all_rows } ; OBJ_1 }"), 1.0)
         with pytest.raises(DistributionError):
             TemplateDistribution(entries=(good, bad))
 
@@ -213,8 +253,8 @@ class TestDistributions:
     def test_save_load_round_trip(self, tmp_path):
         dist = build_distribution(
             [
-                parse_logic_form("greater { 5 ; 2 }"),
-                parse_logic_form("greater { 5 ; 2 }"),
+                parse_logic_form("greater { count { all_rows } ; 2 }"),
+                parse_logic_form("greater { count { all_rows } ; 2 }"),
                 parse_logic_form("only { all_rows }"),
             ],
             provenance="unit",
