@@ -49,6 +49,10 @@ ORD = "ordinal"
 BOOL = "bool"
 NUM = "number"
 
+# The position a node of each type fills, in forms and templates alike: a
+# number fills an object position, every other type its own.
+FILLS = {VIEW: VIEW, HEADER: HEADER, OBJECT: OBJECT, ORD: ORD, BOOL: BOOL, NUM: OBJECT}
+
 
 @dataclass(frozen=True)
 class FunctionSignature:

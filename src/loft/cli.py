@@ -38,12 +38,13 @@ from .tables import (
     CorpusEntry, Table, _not_utf8, load_corpus, save_corpus, write_json_lines,
 )
 from .templates import (
+    Template,
     abstract,
-    build_distribution,
     default_distribution,
     load_distribution,
     parse_template,
     save_distribution,
+    weigh_templates,
 )
 
 log = logging.getLogger(__name__)
@@ -112,15 +113,17 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _read_forms(path) -> list[Apply]:
-    """The logic forms of a file, one a line; skips blank and # lines, and
-    warns about and skips a line that is not a function application or
-    whose template parse_template refuses."""
+def _read_templates(path) -> list[Template]:
+    """The templates of a file's logic forms, one a line, each distinct
+    template checked once; skips blank and # lines, and warns about and
+    skips a line that is not a function application or whose template
+    parse_template refuses."""
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(Path(path)) from exc
-    forms = []
+    checked: dict[str, Template | ParseError] = {}
+    templates = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -133,19 +136,23 @@ def _read_forms(path) -> list[Apply]:
         if not isinstance(lf, Apply):
             log.warning("skipping line %d: not a function application", lineno)
             continue
-        try:
-            parse_template(abstract(lf).canonical())
-        except ParseError as exc:
-            log.warning("skipping line %d: its template is refused: %s", lineno, exc)
+        key = abstract(lf)
+        if key not in checked:
+            try:
+                checked[key] = parse_template(key)
+            except ParseError as exc:
+                checked[key] = exc
+        if isinstance(checked[key], ParseError):
+            log.warning("skipping line %d: its template is refused: %s", lineno, checked[key])
             continue
-        forms.append(lf)
-    if not forms:
+        templates.append(checked[key])
+    if not templates:
         raise IngestError(f"no usable logic forms in {path}")
-    return forms
+    return templates
 
 
 def _cmd_mine_templates(args) -> int:
-    dist = build_distribution(_read_forms(args.forms), provenance=args.forms)
+    dist = weigh_templates(_read_templates(args.forms), provenance=args.forms)
     save_distribution(dist, args.output)
     _emit({"templates": len(dist.entries), "output": args.output})
     return 0
@@ -257,7 +264,7 @@ def _cmd_demo(args) -> int:
     )
 
     entries = load_corpus(str(corpus_path))
-    dist = build_distribution(_read_forms(forms_path), provenance="demo")
+    dist = weigh_templates(_read_templates(forms_path), provenance="demo")
     save_distribution(dist, out_dir / "templates.json")
 
     summary: dict = {"out_dir": str(out_dir), "seed": args.seed}

@@ -6,7 +6,8 @@ escaped with a backslash.  Whether a bare token is a column reference or
 an object literal is decided by its position in the enclosing function's
 signature, so parsing needs the catalog but no table.  Templates are
 spelled in the same grammar, with groups for functions and placeholders
-for bare tokens; ``parse_tree`` parses both.
+for bare tokens; ``parse_tree`` parses both, and the type check and the
+template loader type them by one position table, ``catalog.FILLS``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW, FunctionSignature
+from .catalog import BOOL, CATALOG, FILLS, HEADER, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
 from .tables import NUMERIC, Table, fold_text
 
@@ -161,71 +162,58 @@ def print_logic_form(lf: LogicForm) -> str:
     return f"{lf.name} {{ {inner} }}"
 
 
+# the type of each leaf, which is the position it fills
+_LEAF_TYPES = {AllRows: VIEW, ColumnRef: HEADER, Literal: OBJECT}
+# how a mismatch names each position a function or leaf may fill
+_NOUNS = {VIEW: "view", OBJECT: "object", BOOL: "boolean"}
+
+
 def type_check(lf: LogicForm, table: Table) -> str:
     """Check lf against the table schema; returns its result type.
 
-    Depends only on headers and column types, never on row contents.  Hop
-    directly over all_rows is rejected since it can only succeed on
-    single-row tables, and so is a tree built by hand with functions
-    nested more than MAX_NESTING levels deep, as the parser rejects it.
+    Depends only on headers and column types, never on row contents.  Each
+    argument must fill its position in the signature by ``catalog.FILLS``,
+    a function's arguments checked before its own fit; a header or ordinal
+    position takes only a bare token.  Hop directly over all_rows is
+    rejected since it can only succeed on single-row tables, and so is a
+    tree built by hand with functions nested more than MAX_NESTING levels
+    deep, as the parser rejects it.
     """
-    return _check(lf, table, 1)
-
-
-def _check(node: LogicForm, table: Table, depth: int) -> str:
-    if isinstance(node, AllRows):
-        return VIEW
-    if isinstance(node, Literal):
-        return OBJECT
-    if isinstance(node, ColumnRef):
+    if isinstance(lf, Apply):
+        return _check(lf, table, 1)
+    if isinstance(lf, ColumnRef):
         raise TypeCheckError("column reference outside a header position")
-    if not isinstance(node, Apply):
-        raise TypeCheckError(f"not a logic form node: {node!r}")
+    if type(lf) not in _LEAF_TYPES:
+        raise TypeCheckError(f"not a logic form node: {lf!r}")
+    return _LEAF_TYPES[type(lf)]
+
+
+def _check(node: Apply, table: Table, depth: int) -> str:
     if depth > MAX_NESTING:
         raise TypeCheckError(f"functions nested more than {MAX_NESTING} levels deep")
     sig = CATALOG[node.name]
     if node.name == "hop" and isinstance(node.args[0], AllRows):
         raise TypeCheckError("hop requires a single-row view, not all_rows")
-    for arg, arg_type in zip(node.args, sig.arg_types):
-        if arg_type == VIEW:
-            if isinstance(arg, (Literal, ColumnRef)):
-                raise TypeCheckError(f"{node.name}: view argument expected")
-            if _check(arg, table, depth + 1) != VIEW:
-                raise TypeCheckError(f"{node.name}: view argument expected")
-        elif arg_type == HEADER:
+    for arg, position in zip(node.args, sig.arg_types):
+        if position == HEADER:
             if not isinstance(arg, ColumnRef):
                 raise TypeCheckError(f"{node.name}: column name expected")
             idx = table.column_index(arg.name)
             if idx is None:
-                raise TypeCheckError(
-                    f"unknown column {arg.name!r}", kind="unknown_column"
-                )
+                raise TypeCheckError(f"unknown column {arg.name!r}", kind="unknown_column")
             if sig.numeric_column and table.column_types[idx] != NUMERIC:
-                raise TypeCheckError(
-                    f"{node.name} needs a numeric column, {arg.name!r} is not"
-                )
-        elif arg_type == OBJECT:
-            if isinstance(arg, Literal):
-                continue
-            if isinstance(arg, (AllRows, ColumnRef)):
-                raise TypeCheckError(f"{node.name}: object argument expected")
-            if _check(arg, table, depth + 1) not in (NUM, OBJECT):
-                raise TypeCheckError(f"{node.name}: object argument expected")
-        elif arg_type == ORD:
+                raise TypeCheckError(f"{node.name} needs a numeric column, {arg.name!r} is not")
+        elif position == ORD:
             if not isinstance(arg, Literal):
-                raise TypeCheckError(
-                    f"{node.name}: ordinal literal expected", kind="bad_ordinal"
-                )
+                raise TypeCheckError(f"{node.name}: ordinal literal expected", kind="bad_ordinal")
             if not _ORDINAL_RE.match(arg.text) or int(arg.text) < 1:
                 raise TypeCheckError(
                     f"{node.name}: ordinal must be a positive integer, got {arg.text!r}",
                     kind="bad_ordinal",
                 )
-        elif arg_type == BOOL:
-            if not isinstance(arg, Apply) or _check(arg, table, depth + 1) != BOOL:
-                raise TypeCheckError(f"{node.name}: boolean argument expected")
-        else:  # pragma: no cover - catalog uses no other tags
-            raise TypeCheckError(f"unhandled argument type {arg_type!r}")
+        elif (FILLS[_check(arg, table, depth + 1)] if isinstance(arg, Apply)
+              else _LEAF_TYPES.get(type(arg))) != position:
+            raise TypeCheckError(f"{node.name}: {_NOUNS[position]} argument expected")
     return sig.return_type
 
 
@@ -239,15 +227,4 @@ def walk(node):
 
 def referenced_columns(lf: LogicForm) -> list[str]:
     """Column names referenced anywhere in the form, in first-seen order."""
-    out: list[str] = []
-
-    def visit(node) -> None:
-        if isinstance(node, ColumnRef):
-            if node.name not in out:
-                out.append(node.name)
-        elif isinstance(node, Apply):
-            for arg in node.args:
-                visit(arg)
-
-    visit(lf)
-    return out
+    return list(dict.fromkeys(node.name for node in walk(lf) if isinstance(node, ColumnRef)))

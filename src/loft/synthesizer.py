@@ -545,7 +545,7 @@ def synthesize_candidates(
             seen.add(text)
             res.forms.append(SynthesizedCandidate(
                 table=table, column_set=res.column_set, form=form, logic_form=text,
-                category=CATALOG[form.name].category,
+                category=template.category,
             ))
         if res.shortfall:
             log.warning(

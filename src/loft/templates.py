@@ -7,21 +7,26 @@ without a direction twin keep their own name (hop stays hop).  Repeated
 entities share a placeholder, and placeholders are numbered by first
 appearance in printing order, which makes abstraction a pure function of
 the form and lets instantiation round-trip exactly.
+
+``parse_template`` is the one place a Template is made: it checks that each
+node fills its position by the table ``forms.type_check`` uses,
+``catalog.FILLS``, so a Template always holds its column needs.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
 from .catalog import (
-    BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, HEADER, NUM, OBJECT, ORD, ORDER_OPS, VIEW,
+    BOOL, CATALOG, COMPARATIVE, FILLS, GROUP_SIGNATURES, HEADER, OBJECT, ORD, ORDER_OPS, VIEW,
 )
 from .errors import DistributionError, ParseError
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_tree, print_logic_form
+from .forms import AllRows, Apply, ColumnRef, LogicForm, parse_tree, print_logic_form
 from .tables import json_object
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
@@ -62,10 +67,15 @@ TemplateNode = TAllRows | TCol | TObj | TOrd | TApply
 
 @dataclass(frozen=True)
 class Template:
+    """A skeleton as ``parse_template`` checked it, with whether each COL
+    index needs a numeric column."""
+
     skeleton: TApply
-    category: str
-    # COL index -> needs a numeric column; None until parse_template checks the skeleton
-    needs: dict[int, bool] | None = field(default=None, compare=False, repr=False)
+    needs: dict[int, bool] = field(compare=False, repr=False)
+
+    @property
+    def category(self) -> str:
+        return GROUP_SIGNATURES[self.skeleton.group].category
 
     def canonical(self) -> str:
         return template_to_string(self.skeleton)
@@ -84,35 +94,32 @@ def template_to_string(node: TemplateNode) -> str:
     return f"{_PREFIXES[type(node)]}_{node.index}"
 
 
-def abstract(lf: LogicForm) -> Template:
-    """Mask a concrete form into its template.
+def abstract(lf: LogicForm) -> str:
+    """Mask a concrete form into its template's canonical text.
 
     The root must be a function application; placeholder numbering follows
     first appearance, and identical entities reuse their placeholder.  Any
-    such form has a template, so the skeleton is not checked here:
-    ``parse_template(template.canonical())`` checks it.
+    such form has a template text; ``parse_template`` checks it.
     """
     if not isinstance(lf, Apply):
         raise ValueError("only function applications can be abstracted")
-    cols: dict[str, int] = {}
-    objs: dict[str, int] = {}
-    ords: dict[str, int] = {}
+    numbers: dict[str, dict[str, int]] = {"COL": {}, "OBJ": {}, "ORD": {}}
 
-    def mask(node: LogicForm, position: str | None) -> TemplateNode:
+    def mask(node: LogicForm, position: str | None) -> str:
         if isinstance(node, AllRows):
-            return TAllRows()
+            return "all_rows"
+        if isinstance(node, Apply):
+            sig = CATALOG[node.name]
+            inner = " ; ".join(mask(a, t) for a, t in zip(node.args, sig.arg_types))
+            return f"{sig.group} {{ {inner} }}"
         if isinstance(node, ColumnRef):
-            return TCol(cols.setdefault(node.name, len(cols) + 1))
-        if isinstance(node, Literal):
-            if position == ORD:
-                return TOrd(ords.setdefault(node.text, len(ords) + 1))
-            return TObj(objs.setdefault(node.text, len(objs) + 1))
-        sig = CATALOG[node.name]
-        args = tuple(mask(a, t) for a, t in zip(node.args, sig.arg_types))
-        return TApply(sig.group, args)
+            prefix, entity = "COL", node.name
+        else:
+            prefix, entity = "ORD" if position == ORD else "OBJ", node.text
+        seen = numbers[prefix]
+        return f"{prefix}_{seen.setdefault(entity, len(seen) + 1)}"
 
-    skeleton = mask(lf, None)
-    return Template(skeleton=skeleton, category=CATALOG[lf.name].category)
+    return mask(lf, None)
 
 
 def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
@@ -124,14 +131,12 @@ def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNod
     return _PLACEHOLDERS[m.group(1)](int(m.group(2)))
 
 
-# The position each leaf fills, and the one a function of each return type
-# fills: a number is an object.
+# the position each leaf fills; a group fills catalog.FILLS of its return type
 _LEAF_FILLS = {TAllRows: VIEW, TCol: HEADER, TObj: OBJECT, TOrd: ORD}
-_RETURN_FILLS = {NUM: OBJECT, OBJECT: OBJECT, VIEW: VIEW, BOOL: BOOL}
 
 
 def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
-    """Check a parsed skeleton by the typing rules ``forms.type_check``
+    """Check a parsed skeleton by the position table ``forms.type_check``
     applies to forms, and return whether each COL needs a numeric column.
 
     One pre-order walk checks that every node fills its position (the
@@ -150,7 +155,7 @@ def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
         offset, kind = next(offsets), type(node)
         sig = GROUP_SIGNATURES[node.group] if kind is TApply else None
         label = f"{node.group} returns type {sig.return_type}" if sig else template_to_string(node)
-        if (_RETURN_FILLS[sig.return_type] if sig else _LEAF_FILLS[kind]) != position:
+        if (FILLS[sig.return_type] if sig else _LEAF_FILLS[kind]) != position:
             raise ParseError(f"{label} where type {position} is expected", offset)
         if kind in numbered:
             if node.index > numbered[kind] + 1:
@@ -186,8 +191,7 @@ def parse_template(text: str) -> Template:
     skeleton = parse_tree(text, GROUP_SIGNATURES, TApply, _template_leaf)
     if not isinstance(skeleton, TApply):
         raise ParseError("template root must be a function group", 0)
-    return Template(skeleton=skeleton, category=GROUP_SIGNATURES[skeleton.group].category,
-                    needs=_check_skeleton(skeleton, text))
+    return Template(skeleton, _check_skeleton(skeleton, text))
 
 
 @dataclass(frozen=True)
@@ -212,8 +216,6 @@ class TemplateDistribution:
             if key in seen:
                 raise DistributionError(f"duplicate template: {key}")
             seen.add(key)
-            if e.template.needs is None:
-                raise DistributionError(f"{key} was not checked by parse_template")
             if not e.weight > 0:  # NaN fails this too
                 raise DistributionError(f"weight {e.weight!r} for {key} is not positive")
         weights = [e.weight for e in self.entries]
@@ -224,25 +226,33 @@ class TemplateDistribution:
 
 
 def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> TemplateDistribution:
-    """Mine a weighted distribution from concrete forms.
-
-    Weights are occurrence shares; entries are sorted by descending weight,
-    then canonical string, so equal corpora give identical files.  A form
-    whose template parse_template refuses is refused, by name.
-    """
-    if not forms:
-        raise DistributionError("no forms to mine templates from")
-    counts: dict[str, list] = {}  # canonical text -> [template, occurrences]
+    """Mine a weighted distribution from concrete forms, checking each
+    distinct template once.  A form whose template parse_template refuses
+    is refused, by name."""
+    checked: dict[str, Template] = {}
+    templates = []
     for lf in forms:
-        key = abstract(lf).canonical()
-        if key not in counts:
+        key = abstract(lf)
+        if key not in checked:
             try:
-                counts[key] = [parse_template(key), 0]
+                checked[key] = parse_template(key)
             except ParseError as exc:
                 raise DistributionError(
                     f"{print_logic_form(lf)}: its template {key} is refused: {exc}") from None
-        counts[key][1] += 1
-    entries = [WeightedTemplate(template=t, weight=c / len(forms)) for t, c in counts.values()]
+        templates.append(checked[key])
+    return weigh_templates(templates, provenance)
+
+
+def weigh_templates(templates: list[Template], provenance: str) -> TemplateDistribution:
+    """Weigh templates by their occurrence shares.
+
+    Entries are sorted by descending weight, then canonical string, so
+    equal corpora give identical files.
+    """
+    if not templates:
+        raise DistributionError("no forms to mine templates from")
+    entries = [WeightedTemplate(template=t, weight=c / len(templates))
+               for t, c in Counter(templates).items()]
     entries.sort(key=lambda e: (-e.weight, e.template.canonical()))
     return TemplateDistribution(entries=tuple(entries), provenance=provenance)
 

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import loft as loft_package
-from loft import metrics
+from loft import metrics, templates
 from loft.cli import main
 from loft.tables import load_corpus
 
@@ -339,6 +340,29 @@ class TestToolChain:
         assert "skipping line 1: " in caplog.text
         assert "skipping line 2: " in caplog.text
         assert "line 3" not in caplog.text
+
+    def test_mine_templates_checks_each_distinct_template_once(self, tmp_path, capsys, caplog,
+                                                               monkeypatch):
+        checked = []
+        real = templates._check_skeleton
+        monkeypatch.setattr(templates, "_check_skeleton",
+                            lambda skeleton, text: checked.append(text) or real(skeleton, text))
+        # the 28 bundled forms hold 15 distinct templates
+        forms = tmp_path / "forms.txt"
+        forms.write_bytes(resources.files("loft.data").joinpath("sample_forms.txt").read_bytes())
+        assert main(["mine-templates", "--forms", str(forms),
+                     "--output", str(tmp_path / "t.json")]) == 0
+        assert len(checked) == len(set(checked)) == 15
+        # a refused template is checked once, and every line of it is skipped
+        checked.clear()
+        forms.write_text("eq { 3 ; 4 }\neq { 5 ; 6 }\nonly { all_rows }\nonly { all_rows }\n",
+                         encoding="utf-8")
+        with caplog.at_level("WARNING", logger="loft.cli"):
+            assert main(["mine-templates", "--forms", str(forms),
+                         "--output", str(tmp_path / "t.json")]) == 0
+        assert checked == ["COMPARE_EQ { OBJ_1 ; OBJ_2 }", "only { all_rows }"]
+        assert "skipping line 1: " in caplog.text and "skipping line 2: " in caplog.text
+        assert "line 3" not in caplog.text and "line 4" not in caplog.text
 
     def test_mine_templates_names_an_undecodable_line(self, tmp_path, capsys):
         forms = tmp_path / "forms.txt"

@@ -1,5 +1,8 @@
 """Parsing, printing, escaping, and schema type checking of logic forms."""
 
+import hashlib
+import random
+
 import pytest
 
 from loft import (
@@ -12,7 +15,7 @@ from loft import (
     realize_logic_form,
     verify,
 )
-from loft.catalog import BOOL, NUM, OBJECT, VIEW
+from loft.catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
 from loft.forms import (
     MAX_NESTING,
     AllRows,
@@ -140,7 +143,7 @@ class TestNesting:
         assert type_check(lf, mt) == BOOL
         assert verify(lf, mt) is False
         assert realize_logic_form(lf)
-        assert abstract(lf).canonical() == nested(MAX_NESTING, "COL_1")
+        assert abstract(lf) == nested(MAX_NESTING, "COL_1")
 
     def test_one_level_deeper_is_a_parse_error_at_its_offset(self):
         text = nested(MAX_NESTING + 1)
@@ -245,6 +248,60 @@ class TestTypeCheck:
         )
         lf = parse_logic_form(EXAMPLE)
         assert type_check(lf, same_schema) == BOOL
+
+
+# leaves of every kind, and columns and ranks both good and bad for `mt`
+PIN_LEAVES = (AllRows(), ColumnRef("team"), ColumnRef("points"), ColumnRef("venue"),
+              Literal("2"), Literal("0"), Literal("x"))
+LEAF_POSITIONS = {AllRows: (VIEW,), ColumnRef: (HEADER,), Literal: (OBJECT, ORD)}
+
+
+def pin_node(rng: random.Random, position: str, depth: int):
+    """A leaf or a catalog function over pin nodes; three in four fit
+    `position`, so a tree of a few nodes is mostly ill-typed somewhere."""
+    fit = rng.random() < 0.75
+    leaves = [leaf for leaf in PIN_LEAVES if not fit or position in LEAF_POSITIONS[type(leaf)]]
+    names = [name for name, sig in sorted(CATALOG.items()) if depth > 1 and (
+        not fit or position == (OBJECT if sig.return_type == NUM else sig.return_type))]
+    if names and (not leaves or rng.random() < 0.5):
+        return pin_tree(rng, rng.choice(names), depth)
+    return rng.choice(leaves or PIN_LEAVES)
+
+
+def pin_tree(rng: random.Random, name: str, depth: int) -> Apply:
+    return Apply(name, tuple(pin_node(rng, arg_type, depth - 1)
+                             for arg_type in CATALOG[name].arg_types))
+
+
+def chain(levels: int, column: str) -> Apply:
+    """only { filter_all { ... ; column } } of `levels` functions, built without the parser."""
+    view = AllRows()
+    for _ in range(levels - 1):
+        view = Apply("filter_all", (view, ColumnRef(column)))
+    return Apply("only", (view,))
+
+
+# sha256 of each pin tree's result type or error kind, one a line
+TYPE_CHECK_SHA256 = "f7eeeaea8c414d3b1767c56c34112e829c523ee00c0265f398b470a135ca60f8"
+
+
+def test_type_check_results_are_pinned(mt):
+    # a type check's result type and error kind, which `loft execute`
+    # prints, and the order its rules are tried in, which picks that kind
+    rng = random.Random(2024)
+    trees = [pin_tree(rng, name, 4) for name in sorted(CATALOG) for _ in range(60)]
+    trees += [chain(levels, column) for levels in (MAX_NESTING, MAX_NESTING + 1)
+              for column in ("team", "venue")]
+    results = []
+    for lf in trees:
+        try:
+            results.append(type_check(lf, mt))
+        except TypeCheckError as exc:
+            results.append(exc.kind)
+    ill_typed = sum(r in ("unknown_column", "type_mismatch", "bad_ordinal") for r in results)
+    assert ill_typed > len(trees) / 2
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == TYPE_CHECK_SHA256
 
 
 class TestTreeHelpers:
