@@ -39,10 +39,9 @@ from .tables import (
 )
 from .templates import (
     Template,
-    abstract,
     default_distribution,
     load_distribution,
-    parse_template,
+    mine_templates,
     save_distribution,
     weigh_templates,
 )
@@ -122,8 +121,7 @@ def _read_templates(path) -> list[Template]:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(Path(path)) from exc
-    checked: dict[str, Template | ParseError] = {}
-    templates = []
+    numbered = []  # (line number, form) of each function application
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -136,16 +134,13 @@ def _read_templates(path) -> list[Template]:
         if not isinstance(lf, Apply):
             log.warning("skipping line %d: not a function application", lineno)
             continue
-        key = abstract(lf)
-        if key not in checked:
-            try:
-                checked[key] = parse_template(key)
-            except ParseError as exc:
-                checked[key] = exc
-        if isinstance(checked[key], ParseError):
-            log.warning("skipping line %d: its template is refused: %s", lineno, checked[key])
-            continue
-        templates.append(checked[key])
+        numbered.append((lineno, lf))
+    templates = []
+    for (lineno, _), template in zip(numbered, mine_templates([lf for _, lf in numbered])):
+        if isinstance(template, ParseError):
+            log.warning("skipping line %d: its template is refused: %s", lineno, template)
+        else:
+            templates.append(template)
     if not templates:
         raise IngestError(f"no usable logic forms in {path}")
     return templates
@@ -218,6 +213,8 @@ def _output_file(path: str) -> Path:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.report and Path(args.report).resolve() == Path(args.output).resolve():
+        raise UsageError("--report and --output name the same file")
     report_path = args.report and _output_file(args.report)
     output_path = _output_file(args.output)
     entries = load_corpus(args.corpus)

@@ -1,11 +1,10 @@
 """End-to-end run: synthesize, generate, verify, sample, write.
 
-With both hooks builtin a run has no generate or verify stage: nothing
-can be dropped, so it samples the synthesized candidates and realizes
-only the sampled ones, as it writes them.  With either hook external, it
-generates a statement for every candidate (the builtin realizer realizes
-each one, since a hook verifier reads every text), verifies them, then
-samples what is kept.
+Every run passes the synthesized candidates through the same stages.  A
+candidate carries its statement: a generator hook's wording, or else the
+builtin realization of its form, made when its text is read.  With both
+hooks builtin, no stage reads a text, so only the written statements are
+realized, as they are written.
 
 External hooks are line-delimited JSON subprocesses.  A generator hook
 receives {"id", "table_text", "logic_form", "readable"} per line and must
@@ -36,7 +35,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from queue import Empty, Queue
 
@@ -49,7 +48,7 @@ from .synthesizer import (
     synthesize_candidates,
     table_rng,
 )
-from .tables import CorpusEntry, Table, is_utf8_text, json_object, write_json_lines
+from .tables import CorpusEntry, is_utf8_text, json_object, write_json_lines
 from .templates import TemplateDistribution
 
 log = logging.getLogger(__name__)
@@ -90,16 +89,6 @@ class HookConfig:
     @property
     def is_builtin(self) -> bool:
         return self.command == BUILTIN
-
-
-@dataclass(frozen=True)
-class Statement:
-    """A statement about a table and the logic form it states."""
-
-    table: Table
-    text: str
-    logic_form: str
-    category: str
 
 
 class _HookProcess:
@@ -256,17 +245,14 @@ def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tupl
                 yield item, payload["id"], resp
 
 
-def _realized(cand: SynthesizedCandidate) -> Statement:
-    return Statement(cand.table, realize_logic_form(cand.form), cand.logic_form, cand.category)
-
-
 def generate_statements(
     candidates: list[SynthesizedCandidate], hook: HookConfig
-) -> list[Statement]:
-    """Turn candidate forms into statements, by the builtin realizer or a hook."""
+) -> list[SynthesizedCandidate]:
+    """Word the candidates: a hook words each one it answers usably and drops the
+    rest; the builtin generator keeps them as they are, realized when read."""
     if hook.is_builtin:
-        return [_realized(cand) for cand in candidates]
-    out: list[Statement] = []
+        return list(candidates)
+    out: list[SynthesizedCandidate] = []
     answers = _ask_hook(hook, "generator", candidates, lambda cand: {
         "logic_form": cand.logic_form, "readable": realize_logic_form(cand.form)})
     for cand, item_id, resp in answers:
@@ -275,11 +261,13 @@ def generate_statements(
         if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
             log.warning("generator hook gave no usable statement for %s", item_id)
             continue
-        out.append(Statement(cand.table, statement.strip(), cand.logic_form, cand.category))
+        out.append(replace(cand, statement=statement.strip()))
     return out
 
 
-def verify_statements(statements: list[Statement], hook: HookConfig) -> list[Statement]:
+def verify_statements(
+    statements: list[SynthesizedCandidate], hook: HookConfig
+) -> list[SynthesizedCandidate]:
     """Keep only statements the verifier marks as entailed.
 
     The builtin verifier keeps every statement and executes nothing: each
@@ -290,7 +278,7 @@ def verify_statements(statements: list[Statement], hook: HookConfig) -> list[Sta
     """
     if hook.is_builtin:
         return list(statements)
-    kept: list[Statement] = []
+    kept: list[SynthesizedCandidate] = []
     answers = _ask_hook(hook, "verifier", statements, lambda st: {"statement": st.text})
     for st, item_id, resp in answers:
         entailed = resp.get("entailed")
@@ -308,20 +296,22 @@ def _check_sampling(k: int, strategy: str) -> None:
         raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
 
 
-def sample_outputs(items: list, k: int, strategy: str, seed: int) -> dict[str, list]:
-    """Pick at most k items per table; an item is anything with a table, a
-    logic_form and a category, such as a Statement or a candidate.
+def sample_outputs(
+    items: list[SynthesizedCandidate], k: int, strategy: str, seed: int
+) -> dict[str, list[SynthesizedCandidate]]:
+    """Pick at most k statements per table, keyed by table_id.
 
     random: uniform without replacement.  stratified: one draw from every
     root category first (category order shuffled), then uniform fill from
     what is left.  A table's picks depend only on the seed, its table_id
-    and its own items in order, never on other tables or on the item type.
+    and its own items' categories and logic forms in order, never on other
+    tables or on any text, so sampling words nothing.
     """
     _check_sampling(k, strategy)
     grouped: dict[str, list] = {}
     for st in items:
         grouped.setdefault(st.table.table_id, []).append(st)
-    out: dict[str, list] = {}
+    out: dict[str, list[SynthesizedCandidate]] = {}
     for table_id, group in grouped.items():
         rng = table_rng(seed, table_id, salt="sample")
         if len(group) <= k:
@@ -425,17 +415,10 @@ def run_pipeline(
     report.tables = len(seen)
     report.candidates = len(unique)
 
-    if generator.is_builtin and verifier.is_builtin:
-        # nothing can be dropped: sample the candidates, realize only those
-        report.generated = report.verified = report.candidates
-        sampled = {table_id: [_realized(cand) for cand in chosen] for table_id, chosen
-                   in sample_outputs(unique, k, strategy, seed).items()}
-    else:
-        statements = generate_statements(unique, generator)
-        report.generated = len(statements)
-        kept = verify_statements(statements, verifier)
-        report.verified = len(kept)
-        sampled = sample_outputs(kept, k, strategy, seed)
+    statements = generate_statements(unique, generator)
+    kept = verify_statements(statements, verifier)
+    report.generated, report.verified = len(statements), len(kept)
+    sampled = sample_outputs(kept, k, strategy, seed)
 
     table_ids = sorted(sampled)
     written = [st for table_id in table_ids for st in sampled[table_id]]

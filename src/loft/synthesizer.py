@@ -42,6 +42,7 @@ from .catalog import BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, OBJEC
 from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
+from .realizer import realize_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
     TAllRows,
@@ -477,6 +478,12 @@ class SynthesizedCandidate:
     form: Apply
     logic_form: str  # print_logic_form(form), printed once at synthesis
     category: str
+    statement: str | None = None  # a generator hook's wording
+
+    @property
+    def text(self) -> str:
+        """The hook's wording, else the form realized anew on each read."""
+        return realize_logic_form(self.form) if self.statement is None else self.statement
 
 
 @dataclass

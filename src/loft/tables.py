@@ -293,7 +293,8 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
                 log.warning("skipping entry at %s:%d: %s", path, lineno, exc)
     elif format == "csv":
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            # utf-8-sig: a byte-order mark would otherwise open the first header
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 lines = csv.reader(fh)
                 try:
                     reader = list(lines)

@@ -225,21 +225,30 @@ class TemplateDistribution:
             raise DistributionError(f"weights sum to {self.total!r}, expected 1.0")
 
 
-def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> TemplateDistribution:
-    """Mine a weighted distribution from concrete forms, checking each
-    distinct template once.  A form whose template parse_template refuses
-    is refused, by name."""
-    checked: dict[str, Template] = {}
-    templates = []
+def mine_templates(forms: list[LogicForm]) -> list[Template | ParseError]:
+    """Each form's template, or the ParseError that refuses it; each
+    distinct template is checked once."""
+    checked: dict[str, Template | ParseError] = {}
+    out = []
     for lf in forms:
         key = abstract(lf)
         if key not in checked:
             try:
                 checked[key] = parse_template(key)
             except ParseError as exc:
-                raise DistributionError(
-                    f"{print_logic_form(lf)}: its template {key} is refused: {exc}") from None
-        templates.append(checked[key])
+                checked[key] = exc
+        out.append(checked[key])
+    return out
+
+
+def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> TemplateDistribution:
+    """Mine a weighted distribution from concrete forms by mine_templates;
+    a form whose template parse_template refuses is refused, by name."""
+    templates = mine_templates(forms)
+    for lf, template in zip(forms, templates):
+        if isinstance(template, ParseError):
+            raise DistributionError(f"{print_logic_form(lf)}: its template {abstract(lf)}"
+                                    f" is refused: {template}")
     return weigh_templates(templates, provenance)
 
 
@@ -269,7 +278,9 @@ def save_distribution(dist: TemplateDistribution, path: str | Path) -> None:
             for e in dist.entries
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_distribution(path: str | Path) -> TemplateDistribution:

@@ -651,6 +651,22 @@ class TestUnwritableOutput:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out" / "o.jsonl").exists()
 
+    def test_a_report_naming_the_output_file_is_exit_1(self, tmp_path, corpus):
+        # two spellings of one file: the report would overwrite the output
+        (tmp_path / "sub").mkdir()
+        result = loft("pipeline", "--corpus", corpus, "--output", "o.jsonl",
+                      "--report", "sub/../o.jsonl", cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == "error: --report and --output name the same file\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_mine_templates_makes_the_output_directory(self, tmp_path):
+        (tmp_path / "forms.txt").write_text("only { all_rows }\n", encoding="utf-8")
+        result = loft("mine-templates", "--forms", "forms.txt", "--output", "new/dir/t.json",
+                      cwd=tmp_path)
+        assert payload_of(result) == {"templates": 1, "output": "new/dir/t.json"}
+        assert json.loads((tmp_path / "new" / "dir" / "t.json").read_text())["entries"]
+
 
 class TestCsvFieldLimit:
     def test_oversized_field_is_exit_2_naming_the_line(self, tmp_path):

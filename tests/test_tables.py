@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loft import CorpusEntry, IngestError, Table, load_corpus
+from loft import CorpusEntry, IngestError, Table, load_corpus, verify
 from loft.tables import (
     EMPTY,
     NUMBER,
@@ -294,6 +294,13 @@ class TestCorpusIO:
         assert table.table_id == "race results"
         assert table.headers == ("driver", "time")
         assert table.n_rows == 2
+
+    def test_csv_byte_order_mark_is_not_part_of_the_first_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffteam,points\na,3\nb,5\n", encoding="utf-8")
+        table = load_corpus(path, format="csv")[0].table
+        assert table.headers == ("team", "points")
+        assert verify("eq { hop { argmax { all_rows ; points } ; team } ; b }", table)
 
     def test_unknown_format(self, tmp_path):
         path = self._write(tmp_path, ["{}"])
