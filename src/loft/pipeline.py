@@ -17,12 +17,13 @@ the affected item, which is dropped with a warning.  The command string
 statement (verifier role): synthesis has already verified each logic form,
 and no generator can change it.
 
-Each stage keeps up to HOOK_WINDOW requests written ahead of the item it
-is collecting, so a hook can answer a batch in one step.  Answers may come
-in any order: they are matched by id, and items are collected in request
-order, so output does not depend on the order the hook answers in.  An
-answer to an id that is not in flight (already answered, or timed out) is
-discarded.  Hook stderr is logged at DEBUG.
+A stage writes its requests from a thread of their own, as fast as the
+hook reads them, so a batching hook should cap its batch.  Answers may
+come in any order: they are matched by id and collected in request order.
+An item times out when the hook has printed nothing for the timeout since
+the stage start or its last line, whichever is later: a hook that stops
+reading so loses its unanswered items, and is killed.  An answer to an id
+not in flight is discarded.  Hook stderr is logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Iterator
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from queue import Empty, Queue
@@ -64,9 +66,6 @@ DEFAULT_SEED = 13
 DEFAULT_K = 5
 DEFAULT_STRATEGY = RANDOM
 
-# requests written to a hook ahead of the item being collected
-HOOK_WINDOW = 32
-
 
 @dataclass(frozen=True)
 class HookConfig:
@@ -92,8 +91,8 @@ class HookConfig:
 
 
 class _HookProcess:
-    """One live hook subprocess, reader threads for its stdout and stderr,
-    and the requests it has not answered yet."""
+    """One live hook subprocess, a writer thread for its stdin and reader
+    threads for its stdout and stderr, and the requests not answered yet."""
 
     def __init__(self, command: str, timeout: float, role: str):
         self.role = role
@@ -111,12 +110,15 @@ class _HookProcess:
             )
         except (OSError, ValueError) as exc:
             raise HookError(f"cannot launch {role} hook {command!r}: {exc}") from exc
+        # (monotonic arrival time, stdout line or the HookError that ends the stage)
         self.lines: Queue = Queue()
-        # id -> monotonic send time of each request sent and not yet answered
-        self.in_flight: dict[str, float] = {}
+        # ids of the stage's requests not answered yet
+        self.in_flight: set[str] = set()
         # answers that arrived while another item was being awaited
         self.answers: dict[str, dict] = {}
+        # the stage start, then the arrival of the hook's last line
         self.last_line = 0.0
+        self.writer: threading.Thread | None = None
         self.readers = [
             (threading.Thread(target=self._pump, daemon=True), self.proc.stdout),
             (threading.Thread(target=self._log_stderr, daemon=True), self.proc.stderr),
@@ -130,7 +132,17 @@ class _HookProcess:
         assert self.proc.stdout is not None
         for raw in self.proc.stdout.buffer:
             self.lines.put((time.monotonic(), raw))
-        self.lines.put((time.monotonic(), None))
+        self.lines.put((time.monotonic(), HookError(f"{self.role} hook exited mid-run")))
+
+    def _write(self, payloads: list[dict]) -> None:
+        # one flush at the end: the pipe is the only window
+        try:
+            self.proc.stdin.writelines(json.dumps(payload, ensure_ascii=False, sort_keys=True)
+                                       + "\n" for payload in payloads)
+            self.proc.stdin.flush()
+        except (OSError, ValueError) as exc:
+            self.lines.put((time.monotonic(),
+                            HookError(f"{self.role} hook stopped accepting input: {exc}")))
 
     def _log_stderr(self) -> None:
         # read bytes: a line that is not valid text must not stop the drain,
@@ -140,18 +152,18 @@ class _HookProcess:
             log.debug("%s hook stderr: %s", self.role,
                       raw.decode("utf-8", "replace").rstrip("\r\n"))
 
-    def __enter__(self) -> "_HookProcess":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def close(self) -> None:
-        try:
-            if self.proc.stdin:
+        # a hook that stops reading blocks the writer in a pipe write: it has
+        # the timeout to read on, then killing it ends the write
+        if self.writer:
+            self.writer.join(timeout=self.timeout)
+            if self.writer.is_alive():
+                self.proc.kill()
+                self.writer.join(timeout=2)
+        # under a write still blocked, close would wait on the writer's lock
+        if not (self.writer and self.writer.is_alive()):
+            with suppress(OSError):
                 self.proc.stdin.close()
-        except OSError:
-            pass
         # the stdout reader ends as the hook exits; joining it, unlike wait, does not poll
         deadline = time.monotonic() + 2
         self.readers[0][0].join(timeout=2)
@@ -168,46 +180,32 @@ class _HookProcess:
                 stream.close()
 
     def exchange(self, payloads: list[dict]) -> Iterator[dict | None]:
-        """Each payload's answer, in payload order; None means dropped.
-
-        Up to HOOK_WINDOW requests are written ahead of the item being
-        collected, so the hook can work on them while it is awaited.
-        """
-        sent = 0
-        for i, payload in enumerate(payloads):
-            while sent < min(i + HOOK_WINDOW, len(payloads)):
-                self._send(payloads[sent])
-                sent += 1
+        """Each payload's answer, in payload order; None means dropped."""
+        self.in_flight = {payload["id"] for payload in payloads}
+        self.last_line = time.monotonic()
+        self.writer = threading.Thread(target=self._write, args=(payloads,), daemon=True)
+        self.writer.start()
+        for payload in payloads:
             yield self.request(payload)
 
-    def _send(self, payload: dict) -> None:
-        line = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-        try:
-            assert self.proc.stdin is not None
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise HookError(f"{self.role} hook stopped accepting input: {exc}") from exc
-        self.in_flight[payload["id"]] = time.monotonic()
-
     def request(self, payload: dict) -> dict | None:
-        """Wait for the answer to one request that exchange() has sent.
+        """Wait for the answer to one request that exchange() writes.
 
         None means the item was dropped: the hook printed nothing for
-        `timeout` seconds since the item was sent or since its last line,
-        whichever is later, or it printed a malformed line while this item
+        `timeout` seconds since the stage start or since its last line,
+        whichever is later (so a hook that stops reading loses its
+        unanswered items), or it printed a malformed line while this item
         was awaited.
         """
         item_id = payload["id"]
         while item_id not in self.answers:
-            since = max(self.in_flight[item_id], self.last_line)
-            remaining = since + self.timeout - time.monotonic()
+            remaining = self.last_line + self.timeout - time.monotonic()
             try:
                 self.last_line, raw = self.lines.get(timeout=max(remaining, 0.0))
             except Empty:
                 return self._drop(item_id, "timed out")
-            if raw is None:
-                raise HookError(f"{self.role} hook exited mid-run")
+            if isinstance(raw, HookError):
+                raise raw
             try:
                 data = json_object(raw)
             except ValueError as exc:
@@ -217,12 +215,12 @@ class _HookProcess:
                 log.warning("%s hook answered stale id %r, discarded",
                             self.role, answered)
                 continue
-            del self.in_flight[answered]
+            self.in_flight.remove(answered)
             self.answers[answered] = data
         return self.answers.pop(item_id)
 
     def _drop(self, item_id: str, why: str) -> None:
-        del self.in_flight[item_id]
+        self.in_flight.remove(item_id)
         log.warning("%s hook %s, item %s dropped", self.role, why, item_id)
 
 
@@ -230,7 +228,7 @@ def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tupl
     """(item, id, answer) for each item the hook answered, in item order;
     each payload holds item.table's text and fields(item)."""
     # launched first, so the hook starts up while the payloads are built
-    with _HookProcess(hook.command, hook.timeout, role) as proc:
+    with closing(_HookProcess(hook.command, hook.timeout, role)) as proc:
         # keyed by object: the items keep every table alive
         table_texts: dict[int, str] = {}
         payloads = []

@@ -4,10 +4,13 @@ Hook scripts are written into tmp_path and run through sys.executable so
 the tests do not depend on a shell or on PATH.
 """
 
+import gc
 import json
+import os
 import random
 import shlex
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -21,7 +24,6 @@ from loft.executor import execute
 from loft.forms import parse_logic_form, print_logic_form, referenced_columns, type_check
 from loft.metrics import score_output
 from loft.pipeline import (
-    HOOK_WINDOW,
     HookConfig,
     generate_statements,
     run_pipeline,
@@ -140,6 +142,36 @@ for batch in batches(0.2):
     answer({"id": r["id"], "statement": f"batch of {len(batch)}"} for r in batch)
 """
 
+# answers what it has read 8 requests at a time, one 0.05 s step per 8
+CAPPED_BATCH_GENERATOR = BATCH_READER + """
+import time
+for batch in batches(0):
+    for start in range(0, len(batch), 8):
+        time.sleep(0.05)
+        answer({"id": r["id"], "statement": r["readable"]} for r in batch[start:start + 8])
+"""
+
+# reads one request, then stops reading for longer than any test waits
+STALLED_GENERATOR = """\
+import os, sys, time
+with open(__file__ + ".pid", "w") as pid:
+    pid.write(str(os.getpid()))
+sys.stdin.readline()
+time.sleep(30)
+"""
+
+# closes its stdin at once and stays alive
+STDIN_CLOSER_GENERATOR = """\
+import os, time
+os.close(0)
+time.sleep(30)
+"""
+
+# echoes every request, then marks that its stdin ended while it was alive
+MARK_EOF_GENERATOR = ECHO_GENERATOR + """
+open(__file__ + ".eof", "w").close()
+"""
+
 SLOW_GENERATOR = """\
 import json, sys, time
 for line in sys.stdin:
@@ -213,12 +245,39 @@ def worded(statements):
 
 @pytest.fixture(scope="module")
 def many_candidates(bundled_corpus):
-    """More candidates than HOOK_WINDOW, from three tables."""
+    """Over 32 candidates, from three tables: many requests in flight at once."""
     out = []
     for entry in bundled_corpus[:3]:
         out.extend(synthesize_candidates(entry.table, None, default_distribution(),
                                          seed=13, candidates=4).candidates)
-    assert len(out) > HOOK_WINDOW
+    assert len(out) > 32
+    return out
+
+
+@pytest.fixture(scope="module")
+def hundreds_of_candidates(bundled_corpus):
+    """At least 200 candidates, from every bundled table."""
+    out = []
+    for entry in bundled_corpus:
+        out.extend(synthesize_candidates(entry.table, None, default_distribution(),
+                                         seed=13, candidates=8).candidates)
+    assert len(out) >= 200
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide_candidates():
+    """60 candidates of one 48-row table: their requests overfill a 64 KiB pipe."""
+    words = ["alpha", "bravo", "carol", "delta", "echo", "foxtrot", "golf", "hotel"]
+    rows = [[f"{words[i % 8]} {words[i * 3 % 8]} the {i}th", str(i * 7 % 90),
+             f"{i % 28 + 1} may 2011", f"the {words[i * 5 % 8]} club of {words[i % 5]}",
+             str(1000 + i * 37), f"{i * 1.3:.1f} points over {i % 12 + 1} games"]
+            for i in range(48)]
+    headers = ["player", "goals", "date", "team", "attendance", "score"]
+    table = Table.from_strings("wide", "a wide table", headers, rows)
+    out = synthesize_candidates(table, None, default_distribution(), seed=13,
+                                candidates=60).candidates[:60]
+    assert len(out) == 60 and 60 * len(serialize_table(table).encode()) > 1 << 16
     return out
 
 
@@ -278,12 +337,46 @@ class TestPipelinedHooks:
         builtin = generate_statements(many_candidates, HookConfig())
         assert worded(via_hook) == worded(builtin)
 
-    def test_window_fills_and_never_overflows(self, tmp_path, many_candidates):
+    def test_a_batching_hook_receives_every_request_at_once(self, tmp_path, many_candidates):
         command = hook_command(tmp_path, "hold.py", HOLD_UNTIL_QUIET_GENERATOR)
         out = generate_statements(many_candidates, HookConfig(command, timeout=30.0))
-        assert len(out) == len(many_candidates)
-        sizes = [int(st.text.split()[-1]) for st in out]
-        assert max(sizes) == HOOK_WINDOW
+        n = len(many_candidates)
+        assert [st.text for st in out] == [f"batch of {n}"] * n
+
+    def test_a_hook_that_caps_its_batch_loses_nothing(self, tmp_path, hundreds_of_candidates,
+                                                      caplog):
+        # ~25 steps of 0.05 s outlast the timeout: it runs from the hook's last line
+        command = hook_command(tmp_path, "capped.py", CAPPED_BATCH_GENERATOR)
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(hundreds_of_candidates, HookConfig(command, timeout=0.5))
+        assert worded(out) == worded(generate_statements(hundreds_of_candidates, HookConfig()))
+        assert "timed out" not in caplog.text
+
+    def test_a_hook_that_stops_reading_costs_only_the_timeout(self, tmp_path, wide_candidates,
+                                                              caplog):
+        command = hook_command(tmp_path, "stalled.py", STALLED_GENERATOR)
+        start = time.monotonic()
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(wide_candidates, HookConfig(command, timeout=1.0))
+        assert out == [] and time.monotonic() - start < 10
+        assert "timed out" in caplog.text
+        pid = int((tmp_path / "stalled.py.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        gc.collect()  # a pipe left open would warn here
+
+    def test_a_hook_that_closes_its_stdin_is_fatal(self, tmp_path, wide_candidates):
+        command = hook_command(tmp_path, "closer.py", STDIN_CLOSER_GENERATOR)
+        start = time.monotonic()
+        with pytest.raises(HookError, match="stopped accepting input"):
+            generate_statements(wide_candidates, HookConfig(command, timeout=30.0))
+        assert time.monotonic() - start < 10
+
+    def test_a_hook_that_reads_everything_is_never_killed(self, tmp_path, wide_candidates):
+        command = hook_command(tmp_path, "mark.py", MARK_EOF_GENERATOR)
+        out = generate_statements(wide_candidates, HookConfig(command, timeout=1.0))
+        assert len(out) == len(wide_candidates)
+        assert (tmp_path / "mark.py.eof").exists()
 
     def test_slow_hook_that_keeps_answering_loses_nothing(self, tmp_path, candidates, caplog):
         # the last of 8 answers comes ~0.8 s after all were sent: an item
@@ -341,7 +434,7 @@ class TestPipelinedHooks:
             generator=echo if "echo" in hooks else HookConfig(),
             verifier=accept if "accept" in hooks else HookConfig(),
         )
-        assert hooked.candidates > HOOK_WINDOW
+        assert hooked.candidates > 32  # many requests in flight at once
         assert hooked.to_json() == builtin.to_json()
         assert hooked_out.read_bytes() == builtin_out.read_bytes()
 
@@ -812,7 +905,10 @@ class TestSoundnessProperty:
         out = tmp_path_factory.mktemp("soundness") / "out.jsonl"
         report = run_pipeline(entries, out, _soundness_distribution(), k=100, seed=13,
                               candidates=5)
-        by_id = {t.table_id: t for t in tables}
+        by_id: dict[str, Table] = {}
+        for t in tables:
+            # two seeds can draw one table_id; the pipeline keeps the first table
+            by_id.setdefault(t.table_id, t)
         written = 0
         for line in out.read_text("utf-8").splitlines():
             row = json.loads(line)
