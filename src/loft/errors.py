@@ -49,33 +49,18 @@ class TypeCheckError(LoftError):
 
 
 class ExecutionError(LoftError):
-    """Base class for typed runtime failures of the executor."""
+    """A typed runtime failure of the executor.
 
-    kind = "execution"
+    kind is one of: empty_view (an aggregation, ordinal, all or most over
+    a view with no usable values), rank_range (an ordinal rank outside the
+    usable value multiset), non_numeric (a numeric comparison or arithmetic
+    over a non-numeric operand), view_size (hop over a view that does not
+    hold exactly one row).
+    """
 
-
-class EmptyViewError(ExecutionError):
-    """Aggregation or ordinal over a view with no usable values."""
-
-    kind = "empty_view"
-
-
-class RankRangeError(ExecutionError):
-    """Ordinal rank outside the usable value multiset."""
-
-    kind = "rank_range"
-
-
-class NonNumericError(ExecutionError):
-    """Numeric comparison or arithmetic over a non-numeric operand."""
-
-    kind = "non_numeric"
-
-
-class ViewSizeError(ExecutionError):
-    """Row lookup (hop) over a view that does not hold exactly one row."""
-
-    kind = "view_size"
+    def __init__(self, message: str, kind: str):
+        super().__init__(message)
+        self.kind = kind
 
 
 class IngestError(LoftError):

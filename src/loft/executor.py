@@ -18,14 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
-from .errors import (
-    EmptyViewError,
-    LoftError,
-    NonNumericError,
-    RankRangeError,
-    TypeCheckError,
-    ViewSizeError,
-)
+from .errors import ExecutionError, LoftError, TypeCheckError
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
 from .tables import EMPTY, NUMBER, CellValue, Table, normalize_cell
 
@@ -119,7 +112,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if sig.family == "numeric_pair":
         na, nb = args[0].number, args[1].number
         if na is None or nb is None:
-            raise NonNumericError(f"{name} needs numeric operands")
+            raise ExecutionError(f"{name} needs numeric operands", "non_numeric")
         if name == "round_eq":
             return abs(na - nb) <= max(ROUND_EQ_ABS, ROUND_EQ_REL * abs(nb))
         if name == "greater":
@@ -130,7 +123,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     rows, col = args[0], args[1]
     if name == "hop":
         if len(rows) != 1:
-            raise ViewSizeError(f"hop over a view of {len(rows)} rows")
+            raise ExecutionError(f"hop over a view of {len(rows)} rows", "view_size")
         return table.rows[rows[0]][col]
     if name == "filter_all":
         return rows
@@ -140,14 +133,14 @@ def apply(name: str, args: tuple, table: Table) -> Value:
         if sig.family == "filter":
             return tuple(kept)
         if not rows:
-            raise EmptyViewError(f"{name}: empty view")
+            raise ExecutionError(f"{name}: empty view", "empty_view")
         if sig.family == "all":
             return len(kept) == len(rows)
         return len(kept) * 2 > len(rows)
     # the rest read the view's numeric cells: avg, sum, argmax, argmin, nth_*
     cands = [(table.rows[i][col].number, i) for i in rows if table.rows[i][col].number is not None]
     if not cands:
-        raise EmptyViewError(f"{name}: no numeric values in view")
+        raise ExecutionError(f"{name}: no numeric values in view", "empty_view")
     if name in ("avg", "sum"):
         total = sum(v for v, _ in cands)
         return total / len(cands) if name == "avg" else total
@@ -157,7 +150,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
         return (min(cands)[1],)
     n = args[2]
     if n < 1 or n > len(cands):
-        raise RankRangeError(f"{name}: rank {n} outside 1..{len(cands)}")
+        raise ExecutionError(f"{name}: rank {n} outside 1..{len(cands)}", "rank_range")
     descending = name.endswith("max")
     value, row = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))[n - 1]
     if name.startswith("nth_arg"):
@@ -187,7 +180,7 @@ def _eval(node: LogicForm, table: Table) -> Value:
         elif arg_type == OBJECT:
             if sig.family in ("all", "most") and not args[0]:
                 # an empty view fails before the object is evaluated
-                raise EmptyViewError(f"{name}: empty view")
+                raise ExecutionError(f"{name}: empty view", "empty_view")
             args.append(as_object(_eval(arg, table)))
         else:  # VIEW or BOOL
             args.append(_eval(arg, table))

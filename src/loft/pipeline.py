@@ -23,14 +23,18 @@ come in any order: they are matched by id and collected in request order.
 An item times out when the hook has printed nothing for the timeout since
 the stage start or its last line, whichever is later: a hook that stops
 reading so loses its unanswered items, and is killed.  An answer to an id
-not in flight is discarded.  Hook stderr is logged at DEBUG.
+not in flight is discarded.  Hook stderr is logged at DEBUG.  A hook runs
+in a session of its own and is killed with every process it started when
+its stage ends, at once if a HookError or Ctrl-C cut the stage short.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -107,6 +111,8 @@ class _HookProcess:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
+                # its own process group, which close() kills whole
+                start_new_session=True,
             )
         except (OSError, ValueError) as exc:
             raise HookError(f"cannot launch {role} hook {command!r}: {exc}") from exc
@@ -153,31 +159,31 @@ class _HookProcess:
                       raw.decode("utf-8", "replace").rstrip("\r\n"))
 
     def close(self) -> None:
-        # a hook that stops reading blocks the writer in a pipe write: it has
-        # the timeout to read on, then killing it ends the write
+        # items still in flight mean a HookError or Ctrl-C cut the stage
+        # short: the hook, in a session of its own, then gets no grace
+        cut_short = bool(self.in_flight)
+        # a hook that stops reading blocks the writer in a pipe write: it
+        # has the timeout to read on
         if self.writer:
-            self.writer.join(timeout=self.timeout)
-            if self.writer.is_alive():
-                self.proc.kill()
-                self.writer.join(timeout=2)
-        # under a write still blocked, close would wait on the writer's lock
+            self.writer.join(timeout=0 if cut_short else self.timeout)
         if not (self.writer and self.writer.is_alive()):
             with suppress(OSError):
                 self.proc.stdin.close()
-        # the stdout reader ends as the hook exits; joining it, unlike wait, does not poll
-        deadline = time.monotonic() + 2
-        self.readers[0][0].join(timeout=2)
-        try:
-            self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        for reader, stream in self.readers:
-            # the hook has exited, so its pipes end unless a child of it
+            # the stdout reader ends as the hook exits
+            self.readers[0][0].join(timeout=0 if cut_short else 2)
+        # the kill ends a blocked write, and every process the hook started,
+        # one that holds its pipes too; before wait, so the group is the hook's
+        with suppress(ProcessLookupError):
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        self.proc.wait()
+        threads = [(self.writer, self.proc.stdin)] if self.writer else []
+        for thread, stream in threads + self.readers:
+            # the pipes end with the group unless a process that left it
             # holds them open; the stderr drain logs its last lines here
-            reader.join(timeout=2)
-            if not reader.is_alive():
-                stream.close()
+            thread.join(timeout=2)
+            if not thread.is_alive():
+                with suppress(OSError):
+                    stream.close()
 
     def exchange(self, payloads: list[dict]) -> Iterator[dict | None]:
         """Each payload's answer, in payload order; None means dropped."""

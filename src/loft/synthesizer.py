@@ -46,9 +46,7 @@ from .realizer import realize_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import (
     TAllRows,
-    TCol,
-    TObj,
-    TOrd,
+    TSlot,
     Template,
     TemplateDistribution,
     TemplateNode,
@@ -151,7 +149,7 @@ class _Attempt:
         self.objs[index] = text
         return text
 
-    def bind_ord(self, node: TOrd, limit: int) -> int:
+    def bind_ord(self, node: TSlot, limit: int) -> int:
         if node.index in self.ords:
             value = self.ords[node.index]
             if value > limit:
@@ -166,7 +164,7 @@ class _Attempt:
     def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, CellValue]:
         """Form and value of an object: a computed subform, the literal
         already bound to the placeholder, or a draw from pool()."""
-        if not isinstance(node, TObj):
+        if not isinstance(node, TSlot):
             return self.fill(node, OBJECT)
         if node.index in self.objs:
             text = self.objs[node.index]
@@ -183,7 +181,7 @@ class _Attempt:
         except LoftError:
             raise _Fail() from None
 
-    def col_ref(self, node: TCol) -> tuple[ColumnRef, int]:
+    def col_ref(self, node: TSlot) -> tuple[ColumnRef, int]:
         col = self.cols[node.index]
         return _once(self.memo, ("column", col), lambda: ColumnRef(self.table.headers[col])), col
 
@@ -298,7 +296,7 @@ class _Attempt:
 
     def fill_compare(self, group: str, args: tuple[TemplateNode, ...]) -> Apply:
         left, right = args
-        left_obj, right_obj = isinstance(left, TObj), isinstance(right, TObj)
+        left_obj, right_obj = isinstance(left, TSlot), isinstance(right, TSlot)
         if not left_obj and not right_obj:
             return self.holding_member(group, self.fill(left, OBJECT), self.fill(right, OBJECT))
         obj_node = left if left_obj else right

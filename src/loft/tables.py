@@ -134,9 +134,6 @@ class Table:
     def column_index(self, name: str) -> int | None:
         return self._column_of.get(fold_text(name))
 
-    def column_cells(self, index: int) -> list[CellValue]:
-        return [row[index] for row in self.rows]
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)

@@ -1,7 +1,8 @@
 """Template abstraction and weighted template distributions.
 
 A template is a logic form with entities masked: column references become
-COL_i, object literals OBJ_j, ordinal literals ORD_k, and each function is
+COL_i, object literals OBJ_j, ordinal literals ORD_k (each one ``TSlot``
+that names the catalog position it fills), and each function is
 replaced by its abstraction group (argmax/argmin -> SUPER_ARG); functions
 without a direction twin keep their own name (hop stays hop).  Repeated
 entities share a placeholder, and placeholders are numbered by first
@@ -42,17 +43,11 @@ class TAllRows:
 
 
 @dataclass(frozen=True)
-class TCol:
-    index: int
+class TSlot:
+    """A placeholder: the catalog position it fills (HEADER for COL_i,
+    OBJECT for OBJ_j, ORD for ORD_k) and its number."""
 
-
-@dataclass(frozen=True)
-class TObj:
-    index: int
-
-
-@dataclass(frozen=True)
-class TOrd:
+    position: str
     index: int
 
 
@@ -62,7 +57,7 @@ class TApply:
     args: tuple["TemplateNode", ...]
 
 
-TemplateNode = TAllRows | TCol | TObj | TOrd | TApply
+TemplateNode = TAllRows | TSlot | TApply
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,8 @@ class Template:
         return template_to_string(self.skeleton)
 
 
-_PLACEHOLDERS = {"COL": TCol, "OBJ": TObj, "ORD": TOrd}
-_PREFIXES = {cls: prefix for prefix, cls in _PLACEHOLDERS.items()}
+_PLACEHOLDERS = {"COL": HEADER, "OBJ": OBJECT, "ORD": ORD}
+_PREFIXES = {position: prefix for prefix, position in _PLACEHOLDERS.items()}
 
 
 def template_to_string(node: TemplateNode) -> str:
@@ -91,7 +86,7 @@ def template_to_string(node: TemplateNode) -> str:
         return f"{node.group} {{ {inner} }}"
     if isinstance(node, TAllRows):
         return "all_rows"
-    return f"{_PREFIXES[type(node)]}_{node.index}"
+    return f"{_PREFIXES[node.position]}_{node.index}"
 
 
 def abstract(lf: LogicForm) -> str:
@@ -128,11 +123,7 @@ def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNod
     m = _PLACEHOLDER_RE.match(token)
     if not m:
         raise ParseError(f"expected a placeholder, got {token!r}", offset)
-    return _PLACEHOLDERS[m.group(1)](int(m.group(2)))
-
-
-# the position each leaf fills; a group fills catalog.FILLS of its return type
-_LEAF_FILLS = {TAllRows: VIEW, TCol: HEADER, TObj: OBJECT, TOrd: ORD}
+    return TSlot(_PLACEHOLDERS[m.group(1)], int(m.group(2)))
 
 
 def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
@@ -147,28 +138,29 @@ def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
     ``text``, which gives each ParseError its offset.
     """
     offsets = (m.start() for m in _TOKEN_RE.finditer(text))
-    numbered = {TCol: 0, TObj: 0, TOrd: 0}
+    numbered = dict.fromkeys(_PREFIXES, 0)
     needs: dict[int, bool] = {}
 
     def visit(node: TemplateNode, position: str, numeric: bool) -> None:
         # numeric: a COL here, or the column a hop here reads, must be numeric
-        offset, kind = next(offsets), type(node)
-        sig = GROUP_SIGNATURES[node.group] if kind is TApply else None
+        offset = next(offsets)
+        sig = GROUP_SIGNATURES[node.group] if isinstance(node, TApply) else None
         label = f"{node.group} returns type {sig.return_type}" if sig else template_to_string(node)
-        if (FILLS[sig.return_type] if sig else _LEAF_FILLS[kind]) != position:
+        fills = FILLS[sig.return_type] if sig else (node.position if isinstance(node, TSlot) else VIEW)
+        if fills != position:
             raise ParseError(f"{label} where type {position} is expected", offset)
-        if kind in numbered:
-            if node.index > numbered[kind] + 1:
+        if isinstance(node, TSlot):
+            if node.index > numbered[fills] + 1:
                 raise ParseError(f"{label} is not numbered by first appearance", offset)
-            numbered[kind] = max(numbered[kind], node.index)
-            if kind is TCol:
+            numbered[fills] = max(numbered[fills], node.index)
+            if fills == HEADER:
                 needs[node.index] = needs.get(node.index, False) or numeric
         if sig is None:
             return
         group = node.group
         if group == "hop" and type(node.args[0]) is TAllRows:
             raise ParseError("hop over all_rows never type-checks", offset)
-        free = sum(type(arg) is TObj for arg in node.args)
+        free = sum(isinstance(arg, TSlot) and arg.position == OBJECT for arg in node.args)
         if sig.category == COMPARATIVE and (free == 2 or group == "diff" and free):
             raise ParseError(f"{group} cannot ground its OBJ: an OBJ under diff or compared "
                              f"with another OBJ can never be grounded", offset)

@@ -15,13 +15,7 @@ from __future__ import annotations
 import re
 
 from loft.catalog import BOOL, NUM, OBJECT, VIEW
-from loft.errors import (
-    EmptyViewError,
-    NonNumericError,
-    RankRangeError,
-    TypeCheckError,
-    ViewSizeError,
-)
+from loft.errors import ExecutionError, TypeCheckError
 from loft.executor import ExecValue
 from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
 from loft.tables import CellValue, Table
@@ -198,7 +192,7 @@ class _Oracle:
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
-                raise EmptyViewError(name)
+                raise ExecutionError(name, "empty_view")
             total = 0.0
             for v, _ in nums:
                 total += v
@@ -209,7 +203,7 @@ class _Oracle:
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
-                raise EmptyViewError(name)
+                raise ExecutionError(name, "empty_view")
             _, row = self.take_extreme(nums, name == "argmax")
             return ExecValue(VIEW, (row,))
         if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
@@ -217,9 +211,9 @@ class _Oracle:
             n = int(a[2].text)
             nums = self.numbered(rows, col)
             if len(nums) == 0:
-                raise EmptyViewError(name)
+                raise ExecutionError(name, "empty_view")
             if n < 1 or n > len(nums):
-                raise RankRangeError(name)
+                raise ExecutionError(name, "rank_range")
             value, row = self.take_ranked(nums, n, "max" in name)
             if name in ("nth_argmax", "nth_argmin"):
                 return ExecValue(VIEW, (row,))
@@ -240,7 +234,7 @@ class _Oracle:
         if name.startswith("all_") or name.startswith("most_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) == 0:
-                raise EmptyViewError(name)
+                raise ExecutionError(name, "empty_view")
             obj = self.operand(a[2])
             op = self.op_of(name)
             good = 0
@@ -253,7 +247,7 @@ class _Oracle:
         if name == "hop":
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) != 1:
-                raise ViewSizeError(name)
+                raise ExecutionError(name, "view_size")
             return ExecValue(OBJECT, self.table.rows[rows[0]][col])
         if name in ("eq", "not_eq"):
             ln, lt = self.operand(a[0])
@@ -267,7 +261,7 @@ class _Oracle:
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
             if ln is None or rn is None:
-                raise NonNumericError(name)
+                raise ExecutionError(name, "non_numeric")
             bound = ROUND_ABS
             if ROUND_REL * abs(rn) > bound:
                 bound = ROUND_REL * abs(rn)
@@ -276,7 +270,7 @@ class _Oracle:
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
             if ln is None or rn is None:
-                raise NonNumericError(name)
+                raise ExecutionError(name, "non_numeric")
             if name == "greater":
                 return ExecValue(BOOL, ln > rn)
             if name == "less":

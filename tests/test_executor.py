@@ -9,7 +9,7 @@ import pytest
 
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
 from loft.catalog import BOOL, NUM
-from loft.errors import EmptyViewError, NonNumericError, RankRangeError, ViewSizeError
+from loft.errors import ExecutionError
 from loft.executor import ExecValue, apply, as_object, number_text
 from loft.forms import MAX_NESTING, AllRows, Apply, ColumnRef, type_check
 from loft.tables import CellValue, normalize_cell
@@ -80,32 +80,41 @@ class TestHandValues:
 
 class TestRuntimeErrors:
     def test_rank_out_of_range(self, mt):
-        with pytest.raises(RankRangeError):
+        with pytest.raises(ExecutionError) as exc:
             run("nth_max { all_rows ; points ; 4 }", mt)
-        with pytest.raises(RankRangeError):
+        assert exc.value.kind == "rank_range"
+        with pytest.raises(ExecutionError) as exc:
             run("nth_max { all_rows ; points ; 0 }", mt)
+        assert exc.value.kind == "rank_range"
 
     def test_hop_needs_single_row(self, mt):
-        with pytest.raises(ViewSizeError):
+        with pytest.raises(ExecutionError) as exc:
             run("hop { all_rows ; team }", mt)
-        with pytest.raises(ViewSizeError):
+        assert exc.value.kind == "view_size"
+        with pytest.raises(ExecutionError) as exc:
             run("hop { filter_eq { all_rows ; team ; zzz } ; team }", mt)
+        assert exc.value.kind == "view_size"
 
     def test_aggregation_over_empty_view(self, mt):
-        with pytest.raises(EmptyViewError):
+        with pytest.raises(ExecutionError) as exc:
             run("avg { filter_eq { all_rows ; team ; zzz } ; points }", mt)
+        assert exc.value.kind == "empty_view"
 
     def test_majority_over_empty_view(self, mt):
-        with pytest.raises(EmptyViewError):
+        with pytest.raises(ExecutionError) as exc:
             run("most_eq { filter_eq { all_rows ; team ; zzz } ; points ; 1 }", mt)
+        assert exc.value.kind == "empty_view"
 
     def test_non_numeric_comparison(self, mt):
-        with pytest.raises(NonNumericError):
+        with pytest.raises(ExecutionError) as exc:
             run("greater { a ; b }", mt)
-        with pytest.raises(NonNumericError):
+        assert exc.value.kind == "non_numeric"
+        with pytest.raises(ExecutionError) as exc:
             run("round_eq { hop { argmax { all_rows ; points } ; team } ; 3 }", mt)
-        with pytest.raises(NonNumericError):
+        assert exc.value.kind == "non_numeric"
+        with pytest.raises(ExecutionError) as exc:
             run("diff { a ; 3 }", mt)
+        assert exc.value.kind == "non_numeric"
 
 
 class TestEmptyCells:
@@ -250,8 +259,9 @@ class TestApplyStep:
         assert apply("eq", (as_object(3.0), CellValue("text", "3 ")), mt) is True
 
     def test_majority_step_rejects_an_empty_view(self, mt):
-        with pytest.raises(EmptyViewError):
+        with pytest.raises(ExecutionError) as exc:
             apply("all_eq", ((), 0, CellValue("text", "a")), mt)
+        assert exc.value.kind == "empty_view"
 
 
 class TestPropertyIdentities:
@@ -325,7 +335,9 @@ class TestPropertyIdentities:
             try:
                 every = run(f"all_eq {{ all_rows ; {col} ; {text} }}", table).value
                 most = run(f"most_eq {{ all_rows ; {col} ; {text} }}", table).value
-            except EmptyViewError:
+            except ExecutionError as exc:
+                if exc.kind != "empty_view":
+                    raise
                 continue
             if every:
                 assert most, f"seed {seed}"

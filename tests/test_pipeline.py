@@ -7,17 +7,22 @@ the tests do not depend on a shell or on PATH.
 import gc
 import json
 import os
+import pickle
 import random
 import shlex
+import signal
+import subprocess
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import loft
 from loft import HookError, default_distribution, load_corpus, verify
 from loft.catalog import BOOL
 from loft.executor import execute
@@ -160,6 +165,21 @@ sys.stdin.readline()
 time.sleep(30)
 """
 
+# runs the command in its arguments as a child, which holds the hook's pipes
+WRAPPER = """\
+import subprocess, sys
+subprocess.run(sys.argv[1:])
+"""
+
+# a process that runs a generator stage: candidates pickled, then a hook command
+STAGE_RUNNER = """\
+import pickle, sys
+from loft.pipeline import HookConfig, generate_statements
+with open(sys.argv[1], "rb") as fh:
+    candidates = pickle.load(fh)
+generate_statements(candidates, HookConfig(sys.argv[2], timeout=30.0))
+"""
+
 # closes its stdin at once and stays alive
 STDIN_CLOSER_GENERATOR = """\
 import os, time
@@ -226,6 +246,24 @@ def hook_command(tmp_path, name, body):
     script = tmp_path / name
     script.write_text(body, encoding="utf-8")
     return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+
+
+def gone(pid, wait=2.0):
+    """True once no process `pid` runs: a zombie waiting for its reaper
+    counts as gone.  A process that is still there after `wait` seconds
+    is killed, so a failing test leaves nothing behind."""
+    deadline = time.monotonic() + wait
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            return False
+        time.sleep(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +402,45 @@ class TestPipelinedHooks:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
         gc.collect()  # a pipe left open would warn here
+
+    def test_a_stalled_child_of_the_hook_is_killed_with_it(self, tmp_path, wide_candidates):
+        # the child holds the hook's pipes, so killing the wrapper alone
+        # would leave the writer blocked and the child sleeping
+        command = (hook_command(tmp_path, "wrapper.py", WRAPPER) + " "
+                   + hook_command(tmp_path, "stalled.py", STALLED_GENERATOR))
+        start = time.monotonic()
+        out = generate_statements(wide_candidates, HookConfig(command, timeout=1.0))
+        elapsed = time.monotonic() - start
+        pid = int((tmp_path / "stalled.py.pid").read_text())
+        assert gone(pid)
+        assert out == [] and elapsed < 5
+
+    def test_ctrl_c_kills_a_stalled_hook_at_once(self, tmp_path, wide_candidates):
+        # the hook runs in a session of its own, so SIGINT reaches only
+        # the stage's process, which must then kill the hook
+        pickled = tmp_path / "candidates.pickle"
+        pickled.write_bytes(pickle.dumps(wide_candidates))
+        runner = tmp_path / "runner.py"
+        runner.write_text(STAGE_RUNNER, encoding="utf-8")
+        command = hook_command(tmp_path, "stalled.py", STALLED_GENERATOR)
+        env = {**os.environ, "PYTHONPATH": str(Path(loft.__file__).parents[1])}
+        stage = subprocess.Popen([sys.executable, str(runner), str(pickled), command],
+                                 env=env, stderr=subprocess.DEVNULL)
+        pid_file = tmp_path / "stalled.py.pid"
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.2)  # the writer fills the pipe; the stage awaits its first answer
+        stage.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        try:
+            stage.wait(timeout=3)
+        except subprocess.TimeoutExpired:
+            stage.kill()
+            stage.wait()
+        elapsed = time.monotonic() - start
+        assert gone(int(pid_file.read_text()))
+        assert stage.returncode != 0 and elapsed < 3
 
     def test_a_hook_that_closes_its_stdin_is_fatal(self, tmp_path, wide_candidates):
         command = hook_command(tmp_path, "closer.py", STDIN_CLOSER_GENERATOR)

@@ -239,7 +239,7 @@ def test_distinct_cells_use_the_executors_text_equality():
     texts = ["a  b", "A B", "c", "-", "5", "5.0", "c"]
     table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
     index = _ViewIndex(table, 0, tuple(range(table.n_rows)))
-    cells = table.column_cells(0)
+    cells = [row[0] for row in table.rows]
     assert index.distinct == _distinct(cells) == [cells[0], cells[2], cells[4]]
 
 
@@ -280,7 +280,7 @@ class TestPoolCounts:
     @example(["5", "5 (x)"], ["5"])
     def test_counts_match_a_predicate_scan(self, view_texts, other_texts):
         table = Table.from_strings("t", "t", ["c"], [[t] for t in view_texts])
-        view, rows = table.column_cells(0), tuple(range(table.n_rows))
+        view, rows = [row[0] for row in table.rows], tuple(range(table.n_rows))
         pool = _majority_pool(view, view + [normalize_cell(t) for t in other_texts])
         # and objects with no numeric reading whatever their text, as the
         # executor is free to be given, and a computed NaN (inf - inf)
@@ -314,7 +314,7 @@ class TestPoolCounts:
                 assert got == expected, (op, unique)
             for quantifier in ("all_", "most_"):
                 expected, seen = [], set()
-                for obj in _majority_pool(view, table.column_cells(0)):
+                for obj in _majority_pool(view, [row[0] for row in table.rows]):
                     if obj.text in seen:
                         continue
                     seen.add(obj.text)
@@ -323,7 +323,7 @@ class TestPoolCounts:
                         expected.append(obj.text)
                 got = attempt.majority_obj_candidates(quantifier + op, 0, rows)
                 assert got == expected, (quantifier + op)
-            for obj in _majority_pool(view, table.column_cells(0)):
+            for obj in _majority_pool(view, [row[0] for row in table.rows]):
                 got = attempt.view(0, rows).kept(op, obj)
                 assert got == apply("filter_" + op, (rows, 0, obj), table), (op, obj)
 

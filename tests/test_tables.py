@@ -177,6 +177,13 @@ class TestCorpusIO:
             assert load_corpus(path, format="csv") == []
         assert "no columns" in caplog.text
 
+    def test_zero_byte_csv_loads_no_table(self, tmp_path, caplog):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with caplog.at_level("WARNING"):
+            assert load_corpus(path, format="csv") == []
+        assert caplog.records == []
+
     def test_blank_header_skips_the_entry_or_the_csv_table(self, tmp_path, caplog):
         path = self._write(
             tmp_path,
@@ -206,6 +213,21 @@ class TestCorpusIO:
         assert "duplicate table_id 'x'" in caplog.text
         assert ":3:" in caplog.text and "line 1" in caplog.text
 
+    def test_blank_lines_are_skipped_and_lines_keep_their_numbers(self, tmp_path, caplog):
+        path = self._write(
+            tmp_path,
+            ["", "   ",
+             '{"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]]}',
+             "\t ",
+             '{"table_id": "b", "title": "b", "header": ["h"], "rows": [["1", "2"]]}'],
+        )
+        with caplog.at_level("WARNING"):
+            entries = load_corpus(path)
+        assert [e.table.table_id for e in entries] == ["a"]
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+            f"skipping entry at {path}:5"
+        ]
+
     def test_missing_field_is_skipped(self, tmp_path, caplog):
         path = self._write(tmp_path, ['{"table_id": "a"}'])
         with caplog.at_level("WARNING"):
@@ -231,8 +253,9 @@ class TestCorpusIO:
         ({"selected_columns": [[0.9]]}, "column index 0.9 is not an integer"),
         ({"selected_columns": [["1"]]}, "column index '1' is not an integer"),
         ({"selected_columns": [[True]]}, "column index True is not an integer"),
+        ({"selected_columns": [[0], []]}, "empty column set"),
     ], ids=["rows-int", "header-str", "row-str", "references-str", "sets-int", "set-int",
-            "index-null", "index-inf", "index-fraction", "index-str", "index-bool"])
+            "index-null", "index-inf", "index-fraction", "index-str", "index-bool", "set-empty"])
     def test_field_of_the_wrong_shape_is_skipped(self, tmp_path, caplog, fields, message):
         record = {"table_id": "a", "title": "a", "header": ["h"], "rows": [["1"]], **fields}
         path = self._write(tmp_path, [json.dumps(record)])
