@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
 
+from .catalog import NUM, OBJECT, VIEW
 from .errors import (
     DistributionError,
     ExecutionError,
@@ -26,8 +28,8 @@ from .errors import (
     ParseError,
     TypeCheckError,
 )
-from .executor import execute, verify
-from .forms import Apply, parse_logic_form, type_check
+from .executor import Value, execute, number_text, verify
+from .forms import parse_logic_form, type_check
 from .metrics import score_output
 from .pipeline import (
     BUILTIN, DEFAULT_K, DEFAULT_SEED, DEFAULT_STRATEGY, STRATEGIES, HookConfig, run_pipeline,
@@ -115,13 +117,14 @@ def _cmd_ingest(args) -> int:
 def _read_templates(path) -> list[Template]:
     """The templates of a file's logic forms, one a line, each distinct
     template checked once; skips blank and # lines, and warns about and
-    skips a line that is not a function application or whose template
-    parse_template refuses."""
+    skips a line whose template parse_template refuses, as it refuses a
+    form that is not a function application.  A leading byte-order mark
+    is dropped."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(Path(path)) from exc
-    numbered = []  # (line number, form) of each function application
+    numbered = []  # (line number, form) of each form that parses
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -130,9 +133,6 @@ def _read_templates(path) -> list[Template]:
             lf = parse_logic_form(line)
         except ParseError as exc:
             log.warning("skipping unparseable form on line %d: %s", lineno, exc)
-            continue
-        if not isinstance(lf, Apply):
-            log.warning("skipping line %d: not a function application", lineno)
             continue
         numbered.append((lineno, lf))
     templates = []
@@ -182,14 +182,27 @@ def _cmd_realize(args) -> int:
     return 0
 
 
+def _json_value(kind: str, value: Value):
+    """A plain value of catalog type `kind` as JSON: a whole number as an
+    int, a cell as its text and a view as its row-index list."""
+    if kind == NUM:
+        if not math.isfinite(value):  # JSON has no inf or nan: give the number's text
+            return number_text(value)
+        return int(value) if value.is_integer() and abs(value) < 1e15 else value
+    if kind == OBJECT:
+        return value.text
+    if kind == VIEW:
+        return list(value)
+    return value
+
+
 def _cmd_execute(args) -> int:
     entries = load_corpus(args.corpus)
     table = _pick_table(entries, args.table_id, args.corpus)
     try:
         lf = parse_logic_form(args.form)
-        type_check(lf, table)
-        value = execute(lf, table)
-        _emit({"kind": value.kind, "value": value.to_json()})
+        kind = type_check(lf, table)
+        _emit({"kind": kind, "value": _json_value(kind, execute(lf, table))})
     except (ParseError, TypeCheckError, ExecutionError) as exc:
         _emit({"error": str(exc), "kind": exc.kind})
     return 0

@@ -14,12 +14,9 @@ Semantics notes that the code cannot show on its own:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, ORD, VIEW
+from .catalog import BOOL, CATALOG, HEADER, OBJECT, ORD
 from .errors import ExecutionError, LoftError, TypeCheckError
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
+from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
 from .tables import EMPTY, NUMBER, CellValue, Table, normalize_cell
 
 ROUND_EQ_ABS = 1e-6
@@ -27,27 +24,6 @@ ROUND_EQ_REL = 1e-2
 
 # a plain value: BOOL, NUM, OBJECT or VIEW (its row indices) in catalog terms
 Value = bool | float | CellValue | tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExecValue:
-    """A form's result: a plain value tagged with its catalog type."""
-
-    kind: str
-    value: Value
-
-    def to_json(self):
-        """JSON-friendly rendering used by the CLI."""
-        if self.kind == NUM:
-            v = self.value
-            if not math.isfinite(v):  # JSON has no inf or nan: give the number's text
-                return number_text(v)
-            return int(v) if float(v).is_integer() and abs(v) < 1e15 else v
-        if self.kind == OBJECT:
-            return self.value.text
-        if self.kind == VIEW:
-            return list(self.value)
-        return self.value
 
 
 def number_text(value: float) -> str:
@@ -187,13 +163,10 @@ def _eval(node: LogicForm, table: Table) -> Value:
     return apply(name, tuple(args), table)
 
 
-def execute(lf: LogicForm, table: Table) -> ExecValue:
-    """Evaluate a type-checked form, tagged with its root's catalog type.
-    Deterministic; never mutates the table."""
-    value = _eval(lf, table)  # a bare column reference raises here
-    if isinstance(lf, Apply):
-        return ExecValue(CATALOG[lf.name].return_type, value)
-    return ExecValue(VIEW if isinstance(lf, AllRows) else OBJECT, value)
+def execute(lf: LogicForm, table: Table) -> Value:
+    """Evaluate a type-checked form to its plain value, of the type
+    ``type_check`` returned.  Deterministic; never mutates the table."""
+    return _eval(lf, table)  # a bare column reference raises here
 
 
 def verify(lf: LogicForm | str, table: Table) -> bool:
@@ -206,6 +179,6 @@ def verify(lf: LogicForm | str, table: Table) -> bool:
             lf = parse_logic_form(lf)
         if type_check(lf, table) != BOOL:
             return False
-        return execute(lf, table).value is True
+        return execute(lf, table) is True
     except LoftError:
         return False

@@ -44,13 +44,7 @@ from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
 from .realizer import realize_logic_form
 from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
-from .templates import (
-    TAllRows,
-    TSlot,
-    Template,
-    TemplateDistribution,
-    TemplateNode,
-)
+from .templates import TSlot, Template, TemplateDistribution, TemplateNode
 
 log = logging.getLogger(__name__)
 
@@ -250,8 +244,8 @@ class _Attempt:
         """Form and value of a node in a VIEW, OBJECT or BOOL position: the
         view's rows, the object's cell, or True (the boolean holds).  A
         filter under ``unique`` keeps exactly one row."""
-        if isinstance(node, TAllRows):
-            return AllRows(), tuple(range(self.table.n_rows))
+        if isinstance(node, AllRows):
+            return node, tuple(range(self.table.n_rows))
         group, args, sig = node.group, node.args, GROUP_SIGNATURES[node.group]
         if group == "and":
             return Apply("and", tuple(self.fill(arg, BOOL)[0] for arg in args)), True
@@ -348,9 +342,8 @@ class _Attempt:
         return "less", (below if obj_first else above)
 
     def _different_text(self, sub_form: Apply, obj: CellValue) -> str:
-        """A live value's text unequal to obj, from the column obj came from."""
-        if sub_form.name != "hop":
-            raise _Fail()
+        """A live value's text unequal to obj, from the column obj came from:
+        only a hop gives an object with no number."""
         col = self.table.column_index(sub_form.args[1].name)
         column = self.view(col, tuple(range(self.table.n_rows))).distinct
         return self.choice([c.text for c in column if c.folded != obj.folded])

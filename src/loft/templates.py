@@ -38,11 +38,6 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class TAllRows:
-    pass
-
-
-@dataclass(frozen=True)
 class TSlot:
     """A placeholder: the catalog position it fills (HEADER for COL_i,
     OBJECT for OBJ_j, ORD for ORD_k) and its number."""
@@ -57,7 +52,7 @@ class TApply:
     args: tuple["TemplateNode", ...]
 
 
-TemplateNode = TAllRows | TSlot | TApply
+TemplateNode = AllRows | TSlot | TApply
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ def template_to_string(node: TemplateNode) -> str:
     if isinstance(node, TApply):
         inner = " ; ".join(template_to_string(a) for a in node.args)
         return f"{node.group} {{ {inner} }}"
-    if isinstance(node, TAllRows):
+    if isinstance(node, AllRows):
         return "all_rows"
     return f"{_PREFIXES[node.position]}_{node.index}"
 
@@ -92,34 +87,32 @@ def template_to_string(node: TemplateNode) -> str:
 def abstract(lf: LogicForm) -> str:
     """Mask a concrete form into its template's canonical text.
 
-    The root must be a function application; placeholder numbering follows
-    first appearance, and identical entities reuse their placeholder.  Any
-    such form has a template text; ``parse_template`` checks it.
+    Placeholder numbering follows first appearance, and identical entities
+    reuse their placeholder.  Every form has a template text, and
+    ``parse_template`` checks it: it refuses one whose root is not a
+    function application, as it refuses an object in a view position.
     """
-    if not isinstance(lf, Apply):
-        raise ValueError("only function applications can be abstracted")
-    numbers: dict[str, dict[str, int]] = {"COL": {}, "OBJ": {}, "ORD": {}}
+    numbers: dict[str, dict[str, int]] = {HEADER: {}, OBJECT: {}, ORD: {}}
 
-    def mask(node: LogicForm, position: str | None) -> str:
+    def mask(node: LogicForm, position: str | None) -> TemplateNode:
         if isinstance(node, AllRows):
-            return "all_rows"
+            return node
         if isinstance(node, Apply):
             sig = CATALOG[node.name]
-            inner = " ; ".join(mask(a, t) for a, t in zip(node.args, sig.arg_types))
-            return f"{sig.group} {{ {inner} }}"
+            return TApply(sig.group, tuple(map(mask, node.args, sig.arg_types)))
         if isinstance(node, ColumnRef):
-            prefix, entity = "COL", node.name
+            position, entity = HEADER, node.name
         else:
-            prefix, entity = "ORD" if position == ORD else "OBJ", node.text
-        seen = numbers[prefix]
-        return f"{prefix}_{seen.setdefault(entity, len(seen) + 1)}"
+            position, entity = ORD if position == ORD else OBJECT, node.text
+        seen = numbers[position]
+        return TSlot(position, seen.setdefault(entity, len(seen) + 1))
 
-    return mask(lf, None)
+    return template_to_string(mask(lf, None))
 
 
 def _template_leaf(token: str, offset: int, expected: str | None) -> TemplateNode:
     if token == "all_rows":
-        return TAllRows()
+        return AllRows()
     m = _PLACEHOLDER_RE.match(token)
     if not m:
         raise ParseError(f"expected a placeholder, got {token!r}", offset)
@@ -158,7 +151,7 @@ def _check_skeleton(skeleton: TApply, text: str) -> dict[int, bool]:
         if sig is None:
             return
         group = node.group
-        if group == "hop" and type(node.args[0]) is TAllRows:
+        if group == "hop" and type(node.args[0]) is AllRows:
             raise ParseError("hop over all_rows never type-checks", offset)
         free = sum(isinstance(arg, TSlot) and arg.position == OBJECT for arg in node.args)
         if sig.category == COMPARATIVE and (free == 2 or group == "diff" and free):

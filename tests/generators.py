@@ -9,10 +9,11 @@ from __future__ import annotations
 import random
 
 from loft import Table
+from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.errors import LoftError
 from loft.executor import execute
 from loft.forms import AllRows, Apply, ColumnRef, Literal
-from loft.tables import NUMERIC
+from loft.tables import NUMERIC, CellValue
 
 from .oracle import oracle_execute
 
@@ -171,17 +172,15 @@ def random_form(rng: random.Random, table: Table, max_depth: int = 4):
 
 
 def outcome(run, lf, table):
-    """Comparable result tuple for one evaluation route."""
+    """Comparable result tuple for one evaluation route, its catalog type
+    read off the plain value."""
     try:
         value = run(lf, table)
     except LoftError as exc:
         return ("error", getattr(exc, "kind", "parse"))
-    if value.kind == "view":
-        return ("view", value.value)
-    if value.kind == "object":
-        cell = value.value
-        return ("object", cell.kind, cell.text, cell.number)
-    return (value.kind, value.value)
+    if isinstance(value, CellValue):
+        return (OBJECT, value.kind, value.text, value.number)
+    return ({bool: BOOL, float: NUM, tuple: VIEW}[type(value)], value)
 
 
 def agreement_case(rng: random.Random):

@@ -13,10 +13,11 @@ quadratic where the main one sorts and exists only for small fixtures.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.errors import ExecutionError, TypeCheckError
-from loft.executor import ExecValue
+from loft.executor import Value
 from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
 from loft.tables import CellValue, Table
 
@@ -26,6 +27,15 @@ MAX_COLS = 6
 # round_eq tolerates |a - b| <= max(ROUND_ABS, ROUND_REL * |b|)
 ROUND_ABS = 1e-6
 ROUND_REL = 1e-2
+
+
+class _Tagged(NamedTuple):
+    """A result with its own catalog type, or "__lit__" for a literal's
+    (number, text) not yet read as a cell."""
+
+    kind: str
+    value: object
+
 
 _NUM_PREFIX = re.compile(r"^[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
@@ -57,7 +67,7 @@ def _fold(text: str) -> str:
     return "".join(out).rstrip()
 
 
-def _pair_of(value: ExecValue) -> tuple[float | None, str]:
+def _pair_of(value: _Tagged) -> tuple[float | None, str]:
     if value.kind == NUM:
         n = float(value.value)
         if n == int(n) and abs(n) < 1e15:
@@ -69,7 +79,8 @@ def _pair_of(value: ExecValue) -> tuple[float | None, str]:
     return cell.number, cell.text
 
 
-def oracle_execute(lf: LogicForm, table: Table) -> ExecValue:
+def oracle_execute(lf: LogicForm, table: Table) -> Value:
+    """The form's plain value, as ``execute`` returns it."""
     if table.n_rows > MAX_ROWS or len(table.headers) > MAX_COLS:
         raise ValueError("oracle only handles small tables")
     result = _Oracle(table).run(lf)
@@ -82,23 +93,23 @@ def oracle_execute(lf: LogicForm, table: Table) -> ExecValue:
             cell = CellValue("number", text, num)
         else:
             cell = CellValue("text", text)
-        return ExecValue(OBJECT, cell)
-    return result
+        return cell
+    return result.value
 
 
 class _Oracle:
     def __init__(self, table: Table):
         self.table = table
 
-    def run(self, node: LogicForm) -> ExecValue:
+    def run(self, node: LogicForm) -> _Tagged:
         if isinstance(node, AllRows):
             every = []
             for i in range(len(self.table.rows)):
                 every.append(i)
-            return ExecValue(VIEW, tuple(every))
+            return _Tagged(VIEW, tuple(every))
         if isinstance(node, Literal):
             num = _literal_number(node.text)
-            return ExecValue("__lit__", (num, node.text))
+            return _Tagged("__lit__", (num, node.text))
         if isinstance(node, ColumnRef):
             raise TypeCheckError("column reference is not executable on its own")
         return self.call(node)
@@ -180,14 +191,14 @@ class _Oracle:
 
     # -- functions -------------------------------------------------------
 
-    def call(self, node: Apply) -> ExecValue:
+    def call(self, node: Apply) -> _Tagged:
         name = node.name
         a = node.args
 
         if name == "count":
-            return ExecValue(NUM, 0.0 + len(self.rows_of(a[0])))
+            return _Tagged(NUM, 0.0 + len(self.rows_of(a[0])))
         if name == "only":
-            return ExecValue(BOOL, len(self.rows_of(a[0])) == 1)
+            return _Tagged(BOOL, len(self.rows_of(a[0])) == 1)
         if name in ("avg", "sum"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
@@ -197,15 +208,15 @@ class _Oracle:
             for v, _ in nums:
                 total += v
             if name == "sum":
-                return ExecValue(NUM, total)
-            return ExecValue(NUM, total / len(nums))
+                return _Tagged(NUM, total)
+            return _Tagged(NUM, total / len(nums))
         if name in ("argmax", "argmin"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
                 raise ExecutionError(name, "empty_view")
             _, row = self.take_extreme(nums, name == "argmax")
-            return ExecValue(VIEW, (row,))
+            return _Tagged(VIEW, (row,))
         if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             n = int(a[2].text)
@@ -216,12 +227,12 @@ class _Oracle:
                 raise ExecutionError(name, "rank_range")
             value, row = self.take_ranked(nums, n, "max" in name)
             if name in ("nth_argmax", "nth_argmin"):
-                return ExecValue(VIEW, (row,))
-            return ExecValue(NUM, value)
+                return _Tagged(VIEW, (row,))
+            return _Tagged(NUM, value)
         if name == "filter_all":
             rows = self.rows_of(a[0])
             self.col(a[1])
-            return ExecValue(VIEW, tuple(rows))
+            return _Tagged(VIEW, tuple(rows))
         if name.startswith("filter_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             obj = self.operand(a[2])
@@ -230,7 +241,7 @@ class _Oracle:
             for i in rows:
                 if self.holds(op, i, col, obj):
                     kept.append(i)
-            return ExecValue(VIEW, tuple(kept))
+            return _Tagged(VIEW, tuple(kept))
         if name.startswith("all_") or name.startswith("most_"):
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) == 0:
@@ -242,13 +253,13 @@ class _Oracle:
                 if self.holds(op, i, col, obj):
                     good += 1
             if name.startswith("all_"):
-                return ExecValue(BOOL, good == len(rows))
-            return ExecValue(BOOL, good > len(rows) - good)
+                return _Tagged(BOOL, good == len(rows))
+            return _Tagged(BOOL, good > len(rows) - good)
         if name == "hop":
             rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) != 1:
                 raise ExecutionError(name, "view_size")
-            return ExecValue(OBJECT, self.table.rows[rows[0]][col])
+            return _Tagged(OBJECT, self.table.rows[rows[0]][col])
         if name in ("eq", "not_eq"):
             ln, lt = self.operand(a[0])
             rn, rt = self.operand(a[1])
@@ -256,7 +267,7 @@ class _Oracle:
                 same = ln == rn
             else:
                 same = _fold(lt) == _fold(rt)
-            return ExecValue(BOOL, (not same) if name == "not_eq" else same)
+            return _Tagged(BOOL, (not same) if name == "not_eq" else same)
         if name == "round_eq":
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
@@ -265,19 +276,19 @@ class _Oracle:
             bound = ROUND_ABS
             if ROUND_REL * abs(rn) > bound:
                 bound = ROUND_REL * abs(rn)
-            return ExecValue(BOOL, abs(ln - rn) <= bound)
+            return _Tagged(BOOL, abs(ln - rn) <= bound)
         if name in ("greater", "less", "diff"):
             ln, _ = self.operand(a[0])
             rn, _ = self.operand(a[1])
             if ln is None or rn is None:
                 raise ExecutionError(name, "non_numeric")
             if name == "greater":
-                return ExecValue(BOOL, ln > rn)
+                return _Tagged(BOOL, ln > rn)
             if name == "less":
-                return ExecValue(BOOL, ln < rn)
-            return ExecValue(NUM, ln - rn)
+                return _Tagged(BOOL, ln < rn)
+            return _Tagged(NUM, ln - rn)
         if name == "and":
             left = self.run(a[0])
             right = self.run(a[1])
-            return ExecValue(BOOL, bool(left.value) and bool(right.value))
+            return _Tagged(BOOL, bool(left.value) and bool(right.value))
         raise TypeCheckError(f"unknown function {name!r}")

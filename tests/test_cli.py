@@ -364,6 +364,16 @@ class TestToolChain:
         assert "skipping line 1: " in caplog.text and "skipping line 2: " in caplog.text
         assert "line 3" not in caplog.text and "line 4" not in caplog.text
 
+    def test_mine_templates_reads_the_first_line_after_a_byte_order_mark(self, tmp_path, capsys,
+                                                                       caplog):
+        forms = tmp_path / "forms.txt"
+        forms.write_text("\ufeffonly { all_rows }\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="loft.cli"):
+            assert main(["mine-templates", "--forms", str(forms),
+                         "--output", str(tmp_path / "t.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["templates"] == 1
+        assert "skipping" not in caplog.text
+
     def test_mine_templates_names_an_undecodable_line(self, tmp_path, capsys):
         forms = tmp_path / "forms.txt"
         forms.write_bytes(b"only { all_rows }\n\xff\n")

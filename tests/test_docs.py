@@ -1,14 +1,17 @@
 """The README: every form and template it shows parses, its Python API
-list names exactly the package exports, and its CLI table lists exactly the
-options of each subcommand."""
+list names exactly the package exports, its CLI table lists exactly the
+options of each subcommand, and each command it shows prints what it
+shows."""
 
 import argparse
 import re
+import shlex
+from importlib import resources
 from pathlib import Path
 
 import loft
 from loft import parse_logic_form, print_logic_form
-from loft.cli import build_parser
+from loft.cli import build_parser, main
 from loft.templates import parse_template
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,6 +23,9 @@ PLACEHOLDER_RE = re.compile(r"\b(COL|OBJ|ORD)_\d+\b")
 API_RE = re.compile(r"^## Python API\n.*?\n(- .*?)^#", re.M | re.S)
 # a row of the "CLI reference" table: | `loft <command> <usage>` | ... |
 CLI_ROW_RE = re.compile(r"^\| `loft ([\w-]+)([^`]*)` \|", re.M)
+# a shown command, `$ loft <args>` with backslash-continued lines, and the
+# lines it prints up to the next blank line, command or fence
+COMMAND_RE = re.compile(r"^\$ loft ((?:.*\\\n)*.*)\n((?:[^$`\n].*\n)*)", re.M)
 
 
 def readme_examples():
@@ -64,3 +70,15 @@ def test_readme_cli_table_lists_exactly_the_options():
         for command, sub in subparsers.choices.items()
     }
     assert listed == defined
+
+
+def test_readme_commands_print_what_the_readme_shows(capsys):
+    # the Quick start runs them on the demo copy of the bundled corpus
+    corpus = str(resources.files("loft.data").joinpath("sample_corpus.jsonl"))
+    commands = COMMAND_RE.findall(README.read_text(encoding="utf-8"))
+    assert [shlex.split(command)[0] for command, _ in commands] == [
+        "execute", "execute", "realize"]
+    for command, printed in commands:
+        argv = shlex.split(command.replace("\\\n", " "))
+        assert main([corpus if arg == "demo/corpus.jsonl" else arg for arg in argv]) == 0
+        assert capsys.readouterr().out == printed, command

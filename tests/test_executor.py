@@ -8,9 +8,10 @@ import random
 import pytest
 
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
-from loft.catalog import BOOL, NUM
+from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.errors import ExecutionError
-from loft.executor import ExecValue, apply, as_object, number_text
+from loft.cli import _json_value
+from loft.executor import apply, as_object, number_text
 from loft.forms import MAX_NESTING, AllRows, Apply, ColumnRef, type_check
 from loft.tables import CellValue, normalize_cell
 
@@ -23,59 +24,59 @@ def run(text, table):
 
 class TestHandValues:
     def test_count_all(self, mt):
-        assert run("count { all_rows }", mt).value == 3.0
+        assert run("count { all_rows }", mt) == 3.0
 
     def test_count_filtered(self, mt):
-        assert run("count { filter_eq { all_rows ; team ; a } }", mt).value == 1.0
+        assert run("count { filter_eq { all_rows ; team ; a } }", mt) == 1.0
 
     def test_hop_argmax(self, mt):
         got = run("hop { argmax { all_rows ; points } ; team }", mt)
-        assert got.kind == "object"
-        assert got.value.text == "b"
+        assert isinstance(got, CellValue)
+        assert got.text == "b"
 
     def test_avg(self, mt):
-        assert run("avg { all_rows ; points }", mt).value == pytest.approx(10 / 3)
+        assert run("avg { all_rows ; points }", mt) == pytest.approx(10 / 3)
 
     def test_sum(self, mt):
-        assert run("sum { all_rows ; points }", mt).value == 10.0
+        assert run("sum { all_rows ; points }", mt) == 10.0
 
     def test_most_greater(self, mt):
-        assert run("most_greater { all_rows ; points ; 2 }", mt).value is True
-        assert run("most_greater { all_rows ; points ; 3 }", mt).value is False
+        assert run("most_greater { all_rows ; points ; 2 }", mt) is True
+        assert run("most_greater { all_rows ; points ; 3 }", mt) is False
 
     def test_all_greater_eq(self, mt):
-        assert run("all_greater_eq { all_rows ; points ; 2 }", mt).value is True
+        assert run("all_greater_eq { all_rows ; points ; 2 }", mt) is True
 
     def test_nth_max(self, mt):
-        assert run("nth_max { all_rows ; points ; 1 }", mt).value == 5.0
-        assert run("nth_max { all_rows ; points ; 2 }", mt).value == 3.0
-        assert run("nth_min { all_rows ; points ; 1 }", mt).value == 2.0
+        assert run("nth_max { all_rows ; points ; 1 }", mt) == 5.0
+        assert run("nth_max { all_rows ; points ; 2 }", mt) == 3.0
+        assert run("nth_min { all_rows ; points ; 1 }", mt) == 2.0
 
     def test_nth_argmax(self, mt):
         got = run("hop { nth_argmax { all_rows ; points ; 2 } ; team }", mt)
-        assert got.value.text == "a"
+        assert got.text == "a"
 
     def test_round_eq(self, mt):
-        assert run("round_eq { avg { all_rows ; points } ; 3.33 }", mt).value is True
-        assert run("round_eq { 3.4 ; 3.33 }", mt).value is False
+        assert run("round_eq { avg { all_rows ; points } ; 3.33 }", mt) is True
+        assert run("round_eq { 3.4 ; 3.33 }", mt) is False
 
     def test_eq_casefolds_text(self, mt):
-        assert run("eq { hop { argmax { all_rows ; points } ; team } ; B }", mt).value is True
+        assert run("eq { hop { argmax { all_rows ; points } ; team } ; B }", mt) is True
 
     def test_eq_numeric_when_both_numbers(self, mt):
-        assert run("eq { count { all_rows } ; 3.0 }", mt).value is True
+        assert run("eq { count { all_rows } ; 3.0 }", mt) is True
 
     def test_diff(self, mt):
         got = run("diff { nth_max { all_rows ; points ; 1 } ; nth_min { all_rows ; points ; 1 } }", mt)
-        assert got.value == 3.0
+        assert got == 3.0
 
     def test_and(self, mt):
-        assert run("and { only { filter_eq { all_rows ; team ; a } } ; eq { count { all_rows } ; 3 } }", mt).value is True
-        assert run("and { only { all_rows } ; eq { count { all_rows } ; 3 } }", mt).value is False
+        assert run("and { only { filter_eq { all_rows ; team ; a } } ; eq { count { all_rows } ; 3 } }", mt) is True
+        assert run("and { only { all_rows } ; eq { count { all_rows } ; 3 } }", mt) is False
 
     def test_filter_all_keeps_rows(self, mt):
         got = run("filter_all { all_rows ; team }", mt)
-        assert got.value == (0, 1, 2)
+        assert got == (0, 1, 2)
 
 
 class TestRuntimeErrors:
@@ -128,17 +129,17 @@ class TestEmptyCells:
 
     def test_empty_cells_fail_predicates(self, holed):
         got = run("count { filter_greater { all_rows ; score ; 0 } }", holed)
-        assert got.value == 2.0
+        assert got == 2.0
         got = run("count { filter_not_eq { all_rows ; score ; 4 } }", holed)
-        assert got.value == 1.0
+        assert got == 1.0
 
     def test_empty_cells_count_in_most_denominator(self, holed):
         # 2 hits out of 4 rows is not "most"
-        assert run("most_greater { all_rows ; score ; 0 }", holed).value is False
+        assert run("most_greater { all_rows ; score ; 0 }", holed) is False
 
     def test_aggregates_skip_empty_cells(self, holed):
-        assert run("avg { all_rows ; score }", holed).value == 5.0
-        assert run("sum { all_rows ; score }", holed).value == 10.0
+        assert run("avg { all_rows ; score }", holed) == 5.0
+        assert run("sum { all_rows ; score }", holed) == 10.0
 
     def test_every_empty_marker_is_one_object(self):
         # eq reads each empty marker as "", so "n/a", "-" and "" are equal
@@ -168,17 +169,17 @@ class TestTies:
 
     def test_argmax_tie_takes_earliest_row(self, tied):
         got = run("hop { argmax { all_rows ; v } ; name }", tied)
-        assert got.value.text == "x"
+        assert got.text == "x"
 
     def test_duplicates_occupy_consecutive_ranks(self, tied):
-        assert run("nth_max { all_rows ; v ; 1 }", tied).value == 5.0
-        assert run("nth_max { all_rows ; v ; 2 }", tied).value == 5.0
-        assert run("nth_max { all_rows ; v ; 3 }", tied).value == 3.0
+        assert run("nth_max { all_rows ; v ; 1 }", tied) == 5.0
+        assert run("nth_max { all_rows ; v ; 2 }", tied) == 5.0
+        assert run("nth_max { all_rows ; v ; 3 }", tied) == 3.0
 
     def test_nth_argmax_breaks_ties_by_row(self, tied):
         first = run("hop { nth_argmax { all_rows ; v ; 1 } ; name }", tied)
         second = run("hop { nth_argmax { all_rows ; v ; 2 } ; name }", tied)
-        assert (first.value.text, second.value.text) == ("x", "y")
+        assert (first.text, second.text) == ("x", "y")
 
 
 class TestVerify:
@@ -227,20 +228,28 @@ class TestVerify:
         assert verify(self.hand_built(3000), mt) is False
 
 
+def to_json(text, table):
+    """The value `loft execute` prints: JSON for the type type_check gives."""
+    lf = parse_logic_form(text)
+    return _json_value(type_check(lf, table), execute(lf, table))
+
+
 class TestExecValue:
+    """execute's plain value as `loft execute` renders it."""
+
     def test_to_json_integers(self, mt):
-        assert run("count { all_rows }", mt).to_json() == 3
-        assert isinstance(run("count { all_rows }", mt).to_json(), int)
+        assert to_json("count { all_rows }", mt) == 3
+        assert isinstance(to_json("count { all_rows }", mt), int)
 
     def test_to_json_fraction(self, mt):
-        assert run("avg { all_rows ; points }", mt).to_json() == pytest.approx(10 / 3)
+        assert to_json("avg { all_rows ; points }", mt) == pytest.approx(10 / 3)
 
     def test_to_json_object_and_view(self, mt):
-        assert run("hop { argmax { all_rows ; points } ; team }", mt).to_json() == "b"
-        assert run("filter_greater { all_rows ; points ; 2 }", mt).to_json() == [0, 1]
+        assert to_json("hop { argmax { all_rows ; points } ; team }", mt) == "b"
+        assert to_json("filter_greater { all_rows ; points ; 2 }", mt) == [0, 1]
 
     def test_to_json_bool(self, mt):
-        assert run("only { all_rows }", mt).to_json() is False
+        assert to_json("only { all_rows }", mt) is False
 
     def test_number_text(self):
         assert number_text(3.0) == "3"
@@ -293,7 +302,7 @@ class TestPropertyIdentities:
             col = rng.choice(table.headers)
             plain = run("count { all_rows }", table)
             kept = run(f"count {{ filter_all {{ all_rows ; {col} }} }}", table)
-            assert plain.value == kept.value, f"seed {seed}"
+            assert plain == kept, f"seed {seed}"
 
     def test_only_iff_count_is_one(self):
         for seed in self.seeds():
@@ -303,8 +312,8 @@ class TestPropertyIdentities:
             cell = rng.choice(rng.choice(table.rows))
             text = cell.text if cell.text else "1"
             sub = f"filter_eq {{ all_rows ; {col} ; {text} }}"
-            only = run(f"only {{ {sub} }}", table).value
-            count = run(f"count {{ {sub} }}", table).value
+            only = run(f"only {{ {sub} }}", table)
+            count = run(f"count {{ {sub} }}", table)
             assert only == (count == 1.0), f"seed {seed}"
 
     def test_argmax_equals_rank_one(self):
@@ -333,8 +342,8 @@ class TestPropertyIdentities:
             cell = rng.choice(rng.choice(table.rows))
             text = cell.text if cell.text else "1"
             try:
-                every = run(f"all_eq {{ all_rows ; {col} ; {text} }}", table).value
-                most = run(f"most_eq {{ all_rows ; {col} ; {text} }}", table).value
+                every = run(f"all_eq {{ all_rows ; {col} ; {text} }}", table)
+                most = run(f"most_eq {{ all_rows ; {col} ; {text} }}", table)
             except ExecutionError as exc:
                 if exc.kind != "empty_view":
                     raise
@@ -351,8 +360,19 @@ class TestPropertyIdentities:
             form = random_form(rng_a, table)
             assert outcome(execute, form, table) == outcome(execute, form, table)
 
-
-def test_exec_value_is_frozen():
-    value = ExecValue(NUM, 1.0)
-    with pytest.raises(AttributeError):
-        value.kind = BOOL
+    def test_type_check_gives_the_type_of_the_value(self):
+        # the one source of a form's type: what execute returns has it
+        kinds = []
+        for seed in range(400):
+            rng = random.Random(seed)
+            table = random_table(rng)
+            form = random_form(rng, table)
+            try:
+                kind = type_check(form, table)
+            except TypeCheckError:
+                continue
+            got = outcome(execute, form, table)
+            if got[0] != "error":
+                assert got[0] == kind, f"seed {seed}"
+                kinds.append(kind)
+        assert len(kinds) > 150 and set(kinds) == {BOOL, NUM, OBJECT, VIEW}

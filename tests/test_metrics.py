@@ -281,6 +281,15 @@ class TestScoreOutput:
         assert report.execution_faithfulness == 1.0
         assert report.self_bleu_4 is None
 
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        record = {
+            "table_id": "ghost",
+            "statements": [{"text": "a b", "logic_form": "only { all_rows }", "category": "unique"}],
+        }
+        path = tmp_path / "bom.jsonl"
+        path.write_text("\ufeff" + json.dumps(record) + "\n", encoding="utf-8")
+        assert score_output(path, []).statements == 1
+
     def test_unknown_tables_still_count_statements(self, tmp_path):
         record = {
             "table_id": "ghost",

@@ -104,4 +104,4 @@ class TestOracleLimits:
         headers = [f"c{i}" for i in range(6)]
         table = Table.from_strings("edge", "edge", headers, [["1"] * 6] * 12)
         got = oracle_execute(parse_logic_form("count { all_rows }"), table)
-        assert got.value == 12.0
+        assert got == 12.0

@@ -325,6 +325,12 @@ class TestCorpusIO:
         assert table.headers == ("team", "points")
         assert verify("eq { hop { argmax { all_rows ; points } ; team } ; b }", table)
 
+    def test_json_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        record = {"table_id": "t", "title": "t", "header": ["team"], "rows": [["a"]]}
+        path.write_text("\ufeff" + json.dumps(record) + "\n", encoding="utf-8")
+        assert [e.table.table_id for e in load_corpus(path)] == ["t"]
+
     def test_unknown_format(self, tmp_path):
         path = self._write(tmp_path, ["{}"])
         with pytest.raises(IngestError):

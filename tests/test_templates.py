@@ -80,8 +80,9 @@ class TestAbstraction:
     def test_root_must_be_an_application(self):
         from loft.forms import AllRows
 
-        with pytest.raises(ValueError):
-            abstract(AllRows())
+        assert abstract(AllRows()) == "all_rows"
+        with pytest.raises(ParseError, match="root must be a function group"):
+            parse_template(abstract(AllRows()))
 
     def test_round_trip_through_canonical_text(self):
         text = "COMPARE_EQ { hop { SUPER_ARG { all_rows ; COL_1 } ; COL_2 } ; OBJ_1 }"
@@ -278,6 +279,17 @@ class TestDistributions:
         with pytest.raises(DistributionError, match="category"):
             load_distribution(path)
 
+    def test_byte_order_mark_is_not_part_of_the_json(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_text('\ufeff{"entries": [{"skeleton": "only { all_rows }", "weight": 1}]}',
+                        encoding="utf-8")
+        assert load_distribution(path).entries[0].template.canonical() == "only { all_rows }"
+
+    def test_a_form_that_is_not_a_function_is_refused_by_name(self):
+        with pytest.raises(DistributionError,
+                           match=re.escape("all_rows: its template all_rows is refused")):
+            build_distribution([parse_logic_form("all_rows")])
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -352,10 +364,8 @@ def test_a_form_type_checks_as_boolean_exactly_when_its_template_loads(seed):
         boolean = False
     try:
         parse_template(abstract(lf))
-    except ParseError as exc:
+    except ParseError as exc:  # also a root that is no longer a function
         assume("cannot ground" not in str(exc))
-        loads = False
-    except ValueError:  # the root is no longer a function
         loads = False
     else:
         loads = True
