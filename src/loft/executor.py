@@ -6,7 +6,10 @@ Semantics notes that the code cannot show on its own:
     ``CellValue.folded`` (``tables.fold_text``; every empty cell reads as "").
   * round_eq tolerates |a - b| <= max(abs_tol, rel_tol * |b|).
   * Ties in argmax/argmin go to the earliest row; nth_* ranks the sorted
-    value multiset, so duplicated values occupy consecutive ranks.
+    value multiset, so duplicated values occupy consecutive ranks, the
+    earlier row first.  Both rest on a view's rows being in table order.
+  * ``kept_rows`` is the one filter rule of filter, all and most alike; it
+    and the numeric steps scan the table's column arrays, not its cells.
   * Empty cells always fail filter and majority predicates but still count
     toward the "most" denominator.
   * "most" means strictly more than half of the view's rows.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from .catalog import BOOL, CATALOG, HEADER, OBJECT, ORD
 from .errors import ExecutionError, LoftError, TypeCheckError
 from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
-from .tables import EMPTY, NUMBER, CellValue, Table, normalize_cell
+from .tables import NUMBER, CellValue, Table
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
@@ -48,22 +51,30 @@ def _equal(a: CellValue, b: CellValue) -> bool:
     return a.folded == b.folded
 
 
-def cell_predicate(op: str, cell: CellValue, obj: CellValue) -> bool:
-    """Row predicate for filter/majority functions. Empty cells fail."""
-    if cell.kind == EMPTY:
-        return False
-    if op in ("eq", "not_eq"):
-        hit = _equal(cell, obj)
-        return not hit if op == "not_eq" else hit
-    if cell.number is None or obj.number is None:
-        return False
+def kept_rows(op: str, rows: tuple[int, ...], table: Table, col: int, obj: CellValue) -> list[int]:
+    """The one filter rule, for filter, all and most alike: the view's rows
+    whose cell in col passes comparator op against obj, in view order.
+    Empty cells fail; an order needs numbers on both sides."""
+    nums, folds, n, f = table.numbers[col], table.folds[col], obj.number, obj.folded
+    if op == "eq":
+        if n is None:
+            return [i for i in rows if folds[i] == f]
+        # a cell with no number meets a number by its text (see _equal)
+        return [i for i in rows if nums[i] == n or nums[i] is None and folds[i] == f]
+    if op == "not_eq":
+        if n is None:
+            return [i for i in rows if folds[i] is not None and folds[i] != f]
+        return [i for i in rows
+                if folds[i] is not None and nums[i] != n and (nums[i] is not None or folds[i] != f)]
+    if n is None:
+        return []
     if op == "greater":
-        return cell.number > obj.number
+        return [i for i in rows if nums[i] is not None and nums[i] > n]
     if op == "less":
-        return cell.number < obj.number
+        return [i for i in rows if nums[i] is not None and nums[i] < n]
     if op == "greater_eq":
-        return cell.number >= obj.number
-    return cell.number <= obj.number  # less_eq
+        return [i for i in rows if nums[i] is not None and nums[i] >= n]
+    return [i for i in rows if nums[i] is not None and nums[i] <= n]  # less_eq
 
 
 def apply(name: str, args: tuple, table: Table) -> Value:
@@ -104,8 +115,7 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     if name == "filter_all":
         return rows
     if sig.op is not None:  # a filter, all or most function
-        op, obj, cells = sig.op, args[2], table.rows
-        kept = [i for i in rows if cell_predicate(op, cells[i][col], obj)]
+        kept = kept_rows(sig.op, rows, table, col, args[2])
         if sig.family == "filter":
             return tuple(kept)
         if not rows:
@@ -113,25 +123,24 @@ def apply(name: str, args: tuple, table: Table) -> Value:
         if sig.family == "all":
             return len(kept) == len(rows)
         return len(kept) * 2 > len(rows)
-    # the rest read the view's numeric cells: avg, sum, argmax, argmin, nth_*
-    cands = [(table.rows[i][col].number, i) for i in rows if table.rows[i][col].number is not None]
-    if not cands:
+    # the rest read the view's numbers: avg, sum, argmax, argmin, nth_*
+    nums = table.numbers[col]
+    numeric = [i for i in rows if nums[i] is not None]
+    if not numeric:
         raise ExecutionError(f"{name}: no numeric values in view", "empty_view")
     if name in ("avg", "sum"):
-        total = sum(v for v, _ in cands)
-        return total / len(cands) if name == "avg" else total
+        total = sum([nums[i] for i in numeric])
+        return total / len(numeric) if name == "avg" else total
+    # max, min and the stable sorts keep the earliest of tied rows first
     if name == "argmax":
-        return (max(cands, key=lambda t: (t[0], -t[1]))[1],)
+        return (max(numeric, key=nums.__getitem__),)
     if name == "argmin":
-        return (min(cands)[1],)
+        return (min(numeric, key=nums.__getitem__),)
     n = args[2]
-    if n < 1 or n > len(cands):
-        raise ExecutionError(f"{name}: rank {n} outside 1..{len(cands)}", "rank_range")
-    descending = name.endswith("max")
-    value, row = sorted(cands, key=lambda t: (-t[0] if descending else t[0], t[1]))[n - 1]
-    if name.startswith("nth_arg"):
-        return (row,)
-    return value
+    if n < 1 or n > len(numeric):
+        raise ExecutionError(f"{name}: rank {n} outside 1..{len(numeric)}", "rank_range")
+    row = sorted(numeric, key=nums.__getitem__, reverse=name.endswith("max"))[n - 1]
+    return (row,) if name.startswith("nth_arg") else nums[row]
 
 
 def _eval(node: LogicForm, table: Table) -> Value:
@@ -140,7 +149,7 @@ def _eval(node: LogicForm, table: Table) -> Value:
     if isinstance(node, AllRows):
         return tuple(range(table.n_rows))
     if isinstance(node, Literal):
-        return normalize_cell(node.text)
+        return node.cell
     if isinstance(node, ColumnRef):
         raise TypeCheckError("column reference is not executable on its own")
     name, sig = node.name, CATALOG[node.name]

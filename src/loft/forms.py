@@ -13,11 +13,11 @@ template loader type them by one position table, ``catalog.FILLS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .catalog import BOOL, CATALOG, FILLS, HEADER, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
-from .tables import NUMERIC, Table, fold_text
+from .tables import NUMERIC, CellValue, Table, fold_text, normalize_cell
 
 _ORDINAL_RE = re.compile(r"^\d+$")
 _SPACE_RE = re.compile(r"\s*")
@@ -47,10 +47,16 @@ class ColumnRef:
 
 @dataclass(frozen=True, slots=True)
 class Literal:
+    """A bare token in an object or rank position; ``cell`` is its text
+    normalized once, the value the executor reads."""
+
     text: str
+    cell: CellValue = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "text", str(self.text).strip())
+        text = str(self.text).strip()
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "cell", normalize_cell(text))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,14 +12,14 @@ its position, so fill only grounds: it fills the node's inner view,
 reads its column, and its group's tail draws the member and binds the
 object or rank.  A node's value comes from the executor's
 per-node step applied to the values its children already produced, so
-no subtree is executed twice.  Each view gets one index,
-made in one pass over its cells (equality by number, else by folded text;
-order by bisecting the sorted numbers): the object pools read the view's
-distinct values (a whole column's are the all-rows view's) and count each
-value's hits from it, and a filter step reads its kept rows from it, never
-from one predicate scan per value.  Indexes, pools and the other
-per-view constants are built once per ``synthesize_candidates`` call in
-a memo that dies with the call, so nothing is cached beyond it.  Every
+no subtree is executed twice.  Each view gets one index, built from the
+table's column arrays (equality by number, else by folded text; order by
+bisecting the sorted numbers): the object pools read the view's distinct
+values (a whole column's are the all-rows view's) and count every
+value's hits from it in one batched call, never with one scan per value.
+Indexes, pools, literals and the other per-view constants are built once
+per ``synthesize_candidates`` call in a memo that dies with the call, so
+nothing is cached beyond it.  Every
 filled form is printed, and each distinct text goes through one full
 verification per call before it is returned; a form with the same text is
 the same tree, so it reuses that answer.  These strategies only buy speed,
@@ -35,7 +35,8 @@ import hashlib
 import logging
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .catalog import BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, OBJECT, VIEW
@@ -43,7 +44,7 @@ from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
 from .realizer import realize_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
+from .tables import EMPTY, NUMERIC, CellValue, Table
 from .templates import TSlot, Template, TemplateDistribution, TemplateNode
 
 log = logging.getLogger(__name__)
@@ -164,7 +165,8 @@ class _Attempt:
             text = self.objs[node.index]
         else:
             text = self.new_obj(node.index, pool())
-        return _once(self.memo, ("literal", text), lambda: (Literal(text), normalize_cell(text)))
+        lit = self.literal(text)
+        return lit, lit.cell
 
     # -- execution helpers -----------------------------------------------
 
@@ -175,6 +177,9 @@ class _Attempt:
         except LoftError:
             raise _Fail() from None
 
+    def literal(self, text: str) -> Literal:
+        return _once(self.memo, ("literal", text), lambda: Literal(text))
+
     def col_ref(self, node: TSlot) -> tuple[ColumnRef, int]:
         col = self.cols[node.index]
         return _once(self.memo, ("column", col), lambda: ColumnRef(self.table.headers[col])), col
@@ -184,7 +189,7 @@ class _Attempt:
 
     def numeric_count(self, rows: tuple[int, ...], col: int) -> int:
         """Numeric cells of the column within the view; none fails the draw."""
-        usable = len(self.view(col, rows).pairs)
+        usable = len(self.view(col, rows).numbers)
         if usable == 0:
             raise _Fail()
         return usable
@@ -208,12 +213,10 @@ class _Attempt:
 
     def _filter_pool(self, op: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
         index = self.view(col, rows)
-        candidates = []
-        for obj in index.distinct:
-            kept = index.count(op, obj)
-            if (kept == 1) if unique else (kept >= 1):
-                candidates.append(obj.text)
-        return candidates
+        distinct, counts = index.distinct, index.counts(op, index.distinct)
+        if unique:
+            return [obj.text for obj, kept in zip(distinct, counts) if kept == 1]
+        return [obj.text for obj, kept in zip(distinct, counts) if kept >= 1]
 
     def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
         index, sig = self.view(col, rows), CATALOG[member]
@@ -224,17 +227,13 @@ class _Attempt:
         if numbers:
             low, high = min(numbers), max(numbers)
             pool += [as_object(low - 1), as_object(high + 1)]
-        seen: set[str] = set()
-        candidates = []
+        firsts: dict[str, CellValue] = {}  # the first object of each text, in pool order
         for obj in pool:
-            if obj.text in seen:
-                continue
-            seen.add(obj.text)
-            kept = index.count(sig.op, obj)
-            ok = kept == len(rows) if sig.family == "all" else kept * 2 > len(rows)
-            if ok:
-                candidates.append(obj.text)
-        return candidates
+            firsts.setdefault(obj.text, obj)
+        counts = index.counts(sig.op, firsts.values())
+        if sig.family == "all":
+            return [text for text, kept in zip(firsts, counts) if kept == len(rows)]
+        return [text for text, kept in zip(firsts, counts) if kept * 2 > len(rows)]
 
     # -- recursive filling -------------------------------------------------
 
@@ -274,7 +273,7 @@ class _Attempt:
             obj_form, obj = self.bind_obj(
                 args[2], lambda: self.filter_obj_candidates(member, col, rows, unique)
             )
-            rows = self.view(col, rows).kept(CATALOG[member].op, obj)
+            rows = self.step(member, rows, col, obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if sig.family in ("all", "most"):
             obj_form, _ = self.bind_obj(
@@ -284,7 +283,7 @@ class _Attempt:
         if group == "ORD_ARG":
             ranks = (self.bind_ord(args[2], usable),)
         # AGGREGATION, SUPER_ARG, ORDINAL, ORD_ARG: a step over the column
-        form = Apply(member, (inner_form, ref) + tuple(Literal(str(r)) for r in ranks))
+        form = Apply(member, (inner_form, ref) + tuple(self.literal(str(r)) for r in ranks))
         value = self.step(member, rows, col, *ranks)
         return form, (as_object(value) if position == OBJECT else value)
 
@@ -301,7 +300,7 @@ class _Attempt:
             return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
         sub_form, obj = sub
         member, target = self._compare_target(group, obj, left_obj, sub_form)
-        lit = Literal(self.new_obj(obj_node.index, [target]))
+        lit = self.literal(self.new_obj(obj_node.index, [target]))
         return Apply(member, (lit, sub_form) if left_obj else (sub_form, lit))
 
     def holding_member(self, group: str, left: tuple, right: tuple) -> Apply:
@@ -350,71 +349,41 @@ class _Attempt:
 
 
 class _ViewIndex:
-    """One view of one column, indexed in one pass over its cells: its
+    """One view of one column, indexed from the table's column arrays: its
     distinct values (the first non-empty cell of each equality key, in row
-    order), and the rows each object keeps under cell_predicate, as counts
-    and as row tuples."""
+    order), its numbers sorted, and how many cells hold each number and
+    each folded text; ``counts`` reads a whole pool's hits off these."""
 
     def __init__(self, table: Table, col: int, rows: tuple[int, ...]):
-        self.by_number: dict[float, list[int]] = {}
-        self.by_text: dict[str, list[int]] = {}  # folded text of the cells with no number
-        self.any_text: dict[str, list[int]] = {}  # folded text of every non-empty cell
-        self.filled: list[int] = []
-        distinct: dict[object, CellValue] = {}  # by the number, else the folded text
-        pairs: list[tuple[float, int]] = []
-        for i in rows:
-            cell = table.rows[i][col]
-            if cell.kind == EMPTY:
-                continue
-            self.filled.append(i)
-            distinct.setdefault(cell.number if cell.number is not None else cell.folded, cell)
-            self.any_text.setdefault(cell.folded, []).append(i)
-            if cell.number is None:
-                self.by_text.setdefault(cell.folded, []).append(i)
-            else:
-                self.by_number.setdefault(cell.number, []).append(i)
-                pairs.append((cell.number, i))
-        self.distinct = list(distinct.values())
-        pairs.sort()
-        self.pairs = pairs
-        self.numbers = [n for n, _ in pairs]
+        nums, folds = table.numbers[col], table.folds[col]
+        filled = [i for i in rows if folds[i] is not None]
+        # the equality key: the number, else the folded text
+        keys = [folds[i] if nums[i] is None else nums[i] for i in filled]
+        first_row = dict(zip(reversed(keys), reversed(filled)))  # a key's earliest row is set last
+        self.distinct = [table.rows[first_row[key]][col] for key in dict.fromkeys(keys)]
+        self.numbers = sorted([nums[i] for i in filled if nums[i] is not None])
+        self.by_number = Counter(self.numbers)
+        self.by_text = Counter([folds[i] for i in filled if nums[i] is None])  # cells with no number
+        self.any_text = Counter([folds[i] for i in filled])
+        self.filled = len(filled)
 
-    def _equal(self, obj: CellValue) -> tuple[list[int], ...]:
-        if obj.number is None:
-            return (self.any_text.get(obj.folded, []),)
-        # a number's text can still equal a text cell
-        return self.by_number.get(obj.number, []), self.by_text.get(obj.folded, [])
-
-    def _span(self, op: str, num: float | None) -> tuple[int, int]:
-        """The slice of the sorted pairs whose number passes op against num."""
-        if num is None or num != num:  # no number, or NaN: no order holds
-            return 0, 0
-        if op == "greater":
-            return bisect_right(self.numbers, num), len(self.numbers)
-        if op == "less":
-            return 0, bisect_left(self.numbers, num)
-        if op == "greater_eq":
-            return bisect_left(self.numbers, num), len(self.numbers)
-        return 0, bisect_right(self.numbers, num)  # less_eq
-
-    def count(self, op: str, obj: CellValue) -> int:
-        """How many of the view's cells pass ``cell_predicate(op, cell, obj)``."""
+    def counts(self, op: str, objs: Iterable[CellValue]) -> list[int]:
+        """For each object, how many of the view's cells the executor's
+        ``kept_rows(op, ...)`` keeps against it."""
         if op in ("eq", "not_eq"):
-            equal = sum(map(len, self._equal(obj)))
-            return len(self.filled) - equal if op == "not_eq" else equal
-        low, high = self._span(op, obj.number)
-        return high - low
-
-    def kept(self, op: str, obj: CellValue) -> tuple[int, ...]:
-        """The rows a filter with comparator op keeps, as ``apply`` gives them: in row order."""
-        if op in ("eq", "not_eq"):
-            equal = sorted(i for part in self._equal(obj) for i in part)
-            if op == "eq":
-                return tuple(equal)
-            drop = set(equal)
-            return tuple(i for i in self.filled if i not in drop)
-        low, high = self._span(op, obj.number)
-        return tuple(sorted(i for _, i in self.pairs[low:high]))
+            by_number, by_text, any_text = self.by_number, self.by_text, self.any_text
+            # a number's text can still equal a text cell; get() skips Counter.__missing__
+            equal = [any_text.get(obj.folded, 0) if obj.number is None
+                     else by_number.get(obj.number, 0) + by_text.get(obj.folded, 0) for obj in objs]
+            return equal if op == "eq" else [self.filled - n for n in equal]
+        numbers = self.numbers
+        cut = bisect_right if op in ("greater", "less_eq") else bisect_left
+        # how many sorted numbers lie below the cut; none for no number or NaN
+        below = [None if obj.number is None or obj.number != obj.number
+                 else cut(numbers, obj.number) for obj in objs]
+        if op.startswith("less"):
+            return [n or 0 for n in below]
+        return [0 if n is None else len(numbers) - n for n in below]
 
 
 def _once(memo: dict, key: tuple, build: Callable[[], object]):

@@ -12,6 +12,10 @@ Normalization contract, applied in order to the raw string:
      before the numeric parse
   4. a leading decimal number makes the cell Number ("5 (t2)" reads as 5,
      text preserved); otherwise the cell is Text
+
+A table is also laid out by column once, in the pass that types its
+columns: per column, each row's number (or None) and folded text (None
+when empty).  Row scans read these arrays rather than the cells.
 """
 
 from __future__ import annotations
@@ -90,6 +94,10 @@ class Table:
     headers: tuple[str, ...]
     rows: tuple[tuple[CellValue, ...], ...]
     column_types: tuple[str, ...] = field(init=False)
+    # per column, one entry a row: the cell's number or None, and its
+    # folded text or None when it is empty; what the executor scans
+    numbers: tuple[tuple[float | None, ...], ...] = field(init=False, repr=False, compare=False)
+    folds: tuple[tuple[str | None, ...], ...] = field(init=False, repr=False, compare=False)
     _column_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,13 +116,19 @@ class Table:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(self.headers)}"
                 )
-        types = []
-        for j in range(len(self.headers)):
-            kinds = [row[j].kind for row in self.rows if row[j].kind != EMPTY]
-            numeric = kinds.count(NUMBER)
-            is_numeric = numeric > 0 and numeric >= NUMERIC_COLUMN_SHARE * len(kinds)
+        types, numbers, folds = [], [], []
+        # zip(*rows) of no rows has no columns at all
+        for column in zip(*self.rows) if self.rows else [()] * len(self.headers):
+            numbers.append(tuple([cell.number for cell in column]))
+            folds.append(tuple([None if cell.kind == EMPTY else cell.folded for cell in column]))
+            # a cell has a number exactly when it is a number cell
+            numeric = len(column) - numbers[-1].count(None)
+            filled = len(column) - folds[-1].count(None)
+            is_numeric = numeric > 0 and numeric >= NUMERIC_COLUMN_SHARE * filled
             types.append(NUMERIC if is_numeric else TEXTUAL)
         object.__setattr__(self, "column_types", tuple(types))
+        object.__setattr__(self, "numbers", tuple(numbers))
+        object.__setattr__(self, "folds", tuple(folds))
 
     @classmethod
     def from_strings(
@@ -132,7 +146,9 @@ class Table:
         )
 
     def column_index(self, name: str) -> int | None:
-        return self._column_of.get(fold_text(name))
+        """The column a name folds to; a form's names come folded already."""
+        idx = self._column_of.get(name)
+        return self._column_of.get(fold_text(name)) if idx is None else idx
 
     @property
     def n_rows(self) -> int:

@@ -8,6 +8,9 @@ the two is meaningful evidence.
 
 Tables larger than 12 rows x 6 columns are refused: this evaluator is
 quadratic where the main one sorts and exists only for small fixtures.
+``oracle_step`` applies one column function to plain values, as
+``executor.apply`` does, by the same per-cell scans; it takes tables of
+any size, since one step is at worst quadratic in its view.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from loft.catalog import BOOL, NUM, OBJECT, VIEW
+from loft.catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, VIEW
 from loft.errors import ExecutionError, TypeCheckError
 from loft.executor import Value
 from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
@@ -95,6 +98,16 @@ def oracle_execute(lf: LogicForm, table: Table) -> Value:
             cell = CellValue("text", text)
         return cell
     return result.value
+
+
+def oracle_step(name: str, args: tuple, table: Table) -> Value:
+    """One function that reads a column (a filter, all, most, hop,
+    aggregate or ranking) applied to ``apply``'s plain arguments: the
+    view's rows, a column index and, third, an object cell or a rank."""
+    rows, col, extra = list(args[0]), args[1], args[2:]
+    if extra and isinstance(extra[0], CellValue):
+        extra = ((None, "") if extra[0].kind == "empty" else (extra[0].number, extra[0].text),)
+    return _Oracle(table).column_step(name, rows, col, *extra).value
 
 
 class _Oracle:
@@ -191,16 +204,11 @@ class _Oracle:
 
     # -- functions -------------------------------------------------------
 
-    def call(self, node: Apply) -> _Tagged:
-        name = node.name
-        a = node.args
-
-        if name == "count":
-            return _Tagged(NUM, 0.0 + len(self.rows_of(a[0])))
-        if name == "only":
-            return _Tagged(BOOL, len(self.rows_of(a[0])) == 1)
+    def column_step(self, name: str, rows: list[int], col: int, extra=None) -> _Tagged:
+        """A function of a view and a column, given the view's rows, the
+        column's index and, as extra, the rank or the object's (number,
+        text) pair."""
         if name in ("avg", "sum"):
-            rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
                 raise ExecutionError(name, "empty_view")
@@ -211,55 +219,65 @@ class _Oracle:
                 return _Tagged(NUM, total)
             return _Tagged(NUM, total / len(nums))
         if name in ("argmax", "argmin"):
-            rows, col = self.rows_of(a[0]), self.col(a[1])
             nums = self.numbered(rows, col)
             if len(nums) == 0:
                 raise ExecutionError(name, "empty_view")
             _, row = self.take_extreme(nums, name == "argmax")
             return _Tagged(VIEW, (row,))
         if name in ("nth_argmax", "nth_argmin", "nth_max", "nth_min"):
-            rows, col = self.rows_of(a[0]), self.col(a[1])
-            n = int(a[2].text)
             nums = self.numbered(rows, col)
             if len(nums) == 0:
                 raise ExecutionError(name, "empty_view")
-            if n < 1 or n > len(nums):
+            if extra < 1 or extra > len(nums):
                 raise ExecutionError(name, "rank_range")
-            value, row = self.take_ranked(nums, n, "max" in name)
+            value, row = self.take_ranked(nums, extra, "max" in name)
             if name in ("nth_argmax", "nth_argmin"):
                 return _Tagged(VIEW, (row,))
             return _Tagged(NUM, value)
         if name == "filter_all":
-            rows = self.rows_of(a[0])
-            self.col(a[1])
             return _Tagged(VIEW, tuple(rows))
         if name.startswith("filter_"):
-            rows, col = self.rows_of(a[0]), self.col(a[1])
-            obj = self.operand(a[2])
             op = self.op_of(name)
             kept = []
             for i in rows:
-                if self.holds(op, i, col, obj):
+                if self.holds(op, i, col, extra):
                     kept.append(i)
             return _Tagged(VIEW, tuple(kept))
         if name.startswith("all_") or name.startswith("most_"):
-            rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) == 0:
                 raise ExecutionError(name, "empty_view")
-            obj = self.operand(a[2])
             op = self.op_of(name)
             good = 0
             for i in rows:
-                if self.holds(op, i, col, obj):
+                if self.holds(op, i, col, extra):
                     good += 1
             if name.startswith("all_"):
                 return _Tagged(BOOL, good == len(rows))
             return _Tagged(BOOL, good > len(rows) - good)
         if name == "hop":
-            rows, col = self.rows_of(a[0]), self.col(a[1])
             if len(rows) != 1:
                 raise ExecutionError(name, "view_size")
             return _Tagged(OBJECT, self.table.rows[rows[0]][col])
+        raise TypeCheckError(f"unknown function {name!r}")
+
+    def call(self, node: Apply) -> _Tagged:
+        name = node.name
+        a = node.args
+
+        if name == "count":
+            return _Tagged(NUM, 0.0 + len(self.rows_of(a[0])))
+        if name == "only":
+            return _Tagged(BOOL, len(self.rows_of(a[0])) == 1)
+        if CATALOG[name].arg_types[1:2] == (HEADER,):
+            rows, col = self.rows_of(a[0]), self.col(a[1])
+            if len(a) == 2:
+                return self.column_step(name, rows, col)
+            if name.startswith("nth_"):
+                return self.column_step(name, rows, col, int(a[2].text))
+            if name.startswith(("all_", "most_")) and len(rows) == 0:
+                # an empty view fails before its object is looked at
+                raise ExecutionError(name, "empty_view")
+            return self.column_step(name, rows, col, self.operand(a[2]))
         if name in ("eq", "not_eq"):
             ln, lt = self.operand(a[0])
             rn, rt = self.operand(a[1])

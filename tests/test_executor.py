@@ -6,16 +6,19 @@ The mt fixture is:  team=[a, b, c]  points=[3, 5, 2].
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
-from loft.catalog import BOOL, NUM, OBJECT, VIEW
-from loft.errors import ExecutionError
+from loft.catalog import BOOL, CATALOG, NUM, OBJECT, VIEW
+from loft.errors import ExecutionError, LoftError
 from loft.cli import _json_value
 from loft.executor import apply, as_object, number_text
 from loft.forms import MAX_NESTING, AllRows, Apply, ColumnRef, type_check
 from loft.tables import CellValue, normalize_cell
 
 from .generators import outcome, random_form, random_table
+from .oracle import oracle_step
 
 
 def run(text, table):
@@ -376,3 +379,53 @@ class TestPropertyIdentities:
                 assert got[0] == kind, f"seed {seed}"
                 kinds.append(kind)
         assert len(kinds) > 150 and set(kinds) == {BOOL, NUM, OBJECT, VIEW}
+
+
+# what the column scans must read as the per-cell rule does: the empty
+# markers, a percentage, numbers with trailing text or thousands commas,
+# negatives and signed zeros, one word in three foldings, and the text
+# "inf" that a computed infinity prints as; 48 rows drawn from 19 values
+# repeat most of them, so ties abound
+SCAN_CELLS = ["", "-", "n/a", "12%", "12", "5 (x)", "5", "-3", "-0", "0", "0.0", "2.5",
+              "alpha", "Alpha", " ALPHA ", "beta", "1,000", "1000", "inf"]
+PREDICATES = [name for name, sig in CATALOG.items() if sig.op is not None]
+RANKINGS = ["nth_max", "nth_min", "nth_argmax", "nth_argmin"]
+
+
+def _step(run, name, args, table):
+    """run's value or error kind; a float by its repr, so -0.0 and 0.0 differ."""
+    try:
+        value = run(name, args, table)
+    except LoftError as exc:
+        return ("error", exc.kind)
+    return repr(value) if isinstance(value, float) else value
+
+
+class TestColumnScansAgree:
+    """apply's column scans against the tests' per-cell scans (oracle_step)
+    on 48-row tables, where oracle_execute refuses to run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(SCAN_CELLS), min_size=96, max_size=96),
+           st.sets(st.integers(0, 47)))
+    def test_every_column_step_agrees_with_a_per_cell_scan(self, cells, subset):
+        table = Table.from_strings("t", "t", ["a", "b"], [cells[i:i + 2] for i in range(0, 96, 2)])
+        objects = [normalize_cell(text) for text in SCAN_CELLS + ["7", "-1", "zeta"]]
+        objects += [as_object(-0.0), as_object(2.5), as_object(float("inf")),
+                    CellValue("text", "12")]
+        for rows in (tuple(range(48)), tuple(sorted(subset))):
+            for col in (0, 1):
+                for name in PREDICATES:
+                    for obj in objects:
+                        args = (rows, col, obj)
+                        assert _step(apply, name, args, table) == _step(oracle_step, name, args,
+                                                                        table), (name, obj.text)
+                for name in ("avg", "sum", "argmax", "argmin"):
+                    args = (rows, col)
+                    assert _step(apply, name, args, table) == _step(oracle_step, name, args, table)
+                usable = sum(table.rows[i][col].number is not None for i in rows)
+                for name in RANKINGS:
+                    for n in {0, 1, 2, usable // 2, usable - 1, usable, usable + 1}:
+                        args = (rows, col, n)
+                        assert _step(apply, name, args, table) == _step(oracle_step, name, args,
+                                                                        table), (name, n)

@@ -27,6 +27,7 @@ from loft.forms import (
     type_check,
     walk,
 )
+from loft.tables import normalize_cell
 from loft.templates import abstract, parse_template
 
 EXAMPLE = "eq { count { filter_eq { all_rows ; team ; a } } ; 1 }"
@@ -181,6 +182,31 @@ class TestEscaping:
 
     def test_escape_token_only_touches_delimiters(self):
         assert escape_token("plain text 5%") == "plain text 5%"
+
+
+class TestLiteral:
+    def test_surrounding_whitespace_is_not_part_of_the_literal(self):
+        assert Literal(" 5 ") == Literal("5")
+        assert hash(Literal(" 5 ")) == hash(Literal("5"))
+
+    @pytest.mark.parametrize("text", ["5", " 5 ", "12%", "5 (x)", "-0", "-", "n/a", "", "a  B",
+                                      "1,000", "x\\;y"])
+    def test_the_cell_is_the_text_normalized(self, text):
+        assert Literal(text).cell == normalize_cell(text)
+
+    def test_parsed_literals_carry_their_cell(self):
+        form = parse_logic_form("eq { hop { filter_eq { all_rows ; team ; A  b } ; points } ; 12% }")
+        literals = [node for node in walk(form) if isinstance(node, Literal)]
+        assert [lit.text for lit in literals] == ["A  b", "12%"]
+        assert all(lit.cell == normalize_cell(lit.text) for lit in literals)
+        assert parse_logic_form(print_logic_form(form)) == form
+
+    def test_the_cell_is_not_shown_or_compared(self):
+        # equality, hashing and repr read the text alone
+        other = Literal("5")
+        object.__setattr__(other, "cell", normalize_cell("6"))
+        assert other == Literal("5") and hash(other) == hash(Literal("5"))
+        assert repr(other) == "Literal(text='5')"
 
 
 class TestTypeCheck:

@@ -962,6 +962,70 @@ def _soundness_distribution() -> TemplateDistribution:
         entries=entries + (WeightedTemplate(parse_template("only { all_rows }"), 0.5),))
 
 
+# corpus cells: the empty markers, numbers written as text, a signed zero,
+# two foldings of one word, and short random text
+CORPUS_CELLS = st.one_of(
+    st.sampled_from(["", "-", "n/a", "3", "12%", "5 (x)", "-0", "1,000", "a", "A  a"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def corpus_records(draw):
+    """One corpus record, at times of no columns or no rows, with a column
+    of empty cells, ragged rows, repeated or blank headers, a repeated
+    table_id, bad column indices or a field that is not a list."""
+    n_cols = draw(st.integers(0, 3))
+    header = draw(st.lists(st.sampled_from(["a", "b", "A", " ", "c  d"]),
+                           min_size=n_cols, max_size=n_cols))
+    hollow = draw(st.booleans())  # the first column holds only empty cells
+    rows = []
+    for _ in range(draw(st.sampled_from([0, 1, 3]))):
+        width = draw(st.sampled_from([n_cols, n_cols, n_cols + 1, max(n_cols - 1, 0)]))
+        row = draw(st.lists(CORPUS_CELLS, min_size=width, max_size=width))
+        if hollow and row:
+            row[0] = draw(st.sampled_from(["", "-", "n/a"]))
+        rows.append(row)
+    record = {"table_id": draw(st.sampled_from(["t1", "t2", "t3", "t4"])), "title": "t",
+              "header": header, "rows": rows}
+    if draw(st.booleans()):
+        record["selected_columns"] = draw(
+            st.lists(st.lists(st.integers(-1, 3), min_size=1, max_size=3), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        record[draw(st.sampled_from(["header", "rows", "selected_columns"]))] = "0"
+    return record
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(corpus_records(), min_size=1, max_size=4))
+    # a zero-row table, a column of empty cells, a one-column table, a ragged row
+    @example([{"table_id": "z", "title": "t", "header": ["a", "b"], "rows": []},
+              {"table_id": "e", "title": "t", "header": ["a", "b"], "rows": [["-", "1"], ["", "x"]]},
+              {"table_id": "o", "title": "t", "header": ["a"], "rows": [["1"], ["2"]]},
+              {"table_id": "r", "title": "t", "header": ["a", "b"], "rows": [["1"]]}])
+    def test_every_line_loads_or_is_skipped_with_a_warning(self, tmp_path_factory, caplog,
+                                                             records):
+        work = tmp_path_factory.mktemp("fuzz")
+        corpus, out = work / "corpus.jsonl", work / "out.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="loft.tables"):
+            entries = load_corpus(corpus)
+        skipped = [r for r in caplog.records if r.getMessage().startswith("skipping entry at")]
+        assert len(entries) + len(skipped) == len(records)
+        for entry in entries:
+            table = entry.table
+            for columns in (table.numbers, table.folds):
+                assert len(columns) == len(table.headers)
+                assert all(len(column) == table.n_rows for column in columns)
+        report = run_pipeline(entries, out, default_distribution(), k=3, seed=13, candidates=3)
+        assert report.tables == len(entries)
+        scores = score_output(out, entries)
+        assert scores.execution_faithfulness in (None, 1.0)
+
+
 # (seed, max_rows, max_cols) of each generated table; shapes of at most one
 # row or one column come up as often as the others
 TABLE_SHAPES = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 8]),

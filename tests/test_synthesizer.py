@@ -17,7 +17,7 @@ from loft import CorpusEntry, Table, default_distribution, run_pipeline, verify
 from loft.catalog import GROUP_SIGNATURES
 from loft.cli import main
 from loft.errors import LoftError, ParseError
-from loft.executor import apply, as_object, cell_predicate
+from loft.executor import apply, as_object, kept_rows
 from loft.forms import print_logic_form, referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
@@ -33,7 +33,7 @@ from loft.tables import EMPTY, NUMERIC, TEXT, CellValue, normalize_cell
 from loft.templates import TemplateDistribution, WeightedTemplate, abstract, parse_template
 
 from .generators import random_table
-from .oracle import oracle_execute
+from .oracle import oracle_execute, oracle_step
 
 
 @pytest.fixture(scope="module")
@@ -317,10 +317,16 @@ def _majority_pool(view, column):
     return pool
 
 
+def _scan(op, rows, obj, table):
+    """The rows of column 0 a filter with comparator op keeps against obj,
+    by the tests' own per-cell scan."""
+    return oracle_step("filter_" + op, (rows, 0, obj), table)
+
+
 class TestPoolCounts:
     """Candidate pools count hits from one index of the view; the counts and
-    the pools must match one cell_predicate scan per value, and the index's
-    kept rows the executor's filter step."""
+    the pools must match a per-cell scan for each value, and so must the
+    executor's filter rule."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CELL_TEXTS, max_size=12), st.lists(CELL_TEXTS, max_size=6))
@@ -339,11 +345,10 @@ class TestPoolCounts:
         index = _ViewIndex(table, 0, rows)
         assert index.distinct == _distinct(view)
         for op in OPS:
-            for obj in pool:
-                expected = sum(cell_predicate(op, c, obj) for c in view)
-                assert index.count(op, obj) == expected, (op, obj)
-                kept = apply("filter_" + op, (rows, 0, obj), table)
-                assert index.kept(op, obj) == kept, (op, obj)
+            expected = [_scan(op, rows, obj, table) for obj in pool]
+            assert index.counts(op, pool) == [len(kept) for kept in expected], op
+            for obj, kept in zip(pool, expected):
+                assert tuple(kept_rows(op, rows, table, 0, obj)) == kept, (op, obj)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(CELL_TEXTS, min_size=1, max_size=12), st.data())
@@ -354,7 +359,7 @@ class TestPoolCounts:
         view = [table.rows[i][0] for i in rows]
 
         def kept(op, obj):
-            return sum(cell_predicate(op, c, obj) for c in view)
+            return len(_scan(op, rows, obj, table))
 
         for op in OPS:
             for unique in (False, True):
@@ -374,8 +379,8 @@ class TestPoolCounts:
                 got = attempt.majority_obj_candidates(quantifier + op, 0, rows)
                 assert got == expected, (quantifier + op)
             for obj in _majority_pool(view, [row[0] for row in table.rows]):
-                got = attempt.view(0, rows).kept(op, obj)
-                assert got == apply("filter_" + op, (rows, 0, obj), table), (op, obj)
+                got = apply("filter_" + op, (rows, 0, obj), table)
+                assert got == _scan(op, rows, obj, table), (op, obj)
 
 
 def _seeded_table(seed: int) -> Table:
@@ -617,23 +622,24 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
     assert all(vars(table)[k] is v for k, v in attributes.items())
 
 
-# 8,688 calls when recorded; a scan per pool value made 293,472
+# rows the filter rule scans for one table: 8,640 when recorded (the
+# verify steps' 3,648 plus synthesis's own filter steps); a scan per pool
+# value made 293,472
 CALL_BOUND = 10_000
 
 
 def test_row_predicate_calls_per_table_stay_pinned(monkeypatch):
-    # Pools are counted from one pass over the view, so the only row
-    # predicates left are the executor's own filter and majority steps.
+    # Pools are counted from one index of the view, so the only rows the
+    # filter rule scans are those of the executor's own filter and
+    # majority steps.
     calls = 0
 
-    def counting(*args):
+    def counting(op, rows, *args):
         nonlocal calls
-        calls += 1
-        return cell_predicate(*args)
+        calls += len(rows)
+        return kept_rows(op, rows, *args)
 
-    for module in (loft.executor, loft.synthesizer):
-        if hasattr(module, "cell_predicate"):
-            monkeypatch.setattr(module, "cell_predicate", counting)
+    monkeypatch.setattr(loft.executor, "kept_rows", counting)
     result = synthesize_candidates(
         _seeded_table(0), None, default_distribution(), seed=13, candidates=20
     )
