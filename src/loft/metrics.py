@@ -1,4 +1,9 @@
-"""Surface and logic diversity measures for generated statement sets.
+"""Scoring a pipeline output file.
+
+score_output is the one scorer.  It counts each statement's n-grams of
+orders 1-4 once and reads them in three parts: corpus_bleu (BLEU-1/2/3
+against the table's references), distinct_n (distinct-2) and self_bleu
+(self-BLEU-4).
 
 BLEU here is the sentence-level variant averaged over the corpus.  Orders
 where the candidate has no n-grams at all (short sentences) are skipped
@@ -13,7 +18,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +26,7 @@ from .catalog import CATEGORIES
 from .errors import IngestError, ParseError
 from .executor import verify
 from .forms import parse_logic_form, referenced_columns
-from .tables import CorpusEntry, json_records
+from .tables import CorpusEntry, first_entries, json_records
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -35,13 +40,6 @@ def tokenize(text: str) -> list[str]:
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
-
-
-def _order_counts(token_lists: list[list[str]], max_order: int):
-    """Yield n and each text's n-gram counts for n = 1..max_order, an
-    order at a time."""
-    for n in range(1, max_order + 1):
-        yield n, [_ngram_counts(tokens, n) for tokens in token_lists]
 
 
 def _closest_length(lengths: list[int], n: int, own: int = 0) -> int:
@@ -93,80 +91,51 @@ def _best_counts(refs: list[list[str]], n: int) -> Counter:
     return best
 
 
-class _Bleu:
-    """Sentence BLEU of candidates against their references, gathered one
-    n-gram order at a time.
+def corpus_bleu(
+    token_lists: list[list[str]],
+    order_counts: list[list[Counter]],
+    groups: list[str | None],
+    references: dict[str, tuple[list[list[str]], list[int]]],
+) -> list[float | None]:
+    """Mean sentence BLEU of the candidates against their references, up
+    to each order in turn: one mean per order of order_counts.
 
-    groups[i] keys text i's references, as _references gives them, or is
-    None for a text that is not a candidate.
+    order_counts[n - 1][i] is text i's n-gram counts.  groups[i] keys text
+    i's references, as _references gives them, or is None for a text that
+    is not a candidate.  A mean is None without any candidate.
     """
-
-    def __init__(
-        self,
-        token_lists: list[list[str]],
-        groups: list[Hashable | None],
-        references: dict[Hashable, tuple[list[list[str]], list[int]]],
-    ):
-        self.token_lists = token_lists
-        self.groups = groups
-        self.references = references
-        # per text, its (clipped, total) n-gram counts per order so far
-        self.matches: list[list[tuple[int, int]]] = [[] for _ in token_lists]
-
-    def add_order(self, n: int, counts: list[Counter]) -> None:
-        """Match each candidate's n-gram counts, where it has n-grams."""
-        best = {key: _best_counts(refs, n) for key, (refs, _) in self.references.items()}
-        for matches, cand_counts, group in zip(self.matches, counts, self.groups):
+    # per text, its (clipped, total) n-gram counts per order where it has
+    # n-grams, lowest first
+    matches: list[list[tuple[int, int]]] = [[] for _ in token_lists]
+    for n, counts in enumerate(order_counts, start=1):
+        best = {key: _best_counts(refs, n) for key, (refs, _) in references.items()}
+        for text_matches, cand_counts, group in zip(matches, counts, groups):
             if group is None or not cand_counts:
                 continue
             ref_counts = best[group]
             clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-            matches.append((clipped, sum(cand_counts.values())))
-
-    def mean(self, max_order: int) -> float | None:
-        """Mean BLEU up to max_order over the candidates; None without any."""
+            text_matches.append((clipped, sum(cand_counts.values())))
+    means = []
+    for max_order in range(1, len(order_counts) + 1):
         scores = []
-        for cand, matches, group in zip(self.token_lists, self.matches, self.groups):
+        for cand, text_matches, group in zip(token_lists, matches, groups):
             if group is None:
                 continue
-            lengths = self.references[group][1]
+            lengths = references[group][1]
             if not cand or not lengths:
                 scores.append(0.0)
                 continue
             ref_len = _closest_length(lengths, len(cand))
-            scores.append(_bleu(len(cand), matches[:max_order], ref_len))
-        return sum(scores) / len(scores) if scores else None
+            scores.append(_bleu(len(cand), text_matches[:max_order], ref_len))
+        means.append(sum(scores) / len(scores) if scores else None)
+    return means
 
 
-def sentence_bleu(candidate: str, references: list[str], max_order: int = 4) -> float:
-    """Modified n-gram precision BLEU of one sentence against references."""
-    return corpus_bleu([(candidate, references)], max_order)
-
-
-def corpus_bleu(
-    pairs: list[tuple[str, list[str]]], max_order: int = 4
-) -> float | None:
-    """Mean sentence score over (candidate, references) pairs."""
-    token_lists = [tokenize(candidate) for candidate, _ in pairs]
-    groups = [tuple(references) for _, references in pairs]
-    bleu = _Bleu(token_lists, groups, {key: _references(key) for key in dict.fromkeys(groups)})
-    for n, counts in _order_counts(token_lists, max_order):
-        bleu.add_order(n, counts)
-    return bleu.mean(max_order)
-
-
-def _distinct(counts: list[Counter], total_tokens: int) -> float | None:
+def distinct_n(counts: list[Counter], total_tokens: int) -> float | None:
     """Distinct n-grams over the texts' counts, divided by the token count."""
     if total_tokens == 0:
         return None
     return len(set().union(*counts)) / total_tokens
-
-
-def distinct_n(texts: list[str], n: int = 2) -> float | None:
-    """Distinct n-grams over the whole set, divided by the total token count."""
-    token_lists = [tokenize(t) for t in texts]
-    counts = [_ngram_counts(tokens, n) for tokens in token_lists]
-    return _distinct(counts, sum(map(len, token_lists)))
 
 
 def _shortfall(counts: list[Counter]) -> list[int]:
@@ -195,11 +164,16 @@ def _shortfall(counts: list[Counter]) -> list[int]:
     return lost
 
 
-def _self_bleu(token_lists: list[list[str]], shortfall: list[list[int]]) -> float | None:
-    """Mean BLEU of each text against all the others, from each order's
-    shortfall; None below 2 texts."""
+def self_bleu(token_lists: list[list[str]], order_counts: list[list[Counter]]) -> float | None:
+    """Mean BLEU of each text against all the others, up to the last order
+    of order_counts; None below 2 texts.
+
+    Equal to averaging each text's sentence BLEU against the others, in
+    one pass per order (see _shortfall).
+    """
     if len(token_lists) < 2:
         return None
+    shortfall = [_shortfall(counts) for counts in order_counts]
     lengths = sorted(len(tokens) for tokens in token_lists if tokens)
     scores = []
     for i, tokens in enumerate(token_lists):
@@ -214,17 +188,6 @@ def _self_bleu(token_lists: list[list[str]], shortfall: list[list[int]]) -> floa
         ref_len = _closest_length(lengths, len(tokens), own=1)
         scores.append(_bleu(len(tokens), matches, ref_len))
     return sum(scores) / len(scores)
-
-
-def self_bleu(texts: list[str], max_order: int = 4) -> float | None:
-    """Mean BLEU of each text against all the others; None below 2 texts.
-
-    Equal to averaging sentence_bleu(text, others), in one pass per order
-    (see _shortfall).
-    """
-    token_lists = [tokenize(t) for t in texts]
-    shortfall = [_shortfall(counts) for _, counts in _order_counts(token_lists, max_order)]
-    return _self_bleu(token_lists, shortfall)
 
 
 def category_coverage(categories: list[str]) -> float | None:
@@ -274,8 +237,9 @@ def _read_output(path: str | Path) -> list[dict]:
 
 
 def score_output(output_path: str | Path, entries: list[CorpusEntry]) -> MetricsReport:
-    """Score a pipeline output file against the corpus it came from."""
-    by_id = {entry.table.table_id: entry for entry in entries}
+    """Score a pipeline output file against the corpus it came from; of
+    entries with the same table id, the first is the one scored."""
+    by_id = first_entries(entries)
     rows = _read_output(output_path)
 
     texts: list[str] = []
@@ -285,7 +249,6 @@ def score_output(output_path: str | Path, entries: list[CorpusEntry]) -> Metrics
     references: dict[str, tuple[list[list[str]], list[int]]] = {}
     coverage: list[float] = []
     faithful = 0
-    total = 0
     for row in rows:
         entry = by_id.get(row["table_id"])
         statements = row["statements"]
@@ -299,7 +262,6 @@ def score_output(output_path: str | Path, entries: list[CorpusEntry]) -> Metrics
             texts.append(st["text"])
             categories.append(st.get("category", ""))
             groups.append(group)
-            total += 1
             if entry is not None:
                 try:
                     form = parse_logic_form(st["logic_form"])
@@ -313,20 +275,15 @@ def score_output(output_path: str | Path, entries: list[CorpusEntry]) -> Metrics
             coverage.append(len(used_columns & headers) / len(headers))
 
     token_lists = [tokenize(text) for text in texts]
-    bleu = _Bleu(token_lists, groups, references)
-    shortfall = []
-    report = MetricsReport(tables=len(rows), statements=total)
-    for n, counts in _order_counts(token_lists, 4):
-        if n <= 3:
-            bleu.add_order(n, counts)
-        if n == 2:
-            report.distinct_2 = _distinct(counts, sum(map(len, token_lists)))
-        shortfall.append(_shortfall(counts))
-    report.bleu_1, report.bleu_2, report.bleu_3 = (bleu.mean(m) for m in (1, 2, 3))
-    report.self_bleu_4 = _self_bleu(token_lists, shortfall)
-    report.category_coverage = category_coverage(categories)
-    report.column_coverage = (
-        sum(coverage) / len(coverage) if coverage else None
+    # order_counts[n - 1][i] is text i's n-gram counts
+    order_counts = [[_ngram_counts(tokens, n) for tokens in token_lists] for n in range(1, 5)]
+    report = MetricsReport(tables=len(rows), statements=len(texts))
+    report.bleu_1, report.bleu_2, report.bleu_3 = corpus_bleu(
+        token_lists, order_counts[:3], groups, references
     )
-    report.execution_faithfulness = (faithful / total) if total else None
+    report.distinct_2 = distinct_n(order_counts[1], sum(map(len, token_lists)))
+    report.self_bleu_4 = self_bleu(token_lists, order_counts)
+    report.category_coverage = category_coverage(categories)
+    report.column_coverage = sum(coverage) / len(coverage) if coverage else None
+    report.execution_faithfulness = faithful / len(texts) if texts else None
     return report

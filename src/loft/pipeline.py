@@ -54,7 +54,7 @@ from .synthesizer import (
     synthesize_candidates,
     table_rng,
 )
-from .tables import CorpusEntry, is_utf8_text, json_object, write_json_lines
+from .tables import CorpusEntry, first_entries, is_utf8_text, json_object, write_json_lines
 from .templates import TemplateDistribution
 
 log = logging.getLogger(__name__)
@@ -389,16 +389,13 @@ def run_pipeline(
     identical inputs and seed give byte-identical files.
     """
     _check_sampling(k, strategy)
+    if candidates < 1:
+        raise ValueError(f"candidates must be at least 1, got {candidates}")
     report = PipelineReport(seed=seed, k=k, strategy=strategy)
-    seen: set[str] = set()
+    by_id = first_entries(entries)
     unique: list[SynthesizedCandidate] = []
-    for entry in entries:
+    for entry in by_id.values():
         table = entry.table
-        if table.table_id in seen:
-            # as load_corpus does: a repeated id would mix two tables' rows
-            log.warning("skipping repeated table_id %r; the first table is kept", table.table_id)
-            continue
-        seen.add(table.table_id)
         try:
             result = synthesize_candidates(
                 table, entry.selected_column_sets, dist, seed=seed, candidates=candidates
@@ -416,7 +413,7 @@ def run_pipeline(
         for cand in result.candidates:
             firsts.setdefault(cand.logic_form, cand)
         unique.extend(firsts.values())
-    report.tables = len(seen)
+    report.tables = len(by_id)
     report.candidates = len(unique)
 
     statements = generate_statements(unique, generator)

@@ -335,6 +335,19 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     return entries
 
 
+def first_entries(entries: list[CorpusEntry]) -> dict[str, CorpusEntry]:
+    """Each table id's first entry, in order; a repeated id would mix two
+    tables' rows, so it is skipped with a warning."""
+    by_id: dict[str, CorpusEntry] = {}
+    for entry in entries:
+        table_id = entry.table.table_id
+        if table_id in by_id:
+            log.warning("skipping repeated table_id %r; the first table is kept", table_id)
+        else:
+            by_id[table_id] = entry
+    return by_id
+
+
 def save_corpus(entries: list[CorpusEntry], path: str | Path) -> None:
     """Write entries back out in the JSON-lines corpus format."""
     records = []

@@ -21,7 +21,7 @@ import pytest
 
 from loft.executor import verify
 from loft.forms import parse_logic_form, print_logic_form
-from loft.metrics import distinct_n, score_output, self_bleu, sentence_bleu
+from loft.metrics import score_output
 from loft.pipeline import (
     RANDOM,
     STRATIFIED,
@@ -36,6 +36,7 @@ from loft.templates import default_distribution
 
 from .generators import agreement_case, random_form, random_table
 from .oracle import oracle_execute
+from .test_metrics import score_tables
 
 
 def _check(label: str, ok: bool, detail: str) -> None:
@@ -234,11 +235,12 @@ def test_printed_forms_parse_back_identically():
     _check("print and parse are mutually inverse on generated forms", ok, detail)
 
 
-def test_metric_results_match_hand_derived_values():
-    d2 = distinct_n(["a b", "a b"], 2)
-    sb = self_bleu(["the quick brown fox"] * 5)
+def test_metric_results_match_hand_derived_values(tmp_path):
+    # each value comes from score_output on a one-table output file
+    d2 = score_tables(tmp_path / "d2.jsonl", [([], ["a b", "a b"])]).distinct_2
+    sb = score_tables(tmp_path / "sb.jsonl", [([], ["the quick brown fox"] * 5)]).self_bleu_4
     line = "the total of points is 10"
-    b = sentence_bleu(line, [line])
+    b = score_tables(tmp_path / "b.jsonl", [([line], [line])]).bleu_3
     ok = (
         d2 is not None and abs(d2 - 0.25) <= 1e-12
         and sb == 100.0
@@ -246,8 +248,8 @@ def test_metric_results_match_hand_derived_values():
     )
     detail = (
         f"distinct_2 of a repeated bigram pair = {d2} (hand value 0.25), "
-        f"self-BLEU of 5 identical texts = {sb} (hand value 100), "
-        f"BLEU against an identical reference = {b} (hand value 100)"
+        f"self-BLEU-4 of 5 identical texts = {sb} (hand value 100), "
+        f"BLEU-3 against an identical reference = {b} (hand value 100)"
     )
     _check("diversity and overlap metrics match hand-derived values", ok, detail)
 

@@ -1,7 +1,8 @@
-"""Text metrics: BLEU variants, distinct-n, coverage, and file scoring."""
+"""Scoring output files: BLEU, distinct-n, self-BLEU, coverage and faithfulness."""
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,16 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loft import default_distribution
+from loft import IngestError, default_distribution
+from loft.catalog import CATEGORIES
+from loft.forms import MAX_NESTING
 from loft.metrics import (
+    MetricsReport,
+    _ngram_counts,
+    _references,
     category_coverage,
     corpus_bleu,
-    distinct_n,
     score_output,
     self_bleu,
-    sentence_bleu,
     tokenize,
 )
+from loft.pipeline import run_pipeline
 from loft.tables import CorpusEntry, Table
 
 from . import bleu_reference as reference
@@ -33,7 +38,7 @@ TEXT = st.one_of(
 TEXT_SETS = st.lists(TEXT, min_size=1, max_size=4).flatmap(
     lambda pool: st.lists(st.one_of(st.sampled_from(pool), TEXT), max_size=12)
 )
-MAX_ORDER = st.integers(min_value=1, max_value=5)
+MAX_ORDER = st.integers(min_value=1, max_value=4)
 
 
 class TestTokenize:
@@ -49,85 +54,130 @@ class TestTokenize:
         assert tokenize("   ") == []
 
 
+def score_tables(path: Path, tables) -> MetricsReport:
+    """score_output on an output file written to path, one table per
+    (references, statements) pair; the corpus holds each table with its
+    references, or lacks it where references is None."""
+    entries, records = [], []
+    for i, (references, statements) in enumerate(tables):
+        if references is not None:
+            table = Table.from_strings(f"t{i}", f"t{i}", ["team"], [["a"]])
+            entries.append(CorpusEntry(table=table, references=tuple(references)))
+        records.append({"table_id": f"t{i}", "statements": [
+            {"text": text, "logic_form": "only { all_rows }", "category": "unique"}
+            for text in statements
+        ]})
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return score_output(path, entries)
+
+
+def order_counts(token_lists, max_order=4):
+    """Each text's n-gram counts per order, as score_output counts them."""
+    return [[_ngram_counts(tokens, n) for tokens in token_lists]
+            for n in range(1, max_order + 1)]
+
+
 class TestSentenceBleu:
-    def test_perfect_match_is_100(self):
+    """One statement against its table's references: BLEU-1/2/3."""
+
+    @staticmethod
+    def bleu(tmp_path, candidate, references):
+        report = score_tables(tmp_path / "out.jsonl", [(references, [candidate])])
+        return [report.bleu_1, report.bleu_2, report.bleu_3]
+
+    def test_perfect_match_is_100(self, tmp_path):
         text = "the number of rows whose team is a is equal to 1"
-        assert sentence_bleu(text, [text]) == pytest.approx(100.0)
+        assert self.bleu(tmp_path, text, [text]) == pytest.approx([100.0] * 3)
 
-    def test_unigram_precision(self):
+    def test_unigram_precision(self, tmp_path):
         # 3 of 4 candidate unigrams appear in the reference
-        assert sentence_bleu("a b c d", ["a b c x"], max_order=1) == pytest.approx(75.0)
+        assert self.bleu(tmp_path, "a b c d", ["a b c x"])[0] == pytest.approx(75.0)
 
-    def test_precision_is_clipped(self):
+    def test_precision_is_clipped(self, tmp_path):
         # "a" occurs once in the reference, so the candidate's four "a"
         # tokens only score one hit
-        assert sentence_bleu("a a a a", ["a b c d"], max_order=1) == pytest.approx(25.0)
+        assert self.bleu(tmp_path, "a a a a", ["a b c d"])[0] == pytest.approx(25.0)
 
-    def test_orders_without_candidate_ngrams_are_skipped(self):
+    def test_orders_without_candidate_ngrams_are_skipped(self, tmp_path):
         # a one-token candidate has no bigrams; against itself the score
         # stays perfect instead of collapsing to the epsilon floor
-        assert sentence_bleu("hello", ["hello"]) == pytest.approx(100.0)
+        assert self.bleu(tmp_path, "hello", ["hello"]) == pytest.approx([100.0] * 3)
 
-    def test_zero_precision_floor_keeps_score_positive(self):
-        score = sentence_bleu("x y", ["p q"], max_order=1)
+    def test_zero_precision_floor_keeps_score_positive(self, tmp_path):
+        score = self.bleu(tmp_path, "x y", ["p q"])[0]
         assert 0.0 < score < 1.0
         assert score == pytest.approx(100.0 * 0.01 / 2)
 
-    def test_brevity_penalty(self):
+    def test_brevity_penalty(self, tmp_path):
         # two tokens against a four-token reference: exp(1 - 4/2)
-        score = sentence_bleu("a b", ["a b c d"], max_order=1)
+        score = self.bleu(tmp_path, "a b", ["a b c d"])[0]
         assert score == pytest.approx(100.0 * math.exp(-1.0))
 
-    def test_no_penalty_for_long_candidates(self):
-        assert sentence_bleu("a b c d x", ["a b c d"], max_order=1) == pytest.approx(80.0)
+    def test_no_penalty_for_long_candidates(self, tmp_path):
+        assert self.bleu(tmp_path, "a b c d x", ["a b c d"])[0] == pytest.approx(80.0)
 
-    def test_closest_reference_length_wins(self):
+    def test_closest_reference_length_wins(self, tmp_path):
         # candidate length 2; reference lengths 2 and 4: the closer one
         # sets the brevity penalty, so there is none
-        assert sentence_bleu("a b", ["a b", "a b c d"], max_order=1) == pytest.approx(100.0)
+        assert self.bleu(tmp_path, "a b", ["a b", "a b c d"])[0] == pytest.approx(100.0)
 
-    def test_length_ties_prefer_the_shorter_reference(self):
+    def test_length_ties_prefer_the_shorter_reference(self, tmp_path):
         # lengths 1 and 3 are both one away from 2; the shorter wins and
         # no penalty applies
-        score = sentence_bleu("a b", ["a", "a b c"], max_order=1)
-        assert score == pytest.approx(100.0)
+        assert self.bleu(tmp_path, "a b", ["a", "a b c"])[0] == pytest.approx(100.0)
 
-    def test_empty_cases_are_zero(self):
-        assert sentence_bleu("", ["a"]) == 0.0
-        assert sentence_bleu("a", []) == 0.0
-        assert sentence_bleu("a", [""]) == 0.0
+    def test_empty_cases_are_zero(self, tmp_path):
+        assert self.bleu(tmp_path, "", ["a"]) == [0.0] * 3
+        assert self.bleu(tmp_path, "a", [""]) == [0.0] * 3
+        # a table without references has no statement BLEU scores
+        assert self.bleu(tmp_path, "a", []) == [None] * 3
 
-    def test_reference_order_does_not_matter(self):
+    def test_reference_order_does_not_matter(self, tmp_path):
         refs = ["a b c", "c b a", "b b b"]
-        assert sentence_bleu("a b", refs) == sentence_bleu("a b", list(reversed(refs)))
+        assert self.bleu(tmp_path, "a b", refs) == self.bleu(tmp_path, "a b", refs[::-1])
+
+
+def bleu_parts(pairs):
+    """corpus_bleu's arguments for (candidate, references) pairs; pairs
+    with the same references share a group."""
+    token_lists = [tokenize(candidate) for candidate, _ in pairs]
+    groups = [json.dumps(references) for _, references in pairs]
+    references = {key: _references(json.loads(key)) for key in groups}
+    return token_lists, order_counts(token_lists), groups, references
 
 
 class TestAgainstReference:
-    """The one-pass scores equal the quadratic reference exactly."""
+    """The parts of score_output equal the quadratic reference exactly, at
+    every order up to the 4 that score_output counts."""
 
     @settings(max_examples=400, deadline=None)
     @given(TEXT_SETS, MAX_ORDER)
     def test_self_bleu(self, texts, max_order):
-        assert self_bleu(texts, max_order) == reference.self_bleu(texts, max_order)
+        token_lists = [tokenize(text) for text in texts]
+        assert self_bleu(token_lists, order_counts(token_lists, max_order)) == (
+            reference.self_bleu(texts, max_order)
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.tuples(TEXT, st.lists(TEXT, max_size=4)), max_size=8)
         .flatmap(lambda pairs: st.lists(st.sampled_from(pairs), max_size=12) if pairs
                  else st.just([])),
-        MAX_ORDER,
     )
-    def test_corpus_bleu(self, pairs, max_order):
+    def test_corpus_bleu(self, pairs):
         # drawing pairs from a pool repeats reference lists, as a table's
         # statements do
-        assert corpus_bleu(pairs, max_order) == reference.corpus_bleu(pairs, max_order)
+        assert corpus_bleu(*bleu_parts(pairs)) == [
+            reference.corpus_bleu(pairs, max_order) for max_order in (1, 2, 3, 4)
+        ]
 
     @settings(max_examples=300, deadline=None)
-    @given(TEXT, st.lists(TEXT, max_size=5), MAX_ORDER)
-    def test_sentence_bleu(self, candidate, references, max_order):
-        assert sentence_bleu(candidate, references, max_order) == (
+    @given(TEXT, st.lists(TEXT, max_size=5))
+    def test_sentence_bleu(self, candidate, references):
+        assert corpus_bleu(*bleu_parts([(candidate, references)])) == [
             reference.sentence_bleu(candidate, references, max_order)
-        )
+            for max_order in (1, 2, 3, 4)
+        ]
 
 
 # One output file's tables: each with up to 3 references (none, or all
@@ -172,45 +222,55 @@ class TestScoreOutputAgainstReference:
 
 
 class TestCorpusBleu:
-    def test_mean_of_sentence_scores(self):
-        pairs = [("a b", ["a b"]), ("x y", ["p q"])]
-        expected = (sentence_bleu("a b", ["a b"]) + sentence_bleu("x y", ["p q"])) / 2
-        assert corpus_bleu(pairs) == pytest.approx(expected)
+    def test_mean_of_sentence_scores(self, tmp_path):
+        tables = [(["a b"], ["a b"]), (["p q"], ["x y"])]
+        both = score_tables(tmp_path / "both.jsonl", tables)
+        alone = [score_tables(tmp_path / "alone.jsonl", [table]) for table in tables]
+        assert both.bleu_3 == pytest.approx((alone[0].bleu_3 + alone[1].bleu_3) / 2)
 
-    def test_empty_is_none(self):
-        assert corpus_bleu([]) is None
+    def test_empty_is_none(self, tmp_path):
+        report = score_tables(tmp_path / "out.jsonl", [([], ["a b"]), (None, ["a b"])])
+        assert [report.bleu_1, report.bleu_2, report.bleu_3] == [None] * 3
 
 
 class TestDistinctN:
-    def test_token_denominator(self):
+    @staticmethod
+    def distinct_2(tmp_path, texts):
+        return score_tables(tmp_path / "out.jsonl", [([], texts)]).distinct_2
+
+    def test_token_denominator(self, tmp_path):
         # one distinct bigram over four tokens
-        assert distinct_n(["a b", "a b"], 2) == pytest.approx(0.25)
+        assert self.distinct_2(tmp_path, ["a b", "a b"]) == pytest.approx(0.25)
 
-    def test_all_distinct(self):
+    def test_all_distinct(self, tmp_path):
         # two distinct bigrams over four tokens
-        assert distinct_n(["a b", "c d"], 2) == pytest.approx(0.5)
+        assert self.distinct_2(tmp_path, ["a b", "c d"]) == pytest.approx(0.5)
 
-    def test_no_tokens_is_none(self):
-        assert distinct_n([], 2) is None
-        assert distinct_n(["", "  "], 2) is None
+    def test_no_tokens_is_none(self, tmp_path):
+        assert self.distinct_2(tmp_path, []) is None
+        assert self.distinct_2(tmp_path, ["", "  "]) is None
 
-    def test_duplicates_lower_the_score(self):
-        varied = distinct_n(["a b c", "d e f"], 2)
-        repeated = distinct_n(["a b c", "a b c"], 2)
+    def test_duplicates_lower_the_score(self, tmp_path):
+        varied = self.distinct_2(tmp_path, ["a b c", "d e f"])
+        repeated = self.distinct_2(tmp_path, ["a b c", "a b c"])
         assert repeated < varied
 
 
 class TestSelfBleu:
-    def test_identical_texts_score_100(self):
-        assert self_bleu(["same line here ok"] * 5) == pytest.approx(100.0)
+    @staticmethod
+    def self_bleu_4(tmp_path, texts):
+        return score_tables(tmp_path / "out.jsonl", [([], texts)]).self_bleu_4
 
-    def test_fewer_than_two_is_none(self):
-        assert self_bleu([]) is None
-        assert self_bleu(["just one"]) is None
+    def test_identical_texts_score_100(self, tmp_path):
+        assert self.self_bleu_4(tmp_path, ["same line here ok"] * 5) == pytest.approx(100.0)
 
-    def test_diverse_texts_score_lower(self):
-        diverse = self_bleu(["alpha beta gamma", "delta epsilon zeta", "eta theta iota"])
-        assert diverse < 50.0
+    def test_fewer_than_two_is_none(self, tmp_path):
+        assert self.self_bleu_4(tmp_path, []) is None
+        assert self.self_bleu_4(tmp_path, ["just one"]) is None
+
+    def test_diverse_texts_score_lower(self, tmp_path):
+        texts = ["alpha beta gamma", "delta epsilon zeta", "eta theta iota"]
+        assert self.self_bleu_4(tmp_path, texts) < 50.0
 
 
 class TestCategoryCoverage:
@@ -230,8 +290,6 @@ class TestCategoryCoverage:
 
 class TestScoreOutput:
     def test_scores_a_real_pipeline_run(self, tmp_path, bundled_corpus):
-        from loft.pipeline import run_pipeline
-
         out = tmp_path / "out.jsonl"
         run_pipeline(
             bundled_corpus, out, default_distribution(),
@@ -302,3 +360,94 @@ class TestScoreOutput:
         assert report.bleu_1 is None
         assert report.column_coverage is None
         assert report.execution_faithfulness == 0.0
+
+    def test_a_repeated_table_id_scores_the_first_table(self, tmp_path, caplog):
+        # entries built in code bypass load_corpus; as run_pipeline does,
+        # score_output keeps the first table of a repeated id
+        first = CorpusEntry(Table.from_strings(
+            "t", "t", ["team", "points"], [["a", "3"], ["b", "5"], ["c", "2"]]))
+        second = CorpusEntry(Table.from_strings(
+            "t", "t", ["team", "points"], [["x", "9"], ["y", "9"]]))
+        out = tmp_path / "out.jsonl"
+        run = run_pipeline([first, second], out, default_distribution(), seed=1)
+        with caplog.at_level("WARNING", logger="loft.tables"):
+            report = score_output(out, [first, second])
+        assert run.execution_faithfulness == report.execution_faithfulness == 1.0
+        assert "skipping repeated table_id 't'" in caplog.text
+
+
+# nested one function past forms.MAX_NESTING
+DEEP_FORM = ("only { " + "filter_all { " * MAX_NESTING + "all_rows"
+             + " ; team }" * MAX_NESTING + " }")
+FORMS = st.sampled_from([
+    "eq { count { all_rows } ; 3 }",
+    "eq { hop { argmax { all_rows ; points } ; team } ; b }",
+    "only { all_rows }",
+    "count {",
+    "frobnicate { all_rows }",
+    DEEP_FORM,
+])
+STATEMENT = st.fixed_dictionaries(
+    {"text": st.one_of(TEXT, st.just("lone \ud800 surrogate")), "logic_form": FORMS},
+    optional={"category": st.sampled_from(CATEGORIES)},
+)
+NOT_A_STRING = st.one_of(st.integers(), st.none(), st.booleans(),
+                         st.lists(st.integers(), max_size=2))
+# a statement with a field of the wrong type, or one that is not an object
+BAD_STATEMENT = st.one_of(
+    st.tuples(STATEMENT, st.sampled_from(["text", "logic_form", "category"]), NOT_A_STRING)
+    .map(lambda t: {**t[0], t[1]: t[2]}),
+    st.one_of(st.text(max_size=3), st.integers(), st.none(), st.lists(st.just("a"), max_size=2)),
+)
+TABLE_ID = st.sampled_from(["t0", "t1", "ghost"])
+
+
+def record_line(table_id, statements):
+    return json.dumps({"table_id": table_id, "statements": statements})
+
+
+# (line, whether score_output must refuse it)
+OUTPUT_LINES = st.one_of(
+    st.builds(record_line, TABLE_ID, st.lists(STATEMENT, max_size=3)).map(lambda s: (s, False)),
+    st.sampled_from(["", "   ", "\t"]).map(lambda s: (s, False)),
+    st.builds(lambda before, bad, after: record_line("t0", before + [bad] + after),
+              st.lists(STATEMENT, max_size=1), BAD_STATEMENT, st.lists(STATEMENT, max_size=1))
+    .map(lambda s: (s, True)),
+    st.builds(record_line, TABLE_ID, st.one_of(st.integers(), st.none(), st.text(max_size=3),
+                                               st.just({}))).map(lambda s: (s, True)),
+    st.builds(record_line, NOT_A_STRING, st.lists(STATEMENT, max_size=1)).map(lambda s: (s, True)),
+    st.sampled_from(["[]", "3", '"s"', "null", "{", '{"table_id": ', "[" * 5000 + "]" * 5000])
+    .map(lambda s: (s, True)),
+)
+
+
+class TestOutputFuzz:
+    """Any output file gives a report, or an IngestError naming the first
+    bad line; never another exception."""
+
+    ENTRIES = [
+        CorpusEntry(Table.from_strings("t0", "t0", ["team", "points"],
+                                       [["a", "3"], ["b", "5"], ["c", "2"]]),
+                    references=("a has 3 points", "b scores the most")),
+        CorpusEntry(Table.from_strings("t1", "t1", ["team"], [["a"]])),
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(OUTPUT_LINES, max_size=6), st.booleans())
+    def test_a_report_or_an_ingest_error_naming_the_line(self, lines, byte_order_mark):
+        bad = [lineno for lineno, (_, refused) in enumerate(lines, start=1) if refused]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.jsonl"
+            text = "".join(line + "\n" for line, _ in lines)
+            path.write_bytes(("\ufeff" if byte_order_mark else "").encode() + text.encode())
+            try:
+                report = score_output(path, self.ENTRIES)
+            except IngestError as exc:
+                assert bad, exc
+                assert re.match(rf"{re.escape(str(path))}:{bad[0]}: ", str(exc)), exc
+                return
+        assert not bad
+        records = [json.loads(line) for line, _ in lines if line.strip()]
+        assert report.tables == len(records)
+        assert report.statements == sum(len(r["statements"]) for r in records)
+        assert report.execution_faithfulness is None or 0.0 <= report.execution_faithfulness <= 1.0

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import loft
-from loft import HookError, default_distribution, load_corpus, verify
+from loft import HookError, LoftError, default_distribution, load_corpus, verify
 from loft.catalog import BOOL
 from loft.executor import execute
 from loft.forms import parse_logic_form, print_logic_form, referenced_columns, type_check
@@ -914,7 +914,31 @@ class TestRunPipeline:
             run_pipeline(bundled_corpus, out, default_distribution(), k=-1)
         with pytest.raises(ValueError, match="strategy must be one of .* got 'sorted'"):
             run_pipeline(bundled_corpus, out, default_distribution(), strategy="sorted")
+        for entries in (bundled_corpus, []):
+            with pytest.raises(ValueError, match="candidates must be at least 1, got 0"):
+                run_pipeline(entries, out, default_distribution(), candidates=0)
         assert not out.exists()
+
+    def test_a_table_whose_synthesis_fails_is_reported_and_the_rest_written(
+            self, tmp_path, bundled_corpus, monkeypatch, caplog):
+        failing = bundled_corpus[0].table.table_id
+
+        def synthesize(table, *args, **kwargs):
+            if table.table_id == failing:
+                raise LoftError("no forms for this table")
+            return synthesize_candidates(table, *args, **kwargs)
+
+        rest = tmp_path / "rest.jsonl"
+        run_pipeline(bundled_corpus[1:], rest, default_distribution(), seed=13, candidates=5)
+        monkeypatch.setattr("loft.pipeline.synthesize_candidates", synthesize)
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level("ERROR", logger="loft.pipeline"):
+            report = run_pipeline(bundled_corpus, out, default_distribution(), seed=13,
+                                  candidates=5)
+        assert report.synthesis_failures == [failing]
+        assert report.to_json()["synthesis_failures"] == [failing]
+        assert f"synthesis failed for table {failing}" in caplog.text
+        assert out.read_text("utf-8") == rest.read_text("utf-8") != ""
 
     def test_seed_changes_selection(self, tmp_path, bundled_corpus):
         texts = []

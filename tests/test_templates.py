@@ -169,8 +169,10 @@ class TestTemplateParsing:
         ("round_eq {  OBJ_1 ;\tOBJ_2 }", "round_eq", "round_eq cannot ground its OBJ"),
         ("only { FILTER_EQ { all_rows ; COL_1 ;  OBJ_2 } }", "OBJ_2",
          "OBJ_2 is not numbered by first appearance"),
+        ("only { FILTER_EQ { all_rows ; COL_1 ; team } }", "team",
+         "expected a placeholder, got 'team'"),
     ], ids=["function-as-column", "function-as-rank", "hop-over-all-rows", "free-comparison",
-            "numbering"])
+            "numbering", "bare-token"])
     def test_a_refused_skeleton_names_the_offending_node(self, text, token, message):
         with pytest.raises(ParseError, match=re.escape(message)) as exc_info:
             parse_template(text)
