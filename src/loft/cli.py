@@ -37,7 +37,7 @@ from .pipeline import (
 from .realizer import realize_logic_form
 from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
 from .tables import (
-    CorpusEntry, Table, _not_utf8, load_corpus, save_corpus, write_json_lines,
+    CorpusEntry, Table, load_corpus, not_utf8, save_corpus, write_json_lines,
 )
 from .templates import (
     Template,
@@ -123,7 +123,7 @@ def _read_templates(path) -> list[Template]:
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(Path(path)) from exc
+        raise not_utf8(Path(path)) from exc
     numbered = []  # (line number, form) of each form that parses
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -147,13 +147,15 @@ def _read_templates(path) -> list[Template]:
 
 
 def _cmd_mine_templates(args) -> int:
+    output_path = _output_file(args, "output", "forms")
     dist = weigh_templates(_read_templates(args.forms), provenance=args.forms)
-    save_distribution(dist, args.output)
+    save_distribution(dist, output_path)
     _emit({"templates": len(dist.entries), "output": args.output})
     return 0
 
 
 def _cmd_synthesize(args) -> int:
+    output_path = _output_file(args, "output", "corpus", "templates")
     entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
     records = []
@@ -169,7 +171,7 @@ def _cmd_synthesize(args) -> int:
                 "logic_form": cand.logic_form,
                 "category": cand.category,
             })
-    write_json_lines(args.output, records)
+    write_json_lines(output_path, records)
     _emit({"tables": len(entries), "candidates": len(records), "output": args.output})
     return 0
 
@@ -215,10 +217,15 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _output_file(path: str) -> Path:
-    """An output file path whose parent directory exists, made now so a bad
-    path fails before any work rather than after it."""
-    path = Path(path)
+def _output_file(args, output: str, *inputs: str) -> Path:
+    """The path of args' `output` option, checked before any work rather
+    than after it: one naming the file of an `inputs` option is bad usage,
+    and its parent directory is made now."""
+    path = Path(getattr(args, output))
+    for name in inputs:
+        other = getattr(args, name)
+        if other is not None and Path(other).resolve() == path.resolve():
+            raise UsageError(f"--{output} and --{name} name the same file")
     if path.is_dir():
         raise IsADirectoryError(f"{path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,10 +233,8 @@ def _output_file(path: str) -> Path:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.report and Path(args.report).resolve() == Path(args.output).resolve():
-        raise UsageError("--report and --output name the same file")
-    report_path = args.report and _output_file(args.report)
-    output_path = _output_file(args.output)
+    report_path = args.report and _output_file(args, "report", "output", "corpus", "templates")
+    output_path = _output_file(args, "output", "corpus", "templates")
     entries = load_corpus(args.corpus)
     dist = _load_dist(args.templates)
     report = run_pipeline(

@@ -197,21 +197,24 @@ class _HookProcess:
     def request(self, payload: dict) -> dict | None:
         """Wait for the answer to one request that exchange() writes.
 
-        None means the item was dropped: the hook printed nothing for
-        `timeout` seconds since the stage start or since its last line,
-        whichever is later (so a hook that stops reading loses its
-        unanswered items), or it printed a malformed line while this item
-        was awaited.
+        None means the item was dropped: the hook printed nothing but
+        blank lines for `timeout` seconds since the stage start or since
+        its last other line, whichever is later (so a hook that stops
+        reading loses its unanswered items), or it printed a malformed line
+        while this item was awaited; a blank line is skipped.
         """
         item_id = payload["id"]
         while item_id not in self.answers:
             remaining = self.last_line + self.timeout - time.monotonic()
             try:
-                self.last_line, raw = self.lines.get(timeout=max(remaining, 0.0))
+                arrived, raw = self.lines.get(timeout=max(remaining, 0.0))
             except Empty:
                 return self._drop(item_id, "timed out")
             if isinstance(raw, HookError):
                 raise raw
+            if raw.isspace():  # a blank line answers nothing: it costs no item, buys no time
+                continue
+            self.last_line = arrived
             try:
                 data = json_object(raw)
             except ValueError as exc:

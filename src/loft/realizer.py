@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .catalog import CATALOG, VIEW
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, parse_logic_form
+from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form
 from .tables import Table
 
 _SLOT_RE = re.compile(r"\{(unit|scope)?(\d+)\}")

@@ -6,24 +6,24 @@ empty), comparison thresholds sit inside the view's value range, ordinal
 ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
 computed result instead of being guessed.  One dispatcher,
-``_Attempt.fill``, grounds every node in a view, object or boolean
-position.  ``parse_template`` has already checked that each node fits
-its position, so fill only grounds: it fills the node's inner view,
-reads its column, and its group's tail draws the member and binds the
-object or rank.  A node's value comes from the executor's
-per-node step applied to the values its children already produced, so
-no subtree is executed twice.  Each view gets one index, built from the
-table's column arrays (equality by number, else by folded text; order by
-bisecting the sorted numbers): the object pools read the view's distinct
-values (a whole column's are the all-rows view's) and count every
-value's hits from it in one batched call, never with one scan per value.
-Indexes, pools, literals and the other per-view constants are built once
-per ``synthesize_candidates`` call in a memo that dies with the call, so
-nothing is cached beyond it.  Every
-filled form is printed, and each distinct text goes through one full
-verification per call before it is returned; a form with the same text is
-the same tree, so it reuses that answer.  These strategies only buy speed,
-never soundness.
+``_Attempt.fill``, grounds every node, which ``parse_template`` has
+already checked fits its position: it fills the node's inner view, reads
+its column, draws the member and binds the object or rank by one rule,
+``_Attempt.bind``: a placeholder keeps its first value, and no two
+placeholders of one position share a value.  A node's value comes from
+the executor's per-node step applied to the values its children already
+produced (a number as a cell), so no subtree is executed twice.  Each
+view gets one index, built from the table's column arrays (equality by
+number, else by folded text; order by bisecting the sorted numbers): the
+object pools read the view's distinct values (a whole column's are the
+all-rows view's) and count every value's hits from it in one batched
+call, never with one scan per value.  Indexes, pools, literals and the
+other per-view constants are built once per ``synthesize_candidates``
+call in a memo that dies with the call, so nothing is cached beyond
+it.  Every filled form is printed, and each distinct text goes through
+one full verification per call before it is returned; a form with the
+same text is the same tree, so it reuses that answer.  These strategies
+only buy speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -39,7 +39,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .catalog import BOOL, CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, OBJECT, VIEW
+from .catalog import CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, NUM, OBJECT, ORD
 from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
@@ -109,9 +109,9 @@ class _Attempt:
         self.table = table
         self.rng = rng
         self.memo = memo
-        self.objs: dict[int, str] = {}
-        self.ords: dict[int, int] = {}
         self.cols = self._assign_columns(needs, columns)
+        # each position's placeholder index -> its value: object text or rank
+        self.bound: dict[str, dict[int, str | int]] = {OBJECT: {}, ORD: {}}
 
     # -- assignment helpers ----------------------------------------------
 
@@ -137,35 +137,22 @@ class _Attempt:
             raise _Fail()
         return self.rng.choice(candidates)
 
-    def new_obj(self, index: int, candidates: list[str]) -> str:
-        taken = set(self.objs.values())
-        free = [c for c in candidates if c not in taken]
-        text = self.choice(free)
-        self.objs[index] = text
-        return text
-
-    def bind_ord(self, node: TSlot, limit: int) -> int:
-        if node.index in self.ords:
-            value = self.ords[node.index]
-            if value > limit:
-                raise _Fail()
-            return value
-        taken = set(self.ords.values())
-        free = [n for n in range(1, limit + 1) if n not in taken]
-        value = self.choice(free)
-        self.ords[node.index] = value
-        return value
+    def bind(self, position: str, index: int, options: Callable[[], Sequence]):
+        """The value of placeholder `index` of `position`: the one already
+        bound, else a draw among options() that no other placeholder of
+        that position holds."""
+        bound = self.bound[position]
+        if index not in bound:
+            taken = set(bound.values())
+            bound[index] = self.choice([v for v in options() if v not in taken])
+        return bound[index]
 
     def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, CellValue]:
-        """Form and value of an object: a computed subform, the literal
-        already bound to the placeholder, or a draw from pool()."""
+        """Form and value of an object: a computed subform, or the literal
+        bound to the placeholder from pool()."""
         if not isinstance(node, TSlot):
-            return self.fill(node, OBJECT)
-        if node.index in self.objs:
-            text = self.objs[node.index]
-        else:
-            text = self.new_obj(node.index, pool())
-        lit = self.literal(text)
+            return self.fill(node)
+        lit = self.literal(self.bind(OBJECT, node.index, pool))
         return lit, lit.cell
 
     # -- execution helpers -----------------------------------------------
@@ -186,13 +173,6 @@ class _Attempt:
 
     def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:
         return _once(self.memo, ("view", col, rows), lambda: _ViewIndex(self.table, col, rows))
-
-    def numeric_count(self, rows: tuple[int, ...], col: int) -> int:
-        """Numeric cells of the column within the view; none fails the draw."""
-        usable = len(self.view(col, rows).numbers)
-        if usable == 0:
-            raise _Fail()
-        return usable
 
     # -- candidate pools ---------------------------------------------------
 
@@ -237,29 +217,30 @@ class _Attempt:
 
     # -- recursive filling -------------------------------------------------
 
-    def fill(
-        self, node: TemplateNode, position: str, unique: bool = False
-    ) -> tuple[LogicForm, Value]:
-        """Form and value of a node in a VIEW, OBJECT or BOOL position: the
-        view's rows, the object's cell, or True (the boolean holds).  A
-        filter under ``unique`` keeps exactly one row."""
+    def fill(self, node: TemplateNode, unique: bool = False) -> tuple[LogicForm, Value]:
+        """Form and value of a node: a view's rows, an object's cell (a
+        number is one, by ``catalog.FILLS``) or True (the boolean holds).
+        A filter under ``unique`` keeps exactly one row."""
         if isinstance(node, AllRows):
             return node, tuple(range(self.table.n_rows))
         group, args, sig = node.group, node.args, GROUP_SIGNATURES[node.group]
         if group == "and":
-            return Apply("and", tuple(self.fill(arg, BOOL)[0] for arg in args)), True
+            return Apply("and", tuple(self.fill(arg)[0] for arg in args)), True
         if group == "diff":
-            (left, a), (right, b) = [self.fill(arg, OBJECT) for arg in args]
+            (left, a), (right, b) = [self.fill(arg) for arg in args]
             return Apply("diff", (left, right)), as_object(self.step("diff", a, b))
         if sig.category == COMPARATIVE:
             return self.fill_compare(group, args), True
-        inner_form, rows = self.fill(args[0], VIEW, unique=group in ("hop", "only"))
+        inner_form, rows = self.fill(args[0], unique=group in ("hop", "only"))
         if group == "count":
             return Apply("count", (inner_form,)), as_object(self.step("count", rows))
         if group == "only":
             return Apply("only", (inner_form,)), True
         ref, col = self.col_ref(args[1])
-        usable = self.numeric_count(rows, col) if sig.numeric_column else 0
+        # the column's numbers within the view; none fails the draw
+        usable = len(self.view(col, rows).numbers) if sig.numeric_column else 0
+        if sig.numeric_column and not usable:
+            raise _Fail()
         if group == "filter_all":
             return Apply("filter_all", (inner_form, ref)), rows
         if group == "hop":
@@ -267,8 +248,13 @@ class _Attempt:
         if sig.family in ("all", "most") and not rows:
             raise _Fail()
         # ORDINAL binds its rank before drawing its member, ORD_ARG after
-        ranks = (self.bind_ord(args[2], usable),) if group == "ORDINAL" else ()
-        member = self.choice(GROUPS[group])
+        member = None if group == "ORDINAL" else self.choice(GROUPS[group])
+        ranks = ()
+        if group in ("ORDINAL", "ORD_ARG"):
+            ranks = (self.bind(ORD, args[2].index, lambda: range(1, usable + 1)),)
+            if ranks[0] > usable:  # bound over a view with more numbers
+                raise _Fail()
+        member = member or self.choice(GROUPS[group])
         if sig.family == "filter":
             obj_form, obj = self.bind_obj(
                 args[2], lambda: self.filter_obj_candidates(member, col, rows, unique)
@@ -280,34 +266,34 @@ class _Attempt:
                 args[2], lambda: self.majority_obj_candidates(member, col, rows)
             )
             return Apply(member, (inner_form, ref, obj_form)), True
-        if group == "ORD_ARG":
-            ranks = (self.bind_ord(args[2], usable),)
         # AGGREGATION, SUPER_ARG, ORDINAL, ORD_ARG: a step over the column
         form = Apply(member, (inner_form, ref) + tuple(self.literal(str(r)) for r in ranks))
         value = self.step(member, rows, col, *ranks)
-        return form, (as_object(value) if position == OBJECT else value)
+        return form, (as_object(value) if sig.return_type == NUM else value)
 
     def fill_compare(self, group: str, args: tuple[TemplateNode, ...]) -> Apply:
         left, right = args
         left_obj, right_obj = isinstance(left, TSlot), isinstance(right, TSlot)
         if not left_obj and not right_obj:
-            return self.holding_member(group, self.fill(left, OBJECT), self.fill(right, OBJECT))
+            return self.holding_member(group, self.fill(left), self.fill(right))
         obj_node = left if left_obj else right
-        sub = self.fill(right if left_obj else left, OBJECT)
-        if obj_node.index in self.objs:
+        sub = self.fill(right if left_obj else left)
+        if obj_node.index in self.bound[OBJECT]:
             # a shared placeholder fixed earlier: pick any member that holds
             lit = self.bind_obj(obj_node, None)
             return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
         sub_form, obj = sub
         member, target = self._compare_target(group, obj, left_obj, sub_form)
-        lit = self.literal(self.new_obj(obj_node.index, [target]))
+        lit = self.literal(self.bind(OBJECT, obj_node.index, lambda: [target]))
         return Apply(member, (lit, sub_form) if left_obj else (sub_form, lit))
 
     def holding_member(self, group: str, left: tuple, right: tuple) -> Apply:
         """The first member, in shuffled order, that holds between two
         (form, value) operands."""
         (left_form, left_value), (right_form, right_value) = left, right
-        for member in _shuffled(self.rng, GROUPS[group]):
+        members = list(GROUPS[group])
+        self.rng.shuffle(members)
+        for member in members:
             if self.step(member, left_value, right_value):
                 return Apply(member, (left_form, right_form))
         raise _Fail()
@@ -324,7 +310,7 @@ class _Attempt:
         if group == "COMPARE_EQ":
             if obj.kind == EMPTY:
                 raise _Fail()
-            member = self.choice(["eq", "not_eq"])
+            member = self.choice(GROUPS[group])
             if member == "eq":
                 return "eq", obj.text
             if num is not None:
@@ -333,7 +319,7 @@ class _Attempt:
         # COMPARE_GT
         if num is None:
             raise _Fail()
-        member = self.choice(["greater", "less"])
+        member = self.choice(GROUPS[group])
         step = 1.0 if float(num).is_integer() else 0.5
         above, below = number_text(num + step), number_text(num - step)
         if member == "greater":
@@ -394,12 +380,6 @@ def _once(memo: dict, key: tuple, build: Callable[[], object]):
     return value
 
 
-def _shuffled(rng: random.Random, items: tuple[str, ...]) -> list[str]:
-    out = list(items)
-    rng.shuffle(out)
-    return out
-
-
 def instantiate(
     template: Template,
     table: Table,
@@ -420,8 +400,7 @@ def instantiate(
         return None
     for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            form, _ = _Attempt(table, columns, rng, template.needs, memo).fill(
-                template.skeleton, BOOL)
+            form, _ = _Attempt(table, columns, rng, template.needs, memo).fill(template.skeleton)
         except _Fail:
             continue
         text = print_logic_form(form)

@@ -201,14 +201,29 @@ def is_utf8_text(text: str) -> bool:
     return True
 
 
+# the JSON values a text field may hold: a string, or a number read as its text
+_TEXT_TYPES = frozenset((str, int, float))
+_JSON_KINDS = {type(None): "null", bool: "true or false", list: "a list", dict: "an object"}
+
+
 def _entry_from_record(record: dict) -> CorpusEntry:
     for key in ("table_id", "title", "header", "rows"):
         if key not in record:
             raise IngestError(f"missing required field {key!r}")
+    headers = _as_list(record["header"], "header")
+    rows = [_as_list(row, "a row") for row in _as_list(record["rows"], "rows")]
+    refs = _as_list(record.get("references", []), "references")
+    fields = [record["table_id"], record["title"], *headers, *refs]
+    # str() would load any other value as Python's text for it ("None", "True")
+    odd = ({type(v) for v in fields} | {type(c) for row in rows for c in row}) - _TEXT_TYPES
+    if odd:
+        kinds = ", ".join(sorted(_JSON_KINDS[kind] for kind in odd))
+        raise IngestError(f"a table_id, title, header, cell or reference holds {kinds},"
+                          " not a string or number")
     table_id, title = str(record["table_id"]), str(record["title"])
-    headers = [str(h) for h in _as_list(record["header"], "header")]
-    rows = [[str(c) for c in _as_list(row, "a row")] for row in _as_list(record["rows"], "rows")]
-    refs = tuple(str(r) for r in _as_list(record.get("references", []), "references"))
+    headers = [str(h) for h in headers]
+    rows = [[str(c) for c in row] for row in rows]
+    refs = tuple(str(r) for r in refs)
     if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
         raise IngestError("text holds a lone surrogate escape")
     table = Table.from_strings(table_id, title, headers, rows)
@@ -216,7 +231,7 @@ def _entry_from_record(record: dict) -> CorpusEntry:
     return CorpusEntry(table=table, selected_column_sets=sets, references=refs)
 
 
-def _not_utf8(path: Path) -> IngestError:
+def not_utf8(path: Path) -> IngestError:
     """An IngestError naming the first line of `path` that is not UTF-8."""
     with open(path, "rb") as fh:
         # no UTF-8 sequence holds a newline byte, so lines decode on their own
@@ -264,7 +279,7 @@ def json_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                     raise IngestError(f"{path}:{lineno}: {exc}") from exc
                 yield lineno, record
     except UnicodeDecodeError as exc:
-        raise _not_utf8(Path(path)) from exc
+        raise not_utf8(Path(path)) from exc
 
 
 def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
@@ -285,7 +300,8 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     Malformed JSON is fatal and names the line; a structurally bad entry
     (no columns, ragged rows, a blank or duplicate header, a column index
     that is not a JSON integer or is out of range, a header, rows, row,
-    references or selected_columns field that is not a list, a lone
+    references or selected_columns field that is not a list, a table_id,
+    title, header, cell or reference that is not a string or number, a lone
     surrogate escape in its text, a table_id already used on an earlier
     line) is skipped with a warning naming its line.
     """
@@ -320,7 +336,7 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
                     # process-wide and so stays as it is
                     raise IngestError(f"{path}:{lines.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path) from exc
+            raise not_utf8(path) from exc
         if not reader:
             return []
         headers, rows = reader[0], reader[1:]

@@ -670,6 +670,43 @@ class TestUnwritableOutput:
         assert result.stderr == "error: --report and --output name the same file\n"
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "--corpus", "c.jsonl", "--output", "sub/../c.jsonl"],
+         "--output and --corpus"),
+        (["pipeline", "--corpus", "c.jsonl", "--output", "o.jsonl", "--report", "c.jsonl"],
+         "--report and --corpus"),
+        (["pipeline", "--corpus", "c.jsonl", "--templates", "t.json", "--output", "t.json"],
+         "--output and --templates"),
+        (["synthesize", "--corpus", "c.jsonl", "--output", "c.jsonl"], "--output and --corpus"),
+        (["synthesize", "--corpus", "c.jsonl", "--templates", "t.json", "--output", "t.json"],
+         "--output and --templates"),
+        (["mine-templates", "--forms", "f.txt", "--output", "f.txt"], "--output and --forms"),
+    ], ids=["pipeline-output-corpus", "pipeline-report-corpus", "pipeline-output-templates",
+            "synthesize-output-corpus", "synthesize-output-templates", "mine-templates"])
+    def test_an_output_naming_an_input_is_exit_1(self, tmp_path, corpus, argv, message):
+        # the command would replace a file it reads with what it writes
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "c.jsonl").write_bytes(Path(corpus).read_bytes())
+        (tmp_path / "t.json").write_bytes(
+            resources.files("loft.data").joinpath("default_templates.json").read_bytes())
+        (tmp_path / "f.txt").write_text("only { all_rows }\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        result = loft(*argv, cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message} name the same file\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                if path.is_file()} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--corpus", "missing.jsonl", "--output", "adir"],
+        ["mine-templates", "--forms", "missing.txt", "--output", "adir"],
+    ], ids=["synthesize", "mine-templates"])
+    def test_an_output_directory_fails_before_any_input_is_read(self, tmp_path, argv):
+        (tmp_path / "adir").mkdir()
+        result = loft(*argv, cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == "error: adir is a directory\n"
+
     def test_mine_templates_makes_the_output_directory(self, tmp_path):
         (tmp_path / "forms.txt").write_text("only { all_rows }\n", encoding="utf-8")
         result = loft("mine-templates", "--forms", "forms.txt", "--output", "new/dir/t.json",

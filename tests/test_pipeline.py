@@ -49,6 +49,16 @@ for line in sys.stdin:
     print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
 """
 
+# an echo generator that prints a blank and a whitespace-only line before each answer
+BLANK_LINE_ECHO_GENERATOR = """\
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print("", flush=True)
+    print(" \\t", flush=True)
+    print(json.dumps({"id": req["id"], "statement": req["readable"]}), flush=True)
+"""
+
 UPPER_GENERATOR = """\
 import json, sys
 for line in sys.stdin:
@@ -154,6 +164,14 @@ for batch in batches(0):
     for start in range(0, len(batch), 8):
         time.sleep(0.05)
         answer({"id": r["id"], "statement": r["readable"]} for r in batch[start:start + 8])
+"""
+
+# prints only blank lines, ten a second, for longer than any test waits
+BLANK_ONLY_GENERATOR = """\
+import time
+for _ in range(300):
+    print("", flush=True)
+    time.sleep(0.1)
 """
 
 # reads one request, then stops reading for longer than any test waits
@@ -350,6 +368,15 @@ class TestGeneratorHooks:
         assert all(text.startswith("kept ") for text in texts)
         assert "timed out" in caplog.text
 
+    def test_blank_lines_buy_no_time(self, tmp_path, candidates, caplog):
+        # a hook that prints only blank lines answers nothing: its items time out
+        command = hook_command(tmp_path, "blank.py", BLANK_ONLY_GENERATOR)
+        start = time.monotonic()
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            out = generate_statements(candidates[:3], HookConfig(command, timeout=1.0))
+        assert out == [] and time.monotonic() - start < 10
+        assert caplog.text.count("timed out") == 3 and "unparseable" not in caplog.text
+
     def test_stale_answers_are_discarded_and_resynced(self, tmp_path, candidates, caplog):
         command = hook_command(tmp_path, "stale.py", STALE_ECHO_GENERATOR)
         with caplog.at_level("WARNING", logger="loft.pipeline"):
@@ -498,13 +525,14 @@ class TestPipelinedHooks:
         assert worded(out) == worded(builtin[:1] + builtin[2:])
         assert "no usable statement" in caplog.text
 
-    def assert_hooked_run_matches_builtin(self, tmp_path, corpus, hooks):
+    def assert_hooked_run_matches_builtin(self, tmp_path, corpus, hooks,
+                                          generator=ECHO_GENERATOR):
         # any external hook takes the generate -> verify -> sample path, which
         # must write what the builtin run writes when its hooks change nothing
         builtin_out, hooked_out = tmp_path / "builtin.jsonl", tmp_path / "hooked.jsonl"
         builtin = run_pipeline(corpus, builtin_out, default_distribution(),
                                seed=13, candidates=5)
-        echo = HookConfig(hook_command(tmp_path, "echo.py", ECHO_GENERATOR), 30.0)
+        echo = HookConfig(hook_command(tmp_path, "echo.py", generator), 30.0)
         accept = HookConfig(hook_command(tmp_path, "yes.py", ACCEPT_ALL_VERIFIER), 30.0)
         hooked = run_pipeline(
             corpus, hooked_out, default_distribution(), seed=13, candidates=5,
@@ -522,6 +550,13 @@ class TestPipelinedHooks:
     @pytest.mark.parametrize("hook", ["echo", "accept"])
     def test_a_run_with_one_hook_matches_builtin(self, tmp_path, bundled_corpus, hook):
         self.assert_hooked_run_matches_builtin(tmp_path, bundled_corpus, (hook,))
+
+    def test_blank_lines_from_a_hook_cost_nothing(self, tmp_path, bundled_corpus, caplog):
+        # a blank line is no answer: it drops no item and shifts no answer
+        with caplog.at_level("WARNING", logger="loft.pipeline"):
+            self.assert_hooked_run_matches_builtin(tmp_path, bundled_corpus, ("echo",),
+                                                   generator=BLANK_LINE_ECHO_GENERATOR)
+        assert "dropped" not in caplog.text and "stale" not in caplog.text
 
 
 class TestHookStage:

@@ -571,6 +571,11 @@ SKELETON_TEXTS = skeleton_nodes("bool", 3).map(_numbered_by_first_appearance)
 @given(SKELETON_TEXTS, st.integers(0, 2**32 - 1))
 @example("COMPARE_EQ { AGGREGATION { all_rows ; count { all_rows } } ; OBJ_1 }", 0)
 @example("COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; count { all_rows } } ; OBJ_1 }", 0)
+# two object and two rank placeholders of one column, which must differ
+@example("and { only { FILTER_EQ { all_rows ; COL_1 ; OBJ_1 } } ;"
+         " only { FILTER_EQ { all_rows ; COL_1 ; OBJ_2 } } }", 0)
+@example("COMPARE_EQ { ORDINAL { all_rows ; COL_1 ; ORD_1 } ;"
+         " ORDINAL { all_rows ; COL_1 ; ORD_2 } }", 1)
 def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
     try:
         template = parse_template(text)
@@ -586,6 +591,8 @@ def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
                 form, printed = grounded
                 assert printed == print_logic_form(form)
                 assert verify(form, table) is True
+                # each placeholder has one value, and no two of one position share one
+                assert abstract(form) == template.canonical()
 
 
 def test_grounding_memo_lives_for_one_call(monkeypatch):

@@ -263,6 +263,35 @@ class TestCorpusIO:
             assert load_corpus(path) == []
         assert f"skipping entry at {path}:1: {message}" in caplog.text
 
+    @pytest.mark.parametrize("fields, kinds", [
+        ({"table_id": None}, "null"),
+        ({"title": None}, "null"),
+        ({"header": ["h", None]}, "null"),
+        ({"rows": [["1", True]]}, "true or false"),
+        ({"rows": [["1", [1, 2]]]}, "a list"),
+        ({"rows": [[{"a": 1}, None]]}, "an object, null"),
+        ({"references": [None]}, "null"),
+    ], ids=["table_id-null", "title-null", "header-null", "cell-bool", "cell-list",
+            "cell-object-and-null", "reference-null"])
+    def test_text_that_is_not_a_string_or_number_is_skipped(self, tmp_path, caplog, fields,
+                                                              kinds):
+        # str() would load null as "None", true as "True" and a list as "[1, 2]"
+        record = {"table_id": "a", "title": "a", "header": ["h", "g"], "rows": [["1", "x"]],
+                  **fields}
+        path = self._write(tmp_path, [json.dumps(record)])
+        with caplog.at_level("WARNING"):
+            assert load_corpus(path) == []
+        assert (f"skipping entry at {path}:1: a table_id, title, header, cell or reference"
+                f" holds {kinds}, not a string or number") in caplog.text
+
+    def test_numbers_in_text_fields_load_as_their_text(self, tmp_path):
+        record = {"table_id": 7, "title": 1.5, "header": ["h", 2], "rows": [[3, "x"]],
+                  "references": [4]}
+        [entry] = load_corpus(self._write(tmp_path, [json.dumps(record)]))
+        table = entry.table
+        assert (table.table_id, table.title, table.headers) == ("7", "1.5", ("h", "2"))
+        assert [c.text for c in table.rows[0]] == ["3", "x"] and entry.references == ("4",)
+
     def test_bad_column_index_is_skipped(self, tmp_path, caplog):
         record = {
             "table_id": "a", "title": "a", "header": ["h"],

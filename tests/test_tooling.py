@@ -3,6 +3,8 @@
 Every top-level function and class in src/loft is used in src/loft or is
 exported in loft.__all__.  A definition that only tests call is test code
 shipped as API, and a benchmark span wrapped around it measures nothing.
+Every name a module imports is used there (``__init__`` re-exports
+aside), and no module imports another's private name.
 """
 
 import ast
@@ -34,3 +36,34 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = sorted(f"{module}:{name}" for module, name in defined
                     if name not in used and name not in loft.__all__)
     assert not unused, f"defined in src/loft but used only outside it: {unused}"
+
+
+def _imports():
+    """(module, imported name, bound name, source module, names the module
+    reads) for each name a src/loft module imports."""
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = "." * node.level + (node.module or "")
+                for alias in node.names:
+                    yield path.name, alias.name, alias.asname or alias.name, source, read
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    yield path.name, alias.name, bound, alias.name, read
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports names to re-export them, and a __future__ import
+    # switches on a feature
+    unused = [f"{module}:{name}" for module, name, bound, source, read in _imports()
+              if module != "__init__.py" and source != "__future__" and bound not in read]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = [f"{module}:{name}" for module, name, _, source, _ in _imports()
+               if name.startswith("_") and source.startswith((".", "loft"))]
+    assert not private, f"private names imported across loft modules: {private}"
