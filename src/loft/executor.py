@@ -87,6 +87,16 @@ def apply(name: str, args: tuple, table: Table) -> Value:
     so callers that already hold child values can step one node.
     """
     sig = CATALOG[name]
+    if sig.op is not None:  # a filter, all or most function: the commonest step
+        rows = args[0]
+        kept = kept_rows(sig.op, rows, table, args[1], args[2])
+        if sig.family == "filter":
+            return tuple(kept)
+        if not rows:
+            raise ExecutionError(f"{name}: empty view", "empty_view")
+        if sig.family == "all":
+            return len(kept) == len(rows)
+        return len(kept) * 2 > len(rows)
     if name == "count":
         return float(len(args[0]))
     if name == "only":
@@ -114,15 +124,6 @@ def apply(name: str, args: tuple, table: Table) -> Value:
         return table.rows[rows[0]][col]
     if name == "filter_all":
         return rows
-    if sig.op is not None:  # a filter, all or most function
-        kept = kept_rows(sig.op, rows, table, col, args[2])
-        if sig.family == "filter":
-            return tuple(kept)
-        if not rows:
-            raise ExecutionError(f"{name}: empty view", "empty_view")
-        if sig.family == "all":
-            return len(kept) == len(rows)
-        return len(kept) * 2 > len(rows)
     # the rest read the view's numbers: avg, sum, argmax, argmin, nth_*
     nums = table.numbers[col]
     numeric = [i for i in rows if nums[i] is not None]

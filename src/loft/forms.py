@@ -68,7 +68,6 @@ class Apply:
         sig = CATALOG.get(self.name)
         if sig is None:
             raise UnknownFunctionError(f"unknown function {self.name!r}")
-        object.__setattr__(self, "args", tuple(self.args))
         if len(self.args) != len(sig.arg_types):
             raise ArityError(
                 f"{self.name} takes {len(sig.arg_types)} arguments, got {len(self.args)}"
@@ -158,14 +157,13 @@ def parse_logic_form(text: str) -> LogicForm:
 
 def print_logic_form(lf: LogicForm) -> str:
     """Canonical concrete syntax: single spaces around braces and semicolons."""
+    if isinstance(lf, Apply):
+        return f"{lf.name} {{ {' ; '.join([print_logic_form(a) for a in lf.args])} }}"
     if isinstance(lf, AllRows):
         return "all_rows"
     if isinstance(lf, ColumnRef):
         return escape_token(lf.name)
-    if isinstance(lf, Literal):
-        return escape_token(lf.text)
-    inner = " ; ".join(print_logic_form(a) for a in lf.args)
-    return f"{lf.name} {{ {inner} }}"
+    return escape_token(lf.text)
 
 
 # the type of each leaf, which is the position it fills
@@ -212,7 +210,12 @@ def _check(node: Apply, table: Table, depth: int) -> str:
         elif position == ORD:
             if not isinstance(arg, Literal):
                 raise TypeCheckError(f"{node.name}: ordinal literal expected", kind="bad_ordinal")
-            if not _ORDINAL_RE.match(arg.text) or int(arg.text) < 1:
+            try:
+                rank = int(arg.text) if _ORDINAL_RE.match(arg.text) else 0
+            except ValueError:  # more digits than int() reads; no view has that many rows
+                raise TypeCheckError(f"{node.name}: ordinal of {len(arg.text)} digits is too long",
+                                     kind="bad_ordinal") from None
+            if rank < 1:
                 raise TypeCheckError(
                     f"{node.name}: ordinal must be a positive integer, got {arg.text!r}",
                     kind="bad_ordinal",

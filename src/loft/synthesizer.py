@@ -17,13 +17,17 @@ view gets one index, built from the table's column arrays (equality by
 number, else by folded text; order by bisecting the sorted numbers): the
 object pools read the view's distinct values (a whole column's are the
 all-rows view's) and count every value's hits from it in one batched
-call, never with one scan per value.  Indexes, pools, literals and the
-other per-view constants are built once per ``synthesize_candidates``
-call in a memo that dies with the call, so nothing is cached beyond
-it.  Every filled form is printed, and each distinct text goes through
-one full verification per call before it is returned; a form with the
-same text is the same tree, so it reuses that answer.  These strategies
-only buy speed, never soundness.
+call, never with one scan per value.  What grounding reads that depends
+only on the table, a template or a column set is built once per
+``synthesize_candidates`` call, in a memo that dies with the call: the
+all-rows view, the column references, literals, view indexes, pools and
+the hit counts they share, and each template's column plan (see
+``_Attempt``).  Nothing is cached beyond the call, and no draw copies a
+pool it only reads, so every random choice draws from the same sequence
+it would from a copy.  Every filled form is printed, and each distinct
+text goes through one full verification per call before it is returned;
+a form with the same text is the same tree, so it reuses that answer.
+These strategies only buy speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -100,7 +104,8 @@ class _Fail(Exception):
 
 
 class _Attempt:
-    """One grounding attempt; owns the placeholder assignments."""
+    """The grounding draws of one template over one column set: each
+    ``draw`` is one attempt and owns its placeholder assignments."""
 
     def __init__(
         self, table: Table, columns: list[int], rng: random.Random, needs: dict[int, bool],
@@ -108,28 +113,42 @@ class _Attempt:
     ):
         self.table = table
         self.rng = rng
-        self.memo = memo
-        self.cols = self._assign_columns(needs, columns)
+        if not memo:  # the synthesis call's first grounding sets up its tables
+            memo.update(rows=tuple(range(table.n_rows)), refs=[ColumnRef(h) for h in table.headers],
+                        literals={}, views={}, pools={}, plans={}, verified={})
+        self.all_rows, self.refs = memo["rows"], memo["refs"]
+        self.literals, self.views, self.pools = memo["literals"], memo["views"], memo["pools"]
+        plans, key = memo["plans"], (tuple(needs.items()), tuple(columns))
+        self.plan = plans.get(key)
+        if self.plan is None:
+            self.plan = plans[key] = self._column_plan(needs, columns)
+
+    def draw(self, skeleton: TemplateNode) -> LogicForm:
+        """One grounding of the skeleton, from fresh column and placeholder
+        assignments."""
+        self.cols = self._assign_columns()
         # each position's placeholder index -> its value: object text or rank
         self.bound: dict[str, dict[int, str | int]] = {OBJECT: {}, ORD: {}}
+        return self.fill(skeleton)[0]
 
     # -- assignment helpers ----------------------------------------------
 
-    def _assign_columns(self, needs: dict[int, bool], columns: list[int]) -> dict[int, int]:
+    def _column_plan(self, needs: dict[int, bool], columns: list[int]) -> list:
+        """Each column placeholder, in index order, with the columns that
+        may fill it before any is used: the numeric ones where it needs one."""
+        types = self.table.column_types
+        return [(idx, [c for c in columns if not needs[idx] or types[c] == NUMERIC])
+                for idx in sorted(needs)]
+
+    def _assign_columns(self) -> dict[int, int]:
         assign: dict[int, int] = {}
-        used: set[int] = set()
-        for idx in sorted(needs):
-            eligible = [
-                c
-                for c in columns
-                if c not in used
-                and (not needs[idx] or self.table.column_types[c] == NUMERIC)
-            ]
+        for idx, eligible in self.plan:
+            if assign:  # no two placeholders share a column
+                used = assign.values()
+                eligible = [c for c in eligible if c not in used]
             if not eligible:
                 raise _Fail()
-            choice = self.rng.choice(eligible)
-            assign[idx] = choice
-            used.add(choice)
+            assign[idx] = self.rng.choice(eligible)
         return assign
 
     def choice(self, candidates: Sequence):
@@ -142,10 +161,14 @@ class _Attempt:
         bound, else a draw among options() that no other placeholder of
         that position holds."""
         bound = self.bound[position]
-        if index not in bound:
-            taken = set(bound.values())
-            bound[index] = self.choice([v for v in options() if v not in taken])
-        return bound[index]
+        value = bound.get(index)
+        if value is None:
+            pool = options()
+            if bound:  # a draw from the pool itself draws what one from its copy would
+                taken = bound.values()
+                pool = [v for v in pool if v not in taken]
+            value = bound[index] = self.choice(pool)
+        return value
 
     def bind_obj(self, node: TemplateNode, pool) -> tuple[LogicForm, CellValue]:
         """Form and value of an object: a computed subform, or the literal
@@ -165,55 +188,81 @@ class _Attempt:
             raise _Fail() from None
 
     def literal(self, text: str) -> Literal:
-        return _once(self.memo, ("literal", text), lambda: Literal(text))
-
-    def col_ref(self, node: TSlot) -> tuple[ColumnRef, int]:
-        col = self.cols[node.index]
-        return _once(self.memo, ("column", col), lambda: ColumnRef(self.table.headers[col])), col
+        lit = self.literals.get(text)
+        if lit is None:
+            lit = self.literals[text] = Literal(text)
+        return lit
 
     def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:
-        return _once(self.memo, ("view", col, rows), lambda: _ViewIndex(self.table, col, rows))
+        index = self.views.get((col, rows))
+        if index is None:
+            index = self.views[col, rows] = _ViewIndex(self.table, col, rows)
+        return index
 
     # -- candidate pools ---------------------------------------------------
 
     # A pool is built once per key and shared by every draw of the call;
-    # callers copy rather than mutate it.
+    # callers never mutate it.
     def filter_obj_candidates(
         self, member: str, col: int, rows: tuple[int, ...], unique: bool
     ) -> list[str]:
         op = CATALOG[member].op
         key = ("filter", op, col, rows, unique)
-        return _once(self.memo, key, lambda: self._filter_pool(op, col, rows, unique))
+        pool = self.pools.get(key)
+        if pool is None:
+            pool = self.pools[key] = self._filter_pool(op, col, rows, unique)
+        return pool
 
     def majority_obj_candidates(
         self, member: str, col: int, rows: tuple[int, ...]
     ) -> list[str]:
         key = ("majority", member, col, rows)
-        return _once(self.memo, key, lambda: self._majority_pool(member, col, rows))
+        pool = self.pools.get(key)
+        if pool is None:
+            pool = self.pools[key] = self._majority_pool(member, col, rows)
+        return pool
 
     def _filter_pool(self, op: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
-        index = self.view(col, rows)
-        distinct, counts = index.distinct, index.counts(op, index.distinct)
+        texts, counts = self._hits("filter", op, col, rows)
         if unique:
-            return [obj.text for obj, kept in zip(distinct, counts) if kept == 1]
-        return [obj.text for obj, kept in zip(distinct, counts) if kept >= 1]
+            return [text for text, kept in zip(texts, counts) if kept == 1]
+        return [text for text, kept in zip(texts, counts) if kept >= 1]
 
     def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
-        index, sig = self.view(col, rows), CATALOG[member]
-        # values absent from the view (the whole column's) and synthetic
-        # extremes give the all_not_eq / all_greater family something true to say
-        pool = index.distinct + self.view(col, tuple(range(self.table.n_rows))).distinct
-        numbers = [obj.number for obj in pool if obj.number is not None]
-        if numbers:
-            low, high = min(numbers), max(numbers)
-            pool += [as_object(low - 1), as_object(high + 1)]
-        firsts: dict[str, CellValue] = {}  # the first object of each text, in pool order
-        for obj in pool:
-            firsts.setdefault(obj.text, obj)
-        counts = index.counts(sig.op, firsts.values())
+        sig = CATALOG[member]
+        texts, counts = self._hits("majority", sig.op, col, rows)
         if sig.family == "all":
-            return [text for text, kept in zip(firsts, counts) if kept == len(rows)]
-        return [text for text, kept in zip(firsts, counts) if kept * 2 > len(rows)]
+            return [text for text, kept in zip(texts, counts) if kept == len(rows)]
+        return [text for text, kept in zip(texts, counts) if kept * 2 > len(rows)]
+
+    def _hits(self, kind: str, op: str, col: int, rows: tuple[int, ...]) -> tuple[list, list]:
+        """The texts a filter or majority pool of the view draws among, and
+        how many cells each one's object keeps under op; shared by the
+        unique and non-unique filter pools, and by all_op and most_op."""
+        key = ("hits", kind, op, col, rows)
+        hits = self.pools.get(key)
+        if hits is None:
+            index = self.view(col, rows)
+            objs = index.distinct if kind == "filter" else self._majority_objects(col, rows)
+            hits = self.pools[key] = [obj.text for obj in objs], index.counts(op, objs)
+        return hits
+
+    def _majority_objects(self, col: int, rows: tuple[int, ...]) -> list[CellValue]:
+        """The first object of each text among the view's values, the whole
+        column's and two synthetic extremes: values absent from the view
+        give the all_not_eq / all_greater family something true to say."""
+        key = ("objects", col, rows)
+        objs = self.pools.get(key)
+        if objs is None:
+            pool = self.view(col, rows).distinct + self.view(col, self.all_rows).distinct
+            numbers = [obj.number for obj in pool if obj.number is not None]
+            if numbers:
+                pool += [as_object(min(numbers) - 1), as_object(max(numbers) + 1)]
+            firsts: dict[str, CellValue] = {}
+            for obj in pool:
+                firsts.setdefault(obj.text, obj)
+            objs = self.pools[key] = list(firsts.values())
+        return objs
 
     # -- recursive filling -------------------------------------------------
 
@@ -222,7 +271,7 @@ class _Attempt:
         number is one, by ``catalog.FILLS``) or True (the boolean holds).
         A filter under ``unique`` keeps exactly one row."""
         if isinstance(node, AllRows):
-            return node, tuple(range(self.table.n_rows))
+            return node, self.all_rows
         group, args, sig = node.group, node.args, GROUP_SIGNATURES[node.group]
         if group == "and":
             return Apply("and", tuple(self.fill(arg)[0] for arg in args)), True
@@ -236,7 +285,8 @@ class _Attempt:
             return Apply("count", (inner_form,)), as_object(self.step("count", rows))
         if group == "only":
             return Apply("only", (inner_form,)), True
-        ref, col = self.col_ref(args[1])
+        col = self.cols[args[1].index]
+        ref = self.refs[col]
         # the column's numbers within the view; none fails the draw
         usable = len(self.view(col, rows).numbers) if sig.numeric_column else 0
         if sig.numeric_column and not usable:
@@ -330,7 +380,7 @@ class _Attempt:
         """A live value's text unequal to obj, from the column obj came from:
         only a hop gives an object with no number."""
         col = self.table.column_index(sub_form.args[1].name)
-        column = self.view(col, tuple(range(self.table.n_rows))).distinct
+        column = self.view(col, self.all_rows).distinct
         return self.choice([c.text for c in column if c.folded != obj.folded])
 
 
@@ -372,14 +422,6 @@ class _ViewIndex:
         return [0 if n is None else len(numbers) - n for n in below]
 
 
-def _once(memo: dict, key: tuple, build: Callable[[], object]):
-    """memo[key], built by build() the first time a synthesis call asks."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build()
-    return value
-
-
 def instantiate(
     template: Template,
     table: Table,
@@ -391,21 +433,26 @@ def instantiate(
     table: the form and its printed text, or None after all retries.
 
     Returned forms always verify true and reference only the given columns.
-    ``memo`` holds what grounding builds from the table alone, and each
-    printed text's verify answer; it must not outlive the table's synthesis
-    call.
+    ``memo`` holds what grounding builds from the table, the templates and
+    the column sets, and each printed text's verify answer; it must not
+    outlive the table's synthesis call.
     """
     columns = [c for c in columns if 0 <= c < len(table.headers)]
     if len(template.needs) > len(columns):
         return None
+    attempt = _Attempt(table, columns, rng, template.needs, memo)
+    verified = memo["verified"]
     for _ in range(RETRIES_PER_TEMPLATE):
         try:
-            form, _ = _Attempt(table, columns, rng, template.needs, memo).fill(template.skeleton)
+            form = attempt.draw(template.skeleton)
         except _Fail:
             continue
         text = print_logic_form(form)
         # parse(print(form)) is form, so a text this call verified has its answer
-        if _once(memo, ("verified", text), lambda: verify(form, table)):
+        answer = verified.get(text)
+        if answer is None:
+            answer = verified[text] = verify(form, table)
+        if answer:
             return form, text
     return None
 
@@ -474,7 +521,7 @@ def synthesize_candidates(
     if not column_sets:
         column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
-    memo: dict = {}  # this call's indexes, pools and verify answers; see _once
+    memo: dict = {}  # what grounding builds once per call, and verify answers; see _Attempt
     for column_set in column_sets:
         res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
         seen: set[str] = set()

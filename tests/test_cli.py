@@ -1,14 +1,21 @@
-"""Command line behavior, exercised through real subprocesses."""
+"""Command line behavior, exercised through real subprocesses (the argument
+fuzz calls main in-process, to run hundreds of calls)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loft as loft_package
 from loft import metrics, templates
@@ -120,6 +127,17 @@ def test_a_corpus_with_no_tables_is_exit_2(tmp_path, command):
     result = loft(command, "--corpus", str(path), "count { all_rows }")
     assert result.returncode == 2
     assert result.stderr == f"error: {path} holds no tables\n"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synthesize"])
+def test_a_corpus_with_no_tables_is_an_empty_batch(tmp_path, command):
+    # a batch command writes an empty result; only execute and verify need a table
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    output = tmp_path / "out.jsonl"
+    result = loft(command, "--corpus", str(path), "--output", str(output))
+    assert payload_of(result)["tables"] == 0
+    assert output.read_bytes() == b""
 
 
 def test_a_nan_template_weight_is_exit_2(corpus, tmp_path):
@@ -724,3 +742,111 @@ class TestCsvFieldLimit:
         assert result.returncode == 2
         assert f"{src}:2: field larger than field limit" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+# Odd numbers for every numeric option: not numbers, floats where an
+# integer belongs, a negative zero, and integers too long for int() to read.
+ODD_NUMBERS = ["nan", "1e3", "-0", "0", "1", "-1", "inf", "", " 3", "3.0", "0x1f", "9" * 5000]
+# huge but readable integers, for the options where a huge value is cheap
+HUGE_INTEGERS = ["9" * 40, "-" + "9" * 40]
+FORMS = [
+    "count { all_rows }",
+    "eq { hop { argmax { all_rows ; points } ; team } ; b }",
+    f"eq {{ nth_max {{ all_rows ; points ; {'9' * 5000} }} ; 3 }}",
+    "eq { nth_max { all_rows ; points ; 1e3 } ; 3 }",
+    "greater { sum { all_rows ; points } ; nan }",
+    "eq { count { all_rows } ; -0 }",
+    "frob {",
+    "",
+]
+# the kinds of path an option can name: see _paths
+PATH_KINDS = ["corpus", "empty", "forms", "templates", "output", "missing", "directory",
+              "under-a-file", "scored"]
+# each subcommand's options: (flag, a usual value, odd values); a flag of
+# None is a positional argument, and a form has no usual value: it is any
+# of FORMS
+NUMBER = ODD_NUMBERS + HUGE_INTEGERS
+SUBCOMMANDS = {
+    "ingest": [("--input", "corpus", PATH_KINDS), ("--format", "json", ["csv", "xml"]),
+               ("--output", "output", PATH_KINDS)],
+    "mine-templates": [("--forms", "forms", PATH_KINDS), ("--output", "output", PATH_KINDS)],
+    "synthesize": [("--corpus", "corpus", PATH_KINDS), ("--templates", "templates", PATH_KINDS),
+                   ("--output", "output", PATH_KINDS), ("--candidates", "3", ODD_NUMBERS),
+                   ("--seed", "7", NUMBER)],
+    "realize": [(None, None, FORMS)],
+    "execute": [("--corpus", "corpus", PATH_KINDS), ("--table-id", "mt", ["zz", ""]),
+                (None, None, FORMS)],
+    "verify": [("--corpus", "corpus", PATH_KINDS), ("--table-id", "mt", ["zz", ""]),
+               (None, None, FORMS)],
+    "pipeline": [("--corpus", "corpus", PATH_KINDS), ("--templates", "templates", PATH_KINDS),
+                 ("--output", "output", PATH_KINDS), ("--report", "report", PATH_KINDS),
+                 ("--k", "2", NUMBER), ("--strategy", "stratified", ["nan"]),
+                 ("--candidates", "3", ODD_NUMBERS),
+                 ("--generator", "builtin", ["", "   ", "'"]), ("--verifier", "builtin", [""]),
+                 ("--timeout", "2", NUMBER), ("--seed", "7", NUMBER)],
+    "score": [("--corpus", "corpus", PATH_KINDS), ("--output", "scored", PATH_KINDS)],
+    "demo": [("--out-dir", "output", PATH_KINDS), ("--k", "2", NUMBER), ("--seed", "7", NUMBER)],
+}
+LOG_LEVELS = [None, "", "debug", "WARNING", "bogus", "5", "nan", "Level 5", " info "]
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand with each option given its usual value or an odd one,
+    none or two, sometimes an argument too many or --help, and a LOFT_LOG
+    value, most often none."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv, options = [command], SUBCOMMANDS[command]
+    for flag, usual, odd in options:
+        for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+            # about one odd value a call, so most calls get past parsing
+            odd_now = usual is None or draw(st.integers(0, len(options))) == 0
+            value = draw(st.sampled_from(odd)) if odd_now else usual
+            argv += [flag, value] if flag else [value]
+    argv += draw(st.sampled_from([[]] * 8 + [["--bogus"], ["extra"], ["--help"]]))
+    return argv, draw(st.sampled_from([None] * 12 + LOG_LEVELS))
+
+
+def _paths(root):
+    """A file or directory of each path kind under root."""
+    paths = {kind: root / name for kind, name in [
+        ("corpus", "corpus.jsonl"), ("empty", "empty.jsonl"), ("forms", "forms.txt"),
+        ("templates", "templates.json"), ("output", "out/output.jsonl"),
+        ("missing", "missing.jsonl"), ("directory", "dir"), ("under-a-file", "corpus.jsonl/x"),
+        ("report", "out/report.json"), ("scored", "scored.jsonl"),
+    ]}
+    paths["corpus"].write_text(json.dumps(MT_RECORD) + "\n", encoding="utf-8")
+    paths["empty"].write_text("", encoding="utf-8")
+    paths["forms"].write_text("eq { count { all_rows } ; 3 }\n", encoding="utf-8")
+    paths["templates"].write_text(json.dumps({"entries": [
+        {"skeleton": "COMPARE_EQ { count { all_rows } ; OBJ_1 }", "weight": 1.0}]}),
+        encoding="utf-8")
+    paths["scored"].write_text(json.dumps({"table_id": "mt", "statements": [
+        {"category": "comparative", "logic_form": FORMS[1], "text": "b has the most points"}]})
+        + "\n", encoding="utf-8")
+    paths["directory"].mkdir()
+    return paths
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(cli_calls())
+    # an ordinal int() cannot read was a ValueError traceback from the type check
+    @example((["execute", "--corpus", "corpus", FORMS[2]], None))
+    @example((["verify", "--corpus", "corpus", FORMS[2]], None))
+    def test_every_call_ends_in_a_documented_exit_code(self, call):
+        argv, level = call
+        env = {k: v for k, v in os.environ.items() if k != "LOFT_LOG"}
+        if level is not None:
+            env["LOFT_LOG"] = level
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
+            paths = _paths(Path(tmp))
+            argv = [str(paths.get(arg, arg)) for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's way out: --help or bad usage
+                    code = exc.code
+        assert code in (0, 1, 2, 3), (argv[:6], code, err.getvalue()[-500:])
+        assert "Traceback" not in err.getvalue()

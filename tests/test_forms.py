@@ -237,6 +237,14 @@ class TestTypeCheck:
             type_check(lf, mt)
         assert exc_info.value.kind == "bad_ordinal"
 
+    def test_an_ordinal_too_long_to_read_is_a_bad_ordinal(self, mt):
+        # more digits than int() reads: refused, where it was a ValueError
+        lf = parse_logic_form(f"nth_max {{ all_rows ; points ; {'9' * 5000} }}")
+        with pytest.raises(TypeCheckError, match="ordinal of 5000 digits") as exc_info:
+            type_check(lf, mt)
+        assert exc_info.value.kind == "bad_ordinal"
+        assert verify(lf, mt) is False
+
     def test_ordinal_out_of_range_still_type_checks(self, mt):
         # rank bounds are a runtime property, not a schema property
         lf = parse_logic_form("nth_max { all_rows ; points ; 99 }")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import loft.executor
 import loft.synthesizer
 from loft import CorpusEntry, Table, default_distribution, run_pipeline, verify
-from loft.catalog import GROUP_SIGNATURES
+from loft.catalog import GROUP_SIGNATURES, OBJECT, ORD
 from loft.cli import main
 from loft.errors import LoftError, ParseError
 from loft.executor import apply, as_object, kept_rows
@@ -22,6 +22,7 @@ from loft.forms import print_logic_form, referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
     _Attempt,
+    _Fail,
     _ViewIndex,
     derive_column_sets,
     instantiate,
@@ -596,9 +597,10 @@ def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
 
 
 def test_grounding_memo_lives_for_one_call(monkeypatch):
-    # every view index and pool is built once per synthesize_candidates
-    # call, and again by the next call: nothing is kept on the table or
-    # in the module between calls
+    # every view index, pool, shared hit count, column plan and the
+    # all-rows rows are built once per synthesize_candidates call, and
+    # again by the next call: nothing is kept on the table or in the
+    # module between calls
     builds = []
     real_index = loft.synthesizer._ViewIndex
 
@@ -607,12 +609,35 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
         return real_index(table, col, rows)
 
     monkeypatch.setattr(loft.synthesizer, "_ViewIndex", counting_index)
-    for name in ("_filter_pool", "_majority_pool"):
+    for name in ("_filter_pool", "_majority_pool"):  # called only to build
         def counting_pool(self, *key, _name=name, _real=getattr(_Attempt, name)):
             builds.append((_name,) + key)
             return _real(self, *key)
 
         monkeypatch.setattr(_Attempt, name, counting_pool)
+    for name in ("_hits", "_majority_objects"):  # each looks its value up first
+        def counting_lookup(self, *key, _name=name, _real=getattr(_Attempt, name)):
+            before = len(self.pools)
+            value = _real(self, *key)
+            if len(self.pools) > before:
+                builds.append((_name,) + key)
+            return value
+
+        monkeypatch.setattr(_Attempt, name, counting_lookup)
+
+    def counting_plan(self, needs, columns, _real=_Attempt._column_plan):
+        builds.append(("_column_plan", tuple(needs.items()), tuple(columns)))
+        return _real(self, needs, columns)
+
+    monkeypatch.setattr(_Attempt, "_column_plan", counting_plan)
+    all_rows = []  # each distinct all-rows tuple a draw reads
+
+    def recording_draw(self, skeleton, _real=_Attempt.draw):
+        if not any(rows is self.all_rows for rows in all_rows):
+            all_rows.append(self.all_rows)
+        return _real(self, skeleton)
+
+    monkeypatch.setattr(_Attempt, "draw", recording_draw)
     table = _seeded_table(0)
     attributes = dict(vars(table))
     dist = _with_majority_all_gt(default_distribution())
@@ -622,11 +647,133 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
         synthesize_candidates(table, None, dist, seed=13, candidates=20)
         runs.append(list(builds))
     first, second = runs
-    assert {key[0] for key in first} == {"view", "_filter_pool", "_majority_pool"}
+    assert {key[0] for key in first} == {
+        "view", "_filter_pool", "_majority_pool", "_hits", "_majority_objects", "_column_plan"}
     assert len(first) == len(set(first))
     assert second == first
+    # one all-rows tuple per call, the table's rows in order
+    assert len(all_rows) == 2
+    assert all_rows[0] == all_rows[1] == tuple(range(table.n_rows))
     assert vars(table).keys() == attributes.keys()
     assert all(vars(table)[k] is v for k, v in attributes.items())
+
+
+def _rng_stream_digest(monkeypatch, table, dist):
+    """A digest of the table's generator state after synthesis and of each
+    column set's attempt count: it moves with any draw, even one whose
+    candidate list happens to stay the same."""
+    generators = []
+
+    def capturing(*args, _real=table_rng):
+        generators.append(_real(*args))
+        return generators[-1]
+
+    monkeypatch.setattr(loft.synthesizer, "table_rng", capturing)
+    result = synthesize_candidates(table, None, dist, seed=13, candidates=20)
+    (rng,) = generators
+    digest = hashlib.sha256(repr(rng.getstate()).encode("utf-8"))
+    for res in result.per_set:
+        digest.update(f"{list(res.column_set)} {res.attempts}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+# Recorded before the per-call column plans and the copy-free binds, which
+# must move no draw.
+RNG_STREAM_SHA256 = {
+    "wide-default": "ca0581d7e9815d57e92926e953d49b617d3ecd4bf1e71ef5920d4b2f00e14703",
+    "wide-all-greater": "9392d270faa0016189460a41aa2fa18256349bfc32bc5cdd42daf6d669599381",
+    "bundled": "2dd1f07082f9ca5787fbc39fc68b34fe22b62f8ef8d9f178942afb76472e7a1a",
+}
+
+
+@pytest.mark.parametrize("case", RNG_STREAM_SHA256)
+def test_the_synthesis_rng_stream_is_pinned(monkeypatch, bundled_corpus, case):
+    dist = default_distribution()
+    if case == "bundled":
+        table = bundled_corpus[0].table
+    else:
+        table = _seeded_table(0)
+        if case == "wide-all-greater":
+            dist = _with_majority_all_gt(dist)
+    assert _rng_stream_digest(monkeypatch, table, dist) == RNG_STREAM_SHA256[case]
+
+
+def _bind_by_filtered_copy(bound, index, pool, rng):
+    """The binding rule as a draw from a filtered copy of the pool: the
+    value bound, else one drawn among the values no other placeholder
+    holds; None when there is none."""
+    if index in bound:
+        return bound[index]
+    taken = set(bound.values())
+    candidates = [v for v in pool if v not in taken]
+    if not candidates:
+        return None
+    bound[index] = rng.choice(candidates)
+    return bound[index]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "5", "7"]), unique=True),
+       st.dictionaries(st.integers(1, 4), st.sampled_from(["a", "b", "c", "5", "x"]), max_size=3),
+       st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_bind_draws_what_a_draw_from_the_filtered_copy_draws(pool, bound, index, ranks, seed):
+    # objects from a pool list, and ranks from a range, with or without
+    # other placeholders of the position already bound
+    attempt = _Attempt(Table.from_strings("t", "t", ["c"], [["1"]]), [0], random.Random(seed),
+                       {}, {})
+    reference = random.Random(seed)
+    rank_bound = {i: 1 + len(v) % 4 for i, v in bound.items()}
+    attempt.bound = {OBJECT: dict(bound), ORD: dict(rank_bound)}
+    for position, options, expected_bound in (
+        (OBJECT, pool, dict(bound)), (ORD, range(1, ranks + 1), dict(rank_bound)),
+    ):
+        expected = _bind_by_filtered_copy(expected_bound, index, options, reference)
+        try:
+            got = attempt.bind(position, index, lambda options=options: options)
+        except _Fail:
+            got = None
+        assert got == expected, position
+        assert attempt.bound[position] == expected_bound, position
+    assert attempt.rng.getstate() == reference.getstate()
+
+
+def _columns_by_per_draw_list(table, needs, columns, rng):
+    """Column assignment as a per-draw list: for each placeholder in index
+    order, a draw among the unused columns of the set, numeric ones where
+    it needs one; None when one has no column left."""
+    assign, used = {}, set()
+    for idx in sorted(needs):
+        eligible = [c for c in columns
+                    if c not in used and (not needs[idx] or table.column_types[c] == NUMERIC)]
+        if not eligible:
+            return None
+        assign[idx] = rng.choice(eligible)
+        used.add(assign[idx])
+    return assign
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=6),
+       st.dictionaries(st.integers(1, 4), st.booleans(), max_size=4),
+       st.data(), st.integers(0, 2**32 - 1))
+def test_the_column_plan_draws_what_a_per_draw_list_draws(numeric, needs, data, seed):
+    # a column set of a table whose columns are numeric or text, drawn from
+    # one precomputed plan for several draws in a row
+    rows = [[str(i + j) if kind else f"w{i + j}" for j, kind in enumerate(numeric)]
+            for i in range(3)]
+    table = Table.from_strings("t", "t", [f"c{j}" for j in range(len(numeric))], rows)
+    assert [t == NUMERIC for t in table.column_types] == numeric
+    columns = data.draw(st.lists(st.sampled_from(range(len(numeric))), unique=True))
+    attempt = _Attempt(table, columns, random.Random(seed), needs, {})
+    reference = random.Random(seed)
+    for _ in range(4):
+        expected = _columns_by_per_draw_list(table, needs, columns, reference)
+        try:
+            got = attempt._assign_columns()
+        except _Fail:
+            got = None
+        assert got == expected
+    assert attempt.rng.getstate() == reference.getstate()
 
 
 # rows the filter rule scans for one table: 8,640 when recorded (the
