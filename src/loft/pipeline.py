@@ -278,10 +278,9 @@ def verify_statements(
     """Keep only statements the verifier marks as entailed.
 
     The builtin verifier keeps every statement and executes nothing: each
-    logic form passed the one full verify of synthesis (``instantiate``),
-    and no generator can change it.  The written statements are checked
-    again, from their forms, when ``run_pipeline`` measures execution
-    faithfulness.
+    logic form passed the one full verify of synthesis, and no generator
+    can change it.  The written statements are checked again, from their
+    forms, when ``run_pipeline`` measures execution faithfulness.
     """
     if hook.is_builtin:
         return list(statements)

@@ -5,29 +5,29 @@ objects come from cell values of the current view (so the subview is never
 empty), comparison thresholds sit inside the view's value range, ordinal
 ranks stay within the usable value multiset, and values compared against a
 computed subform (a count, an aggregate, a looked-up cell) are set to that
-computed result instead of being guessed.  One dispatcher,
-``_Attempt.fill``, grounds every node, which ``parse_template`` has
-already checked fits its position: it fills the node's inner view, reads
-its column, draws the member and binds the object or rank by one rule,
-``_Attempt.bind``: a placeholder keeps its first value, and no two
-placeholders of one position share a value.  A node's value comes from
-the executor's per-node step applied to the values its children already
-produced (a number as a cell), so no subtree is executed twice.  Each
-view gets one index, built from the table's column arrays (equality by
-number, else by folded text; order by bisecting the sorted numbers): the
-object pools read the view's distinct values (a whole column's are the
+computed result instead of being guessed.  One ``_Grounding`` object
+serves a whole ``synthesize_candidates`` call: ``instantiate`` draws a
+template up to RETRIES_PER_TEMPLATE times, and its dispatcher ``fill``
+grounds every node, which ``parse_template`` has already checked fits
+its position: it fills the node's inner view, reads its column, draws
+the member and binds the object or rank by one rule, ``bind``: a
+placeholder keeps its first value, and no two placeholders of one
+position share a value.  A node's value comes from the executor's
+per-node step applied to the values its children already produced (a
+number as a cell), so no subtree is executed twice.  Each view gets one
+index, built from the table's column arrays (equality by number, else by
+folded text; order by bisecting the sorted numbers): the object pools
+(``objects``) read the view's distinct values (a whole column's are the
 all-rows view's) and count every value's hits from it in one batched
-call, never with one scan per value.  What grounding reads that depends
-only on the table, a template or a column set is built once per
-``synthesize_candidates`` call, in a memo that dies with the call: the
-all-rows view, the column references, literals, view indexes, pools and
-the hit counts they share, and each template's column plan (see
-``_Attempt``).  Nothing is cached beyond the call, and no draw copies a
-pool it only reads, so every random choice draws from the same sequence
-it would from a copy.  Every filled form is printed, and each distinct
-text goes through one full verification per call before it is returned;
-a form with the same text is the same tree, so it reuses that answer.
-These strategies only buy speed, never soundness.
+call, never with one scan per value.  The object holds the all-rows
+view, the column references, literals, view indexes and pools, each
+built once, and dies with the call: nothing is kept on the table, the
+module or the distribution.  No draw copies a pool it only reads, so
+every random choice draws from the same sequence it would from a copy.
+Every filled form is printed, and each distinct text goes through one
+full verification per call before it is returned; a form with the same
+text is the same tree, so it reuses that answer.  These strategies only
+buy speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -103,30 +103,47 @@ class _Fail(Exception):
     """One draw could not be grounded; the caller retries."""
 
 
-class _Attempt:
-    """The grounding draws of one template over one column set: each
-    ``draw`` is one attempt and owns its placeholder assignments."""
+class _Grounding:
+    """The grounding of one ``synthesize_candidates`` call: what every draw
+    reads that depends only on the table (the all-rows view, the column
+    references, literals, view indexes and object pools), and each printed
+    text's verify answer.  It is built per call and dropped with it."""
 
-    def __init__(
-        self, table: Table, columns: list[int], rng: random.Random, needs: dict[int, bool],
-        memo: dict,
-    ):
+    def __init__(self, table: Table, rng: random.Random):
         self.table = table
         self.rng = rng
-        if not memo:  # the synthesis call's first grounding sets up its tables
-            memo.update(rows=tuple(range(table.n_rows)), refs=[ColumnRef(h) for h in table.headers],
-                        literals={}, views={}, pools={}, plans={}, verified={})
-        self.all_rows, self.refs = memo["rows"], memo["refs"]
-        self.literals, self.views, self.pools = memo["literals"], memo["views"], memo["pools"]
-        plans, key = memo["plans"], (tuple(needs.items()), tuple(columns))
-        self.plan = plans.get(key)
-        if self.plan is None:
-            self.plan = plans[key] = self._column_plan(needs, columns)
+        self.all_rows = tuple(range(table.n_rows))
+        self.refs = [ColumnRef(h) for h in table.headers]
+        self.literals: dict[str, Literal] = {}
+        self.views: dict[tuple, _ViewIndex] = {}
+        self.pools: dict[tuple, list | tuple] = {}
+        self.verified: dict[str, bool] = {}
 
-    def draw(self, skeleton: TemplateNode) -> LogicForm:
+    def instantiate(self, template: Template, columns: list[int]) -> tuple[Apply, str] | None:
+        """Ground one template, as parse_template checked it, over the
+        columns: the form and its printed text, or None after all retries.
+        Returned forms always verify true and reference only those columns."""
+        if len(template.needs) > len(columns):
+            return None
+        plan = self._column_plan(template.needs, columns)
+        for _ in range(RETRIES_PER_TEMPLATE):
+            try:
+                form = self.draw(template.skeleton, plan)
+            except _Fail:
+                continue
+            text = print_logic_form(form)
+            # parse(print(form)) is form, so a text this call verified has its answer
+            answer = self.verified.get(text)
+            if answer is None:
+                answer = self.verified[text] = verify(form, self.table)
+            if answer:
+                return form, text
+        return None
+
+    def draw(self, skeleton: TemplateNode, plan: list) -> LogicForm:
         """One grounding of the skeleton, from fresh column and placeholder
         assignments."""
-        self.cols = self._assign_columns()
+        self.cols = self._assign_columns(plan)
         # each position's placeholder index -> its value: object text or rank
         self.bound: dict[str, dict[int, str | int]] = {OBJECT: {}, ORD: {}}
         return self.fill(skeleton)[0]
@@ -140,9 +157,9 @@ class _Attempt:
         return [(idx, [c for c in columns if not needs[idx] or types[c] == NUMERIC])
                 for idx in sorted(needs)]
 
-    def _assign_columns(self) -> dict[int, int]:
+    def _assign_columns(self, plan: list) -> dict[int, int]:
         assign: dict[int, int] = {}
-        for idx, eligible in self.plan:
+        for idx, eligible in plan:
             if assign:  # no two placeholders share a column
                 used = assign.values()
                 eligible = [c for c in eligible if c not in used]
@@ -199,51 +216,36 @@ class _Attempt:
             index = self.views[col, rows] = _ViewIndex(self.table, col, rows)
         return index
 
-    # -- candidate pools ---------------------------------------------------
+    # -- object pools ------------------------------------------------------
 
-    # A pool is built once per key and shared by every draw of the call;
-    # callers never mutate it.
-    def filter_obj_candidates(
-        self, member: str, col: int, rows: tuple[int, ...], unique: bool
+    def objects(
+        self, member: str, col: int, rows: tuple[int, ...], unique: bool = False
     ) -> list[str]:
-        op = CATALOG[member].op
-        key = ("filter", op, col, rows, unique)
+        """The object texts member may take over the view: for a filter,
+        those that keep a row (exactly one under unique); for all or most,
+        those that all or most of the view's cells pass.  Built once per
+        key and shared by every draw; callers never mutate it."""
+        key = (member, col, rows, unique)
         pool = self.pools.get(key)
         if pool is None:
-            pool = self.pools[key] = self._filter_pool(op, col, rows, unique)
+            sig, n = CATALOG[member], len(rows)
+            texts, counts = self._hits(sig.family == "filter", sig.op, col, rows)
+            # the least and most cells an object may keep
+            low, high = {"filter": (1, 1 if unique else n), "all": (n, n),
+                         "most": (n // 2 + 1, n)}[sig.family]
+            pool = self.pools[key] = [text for text, kept in zip(texts, counts)
+                                      if low <= kept <= high]
         return pool
 
-    def majority_obj_candidates(
-        self, member: str, col: int, rows: tuple[int, ...]
-    ) -> list[str]:
-        key = ("majority", member, col, rows)
-        pool = self.pools.get(key)
-        if pool is None:
-            pool = self.pools[key] = self._majority_pool(member, col, rows)
-        return pool
-
-    def _filter_pool(self, op: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
-        texts, counts = self._hits("filter", op, col, rows)
-        if unique:
-            return [text for text, kept in zip(texts, counts) if kept == 1]
-        return [text for text, kept in zip(texts, counts) if kept >= 1]
-
-    def _majority_pool(self, member: str, col: int, rows: tuple[int, ...]) -> list[str]:
-        sig = CATALOG[member]
-        texts, counts = self._hits("majority", sig.op, col, rows)
-        if sig.family == "all":
-            return [text for text, kept in zip(texts, counts) if kept == len(rows)]
-        return [text for text, kept in zip(texts, counts) if kept * 2 > len(rows)]
-
-    def _hits(self, kind: str, op: str, col: int, rows: tuple[int, ...]) -> tuple[list, list]:
-        """The texts a filter or majority pool of the view draws among, and
-        how many cells each one's object keeps under op; shared by the
+    def _hits(self, filtering: bool, op: str, col: int, rows: tuple[int, ...]) -> tuple[list, list]:
+        """The texts a filter (else a majority) pool of the view draws among,
+        and how many cells each one's object keeps under op; shared by the
         unique and non-unique filter pools, and by all_op and most_op."""
-        key = ("hits", kind, op, col, rows)
+        key = ("hits", filtering, op, col, rows)
         hits = self.pools.get(key)
         if hits is None:
             index = self.view(col, rows)
-            objs = index.distinct if kind == "filter" else self._majority_objects(col, rows)
+            objs = index.distinct if filtering else self._majority_objects(col, rows)
             hits = self.pools[key] = [obj.text for obj in objs], index.counts(op, objs)
         return hits
 
@@ -306,15 +308,11 @@ class _Attempt:
                 raise _Fail()
         member = member or self.choice(GROUPS[group])
         if sig.family == "filter":
-            obj_form, obj = self.bind_obj(
-                args[2], lambda: self.filter_obj_candidates(member, col, rows, unique)
-            )
+            obj_form, obj = self.bind_obj(args[2], lambda: self.objects(member, col, rows, unique))
             rows = self.step(member, rows, col, obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if sig.family in ("all", "most"):
-            obj_form, _ = self.bind_obj(
-                args[2], lambda: self.majority_obj_candidates(member, col, rows)
-            )
+            obj_form, _ = self.bind_obj(args[2], lambda: self.objects(member, col, rows))
             return Apply(member, (inner_form, ref, obj_form)), True
         # AGGREGATION, SUPER_ARG, ORDINAL, ORD_ARG: a step over the column
         form = Apply(member, (inner_form, ref) + tuple(self.literal(str(r)) for r in ranks))
@@ -422,41 +420,6 @@ class _ViewIndex:
         return [0 if n is None else len(numbers) - n for n in below]
 
 
-def instantiate(
-    template: Template,
-    table: Table,
-    columns: list[int],
-    rng: random.Random,
-    memo: dict,
-) -> tuple[Apply, str] | None:
-    """Ground one template, as parse_template checked it, against the
-    table: the form and its printed text, or None after all retries.
-
-    Returned forms always verify true and reference only the given columns.
-    ``memo`` holds what grounding builds from the table, the templates and
-    the column sets, and each printed text's verify answer; it must not
-    outlive the table's synthesis call.
-    """
-    columns = [c for c in columns if 0 <= c < len(table.headers)]
-    if len(template.needs) > len(columns):
-        return None
-    attempt = _Attempt(table, columns, rng, template.needs, memo)
-    verified = memo["verified"]
-    for _ in range(RETRIES_PER_TEMPLATE):
-        try:
-            form = attempt.draw(template.skeleton)
-        except _Fail:
-            continue
-        text = print_logic_form(form)
-        # parse(print(form)) is form, so a text this call verified has its answer
-        answer = verified.get(text)
-        if answer is None:
-            answer = verified[text] = verify(form, table)
-        if answer:
-            return form, text
-    return None
-
-
 @dataclass
 class SynthesizedCandidate:
     table: Table
@@ -513,23 +476,24 @@ def synthesize_candidates(
     candidates: int,
 ) -> SynthesisResult:
     """Up to `candidates` (at least 1) distinct verify-true forms for each
-    column set, or for up to MAX_COLUMN_SETS sets sampled when none are
-    given; every draw comes from table_rng(seed, table id)."""
+    distinct column set, or for up to MAX_COLUMN_SETS sets sampled when none
+    are given; every draw comes from table_rng(seed, table id)."""
     if candidates < 1:
         raise ValueError("candidates per column set must be positive")
     rng = table_rng(seed, table.table_id)
     if not column_sets:
         column_sets = derive_column_sets(table, rng)
     result = SynthesisResult(table=table)
-    memo: dict = {}  # what grounding builds once per call, and verify answers; see _Attempt
-    for column_set in column_sets:
-        res = ColumnSetResult(column_set=tuple(column_set), requested=candidates)
+    grounding = _Grounding(table, rng)
+    for column_set in dict.fromkeys(map(tuple, column_sets)):  # a repeated set once
+        columns = [c for c in column_set if 0 <= c < len(table.headers)]
+        res = ColumnSetResult(column_set=column_set, requested=candidates)
         seen: set[str] = set()
         budget = ATTEMPT_BUDGET_FACTOR * candidates
         while len(res.forms) < candidates and res.attempts < budget:
             res.attempts += 1
             template = sample_template(dist, rng)
-            grounded = instantiate(template, table, list(column_set), rng, memo)
+            grounded = grounding.instantiate(template, columns)
             if grounded is None:
                 continue
             form, text = grounded

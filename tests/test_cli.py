@@ -129,6 +129,21 @@ def test_a_corpus_with_no_tables_is_exit_2(tmp_path, command):
     assert result.stderr == f"error: {path} holds no tables\n"
 
 
+def test_a_repeated_column_set_is_synthesized_once(tmp_path):
+    # a set listed twice is synthesized, and its forms written, once
+    def synthesize(sets):
+        record = {"table_id": "t", "title": "t", "header": ["team", "city"],
+                  "rows": [["lions", "rome"]], "selected_columns": sets}
+        path, output = tmp_path / "corpus.jsonl", tmp_path / "out.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        summary = payload_of(loft("synthesize", "--corpus", str(path), "--output", str(output)))
+        return summary["candidates"], output.read_text(encoding="utf-8").splitlines()
+
+    count, lines = synthesize([[0], [0]])
+    assert (count, lines) == synthesize([[0]])
+    assert count == len(set(lines)) > 0
+
+
 @pytest.mark.parametrize("command", ["pipeline", "synthesize"])
 def test_a_corpus_with_no_tables_is_an_empty_batch(tmp_path, command):
     # a batch command writes an empty result; only execute and verify need a table

@@ -823,6 +823,21 @@ class TestRunPipeline:
             "tiny:0,1": shortfalls[(0, 1)], "tiny:0,2": shortfalls[(0, 2)],
         }
 
+    def test_a_repeated_column_set_is_synthesized_and_reported_once(self, tmp_path):
+        table = Table.from_strings("t", "t", ["team", "city"], [["lions", "rome"]])
+        once = synthesize_candidates(table, [(0,)], default_distribution(), seed=13,
+                                     candidates=20)
+        twice = synthesize_candidates(table, [(0,), [0]], default_distribution(), seed=13,
+                                      candidates=20)
+        assert [res.column_set for res in twice.per_set] == [(0,)]
+        assert twice.per_set[0].attempts == once.per_set[0].attempts
+        assert [c.logic_form for c in twice.candidates] == [c.logic_form for c in once.candidates]
+        report = run_pipeline([CorpusEntry(table=table, selected_column_sets=((0,), (0,)))],
+                              tmp_path / "out.jsonl", default_distribution(), seed=13,
+                              candidates=20)
+        assert report.shortfalls == {"t:0": once.per_set[0].shortfall}
+        assert report.candidates == len(once.candidates)
+
     def test_duplicate_table_id_keeps_the_first_table(self, tmp_path):
         first = {"table_id": "x", "title": "first", "header": ["team", "points"],
                  "rows": [["a", "3"], ["b", "5"], ["c", "2"]]}

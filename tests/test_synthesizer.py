@@ -21,11 +21,10 @@ from loft.executor import apply, as_object, kept_rows
 from loft.forms import print_logic_form, referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
-    _Attempt,
     _Fail,
+    _Grounding,
     _ViewIndex,
     derive_column_sets,
-    instantiate,
     sample_template,
     synthesize_candidates,
     table_rng,
@@ -129,11 +128,11 @@ class TestInstantiate:
         )
 
     def test_count_comparisons_hold_under_the_cross_check(self, mt):
-        rng = random.Random(5)
+        grounding = _Grounding(mt, random.Random(5))
         template = self.count_template()
         produced = 0
         for _ in range(50):
-            grounded = instantiate(template, mt, [0, 1], rng, {})
+            grounded = grounding.instantiate(template, [0, 1])
             if grounded is None:
                 continue
             form, text = grounded
@@ -143,10 +142,10 @@ class TestInstantiate:
         assert produced >= 40
 
     def test_instantiation_round_trips_through_abstraction(self, mt):
-        rng = random.Random(7)
+        grounding = _Grounding(mt, random.Random(7))
         for entry in default_distribution().entries:
             for _ in range(10):
-                grounded = instantiate(entry.template, mt, [0, 1], rng, {})
+                grounded = grounding.instantiate(entry.template, [0, 1])
                 if grounded is not None:
                     form, _ = grounded
                     assert abstract(form) == entry.template.canonical()
@@ -157,11 +156,10 @@ class TestInstantiate:
         assert exc.value.offset == 0
 
     def test_more_placeholders_than_columns_yields_nothing(self, mt):
-        rng = random.Random(3)
         template = parse_template(
             "COMPARE_EQ { hop { SUPER_ARG { all_rows ; COL_1 } ; COL_2 } ; OBJ_1 }"
         )
-        assert instantiate(template, mt, [1], rng, {}) is None
+        assert _Grounding(mt, random.Random(3)).instantiate(template, [1]) is None
 
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])
@@ -356,7 +354,7 @@ class TestPoolCounts:
     def test_pools_match_a_predicate_scan(self, texts, data):
         table = Table.from_strings("t", "t", ["c"], [[t] for t in texts])
         rows = tuple(sorted(data.draw(st.sets(st.sampled_from(range(len(texts))), min_size=1))))
-        attempt = _Attempt(table, [0], random.Random(0), {}, {})
+        grounding = _Grounding(table, random.Random(0))
         view = [table.rows[i][0] for i in rows]
 
         def kept(op, obj):
@@ -366,7 +364,7 @@ class TestPoolCounts:
             for unique in (False, True):
                 counts = [(obj.text, kept(op, obj)) for obj in _distinct(view)]
                 expected = [text for text, n in counts if (n == 1 if unique else n >= 1)]
-                got = attempt.filter_obj_candidates("filter_" + op, 0, rows, unique)
+                got = grounding.objects("filter_" + op, 0, rows, unique)
                 assert got == expected, (op, unique)
             for quantifier in ("all_", "most_"):
                 expected, seen = [], set()
@@ -377,7 +375,7 @@ class TestPoolCounts:
                     n = kept(op, obj)
                     if n == len(view) if quantifier == "all_" else n * 2 > len(view):
                         expected.append(obj.text)
-                got = attempt.majority_obj_candidates(quantifier + op, 0, rows)
+                got = grounding.objects(quantifier + op, 0, rows)
                 assert got == expected, (quantifier + op)
             for obj in _majority_pool(view, [row[0] for row in table.rows]):
                 got = apply("filter_" + op, (rows, 0, obj), table)
@@ -586,8 +584,9 @@ def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
     for _ in range(2):
         table = random_table(rng)
         columns = list(range(len(table.headers)))
+        grounding = _Grounding(table, rng)
         for _ in range(2):
-            grounded = instantiate(template, table, columns, rng, {})
+            grounded = grounding.instantiate(template, columns)
             if grounded is not None:
                 form, printed = grounded
                 assert printed == print_logic_form(form)
@@ -597,63 +596,40 @@ def test_any_skeleton_is_refused_at_load_or_grounds_only_true_forms(text, seed):
 
 
 def test_grounding_memo_lives_for_one_call(monkeypatch):
-    # every view index, pool, shared hit count, column plan and the
-    # all-rows rows are built once per synthesize_candidates call, and
-    # again by the next call: nothing is kept on the table or in the
-    # module between calls
-    builds = []
-    real_index = loft.synthesizer._ViewIndex
+    # one _Grounding serves each synthesize_candidates call; within it each
+    # view index, shared hit count, majority-object list and object pool is
+    # built once per key, and the next call builds every one again: nothing
+    # is kept on the table or in the module between calls
+    groundings = []
 
-    def counting_index(table, col, rows):
-        builds.append(("view", col, rows))
-        return real_index(table, col, rows)
+    def recording_init(self, *args, _real=_Grounding.__init__):
+        groundings.append(self)
+        _real(self, *args)
 
-    monkeypatch.setattr(loft.synthesizer, "_ViewIndex", counting_index)
-    for name in ("_filter_pool", "_majority_pool"):  # called only to build
-        def counting_pool(self, *key, _name=name, _real=getattr(_Attempt, name)):
-            builds.append((_name,) + key)
-            return _real(self, *key)
-
-        monkeypatch.setattr(_Attempt, name, counting_pool)
-    for name in ("_hits", "_majority_objects"):  # each looks its value up first
-        def counting_lookup(self, *key, _name=name, _real=getattr(_Attempt, name)):
-            before = len(self.pools)
+    monkeypatch.setattr(_Grounding, "__init__", recording_init)
+    runs = []  # per call: (method, key) -> each distinct value it returned
+    for name in ("view", "_hits", "_majority_objects", "objects"):
+        def recording(self, *key, _name=name, _real=getattr(_Grounding, name)):
             value = _real(self, *key)
-            if len(self.pools) > before:
-                builds.append((_name,) + key)
+            values = runs[-1].setdefault((_name,) + key, [])
+            if not any(v is value for v in values):
+                values.append(value)
             return value
 
-        monkeypatch.setattr(_Attempt, name, counting_lookup)
-
-    def counting_plan(self, needs, columns, _real=_Attempt._column_plan):
-        builds.append(("_column_plan", tuple(needs.items()), tuple(columns)))
-        return _real(self, needs, columns)
-
-    monkeypatch.setattr(_Attempt, "_column_plan", counting_plan)
-    all_rows = []  # each distinct all-rows tuple a draw reads
-
-    def recording_draw(self, skeleton, _real=_Attempt.draw):
-        if not any(rows is self.all_rows for rows in all_rows):
-            all_rows.append(self.all_rows)
-        return _real(self, skeleton)
-
-    monkeypatch.setattr(_Attempt, "draw", recording_draw)
+        monkeypatch.setattr(_Grounding, name, recording)
     table = _seeded_table(0)
     attributes = dict(vars(table))
     dist = _with_majority_all_gt(default_distribution())
-    runs = []
     for _ in range(2):
-        builds.clear()
+        runs.append({})
         synthesize_candidates(table, None, dist, seed=13, candidates=20)
-        runs.append(list(builds))
     first, second = runs
-    assert {key[0] for key in first} == {
-        "view", "_filter_pool", "_majority_pool", "_hits", "_majority_objects", "_column_plan"}
-    assert len(first) == len(set(first))
-    assert second == first
-    # one all-rows tuple per call, the table's rows in order
-    assert len(all_rows) == 2
-    assert all_rows[0] == all_rows[1] == tuple(range(table.n_rows))
+    assert len(groundings) == 2
+    assert [g.all_rows for g in groundings] == [tuple(range(table.n_rows))] * 2
+    assert {key[0] for key in first} == {"view", "_hits", "_majority_objects", "objects"}
+    assert all(len(values) == 1 for run in runs for values in run.values())
+    assert second.keys() == first.keys()
+    assert all(second[key][0] is not values[0] for key, values in first.items())
     assert vars(table).keys() == attributes.keys()
     assert all(vars(table)[k] is v for k, v in attributes.items())
 
@@ -719,22 +695,21 @@ def _bind_by_filtered_copy(bound, index, pool, rng):
 def test_bind_draws_what_a_draw_from_the_filtered_copy_draws(pool, bound, index, ranks, seed):
     # objects from a pool list, and ranks from a range, with or without
     # other placeholders of the position already bound
-    attempt = _Attempt(Table.from_strings("t", "t", ["c"], [["1"]]), [0], random.Random(seed),
-                       {}, {})
+    grounding = _Grounding(Table.from_strings("t", "t", ["c"], [["1"]]), random.Random(seed))
     reference = random.Random(seed)
     rank_bound = {i: 1 + len(v) % 4 for i, v in bound.items()}
-    attempt.bound = {OBJECT: dict(bound), ORD: dict(rank_bound)}
+    grounding.bound = {OBJECT: dict(bound), ORD: dict(rank_bound)}
     for position, options, expected_bound in (
         (OBJECT, pool, dict(bound)), (ORD, range(1, ranks + 1), dict(rank_bound)),
     ):
         expected = _bind_by_filtered_copy(expected_bound, index, options, reference)
         try:
-            got = attempt.bind(position, index, lambda options=options: options)
+            got = grounding.bind(position, index, lambda options=options: options)
         except _Fail:
             got = None
         assert got == expected, position
-        assert attempt.bound[position] == expected_bound, position
-    assert attempt.rng.getstate() == reference.getstate()
+        assert grounding.bound[position] == expected_bound, position
+    assert grounding.rng.getstate() == reference.getstate()
 
 
 def _columns_by_per_draw_list(table, needs, columns, rng):
@@ -764,16 +739,17 @@ def test_the_column_plan_draws_what_a_per_draw_list_draws(numeric, needs, data, 
     table = Table.from_strings("t", "t", [f"c{j}" for j in range(len(numeric))], rows)
     assert [t == NUMERIC for t in table.column_types] == numeric
     columns = data.draw(st.lists(st.sampled_from(range(len(numeric))), unique=True))
-    attempt = _Attempt(table, columns, random.Random(seed), needs, {})
+    grounding = _Grounding(table, random.Random(seed))
+    plan = grounding._column_plan(needs, columns)
     reference = random.Random(seed)
     for _ in range(4):
         expected = _columns_by_per_draw_list(table, needs, columns, reference)
         try:
-            got = attempt._assign_columns()
+            got = grounding._assign_columns(plan)
         except _Fail:
             got = None
         assert got == expected
-    assert attempt.rng.getstate() == reference.getstate()
+    assert grounding.rng.getstate() == reference.getstate()
 
 
 # rows the filter rule scans for one table: 8,640 when recorded (the

@@ -1,8 +1,9 @@
 """Guards over the package source itself, read as syntax trees.
 
 Every top-level function and class in src/loft is used in src/loft or is
-exported in loft.__all__.  A definition that only tests call is test code
-shipped as API, and a benchmark span wrapped around it measures nothing.
+exported in loft.__all__, and every method of a src/loft class is read in
+src/loft outside its own body.  A definition that only tests call is test
+code shipped as API, and a benchmark span wrapped around it measures nothing.
 Every name a module imports is used there (``__init__`` re-exports
 aside), and no module imports another's private name.
 """
@@ -36,6 +37,36 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = sorted(f"{module}:{name}" for module, name in defined
                     if name not in used and name not in loft.__all__)
     assert not unused, f"defined in src/loft but used only outside it: {unused}"
+
+
+# methods the standard library calls for the package: contextlib.closing
+# calls close
+CALLED_BY_PROTOCOL = {"close"}
+
+
+def test_every_method_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    # (module, class, method, the ids of the nodes of its own body)
+    methods = [
+        (module, cls.name, node.name, {id(inner) for inner in ast.walk(node)})
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in CALLED_BY_PROTOCOL
+    ]
+    # each name read anywhere, with the nodes that read it
+    readers: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None:
+                readers.setdefault(name, []).append(id(node))
+    unused = sorted(f"{module}:{cls}.{name}" for module, cls, name, own in methods
+                    if all(reader in own for reader in readers.get(name, [])))
+    assert not unused, f"methods never read in src/loft outside their own body: {unused}"
 
 
 def _imports():
