@@ -13,6 +13,10 @@ Normalization contract, applied in order to the raw string:
   4. a leading decimal number makes the cell Number ("5 (t2)" reads as 5,
      text preserved); otherwise the cell is Text
 
+A corpus load normalizes each distinct cell text once: equal texts in
+one load, across all its tables, share one immutable CellValue.  The
+text-to-cell dict lives for that one call; nothing is kept between loads.
+
 A table is also laid out by column once, in the pass that types its
 columns: per column, each row's number (or None) and folded text (None
 when empty).  Row scans read these arrays rather than the cells.
@@ -23,9 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 from .errors import IngestError
@@ -138,11 +144,25 @@ class Table:
         headers: list[str],
         rows: list[list[str]],
     ) -> "Table":
+        """A table of raw strings; each distinct cell text is normalized
+        once and its cells share one CellValue."""
+        return cls._from_texts(table_id, title, headers,
+                               [[str(c) for c in row] for row in rows], {})
+
+    @classmethod
+    def _from_texts(cls, table_id: str, title: str, headers: list[str],
+                    rows: list[list[str]], cells: dict[str, CellValue]) -> "Table":
+        """A table of cell texts, each looked up in `cells`, text to
+        CellValue; a text it lacks is normalized once and added."""
+        for row in rows:
+            for text in row:
+                if text not in cells:
+                    cells[text] = normalize_cell(text)
         return cls(
             table_id=str(table_id),
             title=str(title),
             headers=tuple(fold_text(str(h)) for h in headers),
-            rows=tuple(tuple(normalize_cell(c) for c in row) for row in rows),
+            rows=tuple(tuple(map(cells.__getitem__, row)) for row in rows),
         )
 
     def column_index(self, name: str) -> int | None:
@@ -206,7 +226,14 @@ _TEXT_TYPES = frozenset((str, int, float))
 _JSON_KINDS = {type(None): "null", bool: "true or false", list: "a list", dict: "an object"}
 
 
-def _entry_from_record(record: dict) -> CorpusEntry:
+def _float_text(x: float) -> str:
+    """A JSON float cell's text in positional notation: str() writes
+    0.00005 as "5e-05", which would read as 5.  NaN and the infinities
+    keep str()'s "nan" and "inf"."""
+    return format(Decimal(repr(x)), "f") if math.isfinite(x) else str(x)
+
+
+def _entry_from_record(record: dict, cells: dict[str, CellValue]) -> CorpusEntry:
     for key in ("table_id", "title", "header", "rows"):
         if key not in record:
             raise IngestError(f"missing required field {key!r}")
@@ -222,11 +249,11 @@ def _entry_from_record(record: dict) -> CorpusEntry:
                           " not a string or number")
     table_id, title = str(record["table_id"]), str(record["title"])
     headers = [str(h) for h in headers]
-    rows = [[str(c) for c in row] for row in rows]
+    rows = [[_float_text(c) if type(c) is float else str(c) for c in row] for row in rows]
     refs = tuple(str(r) for r in refs)
     if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
         raise IngestError("text holds a lone surrogate escape")
-    table = Table.from_strings(table_id, title, headers, rows)
+    table = Table._from_texts(table_id, title, headers, rows, cells)
     sets = _clean_column_sets(record.get("selected_columns", []), len(table.headers))
     return CorpusEntry(table=table, selected_column_sets=sets, references=refs)
 
@@ -297,6 +324,10 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     and optional selected_columns/references.  format "csv": a single table;
     first row is the header, title and id come from the file name.
 
+    Each distinct cell text is normalized once per call, and equal texts
+    share one immutable CellValue; a JSON number cell loads as its text,
+    a float written out in positional notation (0.00005, not "5e-05").
+
     Malformed JSON is fatal and names the line; a structurally bad entry
     (no columns, ragged rows, a blank or duplicate header, a column index
     that is not a JSON integer or is out of range, a header, rows, row,
@@ -311,9 +342,10 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     if format == "json":
         first_line: dict[str, int] = {}
+        cells: dict[str, CellValue] = {}  # this load's cells, by text
         for lineno, record in json_records(path):
             try:
-                entry = _entry_from_record(record)
+                entry = _entry_from_record(record, cells)
                 table_id = entry.table.table_id
                 if table_id in first_line:
                     raise IngestError(

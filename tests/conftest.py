@@ -1,9 +1,8 @@
-import json
 from importlib import resources
 
 import pytest
 
-from loft import CorpusEntry, Table, build_distribution, parse_logic_form
+from loft import CorpusEntry, Table, build_distribution, load_corpus, parse_logic_form
 
 
 @pytest.fixture
@@ -16,14 +15,7 @@ def mt() -> Table:
 
 @pytest.fixture(scope="session")
 def bundled_corpus() -> list[CorpusEntry]:
-    from loft.tables import _entry_from_record
-
-    raw = resources.files("loft.data").joinpath("sample_corpus.jsonl").read_text("utf-8")
-    entries = []
-    for line in raw.splitlines():
-        if line.strip():
-            entries.append(_entry_from_record(json.loads(line)))
-    return entries
+    return load_corpus(str(resources.files("loft.data").joinpath("sample_corpus.jsonl")))
 
 
 @pytest.fixture(scope="session")

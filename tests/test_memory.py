@@ -10,7 +10,7 @@ import pytest
 
 import loft
 from loft.forms import AllRows, Apply, ColumnRef, Literal
-from loft.tables import normalize_cell
+from loft.tables import load_corpus, normalize_cell
 
 LOFT_ROOT = str(Path(loft.__file__).resolve().parents[1])
 
@@ -55,3 +55,16 @@ def test_a_reimport_leaves_no_class_of_the_first_import_alive():
 ], ids=repr)
 def test_cells_and_form_nodes_have_no_instance_dict(value):
     assert not hasattr(value, "__dict__")
+
+
+def test_a_loaded_corpus_holds_one_cell_value_per_distinct_text(tmp_path):
+    rows = [["1", "ann", "-"], ["2", "bob", "1"], [" 1", "ann", "n/a"]]
+    records = [{"table_id": f"t{i}", "title": "t", "header": ["a", "b", "c"], "rows": rows}
+               for i in range(50)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    entries = load_corpus(path)
+    cells = [cell for entry in entries for row in entry.table.rows for cell in row]
+    assert len(cells) == 450
+    # " 1" and "1" make equal cells, but only equal texts share one
+    assert len({id(cell) for cell in cells}) == len({text for row in rows for text in row}) == 7

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loft import CorpusEntry, IngestError, Table, load_corpus, verify
@@ -20,6 +23,8 @@ from loft.tables import (
     normalize_cell,
     save_corpus,
 )
+
+from .test_pipeline import count_calls
 
 
 class TestNormalizeCell:
@@ -292,6 +297,17 @@ class TestCorpusIO:
         assert (table.table_id, table.title, table.headers) == ("7", "1.5", ("h", "2"))
         assert [c.text for c in table.rows[0]] == ["3", "x"] and entry.references == ("4",)
 
+    def test_a_float_cell_loads_as_its_positional_text(self, tmp_path):
+        # str() writes 0.00005 as "5e-05" and 1e16 as "1e+16", which read as 5 and 1
+        values = [0.00005, 1e16, 2.5, -1e-07, 3, float("nan"), float("inf")]
+        record = {"table_id": "f", "title": "f", "header": ["x"], "rows": [[v] for v in values]}
+        [entry] = load_corpus(self._write(tmp_path, [json.dumps(record)]))
+        cells = [row[0] for row in entry.table.rows]
+        assert [c.text for c in cells] == [
+            "0.00005", "10000000000000000", "2.5", "-0.0000001", "3", "nan", "inf"]
+        assert [c.number for c in cells] == [5e-05, 1e16, 2.5, -1e-07, 3.0, None, None]
+        assert all(normalize_cell(c.text) == c for c in cells)
+
     def test_bad_column_index_is_skipped(self, tmp_path, caplog):
         record = {
             "table_id": "a", "title": "a", "header": ["h"],
@@ -364,6 +380,85 @@ class TestCorpusIO:
         path = self._write(tmp_path, ["{}"])
         with pytest.raises(IngestError):
             load_corpus(path, format="xml")
+
+
+# cell values that repeat often: numbers, number-like texts, empty markers,
+# and short texts that need CSV quoting
+CELLS = st.one_of(
+    st.sampled_from(["1", "1.0", " 1", "1,000", "5%", "-", "n/a", "", "x", "X", "a b"]),
+    st.text(alphabet='ab1 .,-%"\n', max_size=4),
+    st.integers(-3, 1000),
+)
+# (column count, rows) of one table
+TABLES = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(CELLS, min_size=n, max_size=n), max_size=5)))
+
+
+def all_cells(entries):
+    return [cell for entry in entries for row in entry.table.rows for cell in row]
+
+
+def assert_one_cell_per_text(entries, raw_tables):
+    """Each loaded cell is normalize_cell of its raw text, and one text's
+    cells are one object."""
+    by_text = {}
+    for entry, rows in zip(entries, raw_tables, strict=True):
+        for raw_row, row in zip(rows, entry.table.rows, strict=True):
+            for raw, cell in zip(raw_row, row, strict=True):
+                assert cell == normalize_cell(str(raw))
+                assert by_text.setdefault(str(raw), cell) is cell
+
+
+def assert_no_cell_shared(first, second):
+    assert {id(c) for c in all_cells(first)}.isdisjoint(id(c) for c in all_cells(second))
+
+
+class TestCellSharing:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(TABLES, min_size=1, max_size=4))
+    def test_json_load_normalizes_and_shares_each_text_once(self, tables):
+        records = [{"table_id": f"t{i}", "title": "t", "header": [f"c{j}" for j in range(n)],
+                    "rows": rows} for i, (n, rows) in enumerate(tables)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            first, second = load_corpus(path), load_corpus(path)
+        assert_one_cell_per_text(first, [rows for _, rows in tables])
+        assert_no_cell_shared(first, second)
+
+    @settings(max_examples=80, deadline=None)
+    @given(TABLES)
+    def test_csv_load_normalizes_and_shares_each_text_once(self, table):
+        n, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([[f"c{j}" for j in range(n)], *rows])
+            first, second = (load_corpus(path, format="csv") for _ in range(2))
+        assert_one_cell_per_text(first, [rows])
+        assert_no_cell_shared(first, second)
+
+    def test_from_strings_keeps_each_value_its_own_text(self):
+        # True == 1 == 1.0 as dict keys; each must still read as its own text
+        table = Table.from_strings("t", "t", ["c"], [[1], [True], [1.0], ["1"]])
+        assert [row[0].text for row in table.rows] == ["1", "True", "1.0", "1"]
+        assert table.rows[0][0] is table.rows[3][0]
+
+    def test_each_distinct_cell_text_is_normalized_once_per_load(self, tmp_path):
+        repeats = tmp_path / "repeats.jsonl"
+        rows = [["1", "ann", "-"], ["2", "bob", "1"], ["1", "ann", "n/a"]]
+        repeats.write_text("".join(json.dumps({"table_id": f"t{i}", "title": "t",
+                                               "header": ["a", "b", "c"], "rows": rows}) + "\n"
+                                   for i in range(4)), encoding="utf-8")
+        bundled = Path(str(resources.files("loft.data").joinpath("sample_corpus.jsonl")))
+        for path in (bundled, repeats):
+            records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+            texts = {str(c) for record in records for row in record["rows"] for c in row}
+            n_cells = sum(len(row) for record in records for row in record["rows"])
+            assert len(texts) < n_cells
+            _, calls, _ = count_calls(lambda: (load_corpus(path), load_corpus(path)),
+                                      normalize_cell)
+            assert calls == {("normalize_cell", "loft.tables"): 2 * len(texts)}
 
 
 def test_fold_text_collapses_space():
