@@ -1,9 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Every error raised on purpose derives from LoftError so callers (the CLI,
-the pipeline) can map failures to exit codes without enumerating modules.
-A form error (ParseError, TypeCheckError, ExecutionError) names its
-``kind``.
+Errors in input data, forms and hooks derive from LoftError, so callers
+(the CLI, the pipeline) map them to exit codes without enumerating
+modules.  An out-of-range argument from a Python caller raises ValueError;
+the CLI raises its own UsageError for bad usage and lets OSError (such as
+IsADirectoryError for an output directory) through.  A form error
+(ParseError, TypeCheckError, ExecutionError) names its ``kind``.
 """
 
 from __future__ import annotations

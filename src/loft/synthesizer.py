@@ -2,10 +2,12 @@
 
 Placeholders are grounded innermost-first against the live table: filter
 objects come from cell values of the current view (so the subview is never
-empty), comparison thresholds sit inside the view's value range, ordinal
-ranks stay within the usable value multiset, and values compared against a
-computed subform (a count, an aggregate, a looked-up cell) are set to that
-computed result instead of being guessed.  One ``_Grounding`` object
+empty), all and most objects also from its whole column and from that
+column's least number - 1 and greatest number + 1, ordinal ranks stay
+within the usable value multiset, and a value compared against a computed
+subform (a count, an aggregate, a looked-up cell) is that result, one
+step off it for greater or less (1, or 0.5 for a fraction), or for not_eq
+its number + 1 or another text of its column.  One ``_Grounding`` object
 serves a whole ``synthesize_candidates`` call: ``instantiate`` draws a
 template up to RETRIES_PER_TEMPLATE times, and its dispatcher ``fill``
 grounds every node, which ``parse_template`` has already checked fits

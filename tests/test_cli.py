@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -241,6 +242,48 @@ class TestUsageErrors:
         assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
         assert "DEBUG, INFO, WARNING, ERROR or CRITICAL" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["execute", "verify"])
+    def test_a_corpus_of_several_tables_needs_a_table_id(self, command, capsys):
+        with resources.as_file(resources.files("loft.data") / "sample_corpus.jsonl") as path:
+            assert len(load_corpus(path)) > 1
+            assert main([command, "--corpus", str(path), "count { all_rows }"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --table-id is required when the corpus has several tables\n"
+
+
+# reads one request, then exits with the rest in flight; the small corpus's
+# batch fits one pipe write, so the loss shows as an exit, not a closed stdin
+QUIT_AFTER_ONE_LINE = """\
+import sys
+sys.stdin.readline()
+"""
+
+
+class TestHookFailures:
+    """A hook that cannot be used at all ends the run with exit 3."""
+
+    @pytest.mark.parametrize("role, command, message", [
+        ("generator", "{missing}", "cannot launch generator hook"),
+        ("verifier", "   ", "cannot launch verifier hook '   ': the command is blank"),
+        ("generator", "{python} {quitter}", "generator hook exited mid-run"),
+    ], ids=["no-such-file", "blank", "exits-mid-run"])
+    def test_exit_3_with_one_error_line_and_no_output(self, tmp_path, corpus, role, command,
+                                                       message):
+        quitter = tmp_path / "quitter.py"
+        quitter.write_text(QUIT_AFTER_ONE_LINE, encoding="utf-8")
+        command = command.format(missing=shlex.quote(str(tmp_path / "no-such-hook")),
+                                 python=shlex.quote(sys.executable),
+                                 quitter=shlex.quote(str(quitter)))
+        output = tmp_path / "out.jsonl"
+        result = loft("pipeline", "--corpus", corpus, "--output", str(output),
+                      f"--{role}", command, "--timeout", "30")
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {message}")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert not output.exists()
 
 
 class TestIngest:

@@ -1,12 +1,14 @@
-"""Rule-based realization: exact phrasings and entity containment."""
+"""Rule-based realization: exact phrasings, the bundled phrase table's fit
+to the catalog, and entity containment."""
 
 import random
 
 import pytest
 
 from loft import default_distribution, parse_logic_form, realize_logic_form
+from loft.catalog import CATALOG, VIEW
 from loft.forms import Literal, referenced_columns, walk
-from loft.realizer import PhraseTableError, _validate, load_phrase_table, serialize_table
+from loft.realizer import PLURAL, UNIT, _SLOT_RE, load_phrase_table, serialize_table
 from loft.synthesizer import synthesize_candidates
 
 
@@ -74,33 +76,19 @@ class TestExactPhrasings:
 
 class TestPhraseTable:
     def test_bundled_table_is_complete(self):
+        # the realizer trusts the bundled table: this is its only check
         table = load_phrase_table()
-        from loft.catalog import CATALOG
-
+        assert set(table) == {"all_rows", "functions"}
+        assert set(table["all_rows"]) == {PLURAL, UNIT}
         assert set(table["functions"]) == set(CATALOG)
-
-    def test_missing_function_rejected(self):
-        table = {"all_rows": {"plural": "rows", "unit": "row"}, "functions": {}}
-        with pytest.raises(PhraseTableError, match="no phrase"):
-            _validate(table)
-
-    def test_out_of_range_slot_rejected(self):
-        table = load_phrase_table()
-        broken = {
-            "all_rows": dict(table["all_rows"]),
-            "functions": {**table["functions"], "count": {"pattern": "the number of {5}"}},
-        }
-        with pytest.raises(PhraseTableError, match="references arg"):
-            _validate(broken)
-
-    def test_unit_slot_on_non_view_arg_rejected(self):
-        table = load_phrase_table()
-        broken = {
-            "all_rows": dict(table["all_rows"]),
-            "functions": {**table["functions"], "eq": {"pattern": "{unit0} is equal to {1}"}},
-        }
-        with pytest.raises(PhraseTableError, match="non-view"):
-            _validate(broken)
+        for name, entry in table["functions"].items():
+            sig = CATALOG[name]
+            wanted = {PLURAL, UNIT} if sig.return_type == VIEW else {"pattern"}
+            assert set(entry) == wanted, name
+            for pattern in entry.values():
+                for kind, pos in _SLOT_RE.findall(pattern):
+                    assert int(pos) < len(sig.arg_types), (name, pattern)
+                    assert not kind or sig.arg_types[int(pos)] == VIEW, (name, pattern)
 
 
 class TestEntityContainment:

@@ -5,11 +5,14 @@ exported in loft.__all__, and every method of a src/loft class is read in
 src/loft outside its own body.  A definition that only tests call is test
 code shipped as API, and a benchmark span wrapped around it measures nothing.
 Every name a module imports is used there (``__init__`` re-exports
-aside), and no module imports another's private name.
+aside), and no module imports another's private name.  Every bundled data
+file is read by a module and shipped by the package-data patterns.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import loft
 
@@ -98,3 +101,25 @@ def test_no_module_imports_a_private_name_from_another():
     private = [f"{module}:{name}" for module, name, _, source, _ in _imports()
                if name.startswith("_") and source.startswith((".", "loft"))]
     assert not private, f"private names imported across loft modules: {private}"
+
+
+def test_every_data_file_is_read_and_shipped():
+    # the loaders trust the bundled files, so one left out of a wheel fails
+    # only at its first use, and one no module names is stale
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SOURCE.parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("loft is imported from an installed copy")
+    patterns = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "tool"]["setuptools"]["package-data"]["loft"]
+    named = {node.value for path in SOURCE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    files = [path.relative_to(SOURCE) for path in sorted((SOURCE / "data").rglob("*"))
+             if path.is_file()]
+    assert files
+    unread = [str(path) for path in files if path.name not in named]
+    assert not unread, f"bundled but read by no module: {unread}"
+    unshipped = [str(path) for path in files
+                 if not any(path.match(pattern) for pattern in patterns)]
+    assert not unshipped, f"bundled but matched by no package-data pattern: {unshipped}"
