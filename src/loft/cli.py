@@ -1,9 +1,10 @@
 """Command line front end.
 
 Machine-readable JSON goes to stdout, diagnostics go to stderr.  Exit
-codes: 0 success (including forms that fail to execute, which still get
-an error object on stdout), 1 bad usage, 2 unreadable or invalid input
-data, 3 a hook process that could not be used at all.
+codes: 0 success, 1 bad usage, 2 unreadable or invalid input data, 3 a
+hook process that could not be used at all.  A form that fails to parse,
+type check or execute still exits 0: ``execute`` prints an error object
+for it, ``verify`` ``{"entailed": false}``.
 
 LOFT_LOG sets the log level (WARNING otherwise).
 """

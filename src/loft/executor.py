@@ -1,7 +1,8 @@
 """Reference evaluator for logic forms over tables.
 
 Semantics notes that the code cannot show on its own:
-  * An object is a cell; ``as_object`` makes a computed number one.  eq/not_eq
+  * An object is a cell: a literal is parsed straight to one and is its own
+    value, and ``as_object`` makes a computed number one.  eq/not_eq
     compare numerically when both operands read as numbers, otherwise by
     ``CellValue.folded`` (``tables.fold_text``; every empty cell reads as "").
   * round_eq tolerates |a - b| <= max(abs_tol, rel_tol * |b|).
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from .catalog import BOOL, CATALOG, HEADER, OBJECT, ORD
 from .errors import ExecutionError, LoftError, TypeCheckError
-from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form, type_check
-from .tables import NUMBER, CellValue, Table
+from .forms import AllRows, ColumnRef, LogicForm, parse_logic_form, type_check
+from .tables import NUMBER, CellValue, Table, float_text
 
 ROUND_EQ_ABS = 1e-6
 ROUND_EQ_REL = 1e-2
@@ -30,11 +31,12 @@ Value = bool | float | CellValue | tuple[int, ...]
 
 
 def number_text(value: float) -> str:
-    """Canonical literal text for a computed number."""
+    """Canonical literal text for a computed number, which reads back as it:
+    a whole number below 1e15 as an int, any other by ``tables.float_text``."""
     value = float(value)
     if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
-    return repr(value)
+    return float_text(value)
 
 
 def as_object(value: float | CellValue) -> CellValue:
@@ -149,8 +151,8 @@ def _eval(node: LogicForm, table: Table) -> Value:
     then step the node."""
     if isinstance(node, AllRows):
         return tuple(range(table.n_rows))
-    if isinstance(node, Literal):
-        return node.cell
+    if isinstance(node, CellValue):  # a literal is its own value
+        return node
     if isinstance(node, ColumnRef):
         raise TypeCheckError("column reference is not executable on its own")
     name, sig = node.name, CATALOG[node.name]

@@ -4,7 +4,8 @@ Concrete syntax: ``name { arg ; arg }`` with the terminal ``all_rows``.
 Bare tokens are literals; ``{`` ``}`` ``;`` and ``\\`` inside them are
 escaped with a backslash.  Whether a bare token is a column reference or
 an object literal is decided by its position in the enclosing function's
-signature, so parsing needs the catalog but no table.  Templates are
+signature, so parsing needs the catalog but no table; a literal is parsed
+straight to its cell, ``tables.normalize_cell(token)``.  Templates are
 spelled in the same grammar, with groups for functions and placeholders
 for bare tokens; ``parse_tree`` parses both, and the type check and the
 template loader type them by one position table, ``catalog.FILLS``.
@@ -13,7 +14,7 @@ template loader type them by one position table, ``catalog.FILLS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import BOOL, CATALOG, FILLS, HEADER, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
@@ -46,20 +47,6 @@ class ColumnRef:
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
-    """A bare token in an object or rank position; ``cell`` is its text
-    normalized once, the value the executor reads."""
-
-    text: str
-    cell: CellValue = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        text = str(self.text).strip()
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "cell", normalize_cell(text))
-
-
-@dataclass(frozen=True, slots=True)
 class Apply:
     name: str
     args: tuple["LogicForm", ...]
@@ -74,7 +61,7 @@ class Apply:
             )
 
 
-LogicForm = AllRows | ColumnRef | Literal | Apply
+LogicForm = AllRows | ColumnRef | CellValue | Apply
 
 
 def escape_token(text: str) -> str:
@@ -143,7 +130,7 @@ def _form_leaf(token: str, offset: int, expected: str | None) -> LogicForm:
         return ColumnRef(token)
     if expected in (VIEW, None) and token == "all_rows":
         return AllRows()
-    return Literal(token)
+    return normalize_cell(token)
 
 
 def parse_logic_form(text: str) -> LogicForm:
@@ -167,7 +154,7 @@ def print_logic_form(lf: LogicForm) -> str:
 
 
 # the type of each leaf, which is the position it fills
-_LEAF_TYPES = {AllRows: VIEW, ColumnRef: HEADER, Literal: OBJECT}
+_LEAF_TYPES = {AllRows: VIEW, ColumnRef: HEADER, CellValue: OBJECT}
 # how a mismatch names each position a function or leaf may fill
 _NOUNS = {VIEW: "view", OBJECT: "object", BOOL: "boolean"}
 
@@ -208,7 +195,7 @@ def _check(node: Apply, table: Table, depth: int) -> str:
             if sig.numeric_column and table.column_types[idx] != NUMERIC:
                 raise TypeCheckError(f"{node.name} needs a numeric column, {arg.name!r} is not")
         elif position == ORD:
-            if not isinstance(arg, Literal):
+            if not isinstance(arg, CellValue):
                 raise TypeCheckError(f"{node.name}: ordinal literal expected", kind="bad_ordinal")
             try:
                 rank = int(arg.text) if _ORDINAL_RE.match(arg.text) else 0

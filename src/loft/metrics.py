@@ -59,10 +59,9 @@ def _closest_length(lengths: list[int], n: int, own: int = 0) -> int:
 def _bleu(cand_len: int, matches: list[tuple[int, int]], ref_len: int) -> float:
     """BLEU from (clipped, total) n-gram counts per order, lowest first.
 
-    Orders where the candidate has no n-grams are left out of matches.
+    Orders where the candidate has no n-grams are left out of matches;
+    callers score an empty candidate 0.0 themselves, so order 1 is always in.
     """
-    if not matches:
-        return 0.0
     log_sum = 0.0
     for clipped, total in matches:
         precision = clipped / total

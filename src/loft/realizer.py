@@ -18,8 +18,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .catalog import CATALOG, VIEW
-from .forms import AllRows, ColumnRef, Literal, LogicForm, parse_logic_form
-from .tables import Table
+from .forms import AllRows, ColumnRef, LogicForm, parse_logic_form
+from .tables import CellValue, Table
 
 _SLOT_RE = re.compile(r"\{(unit|scope)?(\d+)\}")
 
@@ -38,7 +38,7 @@ def _render(node: LogicForm, mode: str, phrases: dict) -> str:
         return phrases["all_rows"][mode]
     if isinstance(node, ColumnRef):
         return node.name
-    if isinstance(node, Literal):
+    if isinstance(node, CellValue):
         return node.text
     sig = CATALOG[node.name]
     entry = phrases["functions"][node.name]

@@ -22,9 +22,9 @@ folded text; order by bisecting the sorted numbers): the object pools
 (``objects``) read the view's distinct values (a whole column's are the
 all-rows view's) and count every value's hits from it in one batched
 call, never with one scan per value.  The object holds the all-rows
-view, the column references, literals, view indexes and pools, each
-built once, and dies with the call: nothing is kept on the table, the
-module or the distribution.  No draw copies a pool it only reads, so
+view, the column references, literal cells, view indexes and pools,
+each built once, and dies with the call: nothing is kept on the table,
+the module or the distribution.  No draw copies a pool it only reads, so
 every random choice draws from the same sequence it would from a copy.
 Every filled form is printed, and each distinct text goes through one
 full verification per call before it is returned; a form with the same
@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 from .catalog import CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, NUM, OBJECT, ORD
 from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
-from .forms import AllRows, Apply, ColumnRef, Literal, LogicForm, print_logic_form
+from .forms import AllRows, Apply, ColumnRef, LogicForm, print_logic_form
 from .realizer import realize_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table
+from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
 from .templates import TSlot, Template, TemplateDistribution, TemplateNode
 
 log = logging.getLogger(__name__)
@@ -108,15 +108,15 @@ class _Fail(Exception):
 class _Grounding:
     """The grounding of one ``synthesize_candidates`` call: what every draw
     reads that depends only on the table (the all-rows view, the column
-    references, literals, view indexes and object pools), and each printed
-    text's verify answer.  It is built per call and dropped with it."""
+    references, literal cells, view indexes and object pools), and each
+    printed text's verify answer.  It is built per call and dropped with it."""
 
     def __init__(self, table: Table, rng: random.Random):
         self.table = table
         self.rng = rng
         self.all_rows = tuple(range(table.n_rows))
         self.refs = [ColumnRef(h) for h in table.headers]
-        self.literals: dict[str, Literal] = {}
+        self.literals: dict[str, CellValue] = {}
         self.views: dict[tuple, _ViewIndex] = {}
         self.pools: dict[tuple, list | tuple] = {}
         self.verified: dict[str, bool] = {}
@@ -195,7 +195,7 @@ class _Grounding:
         if not isinstance(node, TSlot):
             return self.fill(node)
         lit = self.literal(self.bind(OBJECT, node.index, pool))
-        return lit, lit.cell
+        return lit, lit
 
     # -- execution helpers -----------------------------------------------
 
@@ -206,10 +206,11 @@ class _Grounding:
         except LoftError:
             raise _Fail() from None
 
-    def literal(self, text: str) -> Literal:
+    def literal(self, text: str) -> CellValue:
+        """The cell a text parses to, never a pool object: its number may not be its text's."""
         lit = self.literals.get(text)
         if lit is None:
-            lit = self.literals[text] = Literal(text)
+            lit = self.literals[text] = normalize_cell(text)
         return lit
 
     def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:

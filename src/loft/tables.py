@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -226,11 +225,12 @@ _TEXT_TYPES = frozenset((str, int, float))
 _JSON_KINDS = {type(None): "null", bool: "true or false", list: "a list", dict: "an object"}
 
 
-def _float_text(x: float) -> str:
-    """A JSON float cell's text in positional notation: str() writes
-    0.00005 as "5e-05", which would read as 5.  NaN and the infinities
-    keep str()'s "nan" and "inf"."""
-    return format(Decimal(repr(x)), "f") if math.isfinite(x) else str(x)
+def float_text(x: float) -> str:
+    """A float's text in positional notation: repr() writes 0.00005 as
+    "5e-05", which would read as 5.  NaN and the infinities keep repr()'s
+    "nan" and "inf"."""
+    text = repr(x)
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 def _entry_from_record(record: dict, cells: dict[str, CellValue]) -> CorpusEntry:
@@ -249,7 +249,7 @@ def _entry_from_record(record: dict, cells: dict[str, CellValue]) -> CorpusEntry
                           " not a string or number")
     table_id, title = str(record["table_id"]), str(record["title"])
     headers = [str(h) for h in headers]
-    rows = [[_float_text(c) if type(c) is float else str(c) for c in row] for row in rows]
+    rows = [[float_text(c) if type(c) is float else str(c) for c in row] for row in rows]
     refs = tuple(str(r) for r in refs)
     if not is_utf8_text("".join([table_id, title, *headers, *refs, *map("".join, rows)])):
         raise IngestError("text holds a lone surrogate escape")

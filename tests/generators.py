@@ -12,8 +12,8 @@ from loft import Table
 from loft.catalog import BOOL, NUM, OBJECT, VIEW
 from loft.errors import LoftError
 from loft.executor import execute
-from loft.forms import AllRows, Apply, ColumnRef, Literal
-from loft.tables import NUMERIC, CellValue
+from loft.forms import AllRows, Apply, ColumnRef
+from loft.tables import NUMERIC, CellValue, normalize_cell
 
 from .oracle import oracle_execute
 
@@ -74,16 +74,16 @@ def _literal(rng, table):
         row = rng.choice(table.rows)
         cell = rng.choice(row)
         if cell.text:
-            return Literal(cell.text)
+            return normalize_cell(cell.text)
     if roll < 0.8:
-        return Literal(str(rng.randint(-5, 30)))
-    return Literal(rng.choice(WORDS))
+        return normalize_cell(str(rng.randint(-5, 30)))
+    return normalize_cell(rng.choice(WORDS))
 
 
 def _ordinal(rng, table):
     # mostly in range, sometimes deliberately past the end
     hi = table.n_rows + (2 if rng.random() < 0.15 else 0)
-    return Literal(str(rng.randint(1, max(1, hi))))
+    return normalize_cell(str(rng.randint(1, max(1, hi))))
 
 
 def _view(rng, table, depth):

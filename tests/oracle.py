@@ -21,7 +21,7 @@ from typing import NamedTuple
 from loft.catalog import BOOL, CATALOG, HEADER, NUM, OBJECT, VIEW
 from loft.errors import ExecutionError, TypeCheckError
 from loft.executor import Value
-from loft.forms import AllRows, Apply, ColumnRef, Literal, LogicForm
+from loft.forms import AllRows, Apply, ColumnRef, LogicForm
 from loft.tables import CellValue, Table
 
 MAX_ROWS = 12
@@ -120,7 +120,7 @@ class _Oracle:
             for i in range(len(self.table.rows)):
                 every.append(i)
             return _Tagged(VIEW, tuple(every))
-        if isinstance(node, Literal):
+        if isinstance(node, CellValue):  # a literal: read from its text alone
             num = _literal_number(node.text)
             return _Tagged("__lit__", (num, node.text))
         if isinstance(node, ColumnRef):

@@ -6,7 +6,7 @@ The mt fixture is:  team=[a, b, c]  points=[3, 5, 2].
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loft import Table, TypeCheckError, execute, parse_logic_form, verify
@@ -120,6 +120,10 @@ class TestRuntimeErrors:
             run("diff { a ; 3 }", mt)
         assert exc.value.kind == "non_numeric"
 
+    def test_a_bare_column_reference_is_not_executable(self, mt):
+        with pytest.raises(TypeCheckError, match="column reference is not executable on its own"):
+            execute(ColumnRef("team"), mt)
+
 
 class TestEmptyCells:
     @pytest.fixture
@@ -155,12 +159,12 @@ class TestEmptyCells:
 
 class TestComputedObjects:
     def test_a_computed_number_is_held_exactly(self):
-        # the sum prints as "1e+20", which would read back as 1
+        # the sum's repr is "1e+20", which would read back as 1
         t = Table.from_strings(
             "t", "t", ["big"], [["60000000000000000000"], ["40000000000000000000"]]
         )
         assert verify("greater { sum { all_rows ; big } ; 5 }", t) is True
-        assert as_object(1e20) == CellValue("number", "1e+20", 1e20)
+        assert as_object(1e20) == CellValue("number", "100000000000000000000", 1e20)
 
 
 class TestTies:
@@ -258,6 +262,22 @@ class TestExecValue:
         assert number_text(3.0) == "3"
         assert number_text(3.25) == "3.25"
         assert number_text(-2.0) == "-2"
+        assert number_text(1.7e16) == "17000000000000000"
+        assert number_text(5e-05) == "0.00005"
+        assert number_text(float("inf")) == "inf"
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1.7e16)
+    @example(-5e-05)
+    @example(5e-324)
+    def test_number_text_reads_back_as_its_number(self, value):
+        # a literal of a computed number must mean that number: exponent
+        # form would read as its mantissa alone ("1.7e+16" as 1.7)
+        text = number_text(value)
+        assert normalize_cell(text).number == value
+        short = str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
+        if "e" not in short:
+            assert text == short
 
 
 class TestApplyStep:

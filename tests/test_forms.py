@@ -21,13 +21,12 @@ from loft.forms import (
     AllRows,
     Apply,
     ColumnRef,
-    Literal,
     escape_token,
     referenced_columns,
     type_check,
     walk,
 )
-from loft.tables import normalize_cell
+from loft.tables import CellValue, normalize_cell
 from loft.templates import abstract, parse_template
 
 EXAMPLE = "eq { count { filter_eq { all_rows ; team ; a } } ; 1 }"
@@ -39,8 +38,9 @@ class TestParsing:
         assert lf == Apply(
             "eq",
             (
-                Apply("count", (Apply("filter_eq", (AllRows(), ColumnRef("team"), Literal("a"))),)),
-                Literal("1"),
+                Apply("count", (
+                    Apply("filter_eq", (AllRows(), ColumnRef("team"), normalize_cell("a"))),)),
+                normalize_cell("1"),
             ),
         )
 
@@ -87,11 +87,11 @@ class TestParsing:
         # literal in object position
         lf = parse_logic_form("filter_eq { all_rows ; 3 ; all_rows }")
         assert lf.args[1] == ColumnRef("3")
-        assert lf.args[2] == Literal("all_rows")
+        assert lf.args[2] == normalize_cell("all_rows")
 
     def test_all_rows_outside_view_position_is_literal(self):
         lf = parse_logic_form("eq { all_rows ; x }")
-        assert lf.args[0] == Literal("all_rows")
+        assert lf.args[0] == normalize_cell("all_rows")
 
     def test_root_bare_all_rows(self):
         assert parse_logic_form("all_rows") == AllRows()
@@ -163,13 +163,13 @@ class TestNesting:
 
 class TestEscaping:
     def test_escape_round_trip(self):
-        lf = Apply("eq", (Literal("a;b"), Literal("c{d}")))
+        lf = Apply("eq", (normalize_cell("a;b"), normalize_cell("c{d}")))
         text = print_logic_form(lf)
         assert text == "eq { a\\;b ; c\\{d\\} }"
         assert parse_logic_form(text) == lf
 
     def test_backslash_round_trip(self):
-        lf = Apply("eq", (Literal("a\\b"), Literal("x")))
+        lf = Apply("eq", (normalize_cell("a\\b"), normalize_cell("x")))
         assert parse_logic_form(print_logic_form(lf)) == lf
 
     def test_dangling_escape(self):
@@ -185,28 +185,29 @@ class TestEscaping:
 
 
 class TestLiteral:
+    """A bare token in an object or rank position is its cell."""
+
     def test_surrounding_whitespace_is_not_part_of_the_literal(self):
-        assert Literal(" 5 ") == Literal("5")
-        assert hash(Literal(" 5 ")) == hash(Literal("5"))
+        assert normalize_cell(" 5 ") == normalize_cell("5")
+        assert hash(normalize_cell(" 5 ")) == hash(normalize_cell("5"))
+        assert parse_logic_form("eq {  5  ; x }").args[0].text == "5"
 
     @pytest.mark.parametrize("text", ["5", " 5 ", "12%", "5 (x)", "-0", "-", "n/a", "", "a  B",
                                       "1,000", "x\\;y"])
     def test_the_cell_is_the_text_normalized(self, text):
-        assert Literal(text).cell == normalize_cell(text)
+        # a leaf is exactly what its printed text parses to
+        leaf = normalize_cell(text)
+        assert normalize_cell(leaf.text) == leaf
+        if leaf.text:  # the grammar has no empty token
+            form = Apply("eq", (leaf, leaf))
+            assert parse_logic_form(print_logic_form(form)).args == (leaf, leaf)
 
     def test_parsed_literals_carry_their_cell(self):
         form = parse_logic_form("eq { hop { filter_eq { all_rows ; team ; A  b } ; points } ; 12% }")
-        literals = [node for node in walk(form) if isinstance(node, Literal)]
+        literals = [node for node in walk(form) if isinstance(node, CellValue)]
+        assert literals == [normalize_cell("A  b"), normalize_cell("12%")]
         assert [lit.text for lit in literals] == ["A  b", "12%"]
-        assert all(lit.cell == normalize_cell(lit.text) for lit in literals)
         assert parse_logic_form(print_logic_form(form)) == form
-
-    def test_the_cell_is_not_shown_or_compared(self):
-        # equality, hashing and repr read the text alone
-        other = Literal("5")
-        object.__setattr__(other, "cell", normalize_cell("6"))
-        assert other == Literal("5") and hash(other) == hash(Literal("5"))
-        assert repr(other) == "Literal(text='5')"
 
 
 class TestTypeCheck:
@@ -265,14 +266,19 @@ class TestTypeCheck:
             type_check(lf, mt)
 
     def test_view_argument_must_be_view(self, mt):
-        lf = Apply("count", (Literal("x"),))
+        lf = Apply("count", (normalize_cell("x"),))
         with pytest.raises(TypeCheckError):
             type_check(lf, mt)
 
     def test_object_argument_rejects_views(self, mt):
-        lf = Apply("eq", (AllRows(), Literal("x")))
+        lf = Apply("eq", (AllRows(), normalize_cell("x")))
         with pytest.raises(TypeCheckError):
             type_check(lf, mt)
+
+    @pytest.mark.parametrize("value", [EXAMPLE, 3, None])
+    def test_a_value_that_is_not_a_form_node_is_refused(self, mt, value):
+        with pytest.raises(TypeCheckError, match="not a logic form node"):
+            type_check(value, mt)
 
     def test_ignores_row_contents(self, mt):
         from loft import Table
@@ -286,8 +292,8 @@ class TestTypeCheck:
 
 # leaves of every kind, and columns and ranks both good and bad for `mt`
 PIN_LEAVES = (AllRows(), ColumnRef("team"), ColumnRef("points"), ColumnRef("venue"),
-              Literal("2"), Literal("0"), Literal("x"))
-LEAF_POSITIONS = {AllRows: (VIEW,), ColumnRef: (HEADER,), Literal: (OBJECT, ORD)}
+              normalize_cell("2"), normalize_cell("0"), normalize_cell("x"))
+LEAF_POSITIONS = {AllRows: (VIEW,), ColumnRef: (HEADER,), CellValue: (OBJECT, ORD)}
 
 
 def pin_node(rng: random.Random, position: str, depth: int):
@@ -342,7 +348,7 @@ class TestTreeHelpers:
     def test_walk_is_preorder(self):
         lf = parse_logic_form(EXAMPLE)
         kinds = [type(node).__name__ for node in walk(lf)]
-        assert kinds == ["Apply", "Apply", "Apply", "AllRows", "ColumnRef", "Literal", "Literal"]
+        assert kinds == ["Apply", "Apply", "Apply", "AllRows", "ColumnRef", "CellValue", "CellValue"]
 
     def test_referenced_columns_first_seen(self):
         lf = parse_logic_form(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import loft
-from loft.forms import AllRows, Apply, ColumnRef, Literal
+from loft.forms import AllRows, Apply, ColumnRef, parse_logic_form
 from loft.tables import load_corpus, normalize_cell
 
 LOFT_ROOT = str(Path(loft.__file__).resolve().parents[1])
@@ -51,7 +51,10 @@ def test_a_reimport_leaves_no_class_of_the_first_import_alive():
 
 @pytest.mark.parametrize("value", [
     normalize_cell("3"), normalize_cell("a b"), normalize_cell("-"),
-    AllRows(), ColumnRef("points"), Literal("3"), Apply("count", (AllRows(),)),
+    AllRows(), ColumnRef("points"), Apply("count", (AllRows(),)),
+    # the literal leaf of a parsed form is a CellValue
+    pytest.param(parse_logic_form("eq { count { all_rows } ; 3 }").args[1],
+                 id="Literal(text='3')"),
 ], ids=repr)
 def test_cells_and_form_nodes_have_no_instance_dict(value):
     assert not hasattr(value, "__dict__")

@@ -7,9 +7,10 @@ import pytest
 
 from loft import default_distribution, parse_logic_form, realize_logic_form
 from loft.catalog import CATALOG, VIEW
-from loft.forms import Literal, referenced_columns, walk
+from loft.forms import referenced_columns, walk
 from loft.realizer import PLURAL, UNIT, _SLOT_RE, load_phrase_table, serialize_table
 from loft.synthesizer import synthesize_candidates
+from loft.tables import CellValue
 
 
 class TestExactPhrasings:
@@ -102,7 +103,7 @@ class TestEntityContainment:
                 for column in referenced_columns(cand.form):
                     assert column in text, (text, column)
                 for node in walk(cand.form):
-                    if isinstance(node, Literal):
+                    if isinstance(node, CellValue):
                         assert node.text in text, (text, node.text)
                 checked += 1
         assert checked >= 50

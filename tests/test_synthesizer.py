@@ -18,7 +18,7 @@ from loft.catalog import GROUP_SIGNATURES, OBJECT, ORD
 from loft.cli import main
 from loft.errors import LoftError, ParseError
 from loft.executor import apply, as_object, kept_rows
-from loft.forms import print_logic_form, referenced_columns
+from loft.forms import parse_logic_form, print_logic_form, referenced_columns
 from loft.synthesizer import (
     ATTEMPT_BUDGET_FACTOR,
     _Fail,
@@ -30,7 +30,9 @@ from loft.synthesizer import (
     table_rng,
 )
 from loft.tables import EMPTY, NUMERIC, TEXT, CellValue, normalize_cell
-from loft.templates import TemplateDistribution, WeightedTemplate, abstract, parse_template
+from loft.templates import (
+    TemplateDistribution, WeightedTemplate, abstract, parse_template, weigh_templates,
+)
 
 from .generators import random_table
 from .oracle import oracle_execute, oracle_step
@@ -160,6 +162,31 @@ class TestInstantiate:
             "COMPARE_EQ { hop { SUPER_ARG { all_rows ; COL_1 } ; COL_2 } ; OBJ_1 }"
         )
         assert _Grounding(mt, random.Random(3)).instantiate(template, [1]) is None
+
+    def test_a_tiny_computed_number_grounds_in_positional_notation(self):
+        # avg is 5e-05, whose repr would read back as 5
+        table = Table.from_strings("tiny", "tiny", ["item", "p"], [["x", "0.00004"],
+                                                                   ["y", "0.00006"]])
+        dist = weigh_templates(
+            [parse_template("COMPARE_EQ { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }")], "test")
+        result = synthesize_candidates(table, [(0, 1)], dist, seed=0, candidates=4)
+        assert "eq { avg { all_rows ; p } ; 0.00005 }" in [c.logic_form for c in result.candidates]
+
+    def test_a_huge_computed_number_is_stated_as_itself(self, tmp_path):
+        # the total is 1.7e16, whose repr "1.7e+16" would read as 1.7
+        table = Table.from_strings("huge", "huge", ["item", "bytes"], [
+            ["a", "6000000000000000"], ["b", "4000000000000000"], ["c", "7000000000000000"]])
+        dist = weigh_templates([parse_template(text) for text in (
+            "COMPARE_EQ { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }",
+            "COMPARE_GT { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }")], "test")
+        out = tmp_path / "out.jsonl"
+        report = run_pipeline([CorpusEntry(table=table)], out, dist, k=5, seed=0)
+        statements = json.loads(out.read_text(encoding="utf-8"))["statements"]
+        assert statements and report.execution_faithfulness == 1.0
+        for statement in statements:
+            # the literal as a reader takes it is the value the executor compared
+            literal = parse_logic_form(statement["logic_form"]).args[1].text
+            assert float(literal) == normalize_cell(literal).number, statement["text"]
 
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])

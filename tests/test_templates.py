@@ -22,7 +22,8 @@ from loft import (
     parse_logic_form,
 )
 from loft.catalog import BOOL
-from loft.forms import AllRows, Apply, ColumnRef, Literal, type_check, walk
+from loft.forms import AllRows, Apply, ColumnRef, type_check, walk
+from loft.tables import normalize_cell
 from loft.templates import (
     TemplateDistribution,
     WeightedTemplate,
@@ -358,7 +359,7 @@ def test_a_form_type_checks_as_boolean_exactly_when_its_template_loads(seed):
     table = NUMERIC_TABLE
     lf = random_bool_form(rng, table)
     new = rng.choice([AllRows(), ColumnRef(rng.choice(table.headers)),
-                      Literal(str(rng.randint(1, 3))), random_form(rng, table, 2)])
+                      normalize_cell(str(rng.randint(1, 3))), random_form(rng, table, 2)])
     lf = replaced(lf, rng.randrange(len(list(walk(lf)))), new)
     try:
         boolean = type_check(lf, table) == BOOL
