@@ -18,7 +18,7 @@ less, diff), and the function's own name for every other function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .tables import Frozen
 
 UNIQUE = "unique"
 AGGREGATION = "aggregation"
@@ -54,16 +54,25 @@ NUM = "number"
 FILLS = {VIEW: VIEW, HEADER: HEADER, OBJECT: OBJECT, ORD: ORD, BOOL: BOOL, NUM: OBJECT}
 
 
-@dataclass(frozen=True)
-class FunctionSignature:
-    name: str
-    category: str
-    group: str
-    arg_types: tuple[str, ...]
-    return_type: str
-    family: str
-    numeric_column: bool = False  # header argument must be a numeric column
-    op: str | None = None  # comparator of a filter/all/most function
+class FunctionSignature(Frozen):
+    """One catalog function.  ``numeric_column`` says its header argument
+    must be a numeric column, and ``op`` is the comparator of a
+    filter/all/most function (None elsewhere)."""
+
+    __slots__ = _compared = ("name", "category", "group", "arg_types", "return_type", "family",
+                             "numeric_column", "op")
+
+    def __init__(self, name: str, category: str, group: str, arg_types: tuple[str, ...],
+                 return_type: str, family: str, numeric_column: bool = False,
+                 op: str | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "arg_types", arg_types)
+        object.__setattr__(self, "return_type", return_type)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "numeric_column", numeric_column)
+        object.__setattr__(self, "op", op)
 
 
 def _sig(name, category, group, args, ret, numeric=False, family=None):

@@ -33,7 +33,8 @@ from .executor import Value, execute, number_text, verify
 from .forms import parse_logic_form, type_check
 from .metrics import score_output
 from .pipeline import (
-    BUILTIN, DEFAULT_K, DEFAULT_SEED, DEFAULT_STRATEGY, STRATEGIES, HookConfig, run_pipeline,
+    BUILTIN, DEFAULT_K, DEFAULT_SEED, DEFAULT_STRATEGY, DEFAULT_TIMEOUT, STRATEGIES, HookConfig,
+    run_pipeline,
 )
 from .realizer import realize_logic_form
 from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=_at_least(1), default=DEFAULT_CANDIDATES)
     p.add_argument("--generator", default=BUILTIN)
     p.add_argument("--verifier", default=BUILTIN)
-    p.add_argument("--timeout", type=_timeout, default=HookConfig.timeout)
+    p.add_argument("--timeout", type=_timeout, default=DEFAULT_TIMEOUT)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("score", _cmd_score, "compute metrics for a pipeline output")

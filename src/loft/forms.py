@@ -14,11 +14,10 @@ template loader type them by one position table, ``catalog.FILLS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .catalog import BOOL, CATALOG, FILLS, HEADER, OBJECT, ORD, VIEW, FunctionSignature
 from .errors import ArityError, ParseError, TypeCheckError, UnknownFunctionError
-from .tables import NUMERIC, CellValue, Table, fold_text, normalize_cell
+from .tables import NUMERIC, CellValue, Frozen, Table, fold_text, normalize_cell
 
 _ORDINAL_RE = re.compile(r"^\d+$")
 _SPACE_RE = re.compile(r"\s*")
@@ -33,32 +32,30 @@ _ESCAPED_RE = re.compile(r"[{};\\]")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True, slots=True)
-class AllRows:
+class AllRows(Frozen):
     """The whole-table view terminal."""
 
-
-@dataclass(frozen=True, slots=True)
-class ColumnRef:
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", fold_text(str(self.name)))
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Apply:
-    name: str
-    args: tuple["LogicForm", ...]
+class ColumnRef(Frozen):
+    __slots__ = _compared = ("name",)
 
-    def __post_init__(self):
-        sig = CATALOG.get(self.name)
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", fold_text(str(name)))
+
+
+class Apply(Frozen):
+    __slots__ = _compared = ("name", "args")
+
+    def __init__(self, name: str, args: tuple["LogicForm", ...]):
+        sig = CATALOG.get(name)
         if sig is None:
-            raise UnknownFunctionError(f"unknown function {self.name!r}")
-        if len(self.args) != len(sig.arg_types):
-            raise ArityError(
-                f"{self.name} takes {len(sig.arg_types)} arguments, got {len(self.args)}"
-            )
+            raise UnknownFunctionError(f"unknown function {name!r}")
+        if len(args) != len(sig.arg_types):
+            raise ArityError(f"{name} takes {len(sig.arg_types)} arguments, got {len(args)}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
 LogicForm = AllRows | ColumnRef | CellValue | Apply

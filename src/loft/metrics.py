@@ -19,7 +19,6 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import CATEGORIES
@@ -196,21 +195,22 @@ def category_coverage(categories: list[str]) -> float | None:
     return len(set(categories) & set(CATEGORIES)) / len(CATEGORIES)
 
 
-@dataclass
 class MetricsReport:
-    tables: int = 0
-    statements: int = 0
-    bleu_1: float | None = None
-    bleu_2: float | None = None
-    bleu_3: float | None = None
-    distinct_2: float | None = None
-    self_bleu_4: float | None = None
-    category_coverage: float | None = None
-    column_coverage: float | None = None
-    execution_faithfulness: float | None = None
+    def __init__(self, tables: int, statements: int):
+        self.tables = tables
+        self.statements = statements
+        self.bleu_1: float | None = None
+        self.bleu_2: float | None = None
+        self.bleu_3: float | None = None
+        self.distinct_2: float | None = None
+        self.self_bleu_4: float | None = None
+        self.category_coverage: float | None = None
+        self.column_coverage: float | None = None
+        self.execution_faithfulness: float | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """Every field, in the order __init__ sets them."""
+        return dict(vars(self))
 
 
 def _read_output(path: str | Path) -> list[dict]:

@@ -41,7 +41,6 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from queue import Empty, Queue
 
@@ -54,7 +53,7 @@ from .synthesizer import (
     synthesize_candidates,
     table_rng,
 )
-from .tables import CorpusEntry, first_entries, is_utf8_text, json_object, write_json_lines
+from .tables import CorpusEntry, Frozen, first_entries, is_utf8_text, json_object, write_json_lines
 from .templates import TemplateDistribution
 
 log = logging.getLogger(__name__)
@@ -65,29 +64,31 @@ RANDOM = "random"
 STRATIFIED = "stratified"
 STRATEGIES = (RANDOM, STRATIFIED)
 
-# run defaults, shared by run_pipeline, its report and the CLI
+# run defaults, shared by run_pipeline and the CLI
 DEFAULT_SEED = 13
 DEFAULT_K = 5
 DEFAULT_STRATEGY = RANDOM
+# seconds a hook may stay silent before its items time out
+DEFAULT_TIMEOUT = 10.0
 
 
-@dataclass(frozen=True)
-class HookConfig:
+class HookConfig(Frozen):
     """How one pipeline stage talks to the outside world.
 
     ``timeout`` is in seconds, above 0 and at most threading.TIMEOUT_MAX,
     the longest wait a queue accepts.
     """
 
-    command: str = BUILTIN
-    timeout: float = 10.0
+    __slots__ = _compared = ("command", "timeout")
 
-    def __post_init__(self):
-        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+    def __init__(self, command: str = BUILTIN, timeout: float = DEFAULT_TIMEOUT):
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
                 f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s,"
-                f" got {self.timeout}"
+                f" got {timeout}"
             )
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "timeout", timeout)
 
     @property
     def is_builtin(self) -> bool:
@@ -268,7 +269,7 @@ def generate_statements(
         if not (isinstance(statement, str) and statement.strip() and is_utf8_text(statement)):
             log.warning("generator hook gave no usable statement for %s", item_id)
             continue
-        out.append(replace(cand, statement=statement.strip()))
+        out.append(cand._replace(statement=statement.strip()))
     return out
 
 
@@ -343,23 +344,25 @@ def sample_outputs(
     return out
 
 
-@dataclass
 class PipelineReport:
-    tables: int = 0
-    candidates: int = 0
-    generated: int = 0
-    verified: int = 0
-    sampled: int = 0
-    seed: int = DEFAULT_SEED
-    k: int = DEFAULT_K
-    strategy: str = DEFAULT_STRATEGY
-    category_histogram: dict[str, int] = field(default_factory=dict)
-    synthesis_failures: list[str] = field(default_factory=list)
-    shortfalls: dict[str, int] = field(default_factory=dict)
-    execution_faithfulness: float | None = None
+    def __init__(self, seed: int, k: int, strategy: str):
+        self.tables = 0
+        self.candidates = 0
+        self.generated = 0
+        self.verified = 0
+        self.sampled = 0
+        self.seed = seed
+        self.k = k
+        self.strategy = strategy
+        self.category_histogram: dict[str, int] = {}
+        self.synthesis_failures: list[str] = []
+        self.shortfalls: dict[str, int] = {}
+        self.execution_faithfulness: float | None = None
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        """Every field, in the order __init__ sets them, with sorted copies of
+        the histogram, failures and shortfalls."""
+        out = dict(vars(self))
         out["category_histogram"] = dict(sorted(self.category_histogram.items()))
         out["synthesis_failures"] = sorted(self.synthesis_failures)
         out["shortfalls"] = dict(sorted(self.shortfalls.items()))

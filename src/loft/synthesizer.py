@@ -6,8 +6,9 @@ empty), all and most objects also from its whole column and from that
 column's least number - 1 and greatest number + 1, ordinal ranks stay
 within the usable value multiset, and a value compared against a computed
 subform (a count, an aggregate, a looked-up cell) is that result, one
-step off it for greater or less (1, or 0.5 for a fraction), or for not_eq
-its number + 1 or another text of its column.  One ``_Grounding`` object
+step off it for greater or less (1, or 0.5 for a fraction, or the float
+spacing where that is larger), or for not_eq its number plus the larger of
+1 and that spacing, or another text of its column.  One ``_Grounding`` object
 serves a whole ``synthesize_candidates`` call: ``instantiate`` draws a
 template up to RETRIES_PER_TEMPLATE times, and its dispatcher ``fill``
 grounds every node, which ``parse_template`` has already checked fits
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import CATALOG, COMPARATIVE, GROUP_SIGNATURES, GROUPS, NUM, OBJECT, ORD
 from .errors import LoftError
@@ -364,14 +366,14 @@ class _Grounding:
             member = self.choice(GROUPS[group])
             if member == "eq":
                 return "eq", obj.text
-            if num is not None:
-                return "not_eq", number_text(num + 1)
+            if num is not None:  # a step below the float spacing would not move num
+                return "not_eq", number_text(num + max(1.0, math.ulp(num)))
             return "not_eq", self._different_text(sub_form, obj)
         # COMPARE_GT
         if num is None:
             raise _Fail()
         member = self.choice(GROUPS[group])
-        step = 1.0 if float(num).is_integer() else 0.5
+        step = max(1.0 if float(num).is_integer() else 0.5, math.ulp(num))
         above, below = number_text(num + step), number_text(num - step)
         if member == "greater":
             return "greater", (above if obj_first else below)
@@ -423,8 +425,7 @@ class _ViewIndex:
         return [0 if n is None else len(numbers) - n for n in below]
 
 
-@dataclass
-class SynthesizedCandidate:
+class SynthesizedCandidate(NamedTuple):
     table: Table
     column_set: tuple[int, ...]
     form: Apply
@@ -438,22 +439,22 @@ class SynthesizedCandidate:
         return realize_logic_form(self.form) if self.statement is None else self.statement
 
 
-@dataclass
 class ColumnSetResult:
-    column_set: tuple[int, ...]
-    forms: list[SynthesizedCandidate] = field(default_factory=list)
-    requested: int = 0
-    attempts: int = 0
+    def __init__(self, column_set: tuple[int, ...], requested: int):
+        self.column_set = column_set
+        self.forms: list[SynthesizedCandidate] = []
+        self.requested = requested
+        self.attempts = 0
 
     @property
     def shortfall(self) -> int:
         return max(0, self.requested - len(self.forms))
 
 
-@dataclass
 class SynthesisResult:
-    table: Table
-    per_set: list[ColumnSetResult] = field(default_factory=list)
+    def __init__(self, table: Table):
+        self.table = table
+        self.per_set: list[ColumnSetResult] = []
 
     @property
     def candidates(self) -> list[SynthesizedCandidate]:

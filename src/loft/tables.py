@@ -29,9 +29,9 @@ import json
 import logging
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import IngestError
 
@@ -58,20 +58,56 @@ def fold_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True, slots=True)
-class CellValue:
+class Frozen:
+    """Base of loft's immutable records.  A subclass's ``__init__`` sets each
+    of its ``__slots__`` through object.__setattr__, and ``_compared`` names
+    the fields that equality, hashing and the repr read, in order.  Any
+    later assignment raises AttributeError; a pickle or copy restores the
+    slots as they were, without calling ``__init__`` again."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class CellValue(Frozen):
     """A normalized cell, and the executor's object value: kind is number, text
     or empty; folded is fold_text(text), or "" when empty, for eq's text rule."""
 
-    kind: str
-    text: str
-    number: float | None = None
-    folded: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "text", "number", "folded")
+    _compared = ("kind", "text", "number")
 
-    def __post_init__(self):
-        folded = "" if self.kind == EMPTY else fold_text(self.text)
+    def __init__(self, kind: str, text: str, number: float | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "number", number)
+        folded = "" if kind == EMPTY else fold_text(text)
         # most cells fold to their own text: share it rather than hold a copy
-        object.__setattr__(self, "folded", self.text if folded == self.text else folded)
+        object.__setattr__(self, "folded", text if folded == text else folded)
 
 
 def normalize_cell(raw: str) -> CellValue:
@@ -89,41 +125,36 @@ def normalize_cell(raw: str) -> CellValue:
     return CellValue(TEXT, s)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Frozen):
     """An immutable table with normalized headers and cells; column types
     are derived from the cells (see NUMERIC_COLUMN_SHARE)."""
 
-    table_id: str
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple[CellValue, ...], ...]
-    column_types: tuple[str, ...] = field(init=False)
-    # per column, one entry a row: the cell's number or None, and its
-    # folded text or None when it is empty; what the executor scans
-    numbers: tuple[tuple[float | None, ...], ...] = field(init=False, repr=False, compare=False)
-    folds: tuple[tuple[str | None, ...], ...] = field(init=False, repr=False, compare=False)
-    _column_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    # per column, numbers and folds hold one entry a row: the cell's number
+    # or None, and its folded text or None when it is empty; what the
+    # executor scans
+    __slots__ = ("table_id", "title", "headers", "rows", "column_types", "numbers", "folds",
+                 "_column_of")
+    _compared = ("table_id", "title", "headers", "rows", "column_types")
 
-    def __post_init__(self):
-        if not self.headers:
+    def __init__(self, table_id: str, title: str, headers: tuple[str, ...],
+                 rows: tuple[tuple[CellValue, ...], ...]):
+        if not headers:
             raise ValueError("table has no columns")
         column_of: dict[str, int] = {}
-        for j, h in enumerate(self.headers):
+        for j, h in enumerate(headers):
             if not h:  # no form could name the column
                 raise ValueError(f"header {j} is blank")
             if h in column_of:
                 raise ValueError(f"duplicate header after normalization: {h!r}")
             column_of[h] = j
-        object.__setattr__(self, "_column_of", column_of)
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.headers):
+        for i, row in enumerate(rows):
+            if len(row) != len(headers):
                 raise ValueError(
-                    f"row {i} has {len(row)} cells, expected {len(self.headers)}"
+                    f"row {i} has {len(row)} cells, expected {len(headers)}"
                 )
         types, numbers, folds = [], [], []
         # zip(*rows) of no rows has no columns at all
-        for column in zip(*self.rows) if self.rows else [()] * len(self.headers):
+        for column in zip(*rows) if rows else [()] * len(headers):
             numbers.append(tuple([cell.number for cell in column]))
             folds.append(tuple([None if cell.kind == EMPTY else cell.folded for cell in column]))
             # a cell has a number exactly when it is a number cell
@@ -131,9 +162,14 @@ class Table:
             filled = len(column) - folds[-1].count(None)
             is_numeric = numeric > 0 and numeric >= NUMERIC_COLUMN_SHARE * filled
             types.append(NUMERIC if is_numeric else TEXTUAL)
+        object.__setattr__(self, "table_id", table_id)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "headers", headers)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_types", tuple(types))
         object.__setattr__(self, "numbers", tuple(numbers))
         object.__setattr__(self, "folds", tuple(folds))
+        object.__setattr__(self, "_column_of", column_of)
 
     @classmethod
     def from_strings(
@@ -174,13 +210,12 @@ class Table:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One corpus record: a table plus optional column sets and references."""
 
     table: Table
-    selected_column_sets: tuple[tuple[int, ...], ...] = field(default=())
-    references: tuple[str, ...] = field(default=())
+    selected_column_sets: tuple[tuple[int, ...], ...] = ()
+    references: tuple[str, ...] = ()
 
 
 def _as_list(value, what: str) -> list:

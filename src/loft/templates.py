@@ -19,16 +19,16 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from .catalog import (
     BOOL, CATALOG, COMPARATIVE, FILLS, GROUP_SIGNATURES, HEADER, OBJECT, ORD, ORDER_OPS, VIEW,
 )
 from .errors import DistributionError, ParseError
 from .forms import AllRows, Apply, ColumnRef, LogicForm, parse_tree, print_logic_form
-from .tables import json_object
+from .tables import Frozen, json_object
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
 # a skeleton's tokens (group names, placeholders, all_rows) in printing order
@@ -37,31 +37,38 @@ _TOKEN_RE = re.compile(r"[^\s{};]+")
 WEIGHT_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class TSlot:
+class TSlot(Frozen):
     """A placeholder: the catalog position it fills (HEADER for COL_i,
     OBJECT for OBJ_j, ORD for ORD_k) and its number."""
 
-    position: str
-    index: int
+    __slots__ = _compared = ("position", "index")
+
+    def __init__(self, position: str, index: int):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class TApply:
-    group: str
-    args: tuple["TemplateNode", ...]
+class TApply(Frozen):
+    __slots__ = _compared = ("group", "args")
+
+    def __init__(self, group: str, args: tuple["TemplateNode", ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "args", args)
 
 
 TemplateNode = AllRows | TSlot | TApply
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Frozen):
     """A skeleton as ``parse_template`` checked it, with whether each COL
     index needs a numeric column."""
 
-    skeleton: TApply
-    needs: dict[int, bool] = field(compare=False, repr=False)
+    __slots__ = ("skeleton", "needs")
+    _compared = ("skeleton",)
+
+    def __init__(self, skeleton: TApply, needs: dict[int, bool]):
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "needs", needs)
 
     @property
     def category(self) -> str:
@@ -179,35 +186,34 @@ def parse_template(text: str) -> Template:
     return Template(skeleton, _check_skeleton(skeleton, text))
 
 
-@dataclass(frozen=True)
-class WeightedTemplate:
+class WeightedTemplate(NamedTuple):
     template: Template
     weight: float
 
 
-@dataclass(frozen=True)
-class TemplateDistribution:
-    entries: tuple[WeightedTemplate, ...]
-    provenance: str = ""
-    running: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    total: float = field(init=False, repr=False, compare=False)
+class TemplateDistribution(Frozen):
+    __slots__ = ("entries", "provenance", "running", "total")
+    _compared = ("entries", "provenance")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[WeightedTemplate, ...], provenance: str = ""):
+        if not entries:
             raise DistributionError("a distribution needs at least one template")
         seen = set()
-        for e in self.entries:
+        for e in entries:
             key = e.template.canonical()
             if key in seen:
                 raise DistributionError(f"duplicate template: {key}")
             seen.add(key)
             if not e.weight > 0:  # NaN fails this too
                 raise DistributionError(f"weight {e.weight!r} for {key} is not positive")
-        weights = [e.weight for e in self.entries]
+        weights = [e.weight for e in entries]
+        total = sum(weights)
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            raise DistributionError(f"weights sum to {total!r}, expected 1.0")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "running", tuple(accumulate(weights)))
-        object.__setattr__(self, "total", sum(weights))
-        if abs(self.total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise DistributionError(f"weights sum to {self.total!r}, expected 1.0")
+        object.__setattr__(self, "total", total)
 
 
 def mine_templates(forms: list[LogicForm]) -> list[Template | ParseError]:

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -798,7 +797,9 @@ class TestRunPipeline:
         # entries built in code bypass load_corpus, so run_pipeline applies
         # the same first-one-wins rule itself
         first, second = bundled_corpus[0], bundled_corpus[1]
-        same_id = replace(second, table=replace(second.table, table_id=first.table.table_id))
+        table = second.table
+        same_id = second._replace(
+            table=Table(first.table.table_id, table.title, table.headers, table.rows))
         alone, both = tmp_path / "alone.jsonl", tmp_path / "both.jsonl"
         want = run_pipeline([first], alone, default_distribution(), seed=13, candidates=5)
         with caplog.at_level("WARNING", logger="loft.pipeline"):
@@ -1031,7 +1032,7 @@ def _soundness_distribution() -> TemplateDistribution:
     """The bundled templates at half weight, plus "only { all_rows }", which
     grounds to itself and is false on any table of more than one row: only
     synthesis' verify keeps its forms out of the output."""
-    entries = tuple(replace(e, weight=e.weight / 2) for e in default_distribution().entries)
+    entries = tuple(e._replace(weight=e.weight / 2) for e in default_distribution().entries)
     return TemplateDistribution(
         entries=entries + (WeightedTemplate(parse_template("only { all_rows }"), 0.5),))
 

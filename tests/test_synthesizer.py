@@ -188,6 +188,23 @@ class TestInstantiate:
             literal = parse_logic_form(statement["logic_form"]).args[1].text
             assert float(literal) == normalize_cell(literal).number, statement["text"]
 
+    def test_a_huge_compared_number_gets_every_comparison(self):
+        # above 2**53 the float spacing exceeds 1, so num + 1 can be num itself
+        table = Table.from_strings("huge", "huge", ["item", "bytes"], [
+            ["a", "6000000000000000"], ["b", "4000000000000000"], ["c", "7000000000000000"]])
+        dist = weigh_templates([parse_template(text) for text in (
+            "COMPARE_EQ { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }",
+            "COMPARE_GT { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }")], "test")
+        result = synthesize_candidates(table, [(1,)], dist, seed=0, candidates=8)
+        forms = [cand.form for cand in result.candidates]
+        assert {(form.name, form.args[0].name) for form in forms} == {
+            (member, agg) for member in ("eq", "not_eq", "greater", "less")
+            for agg in ("sum", "avg")}
+        for form in forms:
+            value, literal = loft.executor.execute(form.args[0], table), form.args[1].number
+            assert (literal == value) == (form.name == "eq"), print_logic_form(form)
+            assert verify(form, table)
+
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])
         result = synthesize_candidates(table, None, default_distribution(), seed=13, candidates=3)
@@ -645,7 +662,10 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
 
         monkeypatch.setattr(_Grounding, name, recording)
     table = _seeded_table(0)
-    attributes = dict(vars(table))
+    def attributes_of(t):
+        return {name: getattr(t, name) for name in Table.__slots__}
+
+    attributes = attributes_of(table)
     dist = _with_majority_all_gt(default_distribution())
     for _ in range(2):
         runs.append({})
@@ -657,8 +677,8 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
     assert all(len(values) == 1 for run in runs for values in run.values())
     assert second.keys() == first.keys()
     assert all(second[key][0] is not values[0] for key, values in first.items())
-    assert vars(table).keys() == attributes.keys()
-    assert all(vars(table)[k] is v for k, v in attributes.items())
+    assert attributes_of(table).keys() == attributes.keys()
+    assert all(attributes_of(table)[k] is v for k, v in attributes.items())
 
 
 def _rng_stream_digest(monkeypatch, table, dist):

@@ -1,7 +1,9 @@
 """Cell normalization, column typing, and corpus round trips."""
 
 import csv
+import inspect
 import json
+import pickle
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loft import CorpusEntry, IngestError, Table, load_corpus, verify
+from loft import CATALOG, CorpusEntry, HookConfig, IngestError, Table, load_corpus, verify
+from loft.catalog import HEADER
+from loft.forms import AllRows, ColumnRef, parse_logic_form
 from loft.tables import (
     EMPTY,
     NUMBER,
@@ -23,6 +27,7 @@ from loft.tables import (
     normalize_cell,
     save_corpus,
 )
+from loft.templates import TSlot, WeightedTemplate, default_distribution, parse_template
 
 from .test_pipeline import count_calls
 
@@ -115,6 +120,32 @@ class TestTable:
         assert normalize_cell(" A  B ") == CellValue("text", "A  B")
         assert normalize_cell(" A  B ").folded == "a b"
         assert repr(normalize_cell("x")) == "CellValue(kind='text', text='x', number=None)"
+
+
+_TABLE = Table.from_strings("t", "title", ["Team", "points"], [["a", "3"], ["b", "-"]])
+_TEMPLATE = parse_template("COMPARE_EQ { AGGREGATION { all_rows ; COL_1 } ; OBJ_1 }")
+# one value of each record type that is immutable
+FROZEN = [
+    CATALOG["filter_eq"], AllRows(), ColumnRef("Points"),
+    parse_logic_form("eq { count { all_rows } ; 3 }"), normalize_cell("1,000"), _TABLE,
+    CorpusEntry(_TABLE, ((0, 1),), ("a scored 3.",)), TSlot(HEADER, 1), _TEMPLATE.skeleton,
+    _TEMPLATE, WeightedTemplate(_TEMPLATE, 1.0), default_distribution(), HookConfig("cat", 2.5),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda value: type(value).__name__)
+def test_a_record_refuses_assignment_and_pickles_to_an_equal_value(value):
+    # what the constructor takes, and what a slotted record derives from it
+    fields = [*inspect.signature(type(value)).parameters, *getattr(value, "__slots__", ())]
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+    assert all(getattr(copy, name) == getattr(value, name) for name in fields)
 
 
 class TestCorpusIO:

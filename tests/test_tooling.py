@@ -7,9 +7,12 @@ code shipped as API, and a benchmark span wrapped around it measures nothing.
 Every name a module imports is used there (``__init__`` re-exports
 aside), and no module imports another's private name.  Every bundled data
 file is read by a module and shipped by the package-data patterns.
+Importing loft builds its classes without generating code.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,14 @@ def test_every_data_file_is_read_and_shipped():
     unshipped = [str(path) for path in files
                  if not any(path.match(pattern) for pattern in patterns)]
     assert not unshipped, f"bundled but matched by no package-data pattern: {unshipped}"
+
+
+def test_importing_loft_loads_no_code_generating_module():
+    # dataclasses compiles generated source for each record class and
+    # imports inspect to do so, on every process start and re-import
+    code = (f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); import loft; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]"]
