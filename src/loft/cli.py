@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .catalog import NUM, OBJECT, VIEW
@@ -39,7 +38,7 @@ from .pipeline import (
 from .realizer import realize_logic_form
 from .synthesizer import DEFAULT_CANDIDATES, synthesize_candidates
 from .tables import (
-    CorpusEntry, Table, load_corpus, not_utf8, save_corpus, write_json_lines,
+    DATA, CorpusEntry, Table, load_corpus, not_utf8, save_corpus, write_json_lines,
 )
 from .templates import (
     Template,
@@ -271,14 +270,9 @@ def _cmd_demo(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    corpus_path = out_dir / "corpus.jsonl"
-    corpus_path.write_bytes(
-        resources.files("loft.data").joinpath("sample_corpus.jsonl").read_bytes()
-    )
-    forms_path = out_dir / "forms.txt"
-    forms_path.write_bytes(
-        resources.files("loft.data").joinpath("sample_forms.txt").read_bytes()
-    )
+    corpus_path, forms_path = out_dir / "corpus.jsonl", out_dir / "forms.txt"
+    corpus_path.write_bytes((DATA / "sample_corpus.jsonl").read_bytes())
+    forms_path.write_bytes((DATA / "sample_forms.txt").read_bytes())
 
     entries = load_corpus(str(corpus_path))
     dist = weigh_templates(_read_templates(forms_path), provenance="demo")

@@ -141,8 +141,12 @@ def parse_logic_form(text: str) -> LogicForm:
 
 def print_logic_form(lf: LogicForm) -> str:
     """Canonical concrete syntax: single spaces around braces and semicolons."""
+    return _print(lf)
+
+
+def _print(lf: LogicForm) -> str:
     if isinstance(lf, Apply):
-        return f"{lf.name} {{ {' ; '.join([print_logic_form(a) for a in lf.args])} }}"
+        return f"{lf.name} {{ {' ; '.join([_print(a) for a in lf.args])} }}"
     if isinstance(lf, AllRows):
         return "all_rows"
     if isinstance(lf, ColumnRef):

@@ -239,7 +239,7 @@ def _ask_hook(hook: HookConfig, role: str, items: list, fields) -> Iterator[tupl
     each payload holds item.table's text and fields(item)."""
     # launched first, so the hook starts up while the payloads are built
     with closing(_HookProcess(hook.command, hook.timeout, role)) as proc:
-        # keyed by object: the items keep every table alive
+        # by id: Table.__hash__ hashes every cell; the items keep each table alive
         table_texts: dict[int, str] = {}
         payloads = []
         for i, item in enumerate(items):

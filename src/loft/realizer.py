@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from importlib import resources
 
 from .catalog import CATALOG, VIEW
 from .forms import AllRows, ColumnRef, LogicForm, parse_logic_form
-from .tables import CellValue, Table
+from .tables import DATA, CellValue, Table
 
 _SLOT_RE = re.compile(r"\{(unit|scope)?(\d+)\}")
 
@@ -29,8 +28,7 @@ UNIT = "unit"
 
 @lru_cache(maxsize=1)
 def load_phrase_table() -> dict:
-    raw = resources.files("loft.data").joinpath("phrase_table.json").read_text("utf-8")
-    return json.loads(raw)
+    return json.loads((DATA / "phrase_table.json").read_bytes())
 
 
 def _render(node: LogicForm, mode: str, phrases: dict) -> str:

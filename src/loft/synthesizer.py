@@ -2,13 +2,14 @@
 
 Placeholders are grounded innermost-first against the live table: filter
 objects come from cell values of the current view (so the subview is never
-empty), all and most objects also from its whole column and from that
-column's least number - 1 and greatest number + 1, ordinal ranks stay
-within the usable value multiset, and a value compared against a computed
-subform (a count, an aggregate, a looked-up cell) is that result, one
-step off it for greater or less (1, or 0.5 for a fraction, or the float
-spacing where that is larger), or for not_eq its number plus the larger of
-1 and that spacing, or another text of its column.  One ``_Grounding`` object
+empty), all and most objects also from its whole column and from one step
+(1, or the float spacing where that is larger) below that column's least
+number and above its greatest, ordinal ranks stay within the usable value
+multiset, and a value compared against a computed subform (a count, an
+aggregate, a looked-up cell) is that result, one step off it for greater
+or less (1, or 0.5 for a fraction, or the float spacing where that is
+larger), or for not_eq its number plus the larger of 1 and that spacing,
+or another text of its column.  One ``_Grounding`` object
 serves a whole ``synthesize_candidates`` call: ``instantiate`` draws a
 template up to RETRIES_PER_TEMPLATE times, and its dispatcher ``fill``
 grounds every node, which ``parse_template`` has already checked fits
@@ -20,17 +21,19 @@ per-node step applied to the values its children already produced (a
 number as a cell), so no subtree is executed twice.  Each view gets one
 index, built from the table's column arrays (equality by number, else by
 folded text; order by bisecting the sorted numbers): the object pools
-(``objects``) read the view's distinct values (a whole column's are the
-all-rows view's) and count every value's hits from it in one batched
-call, never with one scan per value.  The object holds the all-rows
-view, the column references, literal cells, view indexes and pools,
-each built once, and dies with the call: nothing is kept on the table,
-the module or the distribution.  No draw copies a pool it only reads, so
-every random choice draws from the same sequence it would from a copy.
-Every filled form is printed, and each distinct text goes through one
-full verification per call before it is returned; a form with the same
-text is the same tree, so it reuses that answer.  These strategies only
-buy speed, never soundness.
+read the view's distinct values (a whole column's are the all-rows
+view's) and count every value's hits from it in one batched call, never
+with one scan per value.  The object holds the all-rows view, the column
+references and a chain of ``tables.Memo`` (literal cells, view indexes,
+majority objects, hit counts, pools) whose entries a module-level
+function of the key builds on first read.  It dies with the call: no
+builder holds it, and nothing is kept on the table, module or
+distribution.  No draw copies a pool it only reads, so every random
+choice draws from the same sequence it would from a copy.  Every filled
+form is printed, and each distinct text goes through one full
+verification per call before it is returned; a form with the same text
+is the same tree, so it reuses that answer.  These strategies only buy
+speed, never soundness.
 
 All randomness flows through one generator per table, seeded from
 (seed, table_id), so runs are reproducible regardless of corpus order.
@@ -52,7 +55,7 @@ from .errors import LoftError
 from .executor import Value, apply, as_object, number_text, verify
 from .forms import AllRows, Apply, ColumnRef, LogicForm, print_logic_form
 from .realizer import realize_logic_form
-from .tables import EMPTY, NUMERIC, CellValue, Table, normalize_cell
+from .tables import EMPTY, NUMERIC, CellValue, Memo, Table, normalize_cell
 from .templates import TSlot, Template, TemplateDistribution, TemplateNode
 
 log = logging.getLogger(__name__)
@@ -110,17 +113,22 @@ class _Fail(Exception):
 class _Grounding:
     """The grounding of one ``synthesize_candidates`` call: what every draw
     reads that depends only on the table (the all-rows view, the column
-    references, literal cells, view indexes and object pools), and each
-    printed text's verify answer.  It is built per call and dropped with it."""
+    references, and memos of literal cells, view indexes and object pools),
+    and each printed text's verify answer.  Built per call, dropped with it."""
 
     def __init__(self, table: Table, rng: random.Random):
         self.table = table
         self.rng = rng
-        self.all_rows = tuple(range(table.n_rows))
+        all_rows = self.all_rows = tuple(range(table.n_rows))
         self.refs = [ColumnRef(h) for h in table.headers]
-        self.literals: dict[str, CellValue] = {}
-        self.views: dict[tuple, _ViewIndex] = {}
-        self.pools: dict[tuple, list | tuple] = {}
+        # a text's own cell, never a pool object: its number may not be its text's
+        self.literals = Memo(normalize_cell)
+        # no builder reads self: that cycle would keep the grounding past its call
+        views = self.views = Memo(lambda key: _ViewIndex(table, *key))
+        majority = Memo(lambda key: _majority_objects(views, all_rows, *key))
+        hits = Memo(lambda key: _hits(views, majority, *key))
+        self.pools = Memo(lambda key: _pool(hits, *key))
+        # by hand: the answer is the form's, the key its printed text
         self.verified: dict[str, bool] = {}
 
     def instantiate(self, template: Template, columns: list[int]) -> tuple[Apply, str] | None:
@@ -196,7 +204,7 @@ class _Grounding:
         bound to the placeholder from pool()."""
         if not isinstance(node, TSlot):
             return self.fill(node)
-        lit = self.literal(self.bind(OBJECT, node.index, pool))
+        lit = self.literals[self.bind(OBJECT, node.index, pool)]
         return lit, lit
 
     # -- execution helpers -----------------------------------------------
@@ -207,69 +215,6 @@ class _Grounding:
             return apply(name, args, self.table)
         except LoftError:
             raise _Fail() from None
-
-    def literal(self, text: str) -> CellValue:
-        """The cell a text parses to, never a pool object: its number may not be its text's."""
-        lit = self.literals.get(text)
-        if lit is None:
-            lit = self.literals[text] = normalize_cell(text)
-        return lit
-
-    def view(self, col: int, rows: tuple[int, ...]) -> _ViewIndex:
-        index = self.views.get((col, rows))
-        if index is None:
-            index = self.views[col, rows] = _ViewIndex(self.table, col, rows)
-        return index
-
-    # -- object pools ------------------------------------------------------
-
-    def objects(
-        self, member: str, col: int, rows: tuple[int, ...], unique: bool = False
-    ) -> list[str]:
-        """The object texts member may take over the view: for a filter,
-        those that keep a row (exactly one under unique); for all or most,
-        those that all or most of the view's cells pass.  Built once per
-        key and shared by every draw; callers never mutate it."""
-        key = (member, col, rows, unique)
-        pool = self.pools.get(key)
-        if pool is None:
-            sig, n = CATALOG[member], len(rows)
-            texts, counts = self._hits(sig.family == "filter", sig.op, col, rows)
-            # the least and most cells an object may keep
-            low, high = {"filter": (1, 1 if unique else n), "all": (n, n),
-                         "most": (n // 2 + 1, n)}[sig.family]
-            pool = self.pools[key] = [text for text, kept in zip(texts, counts)
-                                      if low <= kept <= high]
-        return pool
-
-    def _hits(self, filtering: bool, op: str, col: int, rows: tuple[int, ...]) -> tuple[list, list]:
-        """The texts a filter (else a majority) pool of the view draws among,
-        and how many cells each one's object keeps under op; shared by the
-        unique and non-unique filter pools, and by all_op and most_op."""
-        key = ("hits", filtering, op, col, rows)
-        hits = self.pools.get(key)
-        if hits is None:
-            index = self.view(col, rows)
-            objs = index.distinct if filtering else self._majority_objects(col, rows)
-            hits = self.pools[key] = [obj.text for obj in objs], index.counts(op, objs)
-        return hits
-
-    def _majority_objects(self, col: int, rows: tuple[int, ...]) -> list[CellValue]:
-        """The first object of each text among the view's values, the whole
-        column's and two synthetic extremes: values absent from the view
-        give the all_not_eq / all_greater family something true to say."""
-        key = ("objects", col, rows)
-        objs = self.pools.get(key)
-        if objs is None:
-            pool = self.view(col, rows).distinct + self.view(col, self.all_rows).distinct
-            numbers = [obj.number for obj in pool if obj.number is not None]
-            if numbers:
-                pool += [as_object(min(numbers) - 1), as_object(max(numbers) + 1)]
-            firsts: dict[str, CellValue] = {}
-            for obj in pool:
-                firsts.setdefault(obj.text, obj)
-            objs = self.pools[key] = list(firsts.values())
-        return objs
 
     # -- recursive filling -------------------------------------------------
 
@@ -295,7 +240,7 @@ class _Grounding:
         col = self.cols[args[1].index]
         ref = self.refs[col]
         # the column's numbers within the view; none fails the draw
-        usable = len(self.view(col, rows).numbers) if sig.numeric_column else 0
+        usable = len(self.views[col, rows].numbers) if sig.numeric_column else 0
         if sig.numeric_column and not usable:
             raise _Fail()
         if group == "filter_all":
@@ -313,14 +258,14 @@ class _Grounding:
                 raise _Fail()
         member = member or self.choice(GROUPS[group])
         if sig.family == "filter":
-            obj_form, obj = self.bind_obj(args[2], lambda: self.objects(member, col, rows, unique))
+            obj_form, obj = self.bind_obj(args[2], lambda: self.pools[member, col, rows, unique])
             rows = self.step(member, rows, col, obj)
             return Apply(member, (inner_form, ref, obj_form)), rows
         if sig.family in ("all", "most"):
-            obj_form, _ = self.bind_obj(args[2], lambda: self.objects(member, col, rows))
+            obj_form, _ = self.bind_obj(args[2], lambda: self.pools[member, col, rows, False])
             return Apply(member, (inner_form, ref, obj_form)), True
         # AGGREGATION, SUPER_ARG, ORDINAL, ORD_ARG: a step over the column
-        form = Apply(member, (inner_form, ref) + tuple(self.literal(str(r)) for r in ranks))
+        form = Apply(member, (inner_form, ref) + tuple(self.literals[str(r)] for r in ranks))
         value = self.step(member, rows, col, *ranks)
         return form, (as_object(value) if sig.return_type == NUM else value)
 
@@ -337,7 +282,7 @@ class _Grounding:
             return self.holding_member(group, *((lit, sub) if left_obj else (sub, lit)))
         sub_form, obj = sub
         member, target = self._compare_target(group, obj, left_obj, sub_form)
-        lit = self.literal(self.bind(OBJECT, obj_node.index, lambda: [target]))
+        lit = self.literals[self.bind(OBJECT, obj_node.index, lambda: [target])]
         return Apply(member, (lit, sub_form) if left_obj else (sub_form, lit))
 
     def holding_member(self, group: str, left: tuple, right: tuple) -> Apply:
@@ -383,8 +328,47 @@ class _Grounding:
         """A live value's text unequal to obj, from the column obj came from:
         only a hop gives an object with no number."""
         col = self.table.column_index(sub_form.args[1].name)
-        column = self.view(col, self.all_rows).distinct
+        column = self.views[col, self.all_rows].distinct
         return self.choice([c.text for c in column if c.folded != obj.folded])
+
+
+def _pool(hits: Memo, member: str, col: int, rows: tuple[int, ...], unique: bool) -> list[str]:
+    """The object texts member may take over the view: for a filter, those that
+    keep a row (exactly one under unique); for all or most, those that all or
+    most of the view's cells pass.  Shared by every draw; none mutates it."""
+    sig, n = CATALOG[member], len(rows)
+    texts, counts = hits[sig.family == "filter", sig.op, col, rows]
+    # the least and most cells an object may keep
+    low, high = {"filter": (1, 1 if unique else n), "all": (n, n),
+                 "most": (n // 2 + 1, n)}[sig.family]
+    return [text for text, kept in zip(texts, counts) if low <= kept <= high]
+
+
+def _hits(views: Memo, majority: Memo, filtering: bool, op: str, col: int,
+          rows: tuple[int, ...]) -> tuple[list, list]:
+    """The texts a filter (else a majority) pool of the view draws among,
+    and how many cells each one's object keeps under op; shared by the
+    unique and non-unique filter pools, and by all_op and most_op."""
+    index = views[col, rows]
+    objs = index.distinct if filtering else majority[col, rows]
+    return [obj.text for obj in objs], index.counts(op, objs)
+
+
+def _majority_objects(views: Memo, all_rows: tuple, col: int, rows: tuple) -> list[CellValue]:
+    """The first object of each text among the view's values, the whole
+    column's and two synthetic extremes a step (1, or the float spacing if
+    larger) beyond its least and greatest numbers: values absent from the
+    view give the all_not_eq / all_greater family something true to say."""
+    pool = views[col, rows].distinct + views[col, all_rows].distinct
+    numbers = [obj.number for obj in pool if obj.number is not None]
+    if numbers:
+        low, high = min(numbers), max(numbers)
+        pool += [as_object(low - max(1.0, math.ulp(low))),
+                 as_object(high + max(1.0, math.ulp(high)))]
+    firsts: dict[str, CellValue] = {}
+    for obj in pool:
+        firsts.setdefault(obj.text, obj)
+    return list(firsts.values())
 
 
 class _ViewIndex:

@@ -14,8 +14,8 @@ Normalization contract, applied in order to the raw string:
      text preserved); otherwise the cell is Text
 
 A corpus load normalizes each distinct cell text once: equal texts in
-one load, across all its tables, share one immutable CellValue.  The
-text-to-cell dict lives for that one call; nothing is kept between loads.
+one load, across all its tables, share one immutable CellValue.  Its
+text-to-cell ``Memo`` lives for that one call, and nothing is kept.
 
 A table is also laid out by column once, in the pass that types its
 columns: per column, each row's number (or None) and folded text (None
@@ -50,12 +50,26 @@ NUMERIC_COLUMN_SHARE = 0.8
 
 _EMPTY_MARKERS = {"", "-", "n/a"}
 _LEADING_DECIMAL = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+# the files bundled with the package, read by path
+DATA = Path(__file__).with_name("data")
 
 
 def fold_text(text: str) -> str:
     """Lowercase, trim and collapse inner whitespace: the one text equality
     of headers, column lookups and the executor's eq/not_eq."""
     return " ".join(text.lower().split())
+
+
+class Memo(dict):
+    """A dict that builds a missing entry once, as build(key), and keeps it;
+    only indexing builds, since .get() and ``in`` skip ``__missing__``."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class Frozen:
@@ -182,17 +196,13 @@ class Table(Frozen):
         """A table of raw strings; each distinct cell text is normalized
         once and its cells share one CellValue."""
         return cls._from_texts(table_id, title, headers,
-                               [[str(c) for c in row] for row in rows], {})
+                               [[str(c) for c in row] for row in rows], Memo(normalize_cell))
 
     @classmethod
     def _from_texts(cls, table_id: str, title: str, headers: list[str],
-                    rows: list[list[str]], cells: dict[str, CellValue]) -> "Table":
-        """A table of cell texts, each looked up in `cells`, text to
-        CellValue; a text it lacks is normalized once and added."""
-        for row in rows:
-            for text in row:
-                if text not in cells:
-                    cells[text] = normalize_cell(text)
+                    rows: list[list[str]], cells: Memo) -> "Table":
+        """A table of cell texts, each read from `cells`, text to CellValue,
+        which normalizes a text it lacks once."""
         return cls(
             table_id=str(table_id),
             title=str(title),
@@ -268,7 +278,7 @@ def float_text(x: float) -> str:
     return format(Decimal(text), "f") if "e" in text else text
 
 
-def _entry_from_record(record: dict, cells: dict[str, CellValue]) -> CorpusEntry:
+def _entry_from_record(record: dict, cells: Memo) -> CorpusEntry:
     for key in ("table_id", "title", "header", "rows"):
         if key not in record:
             raise IngestError(f"missing required field {key!r}")
@@ -377,7 +387,7 @@ def load_corpus(path: str | Path, format: str = "json") -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     if format == "json":
         first_line: dict[str, int] = {}
-        cells: dict[str, CellValue] = {}  # this load's cells, by text
+        cells = Memo(normalize_cell)  # this load's cells, by text
         for lineno, record in json_records(path):
             try:
                 entry = _entry_from_record(record, cells)

@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .errors import DistributionError, ParseError
 from .forms import AllRows, Apply, ColumnRef, LogicForm, parse_tree, print_logic_form
-from .tables import Frozen, json_object
+from .tables import DATA, Frozen, Memo, json_object
 
 _PLACEHOLDER_RE = re.compile(r"^(COL|OBJ|ORD)_([1-9][0-9]*)$")
 # a skeleton's tokens (group names, placeholders, all_rows) in printing order
@@ -216,20 +216,18 @@ class TemplateDistribution(Frozen):
         object.__setattr__(self, "total", total)
 
 
+def _template_or_error(text: str) -> Template | ParseError:
+    try:
+        return parse_template(text)
+    except ParseError as exc:
+        return exc
+
+
 def mine_templates(forms: list[LogicForm]) -> list[Template | ParseError]:
     """Each form's template, or the ParseError that refuses it; each
     distinct template is checked once."""
-    checked: dict[str, Template | ParseError] = {}
-    out = []
-    for lf in forms:
-        key = abstract(lf)
-        if key not in checked:
-            try:
-                checked[key] = parse_template(key)
-            except ParseError as exc:
-                checked[key] = exc
-        out.append(checked[key])
-    return out
+    checked = Memo(_template_or_error)
+    return [checked[abstract(lf)] for lf in forms]
 
 
 def build_distribution(forms: list[LogicForm], provenance: str = "corpus") -> TemplateDistribution:
@@ -282,12 +280,8 @@ def load_distribution(path: str | Path) -> TemplateDistribution:
         raise DistributionError(f"distribution file not found: {path}") from exc
     except ValueError as exc:
         raise DistributionError(f"{path}: {exc}") from exc
-    return distribution_from_payload(payload, where=str(path))
-
-
-def distribution_from_payload(payload: dict, where: str = "<payload>") -> TemplateDistribution:
-    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
-        raise DistributionError(f"{where}: expected an object with an entries list")
+    if not isinstance(payload.get("entries"), list):
+        raise DistributionError(f"{path}: expected an object with an entries list")
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:
@@ -296,11 +290,11 @@ def distribution_from_payload(payload: dict, where: str = "<payload>") -> Templa
                 raise TypeError(f"weight must be a number, not {raw['weight']!r}")
             weight = float(raw["weight"])
         except (KeyError, TypeError, ValueError, ParseError) as exc:
-            raise DistributionError(f"{where}: entry {i}: {exc}") from exc
+            raise DistributionError(f"{path}: entry {i}: {exc}") from exc
         declared = raw.get("category")
         if declared is not None and declared != template.category:
             raise DistributionError(
-                f"{where}: entry {i}: category {declared!r} does not match root"
+                f"{path}: entry {i}: category {declared!r} does not match root"
             )
         entries.append(WeightedTemplate(template=template, weight=weight))
     try:
@@ -308,15 +302,10 @@ def distribution_from_payload(payload: dict, where: str = "<payload>") -> Templa
             entries=tuple(entries), provenance=str(payload.get("provenance", ""))
         )
     except DistributionError as exc:
-        raise DistributionError(f"{where}: {exc}") from exc
+        raise DistributionError(f"{path}: {exc}") from exc
 
 
 def default_distribution() -> TemplateDistribution:
     """The distribution bundled with the package: one hand-written template
     for each reasoning skill, uniform weights."""
-    from importlib.resources import files
-
-    payload = json.loads(
-        files("loft.data").joinpath("default_templates.json").read_text(encoding="utf-8")
-    )
-    return distribution_from_payload(payload, where="default_templates.json")
+    return load_distribution(DATA / "default_templates.json")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import loft.forms
 from loft import (
     ArityError,
     ParseError,
@@ -48,6 +49,19 @@ class TestParsing:
         lf = parse_logic_form(EXAMPLE)
         assert print_logic_form(lf) == EXAMPLE
         assert parse_logic_form(print_logic_form(lf)) == lf
+
+    def test_printing_a_nested_form_calls_print_logic_form_once(self, monkeypatch):
+        # the printer recurses through a private helper, so a wrapper
+        # installed on the module (a tracer, say) sees one call per form
+        calls = []
+
+        def counting(lf, _real=loft.forms.print_logic_form):
+            calls.append(lf)
+            return _real(lf)
+
+        monkeypatch.setattr(loft.forms, "print_logic_form", counting)
+        assert loft.forms.print_logic_form(parse_logic_form(EXAMPLE)) == EXAMPLE
+        assert len(calls) == 1
 
     def test_compact_input_canonicalizes(self):
         lf = parse_logic_form("eq{count{filter_eq{all_rows;team;a}};1}")

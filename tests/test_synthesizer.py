@@ -1,9 +1,12 @@
 """Synthesis of verify-true candidate forms from weighted templates."""
 
+import gc
 import hashlib
 import json
+import math
 import random
 import re
+import weakref
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -205,6 +208,20 @@ class TestInstantiate:
             assert (literal == value) == (form.name == "eq"), print_logic_form(form)
             assert verify(form, table)
 
+    def test_huge_majority_extremes_stay_outside_the_column(self):
+        # above 2**53 a step of 1 is below the float spacing, so the least
+        # number - 1 and the greatest + 1 would read back as themselves
+        table = Table.from_strings("huge", "huge", ["bytes"], [
+            ["100000000000000000"], ["200000000000000000"], ["300000000000000000"]])
+        grounding = _Grounding(table, random.Random(0))
+        pools = {member: grounding.pools[member, 0, grounding.all_rows, False]
+                 for member in ("all_greater", "all_less")}
+        assert pools == {"all_greater": ["99999999999999980"],
+                         "all_less": ["300000000000000060"]}
+        for member, pool in pools.items():
+            for text in pool:
+                assert verify(parse_logic_form(f"{member} {{ all_rows ; bytes ; {text} }}"), table)
+
     def test_single_cell_table_still_yields_candidates(self):
         table = Table.from_strings("one", "one", ["wins"], [["7"]])
         result = synthesize_candidates(table, None, default_distribution(), seed=13, candidates=3)
@@ -352,11 +369,15 @@ CELL_TEXTS = st.one_of(
 
 def _majority_pool(view, column):
     """The majority pool as the synthesizer builds it, before deduplication:
-    view values, column values, then the synthetic extremes low-1/high+1."""
+    view values, column values, then the synthetic extremes one step (1, or
+    the float spacing where that is larger) below the least number and
+    above the greatest."""
     pool = _distinct(view) + _distinct(column)
     numbers = [obj.number for obj in pool if obj.number is not None]
     if numbers:
-        pool += [as_object(min(numbers) - 1), as_object(max(numbers) + 1)]
+        low, high = min(numbers), max(numbers)
+        pool += [as_object(low - max(1.0, math.ulp(low))),
+                 as_object(high + max(1.0, math.ulp(high)))]
     return pool
 
 
@@ -408,7 +429,7 @@ class TestPoolCounts:
             for unique in (False, True):
                 counts = [(obj.text, kept(op, obj)) for obj in _distinct(view)]
                 expected = [text for text, n in counts if (n == 1 if unique else n >= 1)]
-                got = grounding.objects("filter_" + op, 0, rows, unique)
+                got = grounding.pools["filter_" + op, 0, rows, unique]
                 assert got == expected, (op, unique)
             for quantifier in ("all_", "most_"):
                 expected, seen = [], set()
@@ -419,7 +440,7 @@ class TestPoolCounts:
                     n = kept(op, obj)
                     if n == len(view) if quantifier == "all_" else n * 2 > len(view):
                         expected.append(obj.text)
-                got = grounding.objects(quantifier + op, 0, rows)
+                got = grounding.pools[quantifier + op, 0, rows, False]
                 assert got == expected, (quantifier + op)
             for obj in _majority_pool(view, [row[0] for row in table.rows]):
                 got = apply("filter_" + op, (rows, 0, obj), table)
@@ -651,16 +672,15 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
         _real(self, *args)
 
     monkeypatch.setattr(_Grounding, "__init__", recording_init)
-    runs = []  # per call: (method, key) -> each distinct value it returned
-    for name in ("view", "_hits", "_majority_objects", "objects"):
-        def recording(self, *key, _name=name, _real=getattr(_Grounding, name)):
-            value = _real(self, *key)
-            values = runs[-1].setdefault((_name,) + key, [])
-            if not any(v is value for v in values):
-                values.append(value)
+    runs = []  # per call: (builder, key) -> each value it built
+    # each builder's arguments before its memo key
+    for name, skip in (("_ViewIndex", 1), ("_hits", 2), ("_majority_objects", 2), ("_pool", 1)):
+        def recording(*args, _name=name, _skip=skip, _real=getattr(loft.synthesizer, name)):
+            value = _real(*args)
+            runs[-1].setdefault((_name,) + args[_skip:], []).append(value)
             return value
 
-        monkeypatch.setattr(_Grounding, name, recording)
+        monkeypatch.setattr(loft.synthesizer, name, recording)
     table = _seeded_table(0)
     def attributes_of(t):
         return {name: getattr(t, name) for name in Table.__slots__}
@@ -673,12 +693,34 @@ def test_grounding_memo_lives_for_one_call(monkeypatch):
     first, second = runs
     assert len(groundings) == 2
     assert [g.all_rows for g in groundings] == [tuple(range(table.n_rows))] * 2
-    assert {key[0] for key in first} == {"view", "_hits", "_majority_objects", "objects"}
+    assert {key[0] for key in first} == {"_ViewIndex", "_hits", "_majority_objects", "_pool"}
     assert all(len(values) == 1 for run in runs for values in run.values())
     assert second.keys() == first.keys()
     assert all(second[key][0] is not values[0] for key, values in first.items())
     assert attributes_of(table).keys() == attributes.keys()
     assert all(attributes_of(table)[k] is v for k, v in attributes.items())
+
+
+def test_a_grounding_is_freed_when_its_call_returns(monkeypatch):
+    # no memo builder holds the grounding, so no reference cycle keeps it
+    # alive until a cyclic collection: with gc off it still dies with its call
+    groundings = []
+
+    def recording_init(self, *args, _real=_Grounding.__init__):
+        groundings.append(weakref.ref(self))
+        _real(self, *args)
+
+    monkeypatch.setattr(_Grounding, "__init__", recording_init)
+    dist = _with_majority_all_gt(default_distribution())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = synthesize_candidates(_seeded_table(0), None, dist, seed=13, candidates=20)
+        (grounding,) = groundings
+        assert result.candidates and grounding() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _rng_stream_digest(monkeypatch, table, dist):

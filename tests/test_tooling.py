@@ -7,7 +7,8 @@ code shipped as API, and a benchmark span wrapped around it measures nothing.
 Every name a module imports is used there (``__init__`` re-exports
 aside), and no module imports another's private name.  Every bundled data
 file is read by a module and shipped by the package-data patterns.
-Importing loft builds its classes without generating code.
+Importing loft builds its classes without generating code, and reads
+its bundled files without importlib.resources.
 """
 
 import ast
@@ -128,12 +129,24 @@ def test_every_data_file_is_read_and_shipped():
     assert not unshipped, f"bundled but matched by no package-data pattern: {unshipped}"
 
 
-def test_importing_loft_loads_no_code_generating_module():
-    # dataclasses compiles generated source for each record class and
-    # imports inspect to do so, on every process start and re-import
+def _loaded_by_importing_loft(modules: set[str]) -> list[str]:
+    """Which of the modules a fresh ``python -S`` has loaded once it
+    imports loft from its source directory."""
     code = (f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); import loft; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({modules!r} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["[]"]
+    return ast.literal_eval(result.stdout)
+
+
+def test_importing_loft_loads_no_code_generating_module():
+    # dataclasses compiles generated source for each record class and
+    # imports inspect to do so, on every process start and re-import
+    assert _loaded_by_importing_loft({"dataclasses", "inspect"}) == []
+
+
+def test_importing_loft_loads_no_importlib_resources():
+    # the bundled files are read by path (tables.DATA); importlib.resources
+    # would pull tempfile, shutil and more into every fresh process
+    assert _loaded_by_importing_loft({"importlib.resources"}) == []
